@@ -39,9 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb)
         p.add_argument("-c", "--config", required=True, help="JSON config file")
         p.add_argument("-o", "--out", default="out", help="artifact directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap on worker parallelism (execution is "
-                            "schedule-independent; results never depend on it)")
     return parser
 
 
@@ -109,12 +106,6 @@ def main(argv=None) -> int:
         format="%(name)s %(levelname)s %(message)s")
     try:
         cfg = load_config(args.config)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
-            cfg.threads = args.threads
-            log.info("worker cap set to %d (single-threaded execution; "
-                     "identical bytes regardless)", cfg.threads)
         return _dispatch(args.verb, cfg, Path(args.out))
     except (ConfigError, PanelFormatError, FileNotFoundError) as exc:
         print(f"chaoscast: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 from .dynamics import RunConfig, TuningParameter
 from .embedding import WindowSchedule, split_windows
 from .errors import ConfigError
+from .subset import MAX_COLUMNS
 
 CONFIG_VERSION = 1
 
@@ -51,6 +52,8 @@ class SurrogateConfig:
 @dataclass
 class EmbeddingConfig:
     n_maps: int = 1000
+    # coordinates per delay map, at most subset.MAX_COLUMNS (12): every
+    # subset of a map's columns is enumerated, 2**dim - 1 of them
     dim: int = 8
     lag_min: int = 4
     lag_max: int = 11
@@ -125,7 +128,6 @@ class PipelineConfig:
     ground: GroundConfig = field(default_factory=GroundConfig)
     inversion: InversionConfig = field(default_factory=InversionConfig)
     stations: dict[str, list[str]] = field(default_factory=dict)  # id -> [variable, site]
-    threads: int = 1
 
     def __post_init__(self):
         self.validate()
@@ -140,6 +142,9 @@ class PipelineConfig:
             raise ConfigError("lag_max must be >= lag_min")
         if emb.n_maps < 1 or emb.dim < 1:
             raise ConfigError("n_maps and dim must be >= 1")
+        if emb.dim > MAX_COLUMNS:
+            raise ConfigError(f"dim {emb.dim} exceeds the exhaustive subset "
+                              f"search cap of {MAX_COLUMNS} columns")
         windows = self.schedule.windows()  # raises on overlap
         windows.calibration(self.calibration.window)
         if self.calibration.window not in (8, 12):
@@ -164,8 +169,6 @@ class PipelineConfig:
             raise ConfigError(
                 f"surrogate.min_steady_seasons ({self.surrogate.min_steady_seasons}) "
                 f"must cover the schedule end ({windows.end})")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         for sid, target in self.stations.items():
             if len(target) != 2:
                 raise ConfigError(f"station {sid} target must be [variable, site]")
@@ -199,7 +202,6 @@ class PipelineConfig:
                 ground=GroundConfig(**d.get("ground", {})),
                 inversion=InversionConfig(**d.get("inversion", {})),
                 stations=d.get("stations", {}),
-                threads=d.get("threads", 1),
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc}") from exc

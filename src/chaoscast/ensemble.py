@@ -21,7 +21,7 @@ from .embedding import DelayMap, lagged_rows
 from .metrics import _pearson_with_flag
 from .panel import Panel
 from .shrinkage import stein_adjust
-from .subset import SubsetModel
+from .subset import SubsetModel, select_models
 
 KEY_FORMAT_VERSION = 1
 ALLOWED_TOP_PERCENT = (10, 30, 100)
@@ -74,18 +74,32 @@ class ModelGroup:
 def fit_model_group(attractor_id: str, map_index: int, dmap: DelayMap,
                     attractor_panel: Panel, stations, max_size: int | None = None,
                     seasons: tuple[int, int] | None = None) -> ModelGroup:
-    """Fit the Cp-selected subset model per station on an attractor panel."""
-    from .embedding import build_design_matrix
-    from .subset import select_model
+    """Fit the Cp-selected subset model per station on an attractor panel.
 
+    The stations share the delay map's design matrix, so stations with
+    the same usable rows are fitted together in one batched search.
+    A station whose target misses seasons the others have is fitted on
+    its own rows, exactly as if it were fitted alone.
+    """
     if seasons is None:
         seasons = (dmap.max_lag, attractor_panel.n_seasons)
-    fits = {}
-    for st in stations:
-        X, y, _ = build_design_matrix(attractor_panel, dmap, st.target, seasons)
-        fits[st.station_id] = select_model(X, y, max_size=max_size)
-    return ModelGroup(attractor_id=attractor_id, map_index=map_index,
-                      dmap=dmap, fits=fits)
+    stations = tuple(stations)
+    X, usable = lagged_rows(attractor_panel, dmap, seasons)
+    Y = np.column_stack([attractor_panel.series(*st.target)[seasons[0]:seasons[1]]
+                         for st in stations])
+    rows = usable[:, None] & np.isfinite(Y)
+    by_rows: dict[bytes, list[int]] = {}
+    for i in range(len(stations)):
+        by_rows.setdefault(rows[:, i].tobytes(), []).append(i)
+    fits: dict[str, SubsetModel] = {}
+    for members in by_rows.values():
+        mask = rows[:, members[0]]
+        if not mask.any():
+            raise ValueError("no usable rows: every season misses data or history")
+        models = select_models(X[mask], Y[np.ix_(mask, members)], max_size=max_size)
+        fits.update((stations[i].station_id, m) for i, m in zip(members, models))
+    return ModelGroup(attractor_id=attractor_id, map_index=map_index, dmap=dmap,
+                      fits={st.station_id: fits[st.station_id] for st in stations})
 
 
 def observation_matrix(panel: Panel, stations: tuple[Station, ...],

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig, save_config
+from .config import PipelineConfig
 from .dynamics import AttractorEstimate, TuningParameter, build_attractor_library
 from .embedding import DelayMap, sample_delay_maps
 from .ensemble import (EnsembleForecast, ModelGroup, PredictorKey, Station,
@@ -60,11 +61,21 @@ def _header(cfg: PipelineConfig) -> dict:
     return {"config_hash": cfg.config_hash(), "seed": cfg.seed}
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_text(path: Path, text: str) -> None:
+    """Write a whole artifact or nothing: a temporary file, then os.replace."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def _read_json(path: Path) -> dict:
@@ -91,7 +102,7 @@ def stage_library(cfg: PipelineConfig, out: Path | None = None) -> list[Attracto
             text = panel_to_text(est.panel, header_comments={
                 "config_hash": cfg.config_hash(), "seed": cfg.seed,
                 "parameter": est.parameter.value, "steady_start": est.steady_start})
-            (adir / f"{est.label}.csv").write_text(text)
+            _write_text(adir / f"{est.label}.csv", text)
             _write_json(adir / f"{est.label}.meta.json", {
                 **_header(cfg),
                 "label": est.label,
@@ -142,7 +153,7 @@ def stage_ground(cfg: PipelineConfig, library, out: Path | None = None,
         text = panel_to_text(ground, header_comments={
             "config_hash": cfg.config_hash(), "seed": cfg.seed,
             "reference_window": f"{reference[0]}:{reference[1]}"})
-        (out / "ground.csv").write_text(text)
+        _write_text(out / "ground.csv", text)
         _write_json(out / "ground.meta.json", {
             **_header(cfg), "provenance": meta,
             "reference_window": list(reference),
@@ -176,7 +187,7 @@ def stage_shrinkage(cfg: PipelineConfig, out: Path | None = None) -> ShrinkageRe
     report = bootstrap_shrinkage(
         n_stations=n_stations, n_points=cfg.shrinkage.n_points,
         target_r=cfg.shrinkage.target_r, n_reps=cfg.shrinkage.n_reps,
-        seed=derive_rng(cfg.seed, "shrinkage").integers(2**32))
+        seed=int(derive_rng(cfg.seed, "shrinkage").integers(2**32)))
     log.info("shrinkage: factor=%.4f over %d replicates",
              report.shrinkage_factor, report.n_replicates)
     if out is not None:
@@ -206,7 +217,7 @@ def stage_embed(cfg: PipelineConfig, library, ground: Panel,
         raise ConfigError("attractor and ground panels share no coordinates")
     emb = cfg.embedding
     maps = sample_delay_maps(catalog, emb.n_maps, emb.dim, emb.lag_min, emb.lag_max,
-                             seed=derive_rng(cfg.seed, "maps").integers(2**32),
+                             seed=int(derive_rng(cfg.seed, "maps").integers(2**32)),
                              lead=emb.lead)
     log.info("embed: %d delay maps of dimension %d over %d coordinates",
              len(maps), emb.dim, len(catalog))
@@ -372,7 +383,8 @@ def stage_score(cfg: PipelineConfig, forecast: EnsembleForecast, ground: Panel,
     predict = windows.predict
     if forecast.no_forecast:
         if out is not None:
-            (out / "skill.csv").write_text(
+            _write_text(
+                out / "skill.csv",
                 f"# config_hash={cfg.config_hash()} seed={cfg.seed}\n"
                 "# no_forecast=true\n"
                 "region,pearson_r,p_value,dof,heidke,n_pairs,box_ljung_q,box_ljung_p\n")
@@ -410,12 +422,12 @@ def stage_score(cfg: PipelineConfig, forecast: EnsembleForecast, ground: Panel,
         lines = [f"# config_hash={cfg.config_hash()} seed={cfg.seed}",
                  "region,pearson_r,p_value,dof,heidke,n_pairs,box_ljung_q,box_ljung_p",
                  f"all-stations,{r!r},{p!r},{dof},{hss!r},{n_pairs},{bl_q!r},{bl_p!r}"]
-        (out / "skill.csv").write_text("\n".join(lines) + "\n")
+        _write_text(out / "skill.csv", "\n".join(lines) + "\n")
         rlines = [f"# config_hash={cfg.config_hash()} seed={cfg.seed}",
                   "start_season,pearson_r,heidke"]
         for start, rr, hh in running:
             rlines.append(f"{start + predict[0]},{rr!r},{hh!r}")
-        (out / "running_skill.csv").write_text("\n".join(rlines) + "\n")
+        _write_text(out / "running_skill.csv", "\n".join(rlines) + "\n")
     return report, running, boundaries
 
 
@@ -470,13 +482,13 @@ def emit_plot_data(cfg: PipelineConfig, out: Path) -> list[Path]:
                 prd = payload["predictions"][i][j]
                 lines.append(f"{sid},{season},{_csv(obs)},{_csv(prd)}")
         path = plots / "fig2_scatter.csv"
-        path.write_text("\n".join(lines) + "\n")
+        _write_text(path, "\n".join(lines) + "\n")
         written.append(path)
 
     rpath = out / "running_skill.csv"
     if rpath.exists():
         path = plots / "s4_running_skill.csv"
-        path.write_text(rpath.read_text())
+        _write_text(path, rpath.read_text())
         written.append(path)
 
     ipath = out / "inversion.json"
@@ -488,7 +500,7 @@ def emit_plot_data(cfg: PipelineConfig, out: Path) -> list[Path]:
         lines.append(f"{_csv(true_param)},{_csv(payload['estimate'])},"
                      f"{_csv(payload['observable_estimate'])}")
         path = plots / "fig3_inversion.csv"
-        path.write_text("\n".join(lines) + "\n")
+        _write_text(path, "\n".join(lines) + "\n")
         written.append(path)
     log.info("plots: wrote %d plot-data files", len(written))
     return written
@@ -508,7 +520,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None,
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        save_config(cfg, out / "config.json")
+        _write_json(out / "config.json", cfg.to_dict())
     library = stage_library(cfg, out)
     ground, factors, meta = stage_ground(cfg, library, out, raw_ground_override)
     shrink = stage_shrinkage(cfg, out)

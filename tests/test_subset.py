@@ -3,7 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from chaoscast.subset import best_subsets, mallows_cp, ols_fit, select_model
+from chaoscast.config import PipelineConfig
+from chaoscast.dynamics import build_attractor_library
+from chaoscast.embedding import build_design_matrix, sample_delay_maps
+from chaoscast.ensemble import Station, fit_model_group
+from chaoscast.errors import ConfigError
+from chaoscast.subset import (MAX_COLUMNS, best_subsets, mallows_cp, ols_fit,
+                              select_model)
 
 
 def exhaustive_best(X, y, max_size):
@@ -189,3 +195,94 @@ def test_best_subsets_validation():
         best_subsets(rng.standard_normal((5, 6)), rng.standard_normal(5))
     with pytest.raises(ValueError):
         best_subsets(rng.standard_normal((40, 31)), rng.standard_normal(40))
+
+
+def test_best_subsets_rejects_more_than_the_column_cap():
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((40, MAX_COLUMNS + 1))
+    with pytest.raises(ValueError, match="capped"):
+        best_subsets(X, rng.standard_normal(40))
+    assert len(best_subsets(X[:, :MAX_COLUMNS], rng.standard_normal(40))) == MAX_COLUMNS
+
+
+def test_exact_rss_ties_go_to_the_first_subset():
+    # two orthogonal columns that explain y equally well, bit for bit
+    X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]])
+    y = X[:, 0] + X[:, 1]
+    assert best_subsets(X, y)[1].columns == (0,)
+    assert best_subsets(X[:, ::-1], y)[1].columns == (0,)
+
+
+def test_config_rejects_dim_above_the_column_cap():
+    with pytest.raises(ConfigError, match="cap"):
+        PipelineConfig.from_dict({"seed": 1, "embedding": {"dim": MAX_COLUMNS + 1}})
+    PipelineConfig.from_dict({"seed": 1, "embedding": {"dim": MAX_COLUMNS}})
+
+
+def brute_force_cp(X, y):
+    """Oracle: Cp-selected (columns, coefficients) by refitting every subset."""
+    n, p = X.shape
+    Xc = X - X.mean(axis=0)
+    yc = y - y.mean()
+
+    def fit(subset):
+        beta, *_ = np.linalg.lstsq(Xc[:, list(subset)], yc, rcond=None)
+        resid = yc - Xc[:, list(subset)] @ beta
+        return float(resid @ resid), beta
+
+    sigma2 = fit(range(p))[0] / (n - p - 1)
+    scored = []
+    for k in range(1, p + 1):
+        fits = [(fit(s), s) for s in itertools.combinations(range(p), k)]
+        (rss, beta), subset = min(fits, key=lambda f: f[0][0])
+        scored.append((mallows_cp(rss, sigma2, n, k + 1), k, subset, beta))
+    _, _, subset, beta = min(scored, key=lambda item: item[:3])
+    return subset, beta
+
+
+@pytest.fixture(scope="module")
+def short_attractor():
+    cfg = PipelineConfig.from_dict({"seed": 7, "surrogate": {"forcings": [8.0],
+                                                             "n_seasons": 200}})
+    (est,) = build_attractor_library(cfg.surrogate.parameters(),
+                                     cfg.surrogate.run_config(cfg.seed))
+    stations = tuple(Station(sid, var, site)
+                     for sid, (var, site) in cfg.resolved_stations().items())
+    maps = sample_delay_maps(est.panel.catalog(), 3, 8, 4, 11, seed=11)
+    return est.panel, stations, maps
+
+
+def _assert_group_matches_per_station_fits(panel, stations, dmap, brute_force):
+    group = fit_model_group("F8", 0, dmap, panel, stations)
+    assert list(group.fits) == [st.station_id for st in stations]
+    for st in stations:
+        X, y, _ = build_design_matrix(panel, dmap, st.target,
+                                      (dmap.max_lag, panel.n_seasons))
+        got = group.fits[st.station_id]
+        assert got.n_rows == len(y)
+        alone = select_model(X, y)
+        assert got.columns == alone.columns
+        assert np.allclose(got.coefficients, alone.coefficients, rtol=1e-9, atol=0)
+        if brute_force:
+            columns, beta = brute_force_cp(X, y)
+            assert got.columns == columns
+            assert np.allclose(got.coefficients, beta, rtol=1e-9, atol=0)
+    return group
+
+
+def test_fit_model_group_matches_per_station_and_brute_force(short_attractor):
+    panel, stations, maps = short_attractor
+    for i, dmap in enumerate(maps):
+        _assert_group_matches_per_station_fits(panel, stations, dmap,
+                                               brute_force=i == 0)
+
+
+def test_fit_model_group_station_with_missing_target_seasons(short_attractor):
+    panel, stations, maps = short_attractor
+    gappy = panel.copy()
+    target = gappy.series(*stations[1].target)
+    target[[30, 31, 90, 150]] = np.nan
+    group = _assert_group_matches_per_station_fits(gappy, stations, maps[0],
+                                                   brute_force=False)
+    rows = {sid: m.n_rows for sid, m in group.fits.items()}
+    assert rows[stations[1].station_id] < rows[stations[0].station_id]
