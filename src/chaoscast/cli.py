@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
+from .ensemble import load_keys
 from .errors import ChaoscastError, ConfigError, PanelFormatError
 from . import pipeline as pl
 
@@ -76,19 +77,19 @@ def _dispatch(verb: str, cfg, out: Path) -> int:
         pl.stage_select(cfg, groups, ground, shrink, out)
         return 0
     if verb == "forecast":
-        retained = pl.load_keys_artifact(out, "retained_keys.json")
+        retained = load_keys(out / "retained_keys.json")
         ground, _, _ = pl.load_ground(out)
         pl.stage_forecast(cfg, retained, ground, out)
         return 0
     if verb == "score":
-        retained = pl.load_keys_artifact(out, "retained_keys.json")
+        retained = load_keys(out / "retained_keys.json")
         ground, _, _ = pl.load_ground(out)
         forecast = pl.stage_forecast(cfg, retained, ground, None)
         pl.stage_score(cfg, forecast, ground, out)
         return 0
     if verb == "invert":
         library = pl.load_library(out)
-        keys = pl.load_keys_artifact(out, "keys.json")
+        keys = load_keys(out / "keys.json")
         ground, _, _ = pl.load_ground(out)
         pl.stage_invert(cfg, library, _regroup(keys), ground, out)
         return 0

@@ -12,41 +12,12 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from .dynamics import RunConfig, TuningParameter
+from .dynamics import SurrogateConfig
 from .embedding import WindowSchedule, split_windows
 from .errors import ConfigError
 from .subset import MAX_COLUMNS
 
 CONFIG_VERSION = 1
-
-
-@dataclass
-class SurrogateConfig:
-    forcings: list[float] = field(default_factory=lambda: [5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
-    K: int = 36
-    dt: float = 0.05
-    steps_per_season: int = 20
-    n_seasons: int = 400
-    temp_smooth: int = 5
-    indices: dict[str, list[list[str]]] = field(default_factory=dict)
-    steady_window: int = 40
-    slope_tol: float = 0.01
-    min_steady_seasons: int = 60
-
-    def label(self, forcing: float) -> str:
-        return f"F{forcing:g}"
-
-    def parameters(self) -> list[TuningParameter]:
-        return [TuningParameter(float(f), self.label(f)) for f in self.forcings]
-
-    def run_config(self, master_seed: int) -> RunConfig:
-        return RunConfig(K=self.K, dt=self.dt, steps_per_season=self.steps_per_season,
-                         n_seasons=self.n_seasons, temp_smooth=self.temp_smooth,
-                         indices={k: (tuple(a), tuple(b)) for k, (a, b) in
-                                  sorted(self.indices.items())},
-                         steady_window=self.steady_window, slope_tol=self.slope_tol,
-                         min_steady_seasons=self.min_steady_seasons,
-                         master_seed=master_seed)
 
 
 @dataclass

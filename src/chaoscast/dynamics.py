@@ -1,10 +1,11 @@
 """Surrogate dynamics: stationary attractor estimates at fixed forcing.
 
 A Lorenz-96 ring plays the role of a climate model run at a constant
-tuning parameter. Each run is integrated past its transient, aggregated
-to seasonal means, truncated at the detected steady state, and kept as
-an attractor estimate tagged with its forcing value. A correlation-sum
-estimator provides a fractal-dimension proxy for the attractor.
+tuning parameter. One routine, :func:`steady_run`, integrates a run past
+its transient, aggregates it to seasonal means and truncates it at the
+detected steady state. The attractor library standardizes each such run
+and tags it with its forcing value; a fresh synthetic ground record is
+another such run, at a forcing outside the library.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ class AttractorEstimate:
     steady_start: int  # season index of the original run where stationarity begins
     seed: int
     scale: dict[Coord, tuple[float, float]] = field(default_factory=dict)
-    dimension_estimate: float | None = None
 
     @property
     def label(self) -> str:
@@ -241,42 +241,59 @@ def detect_steady_state(series, window: int, slope_tol: float) -> int:
 
 
 @dataclass
-class RunConfig:
-    """Integration and aggregation settings for one attractor library."""
+class SurrogateConfig:
+    """Forcing grid plus the integration, aggregation and steady-state settings."""
 
+    forcings: list[float] = field(default_factory=lambda: [5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
     K: int = 36
     dt: float = 0.05
     steps_per_season: int = 20
     n_seasons: int = 400
     temp_smooth: int = 5
-    indices: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = field(default_factory=dict)
+    indices: dict[str, list[list[str]]] = field(default_factory=dict)
     steady_window: int = 40
     slope_tol: float = 0.01
     min_steady_seasons: int = 60
-    perturbation: float = 1e-3
-    master_seed: int = 0
+
+    def label(self, forcing: float) -> str:
+        return f"F{forcing:g}"
+
+    def parameters(self) -> list[TuningParameter]:
+        return [TuningParameter(float(f), self.label(f)) for f in self.forcings]
 
 
-def _attractor_from_run(param: TuningParameter, cfg: RunConfig) -> AttractorEstimate:
-    seed = cfg.master_seed
-    traj = integrate_lorenz96(param.value, cfg.K, cfg.dt,
-                              cfg.n_seasons * cfg.steps_per_season,
-                              x0=None, seed=derive_rng(seed, "attractor", param.label).integers(2**32),
-                              perturbation=cfg.perturbation)
-    panel = seasonal_aggregate(traj, cfg.steps_per_season,
-                               default_observables(cfg.K, cfg.temp_smooth))
-    for name, (ra, rb) in sorted(cfg.indices.items()):
+def steady_run(forcing: float, seed: int,
+               surrogate: SurrogateConfig) -> tuple[Panel, int]:
+    """Integrate one run at a fixed forcing and keep its steady seasons.
+
+    The run starts from x = F kicked by a ``seed``-drawn perturbation, is
+    aggregated to seasonal means with the configured two-region indices
+    appended, and is cut where the cross-site mean of every variable is
+    first steady. Returns the raw steady panel and the season it starts at.
+    """
+    sur = surrogate
+    traj = integrate_lorenz96(forcing, sur.K, sur.dt, sur.n_seasons * sur.steps_per_season,
+                              seed=seed)
+    panel = seasonal_aggregate(traj, sur.steps_per_season,
+                               default_observables(sur.K, sur.temp_smooth))
+    for name, (ra, rb) in sorted(sur.indices.items()):
         panel.add(IDX, name, synth_index(panel, set(ra), set(rb)))
 
     variables = sorted({var for var, _ in panel.values})
     monitored = [np.mean([panel.series(var, site) for v2, site in panel.catalog() if v2 == var], axis=0)
                  for var in variables]
-    steady = detect_steady_state(monitored, cfg.steady_window, cfg.slope_tol)
-    steady_panel = panel.window(steady, panel.n_seasons)
-    if steady_panel.n_seasons < cfg.min_steady_seasons:
+    steady = detect_steady_state(monitored, sur.steady_window, sur.slope_tol)
+    return panel.window(steady, panel.n_seasons), steady
+
+
+def _attractor_from_run(param: TuningParameter, surrogate: SurrogateConfig,
+                        seed: int) -> AttractorEstimate:
+    run_seed = int(derive_rng(seed, "attractor", param.label).integers(2**32))
+    steady_panel, steady = steady_run(param.value, run_seed, surrogate)
+    if steady_panel.n_seasons < surrogate.min_steady_seasons:
         raise StationarityNotReachedError(
             f"parameter {param.label}: only {steady_panel.n_seasons} steady seasons, "
-            f"need {cfg.min_steady_seasons}; lengthen the run")
+            f"need {surrogate.min_steady_seasons}; lengthen the run")
 
     scale = {}
     for key, vals in steady_panel.values.items():
@@ -289,8 +306,8 @@ def _attractor_from_run(param: TuningParameter, cfg: RunConfig) -> AttractorEsti
                              steady_start=steady, seed=seed, scale=scale)
 
 
-def build_attractor_library(parameters: list[TuningParameter],
-                            cfg: RunConfig) -> list[AttractorEstimate]:
+def build_attractor_library(parameters: list[TuningParameter], surrogate: SurrogateConfig,
+                            seed: int) -> list[AttractorEstimate]:
     """One steady, standardized attractor estimate per parameter, sorted by value."""
     values = [p.value for p in parameters]
     labels = [p.label for p in parameters]
@@ -299,53 +316,8 @@ def build_attractor_library(parameters: list[TuningParameter],
     library = []
     for param in parameters:
         try:
-            library.append(_attractor_from_run(param, cfg))
+            library.append(_attractor_from_run(param, surrogate, seed))
         except (IntegrationDivergedError, StationarityNotReachedError) as exc:
             raise type(exc)(f"parameter {param.label}: {exc}") from exc
     library.sort(key=lambda a: a.parameter.value)
     return library
-
-
-def estimate_correlation_dimension(traj: Trajectory, radii, sample: int = 2000,
-                                   seed: int = 0) -> float:
-    """Correlation-sum dimension: least-squares slope of log C(r) vs log r.
-
-    C(r) is the fraction of distinct sampled point pairs within distance
-    r. A proxy for the attractor's box dimension; only the order of
-    magnitude matters downstream.
-    """
-    radii = np.sort(np.asarray(radii, dtype=float))
-    if radii.size < 2:
-        raise ValueError("need at least two radii")
-    if radii[-1] / radii[0] < 10.0:
-        raise ValueError("radii must span at least one decade")
-    if sample < 100:
-        raise ValueError("need at least 100 sampled points")
-    pts = traj.states
-    if pts.shape[0] > sample:
-        idx = derive_rng(seed, "corrdim").choice(pts.shape[0], size=sample, replace=False)
-        pts = pts[np.sort(idx)]
-    m = pts.shape[0]
-    if np.allclose(pts, pts[0], atol=1e-12):
-        raise ValueError("degenerate trajectory: all sampled points identical")
-
-    # ordered-pair counts via the Gram identity, then drop self pairs and halve
-    counts = np.zeros(radii.size, dtype=np.int64)
-    sq = np.sum(pts**2, axis=1)
-    r2 = radii**2
-    chunk = 512
-    for i0 in range(0, m, chunk):
-        block = pts[i0:i0 + chunk]
-        d2 = sq[i0:i0 + chunk, None] + sq[None, :] - 2.0 * (block @ pts.T)
-        np.maximum(d2, 0.0, out=d2)
-        for j in range(radii.size):
-            counts[j] += int((d2 <= r2[j]).sum())
-    counts = (counts - m) // 2
-    total_pairs = m * (m - 1) // 2
-    keep = counts > 0
-    if keep.sum() < 2:
-        raise ValueError("correlation sums vanish at the supplied radii")
-    log_r = np.log(radii[keep])
-    log_c = np.log(counts[keep] / total_pairs)
-    slope = np.polyfit(log_r, log_c, 1)[0]
-    return float(slope)

@@ -167,12 +167,6 @@ def _split_costs(sorted_vals: np.ndarray) -> np.ndarray:
     n = sorted_vals.size
     pref = np.concatenate([[0.0], np.cumsum(sorted_vals)])
     pref2 = np.concatenate([[0.0], np.cumsum(sorted_vals**2)])
-
-    def seg(i, j):
-        s = pref[j] - pref[i]
-        s2 = pref2[j] - pref2[i]
-        return s2 - s * s / (j - i)
-
     sizes = np.arange(1, n)
     left = pref2[1:n] - pref[1:n] ** 2 / sizes
     right_s = pref[n] - pref[1:n]
@@ -483,6 +477,20 @@ def model_from_dict(d: dict) -> SubsetModel:
                        dropped=tuple(int(c) for c in d["dropped"]))
 
 
+def group_to_dict(group: ModelGroup) -> dict:
+    return {
+        "map_index": group.map_index,
+        "map": map_to_dict(group.dmap),
+        "fits": {sid: model_to_dict(m) for sid, m in sorted(group.fits.items())},
+    }
+
+
+def group_from_dict(d: dict, attractor_id: str) -> ModelGroup:
+    return ModelGroup(attractor_id=attractor_id, map_index=int(d["map_index"]),
+                      dmap=map_from_dict(d["map"]),
+                      fits={sid: model_from_dict(m) for sid, m in d["fits"].items()})
+
+
 def key_to_dict(key: PredictorKey) -> dict:
     return {
         "format_version": KEY_FORMAT_VERSION,
@@ -497,22 +505,14 @@ def key_to_dict(key: PredictorKey) -> dict:
         "shrink_factor": key.shrink_factor,
         "stations": [[st.station_id, st.variable, st.site] for st in key.stations],
         "correlations": {k: float(v) for k, v in sorted(key.correlations.items())},
-        "members": [{
-            "map_index": g.map_index,
-            "map": map_to_dict(g.dmap),
-            "fits": {sid: model_to_dict(m) for sid, m in sorted(g.fits.items())},
-        } for g in key.members],
+        "members": [group_to_dict(g) for g in key.members],
     }
 
 
 def key_from_dict(d: dict) -> PredictorKey:
     if d.get("format_version") != KEY_FORMAT_VERSION:
         raise ValueError(f"unsupported key format version {d.get('format_version')}")
-    members = tuple(ModelGroup(
-        attractor_id=d["attractor_id"], map_index=int(g["map_index"]),
-        dmap=map_from_dict(g["map"]),
-        fits={sid: model_from_dict(m) for sid, m in g["fits"].items()},
-    ) for g in d["members"])
+    members = tuple(group_from_dict(g, d["attractor_id"]) for g in d["members"])
     return PredictorKey(
         attractor_id=d["attractor_id"], top_percent=int(d["top_percent"]),
         combiner=d["combiner"], lead=int(d["lead"]),

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .dynamics import (AttractorEstimate, default_observables, detect_steady_state,
-                       integrate_lorenz96, seasonal_aggregate, synth_index)
+from .dynamics import AttractorEstimate, steady_run
 from .errors import ConfigError, PanelFormatError
 from .panel import Coord, Panel
 from .seeding import derive_rng
@@ -150,29 +149,6 @@ def _destandardized_member(member: AttractorEstimate) -> Panel:
     return Panel(raw)
 
 
-def _fresh_run_panel(cfg: PipelineConfig, n_seasons: int) -> Panel:
-    sur = cfg.surrogate
-    run = sur.run_config(cfg.seed)
-    seed = derive_rng(cfg.seed, "ground", "fresh").integers(2**32)
-    traj = integrate_lorenz96(cfg.ground.forcing, sur.K, sur.dt,
-                              sur.n_seasons * sur.steps_per_season,
-                              x0=None, seed=int(seed))
-    panel = seasonal_aggregate(traj, sur.steps_per_season,
-                               default_observables(sur.K, sur.temp_smooth))
-    for name, (ra, rb) in sorted(run.indices.items()):
-        panel.add("idx", name, synth_index(panel, set(ra), set(rb)))
-    variables = sorted({var for var, _ in panel.values})
-    monitored = [np.mean([panel.series(v, s) for v2, s in panel.catalog() if v2 == v], axis=0)
-                 for v in variables]
-    steady = detect_steady_state(monitored, sur.steady_window, sur.slope_tol)
-    steady_panel = panel.window(steady, panel.n_seasons)
-    if steady_panel.n_seasons < n_seasons:
-        raise ConfigError(
-            f"fresh ground run has only {steady_panel.n_seasons} steady seasons, "
-            f"need {n_seasons}; lengthen surrogate.n_seasons")
-    return steady_panel.window(0, n_seasons)
-
-
 def make_ground_panel(cfg: PipelineConfig, library: list[AttractorEstimate]) -> tuple[Panel, dict]:
     """Raw (unstandardized) ground panel plus provenance metadata.
 
@@ -198,7 +174,13 @@ def make_ground_panel(cfg: PipelineConfig, library: list[AttractorEstimate]) -> 
         meta = {"mode": "member", "member": label,
                 "true_forcing": member.parameter.value}
     else:
-        base = _fresh_run_panel(cfg, n_seasons)
+        seed = int(derive_rng(cfg.seed, "ground", "fresh").integers(2**32))
+        steady, _ = steady_run(cfg.ground.forcing, seed, cfg.surrogate)
+        if steady.n_seasons < n_seasons:
+            raise ConfigError(
+                f"fresh ground run has only {steady.n_seasons} steady seasons, "
+                f"need {n_seasons}; lengthen surrogate.n_seasons")
+        base = steady.window(0, n_seasons)
         meta = {"mode": "fresh", "true_forcing": float(cfg.ground.forcing)}
 
     rng = derive_rng(cfg.seed, "ground", "noise")

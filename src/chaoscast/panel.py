@@ -77,7 +77,7 @@ def panel_to_text(panel: Panel, header_comments: dict | None = None) -> str:
     for var, site in sorted(panel.values.keys()):
         arr = panel.values[(var, site)]
         for t in range(arr.size):
-            buf.write(f"{var},{site},{t},{arr[t]!r}\n")
+            buf.write(f"{var},{site},{t},{float(arr[t])!r}\n")
     return buf.getvalue()
 
 

@@ -22,10 +22,10 @@ from .config import PipelineConfig
 from .dynamics import AttractorEstimate, TuningParameter, build_attractor_library
 from .embedding import DelayMap, sample_delay_maps
 from .ensemble import (EnsembleForecast, ModelGroup, PredictorKey, Station,
-                       form_keys, key_from_dict, key_to_dict, map_from_dict,
-                       map_to_dict, median_combine, model_from_dict, model_to_dict,
+                       fit_model_group, form_keys, group_from_dict, group_to_dict,
+                       key_to_dict, map_from_dict, map_to_dict, median_combine,
                        observation_matrix, pooled_correlation, rank_models,
-                       retain_predictors, fit_model_group)
+                       retain_predictors)
 from .errors import ChaoscastError, ConfigError
 from .ground import StandardizationFactors, make_ground_panel, standardize_anomalies
 from .inversion import InversionResult, invert_parameter
@@ -91,8 +91,7 @@ def _stations(cfg: PipelineConfig) -> tuple[Station, ...]:
 # --- library -------------------------------------------------------------
 
 def stage_library(cfg: PipelineConfig, out: Path | None = None) -> list[AttractorEstimate]:
-    run = cfg.surrogate.run_config(cfg.seed)
-    library = build_attractor_library(cfg.surrogate.parameters(), run)
+    library = build_attractor_library(cfg.surrogate.parameters(), cfg.surrogate, cfg.seed)
     log.info("library: %d attractors, %d steady seasons each (min)",
              len(library), min(a.panel.n_seasons for a in library))
     if out is not None:
@@ -110,7 +109,6 @@ def stage_library(cfg: PipelineConfig, out: Path | None = None) -> list[Attracto
                 "steady_start": est.steady_start,
                 "n_seasons": est.panel.n_seasons,
                 "attractor_seed": est.seed,
-                "dimension_estimate": est.dimension_estimate,
                 "scale": {f"{v}|{s}": [m, sd] for (v, s), (m, sd) in
                           sorted(est.scale.items())},
             })
@@ -130,8 +128,7 @@ def load_library(out: Path) -> list[AttractorEstimate]:
         library.append(AttractorEstimate(
             parameter=TuningParameter(float(meta["parameter_value"]), meta["label"]),
             panel=panel, steady_start=int(meta["steady_start"]),
-            seed=int(meta["attractor_seed"]), scale=scale,
-            dimension_estimate=meta.get("dimension_estimate")))
+            seed=int(meta["attractor_seed"]), scale=scale))
     library.sort(key=lambda a: a.parameter.value)
     return library
 
@@ -250,24 +247,15 @@ def stage_fit(cfg: PipelineConfig, library, maps, out: Path | None = None):
         _write_json(out / "models.json", {
             **_header(cfg),
             "stations": [[st.station_id, st.variable, st.site] for st in stations],
-            "groups": {label: [{
-                "map_index": g.map_index,
-                "map": map_to_dict(g.dmap),
-                "fits": {sid: model_to_dict(m) for sid, m in sorted(g.fits.items())},
-            } for g in fitted] for label, fitted in sorted(groups.items())}})
+            "groups": {label: [group_to_dict(g) for g in fitted]
+                       for label, fitted in sorted(groups.items())}})
     return groups
 
 
 def load_groups(out: Path) -> dict[str, list[ModelGroup]]:
     payload = _read_json(out / "models.json")
-    groups = {}
-    for label, items in payload["groups"].items():
-        groups[label] = [ModelGroup(
-            attractor_id=label, map_index=int(g["map_index"]),
-            dmap=map_from_dict(g["map"]),
-            fits={sid: model_from_dict(m) for sid, m in g["fits"].items()})
-            for g in items]
-    return groups
+    return {label: [group_from_dict(g, label) for g in items]
+            for label, items in payload["groups"].items()}
 
 
 # --- select --------------------------------------------------------------
@@ -309,10 +297,6 @@ def stage_select(cfg: PipelineConfig, groups, ground: Panel,
             "keys": [key_to_dict(k) for k in retained]})
     return keys_by_attractor, retained
 
-
-def load_keys_artifact(out: Path, name: str):
-    payload = _read_json(out / name)
-    return [key_from_dict(d) for d in payload["keys"]]
 
 
 # --- forecast ------------------------------------------------------------

@@ -4,13 +4,12 @@ import pytest
 from chaoscast.dynamics import (
     AttractorEstimate,
     Observable,
-    RunConfig,
+    SurrogateConfig,
     Trajectory,
     TuningParameter,
     build_attractor_library,
     default_observables,
     detect_steady_state,
-    estimate_correlation_dimension,
     integrate_lorenz96,
     seasonal_aggregate,
     synth_index,
@@ -186,12 +185,13 @@ def test_detect_steady_state_needs_two_windows():
         detect_steady_state(np.ones(30), window=20, slope_tol=0.01)
 
 
-FAST_RUN = RunConfig(K=5, dt=0.05, steps_per_season=10, n_seasons=160,
-                     steady_window=30, min_steady_seasons=40, master_seed=9)
+FAST_RUN = SurrogateConfig(K=5, dt=0.05, steps_per_season=10, n_seasons=160,
+                           steady_window=30, min_steady_seasons=40)
+FAST_SEED = 9
 
 
 def test_library_single_parameter_composition():
-    lib = build_attractor_library([TuningParameter(8.0, "F8")], FAST_RUN)
+    lib = build_attractor_library([TuningParameter(8.0, "F8")], FAST_RUN, FAST_SEED)
     assert len(lib) == 1
     est = lib[0]
     assert est.steady_start + est.panel.n_seasons == FAST_RUN.n_seasons
@@ -205,16 +205,16 @@ def test_library_single_parameter_composition():
 def test_library_rejects_duplicate_parameters():
     params = [TuningParameter(8.0, "a"), TuningParameter(8.0, "b")]
     with pytest.raises(ValueError):
-        build_attractor_library(params, FAST_RUN)
+        build_attractor_library(params, FAST_RUN, FAST_SEED)
     params = [TuningParameter(7.0, "a"), TuningParameter(8.0, "a")]
     with pytest.raises(ValueError):
-        build_attractor_library(params, FAST_RUN)
+        build_attractor_library(params, FAST_RUN, FAST_SEED)
 
 
 def test_library_sorted_and_deterministic():
     params = [TuningParameter(9.0, "high"), TuningParameter(5.0, "low")]
-    lib1 = build_attractor_library(params, FAST_RUN)
-    lib2 = build_attractor_library(params, FAST_RUN)
+    lib1 = build_attractor_library(params, FAST_RUN, FAST_SEED)
+    lib2 = build_attractor_library(params, FAST_RUN, FAST_SEED)
     assert [a.parameter.value for a in lib1] == [5.0, 9.0]
     for a, b in zip(lib1, lib2):
         for key in a.panel.values:
@@ -234,47 +234,8 @@ def test_steady_energy_monotone_in_forcing():
     assert np.all(np.diff(means) >= 0.0)
 
 
-def test_correlation_dimension_unit_square():
-    rng = np.random.default_rng(0)
-    pts = np.zeros((10_000, 4))
-    pts[:, :2] = rng.uniform(size=(10_000, 2))
-    traj = Trajectory(states=pts, dt=1.0)
-    dim = estimate_correlation_dimension(traj, [0.02, 0.04, 0.08, 0.16, 0.32],
-                                         sample=4000, seed=1)
-    assert abs(dim - 2.0) < 0.2
-
-
-def test_correlation_dimension_line_segment():
-    pts = np.zeros((5000, 4))
-    pts[:, 0] = np.linspace(0.0, 1.0, 5000)
-    traj = Trajectory(states=pts, dt=1.0)
-    dim = estimate_correlation_dimension(traj, [0.01, 0.02, 0.05, 0.1, 0.2],
-                                         sample=3000, seed=2)
-    assert abs(dim - 1.0) < 0.1
-
-
-def test_correlation_dimension_lorenz96_bounded():
-    traj = integrate_lorenz96(8.0, 5, 0.05, 40_000, seed=3)
-    steady = Trajectory(states=traj.states[5000:], dt=0.05)
-    dim = estimate_correlation_dimension(steady, [0.5, 1.0, 2.0, 4.0, 8.0],
-                                         sample=3000, seed=4)
-    assert 1.0 < dim < 5.0
-
-
-def test_correlation_dimension_validation():
-    traj = Trajectory(states=np.ones((500, 4)), dt=1.0)
-    with pytest.raises(ValueError):
-        estimate_correlation_dimension(traj, [0.1, 0.2, 0.4, 1.5], sample=200)
-    with pytest.raises(ValueError):
-        estimate_correlation_dimension(traj, [0.1, 0.5], sample=200)  # < one decade
-    rng = np.random.default_rng(1)
-    ok = Trajectory(states=rng.standard_normal((500, 4)), dt=1.0)
-    with pytest.raises(ValueError):
-        estimate_correlation_dimension(ok, [0.1, 0.3, 1.1], sample=50)
-
-
 def test_trailing_mean_recovers_raw_scale():
-    lib = build_attractor_library([TuningParameter(8.0, "F8")], FAST_RUN)
+    lib = build_attractor_library([TuningParameter(8.0, "F8")], FAST_RUN, FAST_SEED)
     est = lib[0]
     key = ("wet", "s00")
     mean, sd = est.scale[key]

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -20,23 +21,63 @@ GOLDEN_ARTIFACTS = {
     "forecast.json", "skill.csv", "plots/fig2_scatter.csv",
 }
 
+STAGED_VERBS = ("generate-library", "embed", "fit", "select", "forecast", "score",
+                "emit-plots")
+
 
 def _tree(root):
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _write_config(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """The golden config and the artifact directory of one run-all on it."""
+    root = tmp_path_factory.mktemp("golden")
+    config = _write_config(root / "config.json", GOLDEN_CONFIG)
+    assert cli.main(["run-all", "-c", config, "-o", str(root / "out")]) == 0
+    return config, root / "out"
+
+
 def test_run_all_is_complete_and_byte_reproducible(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(GOLDEN_CONFIG))
-    trees = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        assert cli.main(["run-all", "-c", str(config), "-o", str(out)]) == 0
-        trees.append(_tree(out))
-    assert set(trees[0]) == GOLDEN_ARTIFACTS
-    assert trees[0] == trees[1]
-    assert json.loads(trees[0]["shrinkage.json"])["bootstrap_seed"] >= 0
+    # member ground (the default) and a fresh ground run outside the library
+    for mode, extra in (("member", {}),
+                        ("fresh", {"ground": {"mode": "fresh", "forcing": 7.0}})):
+        config = _write_config(tmp_path / f"{mode}.json", {**GOLDEN_CONFIG, **extra})
+        trees = []
+        for name in ("a", "b"):
+            out = tmp_path / mode / name
+            assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 0
+            trees.append(_tree(out))
+        assert set(trees[0]) == GOLDEN_ARTIFACTS
+        assert trees[0] == trees[1]
+        assert json.loads(trees[0]["shrinkage.json"])["bootstrap_seed"] >= 0
+        assert json.loads(trees[0]["ground.meta.json"])["provenance"]["mode"] == mode
+
+
+def test_staged_verbs_write_the_same_bytes_as_run_all(golden_run, tmp_path):
+    config, run_all_out = golden_run
+    out = tmp_path / "staged"
+    for verb in STAGED_VERBS:
+        assert cli.main([verb, "-c", config, "-o", str(out)]) == 0, verb
+    expected = _tree(run_all_out)
+    del expected["config.json"]  # written by run-all only
+    assert _tree(out) == expected
+
+
+def test_forecast_rejects_a_retained_keys_file_of_another_version(golden_run, tmp_path):
+    config, run_all_out = golden_run
+    out = tmp_path / "out"
+    shutil.copytree(run_all_out, out)
+    assert cli.main(["forecast", "-c", config, "-o", str(out)]) == 0
+    path = out / "retained_keys.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 2}))
+    assert cli.main(["forecast", "-c", config, "-o", str(out)]) != 0
 
 
 def test_failed_json_artifact_leaves_no_file(tmp_path):
