@@ -14,9 +14,8 @@ from .dynamics import (AttractorEstimate, SurrogateConfig, Trajectory, TuningPar
 from .embedding import (DelayMap, WindowSchedule, build_design_matrix,
                         sample_delay_maps, split_windows)
 from .ensemble import (EnsembleForecast, ModelGroup, PredictorKey, Station,
-                       choose_combiner, combine_mean, combine_vote, form_keys,
-                       median_combine, rank_models, retain_predictors,
-                       take_top_percent)
+                       combine_mean, combine_vote, form_keys, median_combine,
+                       rank_models, retain_predictors, take_top_percent)
 from .ground import load_panel, make_ground_panel, standardize_anomalies
 from .inversion import (InversionResult, estimate_parameter, invert_parameter,
                         key_significance_counts, smooth_counts)

@@ -14,7 +14,9 @@ from dataclasses import asdict, dataclass, field
 
 from .dynamics import SurrogateConfig
 from .embedding import WindowSchedule, split_windows
+from .ensemble import ALLOWED_TOP_PERCENT, VOTE_MODES
 from .errors import ConfigError
+from .shrinkage import CALIBRATION_DIRECTIONS
 from .subset import MAX_COLUMNS
 
 CONFIG_VERSION = 1
@@ -116,13 +118,25 @@ class PipelineConfig:
         if emb.dim > MAX_COLUMNS:
             raise ConfigError(f"dim {emb.dim} exceeds the exhaustive subset "
                               f"search cap of {MAX_COLUMNS} columns")
+        if emb.max_subset_size is not None and emb.max_subset_size < 1:
+            raise ConfigError("embedding.max_subset_size must be >= 1 or null")
         windows = self.schedule.windows()  # raises on overlap
         windows.calibration(self.calibration.window)
         if self.calibration.window not in (8, 12):
             raise ConfigError("calibration.window must be 8 or 12")
-        for x in self.selection.x_grid:
-            if x not in (10, 30, 100):
-                raise ConfigError("x_grid entries must be among 10, 30, 100")
+        if self.calibration.direction not in CALIBRATION_DIRECTIONS:
+            raise ConfigError(
+                f"calibration.direction must be one of {CALIBRATION_DIRECTIONS}")
+        sel = self.selection
+        if not sel.x_grid:
+            raise ConfigError("selection.x_grid must not be empty")
+        for x in sel.x_grid:
+            if x not in ALLOWED_TOP_PERCENT:
+                raise ConfigError(f"x_grid entries must be among {ALLOWED_TOP_PERCENT}")
+        if sel.vote_k < 1:
+            raise ConfigError("selection.vote_k must be >= 1")
+        if sel.vote_mode not in VOTE_MODES:
+            raise ConfigError(f"selection.vote_mode must be one of {VOTE_MODES}")
         if self.ground.mode not in ("member", "fresh", "file"):
             raise ConfigError("ground.mode must be member, fresh, or file")
         if self.ground.mode == "member":

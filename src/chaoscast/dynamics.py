@@ -292,8 +292,8 @@ def _attractor_from_run(param: TuningParameter, surrogate: SurrogateConfig,
     steady_panel, steady = steady_run(param.value, run_seed, surrogate)
     if steady_panel.n_seasons < surrogate.min_steady_seasons:
         raise StationarityNotReachedError(
-            f"parameter {param.label}: only {steady_panel.n_seasons} steady seasons, "
-            f"need {surrogate.min_steady_seasons}; lengthen the run")
+            f"only {steady_panel.n_seasons} steady seasons, need "
+            f"{surrogate.min_steady_seasons}; lengthen the run")
 
     scale = {}
     for key, vals in steady_panel.values.items():
@@ -317,7 +317,10 @@ def build_attractor_library(parameters: list[TuningParameter], surrogate: Surrog
     for param in parameters:
         try:
             library.append(_attractor_from_run(param, surrogate, seed))
-        except (IntegrationDivergedError, StationarityNotReachedError) as exc:
-            raise type(exc)(f"parameter {param.label}: {exc}") from exc
+        except IntegrationDivergedError as exc:
+            raise IntegrationDivergedError(
+                exc.step, f"parameter {param.label}: {exc}") from exc
+        except StationarityNotReachedError as exc:
+            raise StationarityNotReachedError(f"parameter {param.label}: {exc}") from exc
     library.sort(key=lambda a: a.parameter.value)
     return library

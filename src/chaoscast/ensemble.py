@@ -26,6 +26,7 @@ from .subset import SubsetModel, select_models
 KEY_FORMAT_VERSION = 1
 ALLOWED_TOP_PERCENT = (10, 30, 100)
 COMBINERS = ("mean", "vote")
+VOTE_MODES = ("majority", "two_cluster_average")
 
 
 @dataclass(frozen=True)
@@ -162,65 +163,50 @@ def combine_mean(values) -> float:
     return float(values.mean())
 
 
-def _split_costs(sorted_vals: np.ndarray) -> np.ndarray:
-    """Within-cluster SS for every sorted cut point (left size 1..n-1)."""
-    n = sorted_vals.size
-    pref = np.concatenate([[0.0], np.cumsum(sorted_vals)])
-    pref2 = np.concatenate([[0.0], np.cumsum(sorted_vals**2)])
-    sizes = np.arange(1, n)
-    left = pref2[1:n] - pref[1:n] ** 2 / sizes
-    right_s = pref[n] - pref[1:n]
-    right_s2 = pref2[n] - pref2[1:n]
-    right = right_s2 - right_s**2 / (n - sizes)
-    return left + right
-
-
 def _partition_indices(sorted_vals: np.ndarray, k: int) -> list[np.ndarray]:
-    """Exact minimum within-SS partition of sorted 1-D values into k runs."""
+    """Exact minimum within-SS partition of n >= 2 sorted values into min(k, n) runs.
+
+    Fisher's (1958) grouping DP over prefix sums. The first run's cost is
+    a vector over its end; each middle run is one (n+1, n+1) pass of
+    best-cost-so-far plus run cost, minimised over its start; the last
+    run is a vector over its start with the end fixed at n. Equal costs
+    go to the first (lowest) start.
+    """
     n = sorted_vals.size
-    if k >= n:
-        return [sorted_vals[i:i + 1] for i in range(n)]
-    if k == 2:
-        cut = int(np.argmin(_split_costs(sorted_vals))) + 1
-        return [sorted_vals[:cut], sorted_vals[cut:]]
+    k = min(k, n)
     pref = np.concatenate([[0.0], np.cumsum(sorted_vals)])
     pref2 = np.concatenate([[0.0], np.cumsum(sorted_vals**2)])
 
     def seg(i, j):
+        """Within-SS of run [i, j); +inf where the run would be empty."""
+        width = j - i
         s = pref[j] - pref[i]
-        s2 = pref2[j] - pref2[i]
-        return s2 - s * s / (j - i)
+        ss = (pref2[j] - pref2[i]) - s * s / np.maximum(width, 1)
+        return np.where(width > 0, ss, np.inf)
 
-    INF = float("inf")
-    dp = np.full((k + 1, n + 1), INF)
-    back = np.zeros((k + 1, n + 1), dtype=int)
-    dp[0, 0] = 0.0
-    for c in range(1, k + 1):
-        for j in range(c, n + 1):
-            best, bi = INF, c - 1
-            for i in range(c - 1, j):
-                val = dp[c - 1, i] + seg(i, j)
-                if val < best:
-                    best, bi = val, i
-            dp[c, j], back[c, j] = best, bi
-    cuts = []
-    j = n
-    for c in range(k, 0, -1):
-        i = back[c, j]
-        cuts.append((i, j))
-        j = i
-    cuts.reverse()
-    return [sorted_vals[i:j] for i, j in cuts]
+    ends = np.arange(n + 1)
+    cost = seg(0, ends)  # cost[j]: best cost of the runs so far covering [0, j)
+    starts = []
+    for _ in range(k - 2):
+        total = cost[:, None] + seg(ends[:, None], ends)
+        start = np.argmin(total, axis=0)
+        starts.append(start)
+        cost = total[start, ends]
+    bounds = [n, int(np.argmin(cost + seg(ends, n)))]
+    for start in reversed(starts):
+        bounds.append(int(start[bounds[-1]]))
+    bounds = [0, *reversed(bounds)]
+    return [sorted_vals[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
 def combine_vote(values, k: int = 2, mode: str = "majority") -> float:
     """Majority-cluster combination of one season's model predictions.
 
-    Values are split into k groups by the exact sorted-cut partition
-    minimizing within-cluster sum of squares. ``majority`` returns the
-    mean of the most populous cluster (population ties go to the cluster
-    whose mean is nearer the overall mean, then to the lower mean);
-    ``two_cluster_average`` averages the members of the two most
+    Values are split into min(k, n) groups by the exact sorted-cut
+    partition minimizing within-cluster sum of squares. ``majority``
+    returns the mean of the most populous cluster (population ties go to
+    the cluster whose mean is nearer the overall mean, then to the lower
+    mean); ``two_cluster_average`` averages the members of the two most
     populous clusters instead.
     """
     values = np.asarray(values, dtype=float)
@@ -228,7 +214,7 @@ def combine_vote(values, k: int = 2, mode: str = "majority") -> float:
         raise ValueError("need at least one prediction")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if mode not in ("majority", "two_cluster_average"):
+    if mode not in VOTE_MODES:
         raise ValueError("unknown vote mode")
     if k == 1 or values.size == 1:
         return combine_mean(values)
@@ -260,25 +246,6 @@ def select_majority_cluster(clusters, overall: float) -> np.ndarray:
     nearest = [(m, c) for m, d, c in zip(means, dists, finalists)
                if d <= d_min + 1e-9 * scale]
     return min(nearest, key=lambda mc: mc[0])[1]
-
-
-def choose_combiner(mean_series, vote_series, ground, window=None) -> str:
-    """Pick the combiner with the higher holdout correlation; ties to mean.
-
-    Series and ground may be (stations, seasons) blocks or vectors,
-    already restricted to a holdout immediately preceding prediction.
-    """
-    r_mean, deg_mean = pooled_correlation(np.asarray(mean_series), np.asarray(ground))
-    r_vote, deg_vote = pooled_correlation(np.asarray(vote_series), np.asarray(ground))
-    if deg_mean and deg_vote:
-        warnings.warn("both combiner series degenerate on the holdout; "
-                      "defaulting to mean", stacklevel=2)
-        return "mean"
-    if deg_vote:
-        return "mean"
-    if deg_mean:
-        return "vote"
-    return "vote" if r_vote > r_mean else "mean"
 
 
 def combine_members(member_preds: np.ndarray, combiner: str,

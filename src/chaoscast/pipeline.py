@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +21,12 @@ import numpy as np
 from .config import PipelineConfig
 from .dynamics import AttractorEstimate, TuningParameter, build_attractor_library
 from .embedding import DelayMap, sample_delay_maps
-from .ensemble import (EnsembleForecast, ModelGroup, PredictorKey, Station,
-                       fit_model_group, form_keys, group_from_dict, group_to_dict,
-                       key_to_dict, map_from_dict, map_to_dict, median_combine,
-                       observation_matrix, pooled_correlation, rank_models,
-                       retain_predictors)
-from .errors import ChaoscastError, ConfigError
+from .ensemble import (KEY_FORMAT_VERSION, EnsembleForecast, ModelGroup, PredictorKey,
+                       Station, fit_model_group, form_keys, group_from_dict,
+                       group_to_dict, key_to_dict, map_from_dict, map_to_dict,
+                       median_combine, observation_matrix, pooled_correlation,
+                       rank_models, retain_predictors)
+from .errors import ConfigError
 from .ground import StandardizationFactors, make_ground_panel, standardize_anomalies
 from .inversion import InversionResult, invert_parameter
 from .metrics import (SkillReport, adjusted_dof, box_ljung, correlation_pvalue,
@@ -289,10 +289,10 @@ def stage_select(cfg: PipelineConfig, groups, ground: Panel,
              len(retained), len(all_keys), sel.retention_threshold)
     if out is not None:
         _write_json(out / "keys.json", {
-            **_header(cfg), "format_version": 1,
+            **_header(cfg), "format_version": KEY_FORMAT_VERSION,
             "keys": [key_to_dict(k) for k in all_keys]})
         _write_json(out / "retained_keys.json", {
-            **_header(cfg), "format_version": 1,
+            **_header(cfg), "format_version": KEY_FORMAT_VERSION,
             "no_forecast": not retained,
             "keys": [key_to_dict(k) for k in retained]})
     return keys_by_attractor, retained

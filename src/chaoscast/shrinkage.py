@@ -19,6 +19,7 @@ import numpy as np
 from .seeding import derive_rng
 
 N_HOLDOUT = 4  # predicted points per station, treated as pseudo-seasons
+CALIBRATION_DIRECTIONS = ("obs_on_pred", "pred_on_obs")
 
 
 @dataclass
@@ -215,7 +216,7 @@ def calibrate(predictions, observations,
     p, o = p[ok], o[ok]
     vp = float(np.var(p))
     vo = float(np.var(o))
-    if direction not in ("obs_on_pred", "pred_on_obs"):
+    if direction not in CALIBRATION_DIRECTIONS:
         raise ValueError("unknown calibration direction")
     if vp <= 1e-24 or (direction == "pred_on_obs" and vo <= 1e-24):
         return CalibrationResult(slope=0.0, intercept=float(o.mean()), degenerate=True)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,20 @@ def test_library_rejects_duplicate_parameters():
     params = [TuningParameter(7.0, "a"), TuningParameter(8.0, "a")]
     with pytest.raises(ValueError):
         build_attractor_library(params, FAST_RUN, FAST_SEED)
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"dt": 1.0}, IntegrationDivergedError),
+    ({"min_steady_seasons": 161}, StationarityNotReachedError),
+], ids=["diverged", "too-few-steady-seasons"])
+def test_library_error_names_the_parameter_once(change, error):
+    with pytest.raises(error) as err:
+        build_attractor_library([TuningParameter(8.0, "F8")], replace(FAST_RUN, **change),
+                                FAST_SEED)
+    message = str(err.value)
+    assert message.startswith("parameter F8: ") and message.count("F8") == 1
+    if error is IntegrationDivergedError:
+        assert isinstance(err.value.step, int) and str(err.value.step) in message
 
 
 def test_library_sorted_and_deterministic():

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -11,7 +12,6 @@ from chaoscast.ensemble import (
     PredictorKey,
     RankedModel,
     Station,
-    choose_combiner,
     combine_mean,
     combine_members,
     combine_vote,
@@ -105,32 +105,27 @@ def test_combine_mean():
 
 
 def brute_force_vote(values, k=2):
-    """Oracle: try every sorted cut point, recompute costs directly.
+    """Oracle: try every set of k-1 sorted cut points, recompute costs directly.
 
     Shares only the documented tie rule (majority; distance tie within
     epsilon falls to the lower mean), not the search or cost algebra.
     """
     xs = np.sort(np.asarray(values, dtype=float))
     n = xs.size
-    assert k == 2 and n >= 2
-    best_cost, best_cut = np.inf, 1
-    for cut in range(1, n):
-        left, right = xs[:cut], xs[cut:]
-        cost = np.sum((left - left.mean()) ** 2) + np.sum((right - right.mean()) ** 2)
+    assert n >= 2
+    best_cost, best_runs = np.inf, None
+    for cuts in itertools.combinations(range(1, n), min(k, n) - 1):
+        runs = np.split(xs, cuts)
+        cost = sum(np.sum((run - run.mean()) ** 2) for run in runs)
         if cost < best_cost:
-            best_cost, best_cut = cost, cut
-    left, right = xs[:best_cut], xs[best_cut:]
-    if left.size != right.size:
-        winner = left if left.size > right.size else right
-        return float(winner.mean())
+            best_cost, best_runs = cost, runs
+    top = max(run.size for run in best_runs)
+    means = [run.mean() for run in best_runs if run.size == top]
     overall = xs.mean()
-    dl, dr = abs(left.mean() - overall), abs(right.mean() - overall)
-    scale = 1.0 + abs(overall) + max(abs(left.mean()), abs(right.mean()))
-    if abs(dl - dr) <= 1e-9 * scale:
-        winner = left if left.mean() <= right.mean() else right
-    else:
-        winner = left if dl < dr else right
-    return float(winner.mean())
+    dists = [abs(m - overall) for m in means]
+    scale = 1.0 + abs(overall) + max(abs(m) for m in means)
+    nearest = [m for m, d in zip(means, dists) if d <= min(dists) + 1e-9 * scale]
+    return float(min(nearest))
 
 
 def test_combine_vote_trivial_and_hand_cases():
@@ -144,6 +139,16 @@ def test_combine_vote_matches_brute_force_on_200_instances():
         n = int(rng.integers(2, 26))
         values = rng.standard_normal(n) * rng.uniform(0.5, 3.0)
         assert combine_vote(values, k=2) == brute_force_vote(values)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_combine_vote_matches_brute_force_for_every_k(k):
+    # n from 2 to 12, so k >= n (every value its own cluster) is covered
+    rng = np.random.default_rng(40 + k)
+    for _ in range(50):
+        n = int(rng.integers(2, 13))
+        values = rng.standard_normal(n) * rng.uniform(0.5, 3.0)
+        assert combine_vote(values, k=k) == brute_force_vote(values, k=k), (n, values)
 
 
 def test_combine_vote_k1_equals_mean_exactly():
@@ -174,16 +179,6 @@ def test_combine_vote_general_k_matches_dp_expectation():
     assert combine_vote(values, k=3) == pytest.approx(np.mean([1.0, 1.05, 1.1]))
 
 
-def test_choose_combiner_trivial_rules():
-    rng = np.random.default_rng(7)
-    ground = rng.standard_normal(12)
-    noisy = unit_corr_series(ground, 0.3, rng)
-    assert choose_combiner(noisy, ground.copy(), ground) == "vote"
-    assert choose_combiner(ground.copy(), ground.copy(), ground) == "mean"
-    with pytest.warns(UserWarning):
-        assert choose_combiner(np.zeros(12), np.zeros(12), ground) == "mean"
-
-
 def intermittency_scenario(seed, n_models=30, bad_frac=0.4, n_seasons=16):
     """Rule-3 construction: a systematically biased sub-population that
     wanders off on a random subset of seasons."""
@@ -203,7 +198,6 @@ def intermittency_scenario(seed, n_models=30, bad_frac=0.4, n_seasons=16):
 
 def test_rule3_vote_beats_mean_on_intermittent_bias():
     wins = 0
-    chose_vote = 0
     for seed in range(25):
         truth, preds = intermittency_scenario(seed)
         mean_series = preds.mean(axis=0)
@@ -211,9 +205,7 @@ def test_rule3_vote_beats_mean_on_intermittent_bias():
         r_mean, _ = pooled_correlation(mean_series, truth)
         r_vote, _ = pooled_correlation(vote_series, truth)
         wins += r_vote >= r_mean
-        chose_vote += choose_combiner(mean_series, vote_series, truth) == "vote"
     assert wins >= 20
-    assert chose_vote >= 20
 
 
 def _fixture_panels(n_seasons=80, noise=0.05, seed=8):

@@ -80,6 +80,23 @@ def test_forecast_rejects_a_retained_keys_file_of_another_version(golden_run, tm
     assert cli.main(["forecast", "-c", config, "-o", str(out)]) != 0
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("selection", "vote_k", 0),
+    ("selection", "vote_mode", "plurality"),
+    ("selection", "x_grid", []),
+    ("embedding", "max_subset_size", 0),
+    ("calibration", "direction", "sideways"),
+], ids=["vote_k-0", "vote_mode-plurality", "x_grid-empty", "max_subset_size-0",
+        "direction-sideways"])
+def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section, field,
+                                                              value):
+    payload = {**GOLDEN_CONFIG,
+               section: {**GOLDEN_CONFIG.get(section, {}), field: value}}
+    config = _write_config(tmp_path / "config.json", payload)
+    assert cli.main(["run-all", "-c", config, "-o", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_json_artifact_leaves_no_file(tmp_path):
     path = tmp_path / "shrinkage.json"
     with pytest.raises(TypeError):
