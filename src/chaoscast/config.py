@@ -12,11 +12,12 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
+from .artifacts import write_json
 from .dynamics import SurrogateConfig
 from .embedding import WindowSchedule, split_windows
 from .ensemble import ALLOWED_TOP_PERCENT, VOTE_MODES
 from .errors import ConfigError
-from .shrinkage import CALIBRATION_DIRECTIONS
+from .shrinkage import CALIBRATION_DIRECTIONS, MIN_REPS, N_HOLDOUT
 from .subset import MAX_COLUMNS
 
 CONFIG_VERSION = 1
@@ -120,6 +121,8 @@ class PipelineConfig:
                               f"search cap of {MAX_COLUMNS} columns")
         if emb.max_subset_size is not None and emb.max_subset_size < 1:
             raise ConfigError("embedding.max_subset_size must be >= 1 or null")
+        if self.schedule.first_season < 0:
+            raise ConfigError("schedule.first_season must be >= 0")
         windows = self.schedule.windows()  # raises on overlap
         windows.calibration(self.calibration.window)
         if self.calibration.window not in (8, 12):
@@ -137,6 +140,12 @@ class PipelineConfig:
             raise ConfigError("selection.vote_k must be >= 1")
         if sel.vote_mode not in VOTE_MODES:
             raise ConfigError(f"selection.vote_mode must be one of {VOTE_MODES}")
+        if self.shrinkage.n_reps < MIN_REPS:
+            raise ConfigError(f"shrinkage.n_reps must be >= {MIN_REPS}")
+        if self.shrinkage.n_points <= N_HOLDOUT + 2:
+            raise ConfigError(f"shrinkage.n_points must exceed {N_HOLDOUT + 2}")
+        if not 0.0 < self.shrinkage.target_r < 1.0:
+            raise ConfigError("shrinkage.target_r must lie in (0, 1)")
         if self.ground.mode not in ("member", "fresh", "file"):
             raise ConfigError("ground.mode must be member, fresh, or file")
         if self.ground.mode == "member":
@@ -211,6 +220,4 @@ def load_config(path) -> PipelineConfig:
 
 
 def save_config(cfg: PipelineConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, cfg.to_dict())

@@ -1,22 +1,25 @@
 """Ensemble selection over fitted delay-map models.
 
 Model groups (one delay map fitted per station on an attractor panel)
-are ranked on ground data by the pooled correlation of their shrunken
-predictions, the top X percent are combined by mean or by the most
-populous 1-D cluster (vote), the ensembles become self-contained keys,
-keys are filtered on a later window by a strict correlation threshold,
-and the per-season median of the survivors is the raw forecast.
+are predicted once per attractor; the rank, select and retain windows
+are column slices of that stack. Groups are ranked by the pooled
+correlation of their shrunken predictions, the top X percent are
+combined by mean or by the most populous 1-D cluster (vote) into
+self-contained keys scored on the select and retain windows, retention
+keeps a key or its other-combiner sibling whose retain r is strictly
+above a threshold, and the survivors' per-season median is the forecast.
 """
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .embedding import DelayMap, lagged_rows
 from .metrics import _pearson_with_flag
 from .panel import Panel
@@ -50,10 +53,6 @@ class ModelGroup:
     map_index: int
     dmap: DelayMap
     fits: dict[str, SubsetModel]
-
-    @property
-    def group_id(self) -> str:
-        return f"{self.attractor_id}/m{self.map_index:04d}"
 
     @property
     def total_size(self) -> int:
@@ -110,7 +109,10 @@ def observation_matrix(panel: Panel, stations: tuple[Station, ...],
 
 
 def pooled_correlation(pred: np.ndarray, obs: np.ndarray) -> tuple[float, bool]:
-    """Pearson correlation over all finite (station, season) pairs."""
+    """Pearson correlation over all finite (station, season) pairs.
+
+    Fewer than 3 pairs or zero-variance input gives 0 with a degenerate flag.
+    """
     p = np.asarray(pred, dtype=float).ravel()
     o = np.asarray(obs, dtype=float).ravel()
     ok = np.isfinite(p) & np.isfinite(o)
@@ -124,26 +126,23 @@ class RankedModel:
     group: ModelGroup
     correlation: float
     degenerate: bool = False
+    index: int = 0  # the group's row in the prediction stack
 
 
-def rank_models(groups, panel: Panel, stations, rank_window,
-                shrink_factor: float, positive_part: bool = False) -> list[RankedModel]:
+def rank_models(groups, preds: np.ndarray, obs: np.ndarray, shrink_factor: float,
+                positive_part: bool = False) -> list[RankedModel]:
     """Order model groups by pooled correlation of shrunken predictions.
 
-    Zero-variance predictions rank with correlation 0 and a degenerate
-    flag; ties break toward smaller models, then input order.
+    ``preds`` is the groups' (groups, stations, seasons) stack on the rank
+    window and ``obs`` its observations. Zero-variance predictions rank
+    with correlation 0 and a degenerate flag; ties break toward smaller
+    models, then input order.
     """
-    stations = tuple(stations)
-    obs = observation_matrix(panel, stations, rank_window)
     ranked = []
     for idx, group in enumerate(groups):
-        pred = stein_adjust(group.predict(panel, stations, rank_window), shrink_factor,
-                            positive_part=positive_part)
-        r, degenerate = pooled_correlation(pred, obs)
-        ranked.append((-(0.0 if degenerate else r), group.total_size, idx,
-                       RankedModel(group, 0.0 if degenerate else r, degenerate)))
-    ranked.sort(key=lambda item: item[:3])
-    return [item[3] for item in ranked]
+        pred = stein_adjust(preds[idx], shrink_factor, positive_part=positive_part)
+        ranked.append(RankedModel(group, *pooled_correlation(pred, obs), idx))
+    return sorted(ranked, key=lambda rm: (-rm.correlation, rm.group.total_size, rm.index))
 
 
 def take_top_percent(ranked: list[RankedModel], top_percent: int) -> list[RankedModel]:
@@ -253,18 +252,13 @@ def combine_members(member_preds: np.ndarray, combiner: str,
     """Reduce an (members, stations, seasons) stack to (stations, seasons)."""
     if combiner not in COMBINERS:
         raise ValueError(f"combiner must be one of {COMBINERS}")
-    m, s, t = member_preds.shape
-    out = np.full((s, t), np.nan)
-    for i in range(s):
-        for j in range(t):
-            cell = member_preds[:, i, j]
-            cell = cell[np.isfinite(cell)]
-            if cell.size == 0:
-                continue
-            if combiner == "mean":
-                out[i, j] = combine_mean(cell)
-            else:
-                out[i, j] = combine_vote(cell, k=vote_k, mode=vote_mode)
+    out = np.full(member_preds.shape[1:], np.nan)
+    for i, j in np.ndindex(out.shape):
+        cell = member_preds[:, i, j]
+        cell = cell[np.isfinite(cell)]
+        if cell.size:
+            out[i, j] = (combine_mean(cell) if combiner == "mean"
+                         else combine_vote(cell, k=vote_k, mode=vote_mode))
     return out
 
 
@@ -304,84 +298,75 @@ class PredictorKey:
     def key_id(self) -> str:
         return f"{self.attractor_id}/X{self.top_percent:03d}/{self.combiner}"
 
-    def predict(self, panel: Panel, seasons: tuple[int, int]) -> np.ndarray:
-        """Shrunken (stations, seasons) ensemble predictions."""
-        stack = np.stack([g.predict(panel, self.stations, seasons)
-                          for g in self.members])
-        combined = combine_members(stack, self.combiner, self.vote_k, self.vote_mode)
+    def combine(self, member_preds: np.ndarray) -> np.ndarray:
+        """Shrunken (stations, seasons) predictions from a member stack."""
+        combined = combine_members(member_preds, self.combiner, self.vote_k,
+                                   self.vote_mode)
         return stein_adjust(combined, self.shrink_factor,
                             positive_part=self.positive_part)
 
+    def predict(self, panel: Panel, seasons: tuple[int, int]) -> np.ndarray:
+        """Shrunken (stations, seasons) ensemble predictions."""
+        return self.combine(np.stack([g.predict(panel, self.stations, seasons)
+                                      for g in self.members]))
 
-def form_keys(attractor_id: str, ranked: list[RankedModel], panel: Panel,
-              stations, select_window, shrink_factor: float,
-              x_grid=(10, 30, 100), combiners=COMBINERS, lead: int = 3,
-              vote_k: int = 2, vote_mode: str = "majority",
+
+def form_keys(attractor_id: str, ranked: list[RankedModel], preds: np.ndarray,
+              obs: np.ndarray, windows: dict[str, slice],
+              stations: tuple[Station, ...], shrink_factor: float,
+              x_grid=(10, 30, 100), lead: int = 3, vote_k: int = 2,
+              vote_mode: str = "majority",
               positive_part: bool = False) -> list[PredictorKey]:
-    """One key per (top-percent, combiner), scored on the select window."""
-    stations = tuple(stations)
-    obs = observation_matrix(panel, stations, select_window)
-    # member predictions shared across keys: compute each group once
-    cache: dict[str, np.ndarray] = {}
-    ranked_all = take_top_percent(ranked, 100)
-    for rm in ranked_all:
-        cache[rm.group.group_id] = rm.group.predict(panel, stations, select_window)
+    """One key per (top-percent, combiner), scored on each named window.
+
+    ``preds`` is the (groups, stations, seasons) stack ``RankedModel.index``
+    points into, ``obs`` its (stations, seasons) observations and
+    ``windows`` maps a correlation name to its column slice.
+    """
+    lo = min(w.start for w in windows.values())
+    hi = max(w.stop for w in windows.values())
+    obs = obs[:, lo:hi]
+    windows = {name: slice(w.start - lo, w.stop - lo) for name, w in windows.items()}
     keys = []
     for x in x_grid:
-        members = tuple(rm.group for rm in take_top_percent(ranked, x))
-        stack = np.stack([cache[g.group_id] for g in members])
-        for comb in combiners:
-            combined = combine_members(stack, comb, vote_k, vote_mode)
-            adjusted = stein_adjust(combined, shrink_factor, positive_part=positive_part)
-            r, degenerate = pooled_correlation(adjusted, obs)
-            keys.append(PredictorKey(
+        top = take_top_percent(ranked, x)
+        stack = preds[[rm.index for rm in top], :, lo:hi]
+        for comb in COMBINERS:
+            key = PredictorKey(
                 attractor_id=attractor_id, top_percent=x, combiner=comb,
-                lead=lead, stations=stations, members=members,
-                shrink_factor=shrink_factor,
-                correlations={"select": 0.0 if degenerate else r},
-                vote_k=vote_k, vote_mode=vote_mode, positive_part=positive_part))
+                lead=lead, stations=stations, members=tuple(rm.group for rm in top),
+                shrink_factor=shrink_factor, vote_k=vote_k, vote_mode=vote_mode,
+                positive_part=positive_part)
+            adjusted = key.combine(stack)
+            key.correlations = {name: pooled_correlation(adjusted[:, w], obs[:, w])[0]
+                                for name, w in windows.items()}
+            keys.append(key)
     return keys
 
 
-def retain_predictors(keys: list[PredictorKey], panel: Panel, retain_window,
-                      threshold: float = 0.5, top_k: int = 10,
+def retain_predictors(keys: list[PredictorKey], threshold: float = 0.5, top_k: int = 10,
                       allow_switching: bool = True) -> list[PredictorKey]:
-    """Strictly-above-threshold keys among the per-attractor top_k.
+    """Strictly-above-threshold keys chosen from the per-attractor top_k.
 
-    Keys are ranked by select-window correlation per attractor; the top
-    ``top_k`` are re-scored on the retain window, with the combiner
-    allowed to switch if its twin scores higher there. Returns possibly
-    an empty list: no forecast is a first-class outcome.
+    Each of an attractor's ``top_k`` keys by select r stands for itself
+    or, with switching allowed, for its sibling (same cut, other
+    combiner) if the sibling's retain r is higher. A choice whose retain
+    r is strictly above the threshold is kept, each key once, in the
+    order first chosen. An empty list (no forecast) is a valid outcome.
     """
-    by_attractor: dict[str, list[PredictorKey]] = {}
-    for key in keys:
-        by_attractor.setdefault(key.attractor_id, []).append(key)
-
-    retained = []
-    for attractor_id in sorted(by_attractor):
-        group = sorted(by_attractor[attractor_id],
-                       key=lambda k: -k.correlations.get("select", 0.0))
-        for key in group[:top_k]:
-            best_key, best_r = _score_on_window(key, panel, retain_window)
-            if allow_switching:
-                twin = replace(key, combiner="vote" if key.combiner == "mean" else "mean",
-                               correlations=dict(key.correlations))
-                twin_key, twin_r = _score_on_window(twin, panel, retain_window)
-                if twin_r > best_r:
-                    best_key, best_r = twin_key, twin_r
-            if best_r > threshold:
-                retained.append(best_key)
-    return retained
-
-
-def _score_on_window(key: PredictorKey, panel: Panel, window) -> tuple[PredictorKey, float]:
-    pred = key.predict(panel, window)
-    obs = observation_matrix(panel, key.stations, window)
-    r, degenerate = pooled_correlation(pred, obs)
-    r = 0.0 if degenerate else r
-    correlations = dict(key.correlations)
-    correlations["retain"] = r
-    return replace(key, correlations=correlations), r
+    cuts = {(k.attractor_id, k.top_percent, k.combiner): k for k in keys}
+    other = {"mean": "vote", "vote": "mean"}
+    ranked = sorted(keys, key=lambda k: (k.attractor_id, -k.correlations["select"]))
+    retained: dict[str, PredictorKey] = {}
+    for attractor_id, group in itertools.groupby(ranked, key=lambda k: k.attractor_id):
+        for key in itertools.islice(group, top_k):
+            sibling = cuts.get((attractor_id, key.top_percent, other[key.combiner]), key)
+            # max keeps the first of equals: a tie does not switch
+            choice = (max(key, sibling, key=lambda k: k.correlations["retain"])
+                      if allow_switching else key)
+            if choice.correlations["retain"] > threshold:
+                retained.setdefault(choice.key_id, choice)
+    return list(retained.values())
 
 
 def median_combine(key_preds: np.ndarray) -> np.ndarray:
@@ -491,17 +476,13 @@ def key_from_dict(d: dict) -> PredictorKey:
 
 
 def save_keys(keys: list[PredictorKey], path, header: dict | None = None) -> None:
-    payload = {"format_version": KEY_FORMAT_VERSION,
-               "header": header or {},
-               "keys": [key_to_dict(k) for k in keys]}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    """Write the keys atomically, with the header fields at the top level."""
+    write_json(path, {**(header or {}), "format_version": KEY_FORMAT_VERSION,
+                      "keys": [key_to_dict(k) for k in keys]})
 
 
 def load_keys(path) -> list[PredictorKey]:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if payload.get("format_version") != KEY_FORMAT_VERSION:
         raise ValueError("unsupported key file version")
     return [key_from_dict(d) for d in payload["keys"]]

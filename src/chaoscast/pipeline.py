@@ -10,22 +10,21 @@ retention is a successful run with an explicit no-forecast marker.
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig
+from .artifacts import read_json, write_json, write_text
+from .config import PipelineConfig, save_config
 from .dynamics import AttractorEstimate, TuningParameter, build_attractor_library
 from .embedding import DelayMap, sample_delay_maps
-from .ensemble import (KEY_FORMAT_VERSION, EnsembleForecast, ModelGroup, PredictorKey,
-                       Station, fit_model_group, form_keys, group_from_dict,
-                       group_to_dict, key_to_dict, map_from_dict, map_to_dict,
-                       median_combine, observation_matrix, pooled_correlation,
-                       rank_models, retain_predictors)
+from .ensemble import (EnsembleForecast, ModelGroup, PredictorKey, Station,
+                       fit_model_group, form_keys, group_from_dict, group_to_dict,
+                       map_from_dict, map_to_dict, median_combine, observation_matrix,
+                       pooled_correlation, rank_models, retain_predictors,
+                       save_keys)
 from .errors import ConfigError
 from .ground import StandardizationFactors, make_ground_panel, standardize_anomalies
 from .inversion import InversionResult, invert_parameter
@@ -61,28 +60,6 @@ def _header(cfg: PipelineConfig) -> dict:
     return {"config_hash": cfg.config_hash(), "seed": cfg.seed}
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write a whole artifact or nothing: a temporary file, then os.replace."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
-
-
-def _read_json(path: Path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _stations(cfg: PipelineConfig) -> tuple[Station, ...]:
     return tuple(Station(sid, var, site)
                  for sid, (var, site) in cfg.resolved_stations().items())
@@ -101,8 +78,8 @@ def stage_library(cfg: PipelineConfig, out: Path | None = None) -> list[Attracto
             text = panel_to_text(est.panel, header_comments={
                 "config_hash": cfg.config_hash(), "seed": cfg.seed,
                 "parameter": est.parameter.value, "steady_start": est.steady_start})
-            _write_text(adir / f"{est.label}.csv", text)
-            _write_json(adir / f"{est.label}.meta.json", {
+            write_text(adir / f"{est.label}.csv", text)
+            write_json(adir / f"{est.label}.meta.json", {
                 **_header(cfg),
                 "label": est.label,
                 "parameter_value": est.parameter.value,
@@ -121,7 +98,7 @@ def load_library(out: Path) -> list[AttractorEstimate]:
         raise ConfigError(f"no attractor library under {out}; run generate-library")
     library = []
     for meta_path in sorted(adir.glob("*.meta.json")):
-        meta = _read_json(meta_path)
+        meta = read_json(meta_path)
         panel, _ = panel_from_text((adir / f"{meta['label']}.csv").read_text())
         scale = {tuple(k.split("|")): (float(m), float(sd))
                  for k, (m, sd) in meta["scale"].items()}
@@ -142,6 +119,11 @@ def stage_ground(cfg: PipelineConfig, library, out: Path | None = None,
         raw, meta = raw_override, {"mode": "override"}
     else:
         raw, meta = make_ground_panel(cfg, library)
+    shared = set(raw.values) & set(library[0].panel.values)
+    for sid, target in cfg.resolved_stations().items():
+        if target not in shared:
+            raise ConfigError(f"station {sid} targets series {target}, which the "
+                              "ground and attractor panels do not share")
     reference = (0, windows.predict[0])
     ground, factors = standardize_anomalies(raw, reference)
     log.info("ground: %d seasons, %d series, mode=%s", ground.n_seasons,
@@ -150,8 +132,8 @@ def stage_ground(cfg: PipelineConfig, library, out: Path | None = None,
         text = panel_to_text(ground, header_comments={
             "config_hash": cfg.config_hash(), "seed": cfg.seed,
             "reference_window": f"{reference[0]}:{reference[1]}"})
-        _write_text(out / "ground.csv", text)
-        _write_json(out / "ground.meta.json", {
+        write_text(out / "ground.csv", text)
+        write_json(out / "ground.meta.json", {
             **_header(cfg), "provenance": meta,
             "reference_window": list(reference),
             "means": {f"{v}|{s}": list(map(float, arr))
@@ -167,7 +149,7 @@ def load_ground(out: Path):
     if not path.exists():
         raise ConfigError(f"no ground panel under {out}; run generate-library")
     panel, _ = panel_from_text(path.read_text())
-    meta = _read_json(out / "ground.meta.json")
+    meta = read_json(out / "ground.meta.json")
     lo, hi = meta["reference_window"]
     factors = StandardizationFactors(
         reference_window=(int(lo), int(hi)),
@@ -188,7 +170,7 @@ def stage_shrinkage(cfg: PipelineConfig, out: Path | None = None) -> ShrinkageRe
     log.info("shrinkage: factor=%.4f over %d replicates",
              report.shrinkage_factor, report.n_replicates)
     if out is not None:
-        _write_json(out / "shrinkage.json", {
+        write_json(out / "shrinkage.json", {
             **_header(cfg),
             "shrinkage_factor": report.shrinkage_factor,
             "n_replicates": report.n_replicates,
@@ -219,7 +201,7 @@ def stage_embed(cfg: PipelineConfig, library, ground: Panel,
     log.info("embed: %d delay maps of dimension %d over %d coordinates",
              len(maps), emb.dim, len(catalog))
     if out is not None:
-        _write_json(out / "maps.json", {
+        write_json(out / "maps.json", {
             **_header(cfg),
             "catalog": [list(c) for c in catalog],
             "maps": [map_to_dict(m) for m in maps]})
@@ -227,7 +209,7 @@ def stage_embed(cfg: PipelineConfig, library, ground: Panel,
 
 
 def load_maps(out: Path) -> list[DelayMap]:
-    payload = _read_json(out / "maps.json")
+    payload = read_json(out / "maps.json")
     return [map_from_dict(d) for d in payload["maps"]]
 
 
@@ -244,7 +226,7 @@ def stage_fit(cfg: PipelineConfig, library, maps, out: Path | None = None):
         log.info("fit: attractor %s -> %d model groups (%d stations each)",
                  est.label, len(fitted), len(stations))
     if out is not None:
-        _write_json(out / "models.json", {
+        write_json(out / "models.json", {
             **_header(cfg),
             "stations": [[st.station_id, st.variable, st.site] for st in stations],
             "groups": {label: [group_to_dict(g) for g in fitted]
@@ -253,7 +235,7 @@ def stage_fit(cfg: PipelineConfig, library, maps, out: Path | None = None):
 
 
 def load_groups(out: Path) -> dict[str, list[ModelGroup]]:
-    payload = _read_json(out / "models.json")
+    payload = read_json(out / "models.json")
     return {label: [group_from_dict(g, label) for g in items]
             for label, items in payload["groups"].items()}
 
@@ -265,38 +247,36 @@ def stage_select(cfg: PipelineConfig, groups, ground: Panel,
     windows = cfg.schedule.windows()
     stations = _stations(cfg)
     sel = cfg.selection
+    factor, positive_part = shrinkage.shrinkage_factor, cfg.shrinkage.positive_part
+    # each group is predicted once over rank..retain; every window is a column slice
+    span = (windows.rank[0], windows.retain[1])
+    rank, select, retain = (slice(w[0] - span[0], w[1] - span[0])
+                            for w in (windows.rank, windows.select, windows.retain))
+    obs = observation_matrix(ground, stations, span)
     keys_by_attractor: dict[str, list[PredictorKey]] = {}
     for label in sorted(groups):
-        ranked = rank_models(groups[label], ground, stations, windows.rank,
-                             shrinkage.shrinkage_factor,
-                             positive_part=cfg.shrinkage.positive_part)
-        keys = form_keys(label, ranked, ground, stations, windows.select,
-                         shrinkage.shrinkage_factor, x_grid=tuple(sel.x_grid),
+        preds = np.stack([g.predict(ground, stations, span) for g in groups[label]])
+        ranked = rank_models(groups[label], preds[:, :, rank], obs[:, rank], factor,
+                             positive_part=positive_part)
+        keys = form_keys(label, ranked, preds, obs, {"select": select, "retain": retain},
+                         stations, factor, x_grid=tuple(sel.x_grid),
                          lead=cfg.embedding.lead, vote_k=sel.vote_k,
-                         vote_mode=sel.vote_mode,
-                         positive_part=cfg.shrinkage.positive_part)
+                         vote_mode=sel.vote_mode, positive_part=positive_part)
         keys_by_attractor[label] = keys
-        log.info("select: attractor %s -> %d keys (best select r=%.3f)",
-                 label, len(keys),
-                 max(k.correlations["select"] for k in keys))
-    all_keys = [k for label in sorted(keys_by_attractor)
-                for k in keys_by_attractor[label]]
-    retained = retain_predictors(all_keys, ground, windows.retain,
-                                 threshold=sel.retention_threshold,
-                                 top_k=sel.top_k,
-                                 allow_switching=sel.allow_switching)
-    log.info("select: %d of %d keys retained (threshold %.2f)",
+        log.info("select: attractor %s -> %d keys (best select r=%.3f, "
+                 "best retain r=%.3f vs threshold %.2f)", label, len(keys),
+                 max(k.correlations["select"] for k in keys),
+                 max(k.correlations["retain"] for k in keys), sel.retention_threshold)
+    all_keys = [k for keys in keys_by_attractor.values() for k in keys]
+    retained = retain_predictors(all_keys, threshold=sel.retention_threshold,
+                                 top_k=sel.top_k, allow_switching=sel.allow_switching)
+    log.info("select: %d distinct of %d keys retained (threshold %.2f)",
              len(retained), len(all_keys), sel.retention_threshold)
     if out is not None:
-        _write_json(out / "keys.json", {
-            **_header(cfg), "format_version": KEY_FORMAT_VERSION,
-            "keys": [key_to_dict(k) for k in all_keys]})
-        _write_json(out / "retained_keys.json", {
-            **_header(cfg), "format_version": KEY_FORMAT_VERSION,
-            "no_forecast": not retained,
-            "keys": [key_to_dict(k) for k in retained]})
+        save_keys(all_keys, out / "keys.json", _header(cfg))
+        save_keys(retained, out / "retained_keys.json",
+                  {**_header(cfg), "no_forecast": not retained})
     return keys_by_attractor, retained
-
 
 
 # --- forecast ------------------------------------------------------------
@@ -338,7 +318,7 @@ def stage_forecast(cfg: PipelineConfig, retained, ground: Panel,
                  len(retained), fit.slope)
     if out is not None:
         obs = observation_matrix(ground, stations, predict)
-        _write_json(out / "forecast.json", {
+        write_json(out / "forecast.json", {
             **_header(cfg),
             "no_forecast": forecast.no_forecast,
             "stations": list(station_ids),
@@ -367,7 +347,7 @@ def stage_score(cfg: PipelineConfig, forecast: EnsembleForecast, ground: Panel,
     predict = windows.predict
     if forecast.no_forecast:
         if out is not None:
-            _write_text(
+            write_text(
                 out / "skill.csv",
                 f"# config_hash={cfg.config_hash()} seed={cfg.seed}\n"
                 "# no_forecast=true\n"
@@ -406,12 +386,12 @@ def stage_score(cfg: PipelineConfig, forecast: EnsembleForecast, ground: Panel,
         lines = [f"# config_hash={cfg.config_hash()} seed={cfg.seed}",
                  "region,pearson_r,p_value,dof,heidke,n_pairs,box_ljung_q,box_ljung_p",
                  f"all-stations,{r!r},{p!r},{dof},{hss!r},{n_pairs},{bl_q!r},{bl_p!r}"]
-        _write_text(out / "skill.csv", "\n".join(lines) + "\n")
+        write_text(out / "skill.csv", "\n".join(lines) + "\n")
         rlines = [f"# config_hash={cfg.config_hash()} seed={cfg.seed}",
                   "start_season,pearson_r,heidke"]
         for start, rr, hh in running:
             rlines.append(f"{start + predict[0]},{rr!r},{hh!r}")
-        _write_text(out / "running_skill.csv", "\n".join(rlines) + "\n")
+        write_text(out / "running_skill.csv", "\n".join(rlines) + "\n")
     return report, running, boundaries
 
 
@@ -430,7 +410,7 @@ def stage_invert(cfg: PipelineConfig, library, keys_by_attractor, ground: Panel,
     log.info("invert: estimate=%.3f from %d/%d attractors (q=%.3g)",
              result.estimate, len(result.chosen), len(result.attractor_ids), inv.q)
     if out is not None:
-        _write_json(out / "inversion.json", {
+        write_json(out / "inversion.json", {
             **_header(cfg),
             "attractor_ids": list(result.attractor_ids),
             "parameters": list(result.parameters),
@@ -458,7 +438,7 @@ def emit_plot_data(cfg: PipelineConfig, out: Path) -> list[Path]:
 
     fpath = out / "forecast.json"
     if fpath.exists():
-        payload = _read_json(fpath)
+        payload = read_json(fpath)
         lines = [head, "station,season,observed,predicted"]
         for i, sid in enumerate(payload["stations"]):
             for j, season in enumerate(payload["seasons"]):
@@ -466,25 +446,25 @@ def emit_plot_data(cfg: PipelineConfig, out: Path) -> list[Path]:
                 prd = payload["predictions"][i][j]
                 lines.append(f"{sid},{season},{_csv(obs)},{_csv(prd)}")
         path = plots / "fig2_scatter.csv"
-        _write_text(path, "\n".join(lines) + "\n")
+        write_text(path, "\n".join(lines) + "\n")
         written.append(path)
 
     rpath = out / "running_skill.csv"
     if rpath.exists():
         path = plots / "s4_running_skill.csv"
-        _write_text(path, rpath.read_text())
+        write_text(path, rpath.read_text())
         written.append(path)
 
     ipath = out / "inversion.json"
     if ipath.exists():
-        payload = _read_json(ipath)
-        gmeta = _read_json(out / "ground.meta.json") if (out / "ground.meta.json").exists() else {}
+        payload = read_json(ipath)
+        gmeta = read_json(out / "ground.meta.json") if (out / "ground.meta.json").exists() else {}
         true_param = gmeta.get("provenance", {}).get("true_forcing", "")
         lines = [head, "true_parameter,estimated_parameter,observable_estimate"]
         lines.append(f"{_csv(true_param)},{_csv(payload['estimate'])},"
                      f"{_csv(payload['observable_estimate'])}")
         path = plots / "fig3_inversion.csv"
-        _write_text(path, "\n".join(lines) + "\n")
+        write_text(path, "\n".join(lines) + "\n")
         written.append(path)
     log.info("plots: wrote %d plot-data files", len(written))
     return written
@@ -504,7 +484,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None,
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "config.json", cfg.to_dict())
+        save_config(cfg, out / "config.json")
     library = stage_library(cfg, out)
     ground, factors, meta = stage_ground(cfg, library, out, raw_ground_override)
     shrink = stage_shrinkage(cfg, out)

@@ -19,6 +19,7 @@ import numpy as np
 from .seeding import derive_rng
 
 N_HOLDOUT = 4  # predicted points per station, treated as pseudo-seasons
+MIN_REPS = 100  # fewest bootstrap replicates behind a measured factor
 CALIBRATION_DIRECTIONS = ("obs_on_pred", "pred_on_obs")
 
 
@@ -60,8 +61,8 @@ def bootstrap_shrinkage(n_stations: int, n_points: int = 100,
     pseudo-seasons. The factor is the replicate-averaged sd of predicted
     seasonal means over the sd of observed ones.
     """
-    if n_reps < 100:
-        raise ValueError("n_reps must be >= 100")
+    if n_reps < MIN_REPS:
+        raise ValueError(f"n_reps must be >= {MIN_REPS}")
     if n_stations < 1:
         raise ValueError("n_stations must be >= 1")
     if n_points <= N_HOLDOUT + 2:

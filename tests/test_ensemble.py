@@ -1,6 +1,6 @@
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -42,6 +42,11 @@ def unit_corr_series(obs, rho, rng):
     return rho * o + np.sqrt(1.0 - rho * rho) * w
 
 
+def predict_groups(groups, panel, stations, seasons):
+    """The (groups, stations, seasons) prediction stack the select stage builds."""
+    return np.stack([g.predict(panel, stations, seasons) for g in groups])
+
+
 @dataclass
 class StubGroup:
     series: np.ndarray  # full-length per-station predictions
@@ -64,9 +69,11 @@ def test_rank_models_orders_planted_correlations():
     rhos = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0]
     groups = [StubGroup(unit_corr_series(obs, r, rng)[None, :]) for r in rhos]
     shuffled = [groups[i] for i in rng.permutation(len(groups))]
-    ranked = rank_models(shuffled, panel, stations, (0, n), shrink_factor=1.0)
+    ranked = rank_models(shuffled, predict_groups(shuffled, panel, stations, (0, n)),
+                         observation_matrix(panel, stations, (0, n)), shrink_factor=1.0)
     got = [rm.correlation for rm in ranked]
     assert np.allclose(got, sorted(rhos, reverse=True), atol=1e-9)
+    assert all(shuffled[rm.index] is rm.group for rm in ranked)
 
 
 def test_rank_models_perfect_and_flipped():
@@ -77,7 +84,9 @@ def test_rank_models_perfect_and_flipped():
     perfect = StubGroup(obs[None, :].copy())
     flipped = StubGroup(-obs[None, :])
     flat = StubGroup(np.zeros((1, 30)))
-    ranked = rank_models([flipped, flat, perfect], panel, stations, (0, 30), 1.0)
+    groups = [flipped, flat, perfect]
+    ranked = rank_models(groups, predict_groups(groups, panel, stations, (0, 30)),
+                         observation_matrix(panel, stations, (0, 30)), 1.0)
     assert ranked[0].correlation == pytest.approx(1.0)
     assert ranked[-1].correlation == pytest.approx(-1.0)
     degenerate = [rm for rm in ranked if rm.degenerate]
@@ -243,22 +252,26 @@ def test_fit_form_retain_round_trip(tmp_path):
         DelayMap(coords=(("tmp", "a", 6),), lead=3),
     ]
     groups = [fit_model_group("F8", i, m, attractor, stations) for i, m in enumerate(maps)]
-    ranked = rank_models(groups, ground, stations, (11, 40), shrink_factor=1.0)
+    # seasons 11..72 predicted once: rank 11..40, select 40..56, retain 56..72
+    preds = predict_groups(groups, ground, stations, (11, 72))
+    obs = observation_matrix(ground, stations, (11, 72))
+    ranked = rank_models(groups, preds[:, :, :29], obs[:, :29], shrink_factor=1.0)
     assert ranked[0].group.map_index == 0  # the informative map wins
 
-    keys = form_keys("F8", ranked, ground, stations, (40, 56), shrink_factor=1.0)
+    windows = {"select": slice(29, 45), "retain": slice(45, 61)}
+    keys = form_keys("F8", ranked, preds, obs, windows, stations, shrink_factor=1.0)
     assert len(keys) == 6
     assert {k.key_id for k in keys} == {
         f"F8/X{x:03d}/{c}" for x in (10, 30, 100) for c in ("mean", "vote")}
 
-    # replaying a key reproduces its stored select correlation
+    # replaying a key reproduces its stored select and retain correlations
     for key in keys:
-        pred = key.predict(ground, (40, 56))
-        obs = observation_matrix(ground, key.stations, (40, 56))
-        r, _ = pooled_correlation(pred, obs)
-        assert r == pytest.approx(key.correlations["select"], abs=1e-12)
+        for name, window in (("select", (40, 56)), ("retain", (56, 72))):
+            pred = key.predict(ground, window)
+            r, _ = pooled_correlation(pred, observation_matrix(ground, key.stations, window))
+            assert r == pytest.approx(key.correlations[name], abs=1e-12)
 
-    retained = retain_predictors(keys, ground, (56, 72), threshold=0.5, top_k=10)
+    retained = retain_predictors(keys, threshold=0.5, top_k=10)
     assert retained, "strong planted signal must survive retention"
     for key in retained:
         assert key.correlations["retain"] > 0.5
@@ -273,64 +286,53 @@ def test_fit_form_retain_round_trip(tmp_path):
         assert np.array_equal(a.predict(ground, (56, 72)), b.predict(ground, (56, 72)))
 
 
-@dataclass
-class StubKey:
-    attractor_id: str
-    combiner: str
-    correlations: dict
-    stations: tuple
-    series_by_combiner: dict = field(default_factory=dict)
-
-    def predict(self, panel, seasons):
-        return self.series_by_combiner[self.combiner][:, seasons[0]:seasons[1]]
+_MEMBER = ModelGroup("A", 0, DelayMap(coords=(("wet", "a", 4),), lead=3), fits={})
 
 
-def _stub_key(attractor, obs, rho_mean, rho_vote, rng, select_r=0.9, combiner="mean"):
-    full = {
-        "mean": unit_corr_series(obs, rho_mean, rng)[None, :],
-        "vote": unit_corr_series(obs, rho_vote, rng)[None, :],
-    }
-    return StubKey(attractor_id=attractor, combiner=combiner,
-                   correlations={"select": select_r},
-                   stations=(Station("a", "wet", "a"),),
-                   series_by_combiner=full)
+def _key(attractor, top_percent, combiner, select, retain):
+    """A key that carries its window correlations and nothing to predict."""
+    return PredictorKey(attractor_id=attractor, top_percent=top_percent,
+                        combiner=combiner, lead=3, stations=(), members=(_MEMBER,),
+                        shrink_factor=1.0,
+                        correlations={"select": select, "retain": retain})
+
+
+def _ids(keys):
+    return [k.key_id for k in keys]
 
 
 def test_retain_thresholds_and_switching():
-    rng = np.random.default_rng(9)
-    obs = rng.standard_normal(24)
-    panel = Panel({("wet", "a"): obs})
-    window = (0, 24)
+    keys = [_key("A", 10, "mean", 0.9, 0.9), _key("A", 30, "mean", 0.8, 0.5),
+            _key("A", 100, "mean", 0.7, 0.3)]
+    assert _ids(retain_predictors(keys, threshold=0.5)) == ["A/X010/mean"]
+    # strict threshold: a sibling exactly at it is no better a choice
+    keys = [_key("A", 10, "mean", 0.9, 0.2), _key("A", 10, "vote", 0.1, 0.5)]
+    assert retain_predictors(keys, threshold=0.5, top_k=1) == []
 
-    strong = _stub_key("A", obs, 0.9, 0.2, rng)
-    weak = _stub_key("A", obs, 0.1, 0.3, rng)
-    exact = _stub_key("A", obs, 0.5, 0.4, rng)  # exactly at the threshold
-    switchy = _stub_key("A", obs, 0.1, 0.8, rng)  # twin combiner is better
+    mean = _key("A", 10, "mean", 0.9, 0.1)
+    vote = _key("A", 10, "vote", 0.2, 0.8)  # outside top_k=1 by select r
+    switched = retain_predictors([mean, vote], threshold=0.5, top_k=1)
+    assert switched == [vote]  # the sibling itself, with its own select r
+    assert retain_predictors([mean, vote], threshold=0.5, top_k=1,
+                             allow_switching=False) == []
 
-    retained = retain_predictors([strong, weak, exact], panel, window, threshold=0.5)
-    assert [k.correlations["retain"] for k in retained] == [pytest.approx(0.9)]
 
-    # strict threshold: exactly 0.5 is excluded
-    only_exact = retain_predictors([exact], panel, window, threshold=0.5,
-                                   allow_switching=False)
-    assert only_exact == []
-
-    switched = retain_predictors([switchy], panel, window, threshold=0.5)
-    assert len(switched) == 1 and switched[0].combiner == "vote"
-
-    none = retain_predictors([weak], panel, window, threshold=0.5)
-    assert none == []
+def test_retain_keeps_each_key_once():
+    keys = [_key("A", 10, "mean", 0.9, 0.6), _key("A", 10, "vote", 0.8, 0.7),
+            _key("A", 30, "vote", 0.7, 0.9), _key("A", 30, "mean", 0.6, 0.9)]
+    # both X010 keys switch to the vote key; the X030 keys tie and keep themselves
+    assert _ids(retain_predictors(keys, threshold=0.5)) == [
+        "A/X010/vote", "A/X030/vote", "A/X030/mean"]
+    assert _ids(retain_predictors(keys, threshold=0.5, allow_switching=False)) == [
+        "A/X010/mean", "A/X010/vote", "A/X030/vote", "A/X030/mean"]
 
 
 def test_retain_top_k_per_attractor():
-    rng = np.random.default_rng(10)
-    obs = rng.standard_normal(24)
-    panel = Panel({("wet", "a"): obs})
-    keys = [_stub_key("A", obs, 0.95, 0.9, rng, select_r=0.9 - 0.01 * i)
-            for i in range(15)]
-    retained = retain_predictors(keys, panel, (0, 24), threshold=0.5, top_k=10,
-                                 allow_switching=False)
-    assert len(retained) == 10
+    keys = [_key(a, x, c, 0.9 - 0.1 * i, 0.9) for a in ("B", "A")
+            for i, (x, c) in enumerate(itertools.product((10, 30, 100), ("mean", "vote")))]
+    retained = retain_predictors(keys, threshold=0.5, top_k=4, allow_switching=False)
+    assert _ids(retained) == [f"{a}/X{x:03d}/{c}" for a in ("A", "B")
+                              for x, c in itertools.product((10, 30), ("mean", "vote"))]
 
 
 def test_median_combine():

@@ -1,12 +1,17 @@
 import json
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from chaoscast import cli
 from chaoscast import pipeline as pl
-from chaoscast.config import PipelineConfig
+from chaoscast.artifacts import write_json, write_text
+from chaoscast.config import PipelineConfig, load_config, save_config
+from chaoscast.embedding import DelayMap
+from chaoscast.ensemble import ModelGroup, PredictorKey, save_keys
+from chaoscast.ground import SEASON_NAMES
 
 GOLDEN_CONFIG = {"seed": 7,
                  "surrogate": {"forcings": [6.0, 8.0, 10.0], "n_seasons": 200},
@@ -23,6 +28,15 @@ GOLDEN_ARTIFACTS = {
 
 STAGED_VERBS = ("generate-library", "embed", "fit", "select", "forecast", "score",
                 "emit-plots")
+
+# golden variants that retain keys, with both combiners of each cut in the top_k
+RETAINING_CONFIGS = {
+    "vote-k4-threshold-0.2": {
+        **GOLDEN_CONFIG, "embedding": {"n_maps": 30, "dim": 4},
+        "selection": {"vote_k": 4, "vote_mode": "two_cluster_average",
+                      "retention_threshold": 0.2}},
+    "threshold-0.1": {**GOLDEN_CONFIG, "selection": {"retention_threshold": 0.1}},
+}
 
 
 def _tree(root):
@@ -44,16 +58,33 @@ def golden_run(tmp_path_factory):
     return config, root / "out"
 
 
+def _write_ground_file(path, run_out):
+    """station,year,season,value rows of a run's raw ground, per default station."""
+    ground, factors, _ = pl.load_ground(run_out)
+    raw = factors.inverse(ground)
+    stations = PipelineConfig.from_dict(GOLDEN_CONFIG).resolved_stations()
+    lines = ["station,year,season,value"]
+    for sid, target in stations.items():
+        for t, value in enumerate(raw.series(*target)):
+            lines.append(f"{sid},{1950 + t // 4},{SEASON_NAMES[t % 4]},{float(value)!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
 def test_run_all_is_complete_and_byte_reproducible(tmp_path):
-    # member ground (the default) and a fresh ground run outside the library
+    # member ground (the default), a fresh ground run outside the library, and
+    # a ground file holding the member run's raw ground at the default stations
+    ground_file = tmp_path / "ground_file.csv"
     for mode, extra in (("member", {}),
-                        ("fresh", {"ground": {"mode": "fresh", "forcing": 7.0}})):
+                        ("fresh", {"ground": {"mode": "fresh", "forcing": 7.0}}),
+                        ("file", {"ground": {"mode": "file", "path": str(ground_file)}})):
         config = _write_config(tmp_path / f"{mode}.json", {**GOLDEN_CONFIG, **extra})
         trees = []
         for name in ("a", "b"):
             out = tmp_path / mode / name
             assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 0
             trees.append(_tree(out))
+        if mode == "member":
+            _write_ground_file(ground_file, tmp_path / mode / "a")
         assert set(trees[0]) == GOLDEN_ARTIFACTS
         assert trees[0] == trees[1]
         assert json.loads(trees[0]["shrinkage.json"])["bootstrap_seed"] >= 0
@@ -80,40 +111,94 @@ def test_forecast_rejects_a_retained_keys_file_of_another_version(golden_run, tm
     assert cli.main(["forecast", "-c", config, "-o", str(out)]) != 0
 
 
+@pytest.mark.parametrize("name", sorted(RETAINING_CONFIGS))
+def test_retained_keys_are_stored_and_forecast_once(tmp_path, name):
+    config = _write_config(tmp_path / "config.json", RETAINING_CONFIGS[name])
+    out = tmp_path / "out"
+    assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 0
+    keys = {k["key_id"]: k for k in json.loads((out / "keys.json").read_text())["keys"]}
+    retained = json.loads((out / "retained_keys.json").read_text())["keys"]
+    ids = [k["key_id"] for k in retained]
+    assert ids and len(set(ids)) == len(ids)
+    # a retained key is the key itself, with its own select and retain r
+    assert retained == [keys[key_id] for key_id in ids]
+    assert json.loads((out / "forecast.json").read_text())["contributing_keys"] == ids
+
+
+def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
+    config, out = golden_run
+    cfg = load_config(config)
+    groups = pl.load_groups(out)
+    ground, _, _ = pl.load_ground(out)
+    calls = Counter()
+    predict = ModelGroup.predict
+
+    def counted(self, *args, **kwargs):
+        calls[self.attractor_id, self.map_index] += 1
+        return predict(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModelGroup, "predict", counted)
+    pl.stage_select(cfg, groups, ground, pl.stage_shrinkage(cfg))
+    assert calls == Counter((g.attractor_id, g.map_index)
+                            for gs in groups.values() for g in gs)
+    assert set(calls.values()) == {1}
+
+
 @pytest.mark.parametrize("section, field, value", [
     ("selection", "vote_k", 0),
     ("selection", "vote_mode", "plurality"),
     ("selection", "x_grid", []),
     ("embedding", "max_subset_size", 0),
     ("calibration", "direction", "sideways"),
+    ("shrinkage", "n_reps", 50),
+    ("shrinkage", "n_points", 6),
+    ("shrinkage", "target_r", 1.0),
+    ("schedule", "first_season", -5),
+    ("stations", "a", ["wet", "s99"]),
 ], ids=["vote_k-0", "vote_mode-plurality", "x_grid-empty", "max_subset_size-0",
-        "direction-sideways"])
+        "direction-sideways", "n_reps-50", "n_points-6", "target_r-1",
+        "first_season-negative", "station-series-unknown"])
 def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section, field,
                                                               value):
     payload = {**GOLDEN_CONFIG,
                section: {**GOLDEN_CONFIG.get(section, {}), field: value}}
     config = _write_config(tmp_path / "config.json", payload)
-    assert cli.main(["run-all", "-c", config, "-o", str(tmp_path / "out")]) == 1
-    assert not (tmp_path / "out").exists()
+    out = tmp_path / "out"
+    assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 1
+    assert not (out / "ground.csv").exists()
+    if section != "stations":  # station targets are checked against the ground panel
+        assert not out.exists()
 
 
 def test_failed_json_artifact_leaves_no_file(tmp_path):
     path = tmp_path / "shrinkage.json"
     with pytest.raises(TypeError):
-        pl._write_json(path, {"seed": np.int64(3)})
+        write_json(path, {"seed": np.int64(3)})
     assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_keeps_the_older_complete_file(tmp_path):
     path = tmp_path / "skill.csv"
-    pl._write_json(path, {"seed": 1})
-    before = path.read_bytes()
+    write_json(path, {"seed": 1})
     with pytest.raises(TypeError):
-        pl._write_json(path, {"seed": object()})
+        write_json(path, {"seed": object()})
     with pytest.raises(UnicodeEncodeError):
-        pl._write_text(path, "ok\n\ud800")  # fails while the file is written
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["skill.csv"]
+        write_text(path, "ok\n\ud800")  # fails while the file is written
+
+    # the config and key savers write through the same writer
+    cfg = PipelineConfig.from_dict(GOLDEN_CONFIG)
+    save_config(cfg, tmp_path / "config.json")
+    member = ModelGroup("F8", 0, DelayMap(coords=(("wet", "s00", 4),), lead=3), fits={})
+    key = PredictorKey(attractor_id="F8", top_percent=100, combiner="mean", lead=3,
+                       stations=(), members=(member,), shrink_factor=1.0)
+    save_keys([key], tmp_path / "keys.json", {"seed": 7})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    cfg.selection.vote_mode = object()
+    with pytest.raises(TypeError):
+        save_config(cfg, tmp_path / "config.json")
+    with pytest.raises(TypeError):
+        save_keys([key], tmp_path / "keys.json", {"seed": object()})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_config_ignores_the_retired_threads_key():
