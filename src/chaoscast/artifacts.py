@@ -24,5 +24,4 @@ def write_json(path, payload: dict) -> None:
 
 
 def read_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    return json.loads(Path(path).read_text())

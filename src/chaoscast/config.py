@@ -136,6 +136,8 @@ class PipelineConfig:
         for x in sel.x_grid:
             if x not in ALLOWED_TOP_PERCENT:
                 raise ConfigError(f"x_grid entries must be among {ALLOWED_TOP_PERCENT}")
+        if sel.top_k < 1:
+            raise ConfigError("selection.top_k must be >= 1")
         if sel.vote_k < 1:
             raise ConfigError("selection.vote_k must be >= 1")
         if sel.vote_mode not in VOTE_MODES:

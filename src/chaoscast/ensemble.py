@@ -125,23 +125,23 @@ def pooled_correlation(pred: np.ndarray, obs: np.ndarray) -> tuple[float, bool]:
 class RankedModel:
     group: ModelGroup
     correlation: float
+    index: int  # the group's row in the prediction stack
     degenerate: bool = False
-    index: int = 0  # the group's row in the prediction stack
 
 
 def rank_models(groups, preds: np.ndarray, obs: np.ndarray, shrink_factor: float,
                 positive_part: bool = False) -> list[RankedModel]:
     """Order model groups by pooled correlation of shrunken predictions.
 
-    ``preds`` is the groups' (groups, stations, seasons) stack on the rank
-    window and ``obs`` its observations. Zero-variance predictions rank
-    with correlation 0 and a degenerate flag; ties break toward smaller
-    models, then input order.
+    ``preds`` is the (groups, stations, seasons) stack on the rank window.
+    Zero-variance predictions rank with correlation 0 and a degenerate
+    flag; ties break toward smaller models, then input order.
     """
     ranked = []
     for idx, group in enumerate(groups):
         pred = stein_adjust(preds[idx], shrink_factor, positive_part=positive_part)
-        ranked.append(RankedModel(group, *pooled_correlation(pred, obs), idx))
+        r, degenerate = pooled_correlation(pred, obs)
+        ranked.append(RankedModel(group, r, idx, degenerate))
     return sorted(ranked, key=lambda rm: (-rm.correlation, rm.group.total_size, rm.index))
 
 
@@ -252,13 +252,18 @@ def combine_members(member_preds: np.ndarray, combiner: str,
     """Reduce an (members, stations, seasons) stack to (stations, seasons)."""
     if combiner not in COMBINERS:
         raise ValueError(f"combiner must be one of {COMBINERS}")
-    out = np.full(member_preds.shape[1:], np.nan)
-    for i, j in np.ndindex(out.shape):
-        cell = member_preds[:, i, j]
-        cell = cell[np.isfinite(cell)]
-        if cell.size:
-            out[i, j] = (combine_mean(cell) if combiner == "mean"
-                         else combine_vote(cell, k=vote_k, mode=vote_mode))
+    m, s, t = member_preds.shape
+    out = np.full((s, t), np.nan)
+    for i in range(s):
+        for j in range(t):
+            cell = member_preds[:, i, j]
+            cell = cell[np.isfinite(cell)]
+            if cell.size == 0:
+                continue
+            if combiner == "mean":
+                out[i, j] = combine_mean(cell)
+            else:
+                out[i, j] = combine_vote(cell, k=vote_k, mode=vote_mode)
     return out
 
 
@@ -312,25 +317,20 @@ class PredictorKey:
 
 
 def form_keys(attractor_id: str, ranked: list[RankedModel], preds: np.ndarray,
-              obs: np.ndarray, windows: dict[str, slice],
-              stations: tuple[Station, ...], shrink_factor: float,
-              x_grid=(10, 30, 100), lead: int = 3, vote_k: int = 2,
-              vote_mode: str = "majority",
+              obs: np.ndarray, n_select: int, stations: tuple[Station, ...],
+              shrink_factor: float, x_grid=(10, 30, 100), lead: int = 3,
+              vote_k: int = 2, vote_mode: str = "majority",
               positive_part: bool = False) -> list[PredictorKey]:
-    """One key per (top-percent, combiner), scored on each named window.
+    """One key per (top-percent, combiner), scored on the select and retain windows.
 
     ``preds`` is the (groups, stations, seasons) stack ``RankedModel.index``
-    points into, ``obs`` its (stations, seasons) observations and
-    ``windows`` maps a correlation name to its column slice.
+    points into and ``obs`` its observations: ``n_select`` select seasons,
+    then the retain seasons.
     """
-    lo = min(w.start for w in windows.values())
-    hi = max(w.stop for w in windows.values())
-    obs = obs[:, lo:hi]
-    windows = {name: slice(w.start - lo, w.stop - lo) for name, w in windows.items()}
     keys = []
     for x in x_grid:
         top = take_top_percent(ranked, x)
-        stack = preds[[rm.index for rm in top], :, lo:hi]
+        stack = preds[[rm.index for rm in top]]
         for comb in COMBINERS:
             key = PredictorKey(
                 attractor_id=attractor_id, top_percent=x, combiner=comb,
@@ -338,8 +338,9 @@ def form_keys(attractor_id: str, ranked: list[RankedModel], preds: np.ndarray,
                 shrink_factor=shrink_factor, vote_k=vote_k, vote_mode=vote_mode,
                 positive_part=positive_part)
             adjusted = key.combine(stack)
-            key.correlations = {name: pooled_correlation(adjusted[:, w], obs[:, w])[0]
-                                for name, w in windows.items()}
+            key.correlations = {
+                "select": pooled_correlation(adjusted[:, :n_select], obs[:, :n_select])[0],
+                "retain": pooled_correlation(adjusted[:, n_select:], obs[:, n_select:])[0]}
             keys.append(key)
     return keys
 

@@ -248,17 +248,17 @@ def stage_select(cfg: PipelineConfig, groups, ground: Panel,
     stations = _stations(cfg)
     sel = cfg.selection
     factor, positive_part = shrinkage.shrinkage_factor, cfg.shrinkage.positive_part
-    # each group is predicted once over rank..retain; every window is a column slice
+    # one prediction per group over the contiguous rank, select and retain windows
     span = (windows.rank[0], windows.retain[1])
-    rank, select, retain = (slice(w[0] - span[0], w[1] - span[0])
-                            for w in (windows.rank, windows.select, windows.retain))
+    n_rank = windows.rank[1] - windows.rank[0]
+    n_select = windows.select[1] - windows.select[0]
     obs = observation_matrix(ground, stations, span)
     keys_by_attractor: dict[str, list[PredictorKey]] = {}
     for label in sorted(groups):
         preds = np.stack([g.predict(ground, stations, span) for g in groups[label]])
-        ranked = rank_models(groups[label], preds[:, :, rank], obs[:, rank], factor,
-                             positive_part=positive_part)
-        keys = form_keys(label, ranked, preds, obs, {"select": select, "retain": retain},
+        ranked = rank_models(groups[label], preds[:, :, :n_rank], obs[:, :n_rank],
+                             factor, positive_part=positive_part)
+        keys = form_keys(label, ranked, preds[:, :, n_rank:], obs[:, n_rank:], n_select,
                          stations, factor, x_grid=tuple(sel.x_grid),
                          lead=cfg.embedding.lead, vote_k=sel.vote_k,
                          vote_mode=sel.vote_mode, positive_part=positive_part)

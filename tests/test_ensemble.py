@@ -95,7 +95,8 @@ def test_rank_models_perfect_and_flipped():
 
 def test_take_top_percent_counts():
     rng = np.random.default_rng(2)
-    ranked = [RankedModel(StubGroup(np.zeros((1, 4))), r) for r in rng.uniform(size=1000)]
+    ranked = [RankedModel(StubGroup(np.zeros((1, 4))), r, i)
+              for i, r in enumerate(rng.uniform(size=1000))]
     assert len(take_top_percent(ranked, 10)) == 100
     assert take_top_percent(ranked, 100) == ranked
     assert len(take_top_percent(ranked[:7], 30)) == 3
@@ -258,8 +259,8 @@ def test_fit_form_retain_round_trip(tmp_path):
     ranked = rank_models(groups, preds[:, :, :29], obs[:, :29], shrink_factor=1.0)
     assert ranked[0].group.map_index == 0  # the informative map wins
 
-    windows = {"select": slice(29, 45), "retain": slice(45, 61)}
-    keys = form_keys("F8", ranked, preds, obs, windows, stations, shrink_factor=1.0)
+    keys = form_keys("F8", ranked, preds[:, :, 29:], obs[:, 29:], 16, stations,
+                     shrink_factor=1.0)
     assert len(keys) == 6
     assert {k.key_id for k in keys} == {
         f"F8/X{x:03d}/{c}" for x in (10, 30, 100) for c in ("mean", "vote")}

@@ -146,6 +146,7 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
 
 @pytest.mark.parametrize("section, field, value", [
     ("selection", "vote_k", 0),
+    ("selection", "top_k", -1),
     ("selection", "vote_mode", "plurality"),
     ("selection", "x_grid", []),
     ("embedding", "max_subset_size", 0),
@@ -155,7 +156,7 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
     ("shrinkage", "target_r", 1.0),
     ("schedule", "first_season", -5),
     ("stations", "a", ["wet", "s99"]),
-], ids=["vote_k-0", "vote_mode-plurality", "x_grid-empty", "max_subset_size-0",
+], ids=["vote_k-0", "top_k-negative", "vote_mode-plurality", "x_grid-empty", "max_subset_size-0",
         "direction-sideways", "n_reps-50", "n_points-6", "target_r-1",
         "first_season-negative", "station-series-unknown"])
 def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section, field,
@@ -180,10 +181,13 @@ def test_failed_json_artifact_leaves_no_file(tmp_path):
 def test_failed_write_keeps_the_older_complete_file(tmp_path):
     path = tmp_path / "skill.csv"
     write_json(path, {"seed": 1})
+    before = path.read_bytes()
     with pytest.raises(TypeError):
         write_json(path, {"seed": object()})
     with pytest.raises(UnicodeEncodeError):
         write_text(path, "ok\n\ud800")  # fails while the file is written
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["skill.csv"]
 
     # the config and key savers write through the same writer
     cfg = PipelineConfig.from_dict(GOLDEN_CONFIG)
