@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .artifacts import write_json
-from .dynamics import SurrogateConfig
+from .dynamics import SurrogateConfig, check_grid
 from .embedding import WindowSchedule, split_windows
 from .ensemble import ALLOWED_TOP_PERCENT, VOTE_MODES
 from .errors import ConfigError
@@ -148,6 +148,11 @@ class PipelineConfig:
             raise ConfigError(f"shrinkage.n_points must exceed {N_HOLDOUT + 2}")
         if not 0.0 < self.shrinkage.target_r < 1.0:
             raise ConfigError("shrinkage.target_r must lie in (0, 1)")
+        try:
+            self.surrogate.check()
+            check_grid(self.surrogate.parameters())
+        except ValueError as exc:
+            raise ConfigError(f"surrogate: {exc}") from exc
         if self.ground.mode not in ("member", "fresh", "file"):
             raise ConfigError("ground.mode must be member, fresh, or file")
         if self.ground.mode == "member":

@@ -1,11 +1,15 @@
 """Surrogate dynamics: stationary attractor estimates at fixed forcing.
 
 A Lorenz-96 ring plays the role of a climate model run at a constant
-tuning parameter. One routine, :func:`steady_run`, integrates a run past
-its transient, aggregates it to seasonal means and truncates it at the
-detected steady state. The attractor library standardizes each such run
-and tags it with its forcing value; a fresh synthetic ground record is
-another such run, at a forcing outside the library.
+tuning parameter. One batched RK4 kernel, :func:`integrate_grid`, steps
+a whole forcing grid as one ``(P, K)`` state, each row bit-identical to
+a single-ring run. One routine, :func:`steady_run`, integrates a grid
+past its transient, aggregates each row to seasonal means and truncates
+it at the detected steady state. The attractor library is one such call
+over the whole grid, standardized per row and tagged with its forcing
+value; a fresh synthetic ground record is the one-row call, at a forcing
+outside the library. At the default 6-forcing, 400-season grid the
+batched state array is about 14 MB.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .seeding import derive_rng
 WET = "wet"  # per-site seasonal mean of the raw state (precipitation analog)
 TMP = "tmp"  # per-site seasonal mean of a short trailing average (temperature analog)
 IDX = "idx"  # derived two-region difference indices
+PERTURBATION = 1e-3  # sd of the seed-drawn kick off the x = F fixed point
 
 
 @dataclass(frozen=True)
@@ -89,50 +94,79 @@ class AttractorEstimate:
         return float(np.mean(vals))
 
 
-def _l96_rhs(x: np.ndarray, F: float) -> np.ndarray:
-    return (np.roll(x, -1) - np.roll(x, 2)) * np.roll(x, 1) - x + F
-
-
-def integrate_lorenz96(F, K, dt, n_steps, x0=None, seed=None,
-                       perturbation=1e-3) -> Trajectory:
-    """Integrate the Lorenz-96 ring dx_i/dt = (x_{i+1}-x_{i-2}) x_{i-1} - x_i + F.
-
-    Fixed-step classic 4th-order Runge-Kutta. Deterministic given
-    (x0, F, dt, n_steps); ``seed`` only draws an optional Gaussian
-    perturbation of the initial condition (used to kick runs off the
-    x = F fixed point). Raises IntegrationDivergedError naming the step
-    if the state blows up.
-    """
+def check_integration(K: int, dt: float, n_steps: int) -> None:
+    """The integrator's rule for a ring size, step and run length."""
     if K < 4:
         raise ValueError("Lorenz-96 coupling needs at least 4 sites (K >= 4)")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive and finite")
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
+
+
+def start_state(F, K, x0, seed, perturbation) -> np.ndarray:
+    """Initial ring state: ``x0`` (x = F when None), kicked by a
+    ``seed``-drawn Gaussian perturbation when a seed is given."""
     if x0 is None:
         x = np.full(K, float(F))
     else:
-        x = np.asarray(x0, dtype=float).copy()
+        x = np.asarray(x0, dtype=float)
         if x.shape != (K,):
             raise ValueError(f"x0 must have shape ({K},)")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("x0 must be finite")
     if seed is not None:
         x = x + perturbation * derive_rng(seed, "x0").standard_normal(K)
+    return x
 
-    states = np.empty((n_steps + 1, K))
-    states[0] = x
+
+def integrate_grid(x0, forcings, dt: float, n_steps: int) -> np.ndarray:
+    """Integrate a batch of Lorenz-96 rings dx_i/dt = (x_{i+1}-x_{i-2}) x_{i-1} - x_i + F.
+
+    Row p of the ``(P, K)`` initial state ``x0`` runs at forcing
+    ``forcings[p]``. Fixed-step classic 4th-order Runge-Kutta on the whole
+    batch: every element goes through the same float operations as a
+    single-ring run, so each row is bit-identical to integrating it alone.
+    Returns the ``(P, n_steps + 1, K)`` states, initial state included.
+    Raises IntegrationDivergedError at the earliest step where a row
+    blows up, with ``row`` the first such row in batch order.
+    """
+    x = np.asarray(x0, dtype=float)
+    P, K = x.shape
+    check_integration(K, dt, n_steps)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
+    F = np.asarray(forcings, dtype=float).reshape(P, 1)
+    sites = np.arange(K)
+    ahead, behind, behind2 = (sites + 1) % K, (sites - 1) % K, (sites - 2) % K
+
+    def rhs(x):
+        return (x.take(ahead, axis=1) - x.take(behind2, axis=1)) * x.take(behind, axis=1) - x + F
+
+    states = np.empty((P, n_steps + 1, K))
+    states[:, 0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_steps + 1):
-            k1 = _l96_rhs(x, F)
-            k2 = _l96_rhs(x + 0.5 * dt * k1, F)
-            k3 = _l96_rhs(x + 0.5 * dt * k2, F)
-            k4 = _l96_rhs(x + dt * k3, F)
+            k1 = rhs(x)
+            k2 = rhs(x + 0.5 * dt * k1)
+            k3 = rhs(x + 0.5 * dt * k2)
+            k4 = rhs(x + dt * k3)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)):
-                raise IntegrationDivergedError(i)
-            states[i] = x
-    return Trajectory(states=states, dt=dt)
+            if not np.isfinite(x).all():
+                raise IntegrationDivergedError(i, int(np.argmin(np.isfinite(x).all(axis=1))))
+            states[:, i] = x
+    return states
+
+
+def integrate_lorenz96(F, K, dt, n_steps, x0=None, seed=None,
+                       perturbation=PERTURBATION) -> Trajectory:
+    """Integrate one Lorenz-96 ring: the one-row case of :func:`integrate_grid`.
+
+    Deterministic given (x0, F, dt, n_steps); ``seed`` only draws an
+    optional Gaussian perturbation of the initial condition (used to kick
+    runs off the x = F fixed point). Raises IntegrationDivergedError
+    naming the step if the state blows up.
+    """
+    x = start_state(F, K, x0, seed, perturbation)
+    return Trajectory(states=integrate_grid(x[None], [F], dt, n_steps)[0], dt=dt)
 
 
 @dataclass(frozen=True)
@@ -258,42 +292,79 @@ class SurrogateConfig:
     def label(self, forcing: float) -> str:
         return f"F{forcing:g}"
 
+    def check(self) -> None:
+        """Raise ValueError for run settings :func:`steady_run` cannot integrate,
+        aggregate or scan for a steady window."""
+        check_integration(self.K, self.dt, self.n_seasons * self.steps_per_season)
+        if self.steps_per_season < 1:
+            raise ValueError("steps_per_season must be >= 1")
+        if self.steady_window < 2 or self.n_seasons < 2 * self.steady_window:
+            raise ValueError("steady_window must be >= 2 and n_seasons must cover "
+                             "two steady windows")
+
     def parameters(self) -> list[TuningParameter]:
         return [TuningParameter(float(f), self.label(f)) for f in self.forcings]
 
 
-def steady_run(forcing: float, seed: int,
-               surrogate: SurrogateConfig) -> tuple[Panel, int]:
-    """Integrate one run at a fixed forcing and keep its steady seasons.
+def check_grid(parameters: list[TuningParameter]) -> None:
+    """The library's rule for a tuning-parameter grid."""
+    if not parameters:
+        raise ValueError("the grid needs at least one tuning parameter")
+    values = [p.value for p in parameters]
+    labels = [p.label for p in parameters]
+    if len(set(values)) != len(values) or len(set(labels)) != len(labels):
+        raise ValueError("tuning parameters must have distinct values and labels")
 
-    The run starts from x = F kicked by a ``seed``-drawn perturbation, is
-    aggregated to seasonal means with the configured two-region indices
-    appended, and is cut where the cross-site mean of every variable is
-    first steady. Returns the raw steady panel and the season it starts at.
+
+def steady_run(parameters: list[TuningParameter], seeds: list[int],
+               surrogate: SurrogateConfig) -> list[tuple[Panel, int]]:
+    """Integrate one run per grid row at its fixed forcing and keep its steady seasons.
+
+    All rows are integrated together as one ``(P, K)`` batch. Row p starts
+    from x = F kicked by a ``seeds[p]``-drawn perturbation, is aggregated
+    to seasonal means with the configured two-region indices appended,
+    and is cut where the cross-site mean of every variable is first
+    steady. Returns each row's raw steady panel and the season it starts
+    at. A diverged row (the earliest to diverge, the first in grid order
+    at that step) or, after it, the first row in grid order that never
+    settles raises an error naming the row's parameter.
     """
     sur = surrogate
-    traj = integrate_lorenz96(forcing, sur.K, sur.dt, sur.n_seasons * sur.steps_per_season,
-                              seed=seed)
-    panel = seasonal_aggregate(traj, sur.steps_per_season,
-                               default_observables(sur.K, sur.temp_smooth))
-    for name, (ra, rb) in sorted(sur.indices.items()):
-        panel.add(IDX, name, synth_index(panel, set(ra), set(rb)))
+    sur.check()
+    x0 = np.stack([start_state(p.value, sur.K, None, seed, PERTURBATION)
+                   for p, seed in zip(parameters, seeds, strict=True)])
+    try:
+        states = integrate_grid(x0, [p.value for p in parameters], sur.dt,
+                                sur.n_seasons * sur.steps_per_season)
+    except IntegrationDivergedError as exc:
+        raise IntegrationDivergedError(
+            exc.step, exc.row, f"parameter {parameters[exc.row].label}: {exc}") from exc
 
-    variables = sorted({var for var, _ in panel.values})
-    monitored = [np.mean([panel.series(var, site) for v2, site in panel.catalog() if v2 == var], axis=0)
-                 for var in variables]
-    steady = detect_steady_state(monitored, sur.steady_window, sur.slope_tol)
-    return panel.window(steady, panel.n_seasons), steady
+    observables = default_observables(sur.K, sur.temp_smooth)
+    runs = []
+    for param, row in zip(parameters, states):
+        panel = seasonal_aggregate(Trajectory(states=row, dt=sur.dt), sur.steps_per_season,
+                                   observables)
+        for name, (ra, rb) in sorted(sur.indices.items()):
+            panel.add(IDX, name, synth_index(panel, set(ra), set(rb)))
+        variables = sorted({var for var, _ in panel.values})
+        monitored = [np.mean([panel.series(var, site) for v2, site in panel.catalog()
+                              if v2 == var], axis=0)
+                     for var in variables]
+        try:
+            steady = detect_steady_state(monitored, sur.steady_window, sur.slope_tol)
+        except StationarityNotReachedError as exc:
+            raise StationarityNotReachedError(f"parameter {param.label}: {exc}") from exc
+        runs.append((panel.window(steady, panel.n_seasons), steady))
+    return runs
 
 
-def _attractor_from_run(param: TuningParameter, surrogate: SurrogateConfig,
-                        seed: int) -> AttractorEstimate:
-    run_seed = int(derive_rng(seed, "attractor", param.label).integers(2**32))
-    steady_panel, steady = steady_run(param.value, run_seed, surrogate)
+def _standardized_attractor(param: TuningParameter, steady_panel: Panel, steady: int,
+                            surrogate: SurrogateConfig, seed: int) -> AttractorEstimate:
     if steady_panel.n_seasons < surrogate.min_steady_seasons:
         raise StationarityNotReachedError(
-            f"only {steady_panel.n_seasons} steady seasons, need "
-            f"{surrogate.min_steady_seasons}; lengthen the run")
+            f"parameter {param.label}: only {steady_panel.n_seasons} steady seasons, "
+            f"need {surrogate.min_steady_seasons}; lengthen the run")
 
     scale = {}
     for key, vals in steady_panel.values.items():
@@ -308,19 +379,17 @@ def _attractor_from_run(param: TuningParameter, surrogate: SurrogateConfig,
 
 def build_attractor_library(parameters: list[TuningParameter], surrogate: SurrogateConfig,
                             seed: int) -> list[AttractorEstimate]:
-    """One steady, standardized attractor estimate per parameter, sorted by value."""
-    values = [p.value for p in parameters]
-    labels = [p.label for p in parameters]
-    if len(set(values)) != len(values) or len(set(labels)) != len(labels):
-        raise ValueError("tuning parameters must have distinct values and labels")
-    library = []
-    for param in parameters:
-        try:
-            library.append(_attractor_from_run(param, surrogate, seed))
-        except IntegrationDivergedError as exc:
-            raise IntegrationDivergedError(
-                exc.step, f"parameter {param.label}: {exc}") from exc
-        except StationarityNotReachedError as exc:
-            raise StationarityNotReachedError(f"parameter {param.label}: {exc}") from exc
+    """One steady, standardized attractor estimate per parameter, sorted by value.
+
+    The whole grid is one :func:`steady_run` call. Errors name the
+    failing parameter: divergence first, then a row that never settles,
+    then a row with too few steady seasons, each the first in grid order.
+    """
+    check_grid(parameters)
+    run_seeds = [int(derive_rng(seed, "attractor", p.label).integers(2**32))
+                 for p in parameters]
+    runs = steady_run(parameters, run_seeds, surrogate)
+    library = [_standardized_attractor(param, panel, steady, surrogate, seed)
+               for param, (panel, steady) in zip(parameters, runs)]
     library.sort(key=lambda a: a.parameter.value)
     return library

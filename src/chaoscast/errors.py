@@ -6,10 +6,15 @@ class ChaoscastError(Exception):
 
 
 class IntegrationDivergedError(ChaoscastError):
-    """The surrogate integrator produced a non-finite state."""
+    """The surrogate integrator produced a non-finite state.
 
-    def __init__(self, step: int, message: str | None = None):
+    ``step`` is the first non-finite step and ``row`` the first diverged
+    row of the integrated batch at that step.
+    """
+
+    def __init__(self, step: int, row: int, message: str | None = None):
         self.step = step
+        self.row = row
         super().__init__(message or f"integration diverged at step {step}")
 
 

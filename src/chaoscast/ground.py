@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .dynamics import AttractorEstimate, steady_run
+from .dynamics import AttractorEstimate, TuningParameter, steady_run
 from .errors import ConfigError, PanelFormatError
 from .panel import Coord, Panel
 from .seeding import derive_rng
@@ -175,13 +175,15 @@ def make_ground_panel(cfg: PipelineConfig, library: list[AttractorEstimate]) -> 
                 "true_forcing": member.parameter.value}
     else:
         seed = int(derive_rng(cfg.seed, "ground", "fresh").integers(2**32))
-        steady, _ = steady_run(cfg.ground.forcing, seed, cfg.surrogate)
+        forcing = float(cfg.ground.forcing)
+        param = TuningParameter(forcing, cfg.surrogate.label(forcing))
+        ((steady, _),) = steady_run([param], [seed], cfg.surrogate)
         if steady.n_seasons < n_seasons:
             raise ConfigError(
                 f"fresh ground run has only {steady.n_seasons} steady seasons, "
                 f"need {n_seasons}; lengthen surrogate.n_seasons")
         base = steady.window(0, n_seasons)
-        meta = {"mode": "fresh", "true_forcing": float(cfg.ground.forcing)}
+        meta = {"mode": "fresh", "true_forcing": forcing}
 
     rng = derive_rng(cfg.seed, "ground", "noise")
     noisy = {}

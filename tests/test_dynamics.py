@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chaoscast.dynamics import (
-    AttractorEstimate,
+    PERTURBATION,
     Observable,
     SurrogateConfig,
     Trajectory,
@@ -12,8 +12,10 @@ from chaoscast.dynamics import (
     build_attractor_library,
     default_observables,
     detect_steady_state,
+    integrate_grid,
     integrate_lorenz96,
     seasonal_aggregate,
+    start_state,
     synth_index,
 )
 from chaoscast.errors import IntegrationDivergedError, StationarityNotReachedError
@@ -85,6 +87,56 @@ def test_integration_deterministic_given_seed():
     c = integrate_lorenz96(8.0, 6, 0.05, 100, seed=12)
     assert np.array_equal(a.states, b.states)
     assert not np.array_equal(a.states, c.states)
+
+
+def _reference_rhs(x, F):
+    return (np.roll(x, -1) - np.roll(x, 2)) * np.roll(x, 1) - x + F
+
+
+def _reference_rk4(x, F, dt, n_steps):
+    """One ring stepped by np.roll, the single-ring reference for the batched kernel."""
+    states = np.empty((n_steps + 1, x.size))
+    states[0] = x
+    for i in range(1, n_steps + 1):
+        k1 = _reference_rhs(x, F)
+        k2 = _reference_rhs(x + 0.5 * dt * k1, F)
+        k3 = _reference_rhs(x + 0.5 * dt * k2, F)
+        k4 = _reference_rhs(x + dt * k3, F)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[i] = x
+    return states
+
+
+def _kicked_grid(forcings, seeds, K):
+    """Every (forcing, seed) row of a grid, started as integrate_lorenz96 starts it."""
+    rows = [(F, seed) for F in forcings for seed in seeds]
+    x0 = np.stack([start_state(F, K, None, seed, PERTURBATION) for F, seed in rows])
+    return x0, [F for F, _ in rows]
+
+
+@pytest.mark.parametrize("K", [4, 5, 36])  # at K = 4, sites i+2 and i-2 coincide
+def test_grid_rows_are_bit_identical_to_the_single_ring_reference(K):
+    x0, forcings = _kicked_grid([5.0, 8.0, 10.0], [1, 2], K)
+    states = integrate_grid(x0, forcings, 0.05, 400)
+    assert states.shape == (6, 401, K)
+    for row, F in enumerate(forcings):
+        assert np.array_equal(states[row], _reference_rk4(x0[row], F, 0.05, 400))
+
+
+def test_grid_divergence_reports_the_earliest_step_and_its_first_row():
+    forcings = [8.0, 30.0, 100.0, 100.0, 200.0]
+    x0 = np.stack([start_state(F, 36, None, 3, PERTURBATION) for F in forcings])
+    alone = []
+    for F in forcings[1:]:
+        with pytest.raises(IntegrationDivergedError) as err:
+            integrate_lorenz96(F, 36, 0.05, 50, seed=3)
+        alone.append(err.value.step)
+    with pytest.raises(IntegrationDivergedError) as err:
+        integrate_grid(x0[:4], forcings[:4], 0.05, 50)
+    assert (err.value.step, err.value.row) == (alone[1], 2)
+    with pytest.raises(IntegrationDivergedError) as err:
+        integrate_grid(x0, forcings, 0.05, 50)
+    assert (err.value.step, err.value.row) == (min(alone), 4)
 
 
 def _ramp_trajectory(n, K=4):
@@ -213,16 +265,18 @@ def test_library_rejects_duplicate_parameters():
         build_attractor_library(params, FAST_RUN, FAST_SEED)
 
 
-@pytest.mark.parametrize("change, error", [
-    ({"dt": 1.0}, IntegrationDivergedError),
-    ({"min_steady_seasons": 161}, StationarityNotReachedError),
-], ids=["diverged", "too-few-steady-seasons"])
-def test_library_error_names_the_parameter_once(change, error):
+@pytest.mark.parametrize("forcings, change, error, label", [
+    ([8.0], {"dt": 1.0}, IntegrationDivergedError, "F8"),
+    ([8.0], {"min_steady_seasons": 161}, StationarityNotReachedError, "F8"),
+    ([8.0, 30.0], {"K": 36}, IntegrationDivergedError, "F30"),
+], ids=["diverged", "too-few-steady-seasons", "one-of-two-rows-diverged"])
+def test_library_error_names_the_parameter_once(forcings, change, error, label):
+    params = [TuningParameter(F, f"F{F:g}") for F in forcings]
     with pytest.raises(error) as err:
-        build_attractor_library([TuningParameter(8.0, "F8")], replace(FAST_RUN, **change),
-                                FAST_SEED)
+        build_attractor_library(params, replace(FAST_RUN, **change), FAST_SEED)
     message = str(err.value)
-    assert message.startswith("parameter F8: ") and message.count("F8") == 1
+    assert message.startswith(f"parameter {label}: ") and message.count(label) == 1
+    assert all(p.label == label or p.label not in message for p in params)
     if error is IntegrationDivergedError:
         assert isinstance(err.value.step, int) and str(err.value.step) in message
 
@@ -240,13 +294,10 @@ def test_library_sorted_and_deterministic():
 def test_steady_energy_monotone_in_forcing():
     # mean energy over the settled half of the run, 5 seeds averaged
     forcings = [5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
-    means = []
-    for F in forcings:
-        per_seed = []
-        for seed in range(5):
-            traj = integrate_lorenz96(F, 8, 0.05, 4000, seed=seed)
-            per_seed.append(traj.energy()[2000:].mean())
-        means.append(np.mean(per_seed))
+    x0, row_forcings = _kicked_grid(forcings, range(5), 8)
+    runs = integrate_grid(x0, row_forcings, 0.05, 4000).reshape(len(forcings), 5, 4001, 8)
+    means = [np.mean([Trajectory(states=run, dt=0.05).energy()[2000:].mean() for run in per_seed])
+             for per_seed in runs]
     assert np.all(np.diff(means) >= 0.0)
 
 

@@ -156,9 +156,19 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
     ("shrinkage", "target_r", 1.0),
     ("schedule", "first_season", -5),
     ("stations", "a", ["wet", "s99"]),
+    ("surrogate", "K", 3),
+    ("surrogate", "dt", -0.05),
+    ("surrogate", "forcings", [8.0, 8.0]),
+    ("surrogate", "forcings", []),
+    ("surrogate", "steps_per_season", 0),
+    ("surrogate", "forcings", [8.0, 1e400]),
+    ("surrogate", "steady_window", 1),
+    ("surrogate", "n_seasons", 50),
 ], ids=["vote_k-0", "top_k-negative", "vote_mode-plurality", "x_grid-empty", "max_subset_size-0",
         "direction-sideways", "n_reps-50", "n_points-6", "target_r-1",
-        "first_season-negative", "station-series-unknown"])
+        "first_season-negative", "station-series-unknown", "K-3", "dt-negative",
+        "forcings-duplicate", "forcings-empty", "steps_per_season-0", "forcings-overflow",
+        "steady_window-1", "n_seasons-below-two-windows"])
 def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section, field,
                                                               value):
     payload = {**GOLDEN_CONFIG,
