@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from .artifacts import write_json
@@ -160,8 +161,9 @@ class PipelineConfig:
             member = self.ground.member or labels[0]
             if member not in labels:
                 raise ConfigError(f"ground.member {member!r} is not in the library")
-        if self.ground.mode == "fresh" and self.ground.forcing is None:
-            raise ConfigError("ground.mode=fresh requires ground.forcing")
+        if self.ground.mode == "fresh" and (self.ground.forcing is None
+                                            or not math.isfinite(self.ground.forcing)):
+            raise ConfigError("ground.mode=fresh requires a finite ground.forcing")
         if self.ground.mode == "file" and not self.ground.path:
             raise ConfigError("ground.mode=file requires ground.path")
         if self.ground.mode != "file" and self.ground.snr <= 0:

@@ -301,6 +301,13 @@ class SurrogateConfig:
         if self.steady_window < 2 or self.n_seasons < 2 * self.steady_window:
             raise ValueError("steady_window must be >= 2 and n_seasons must cover "
                              "two steady windows")
+        ring = {site_id(i) for i in range(self.K)}
+        for name, regions in sorted(self.indices.items()):
+            sets = [set(region) for region in regions]
+            if (len(sets) != 2 or not all(sets) or sets[0] & sets[1]
+                    or not set.union(*sets) <= ring):
+                raise ValueError(f"index {name} needs two disjoint, non-empty regions "
+                                 f"of the sites s00..{site_id(self.K - 1)}")
 
     def parameters(self) -> list[TuningParameter]:
         return [TuningParameter(float(f), self.label(f)) for f in self.forcings]

@@ -6,8 +6,9 @@ are column slices of that stack. Groups are ranked by the pooled
 correlation of their shrunken predictions, the top X percent are
 combined by mean or by the most populous 1-D cluster (vote) into
 self-contained keys scored on the select and retain windows, retention
-keeps a key or its other-combiner sibling whose retain r is strictly
-above a threshold, and the survivors' per-season median is the forecast.
+keeps at most one key per cut (a key or its other-combiner sibling) whose
+retain r is strictly above a threshold, and the survivors' per-season
+median is the forecast.
 """
 
 from __future__ import annotations
@@ -133,14 +134,15 @@ def rank_models(groups, preds: np.ndarray, obs: np.ndarray, shrink_factor: float
                 positive_part: bool = False) -> list[RankedModel]:
     """Order model groups by pooled correlation of shrunken predictions.
 
-    ``preds`` is the (groups, stations, seasons) stack on the rank window.
-    Zero-variance predictions rank with correlation 0 and a degenerate
-    flag; ties break toward smaller models, then input order.
+    ``preds`` is the (groups, stations, seasons) stack on the rank window,
+    shrunk in one call. Zero-variance predictions rank with correlation 0
+    and a degenerate flag; ties break toward smaller models, then input
+    order.
     """
+    adjusted = stein_adjust(preds, shrink_factor, positive_part=positive_part)
     ranked = []
     for idx, group in enumerate(groups):
-        pred = stein_adjust(preds[idx], shrink_factor, positive_part=positive_part)
-        r, degenerate = pooled_correlation(pred, obs)
+        r, degenerate = pooled_correlation(adjusted[idx], obs)
         ranked.append(RankedModel(group, r, idx, degenerate))
     return sorted(ranked, key=lambda rm: (-rm.correlation, rm.group.total_size, rm.index))
 
@@ -153,13 +155,6 @@ def take_top_percent(ranked: list[RankedModel], top_percent: int) -> list[Ranked
         raise ValueError("no ranked models to draw from")
     count = math.ceil(len(ranked) * top_percent / 100.0)
     return ranked[:count]
-
-
-def combine_mean(values) -> float:
-    values = np.asarray(values, dtype=float)
-    if values.size < 1:
-        raise ValueError("need at least one prediction")
-    return float(values.mean())
 
 
 def _partition_indices(sorted_vals: np.ndarray, k: int) -> list[np.ndarray]:
@@ -216,7 +211,7 @@ def combine_vote(values, k: int = 2, mode: str = "majority") -> float:
     if mode not in VOTE_MODES:
         raise ValueError("unknown vote mode")
     if k == 1 or values.size == 1:
-        return combine_mean(values)
+        return float(values.mean())
     clusters = _partition_indices(np.sort(values), k)
     overall = float(values.mean())
     if mode == "two_cluster_average":
@@ -249,20 +244,27 @@ def select_majority_cluster(clusters, overall: float) -> np.ndarray:
 
 def combine_members(member_preds: np.ndarray, combiner: str,
                     vote_k: int = 2, vote_mode: str = "majority") -> np.ndarray:
-    """Reduce an (members, stations, seasons) stack to (stations, seasons)."""
+    """Reduce an (members, stations, seasons) stack to (stations, seasons).
+
+    The mean skips NaN members and the vote non-finite ones; a cell
+    without members is NaN. The mean is a ``nanmean`` over a member-last
+    copy, so a NaN-free cell sums in the order of a lone 1-D cell; with
+    NaN members and 8 or more members the last bit may differ from it.
+    """
     if combiner not in COMBINERS:
         raise ValueError(f"combiner must be one of {COMBINERS}")
+    if combiner == "mean":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN cells
+            return np.nanmean(np.ascontiguousarray(np.moveaxis(member_preds, 0, -1)),
+                              axis=-1)
     m, s, t = member_preds.shape
     out = np.full((s, t), np.nan)
     for i in range(s):
         for j in range(t):
             cell = member_preds[:, i, j]
             cell = cell[np.isfinite(cell)]
-            if cell.size == 0:
-                continue
-            if combiner == "mean":
-                out[i, j] = combine_mean(cell)
-            else:
+            if cell.size:
                 out[i, j] = combine_vote(cell, k=vote_k, mode=vote_mode)
     return out
 
@@ -352,13 +354,15 @@ def retain_predictors(keys: list[PredictorKey], threshold: float = 0.5, top_k: i
     Each of an attractor's ``top_k`` keys by select r stands for itself
     or, with switching allowed, for its sibling (same cut, other
     combiner) if the sibling's retain r is higher. A choice whose retain
-    r is strictly above the threshold is kept, each key once, in the
-    order first chosen. An empty list (no forecast) is a valid outcome.
+    r is strictly above the threshold is kept, in the order first chosen,
+    unless a key of the same (attractor, cut) was kept before it: the
+    combiner is a switch within a cut, so a cut enters the forecast once.
+    An empty list (no forecast) is a valid outcome.
     """
     cuts = {(k.attractor_id, k.top_percent, k.combiner): k for k in keys}
     other = {"mean": "vote", "vote": "mean"}
     ranked = sorted(keys, key=lambda k: (k.attractor_id, -k.correlations["select"]))
-    retained: dict[str, PredictorKey] = {}
+    retained: dict[tuple[str, int], PredictorKey] = {}
     for attractor_id, group in itertools.groupby(ranked, key=lambda k: k.attractor_id):
         for key in itertools.islice(group, top_k):
             sibling = cuts.get((attractor_id, key.top_percent, other[key.combiner]), key)
@@ -366,7 +370,7 @@ def retain_predictors(keys: list[PredictorKey], threshold: float = 0.5, top_k: i
             choice = (max(key, sibling, key=lambda k: k.correlations["retain"])
                       if allow_switching else key)
             if choice.correlations["retain"] > threshold:
-                retained.setdefault(choice.key_id, choice)
+                retained.setdefault((attractor_id, choice.top_percent), choice)
     return list(retained.values())
 
 

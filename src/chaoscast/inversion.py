@@ -48,7 +48,10 @@ def key_significance_counts(keys_by_attractor: dict[str, list], panel: Panel,
     Each key's pooled predictive correlation becomes a one-sided p-value
     on degrees of freedom adjusted for the fitted regional seasonal
     means (one per target season unless overridden); the step-up FDR
-    rule at level q runs within each attractor's key set.
+    rule at level q runs within each attractor's key set. The keys of an
+    attractor share their stations; each distinct member (by
+    ``map_index``) is predicted once, and a key combines its rows of
+    that stack.
     """
     if n_fitted_means is None:
         n_fitted_means = target_window[1] - target_window[0]
@@ -57,10 +60,15 @@ def key_significance_counts(keys_by_attractor: dict[str, list], panel: Panel,
         keys = keys_by_attractor[attractor_id]
         if not keys:
             raise ValueError(f"attractor {attractor_id} has no keys")
+        stations = keys[0].stations
+        members = {g.map_index: g for key in keys for g in key.members}
+        row = {map_index: i for i, map_index in enumerate(members)}
+        stack = np.stack([g.predict(panel, stations, target_window)
+                          for g in members.values()])
+        obs = observation_matrix(panel, stations, target_window)
         pvals = []
         for key in keys:
-            pred = key.predict(panel, target_window)
-            obs = observation_matrix(panel, key.stations, target_window)
+            pred = key.combine(stack[[row[g.map_index] for g in key.members]])
             finite = np.isfinite(pred.ravel()) & np.isfinite(obs.ravel())
             r, degenerate = pooled_correlation(pred, obs)
             n_pairs = int(finite.sum())

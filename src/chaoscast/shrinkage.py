@@ -11,7 +11,6 @@ combined predictions onto the observation scale over a prior window.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,60 +131,37 @@ def apply_bias_correction(raw_means, factor: float):
     return np.asarray(raw_means, dtype=float) / factor
 
 
-def james_stein(X, mu_bc, n: int | None = None, positive_part: bool = False):
-    """(1 - (n-2)/||X||^2) X + mu_bc across the station dimension.
-
-    X holds station deviations from the corrected regional mean mu_bc.
-    Requires n >= 3; smaller vectors pass through unshrunk with a
-    warning. A zero deviation vector returns mu_bc. The plain factor may
-    go negative when ||X||^2 < n - 2; that sign behavior is kept unless
-    ``positive_part`` clamps it at zero.
-    """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0] if n is None else n
-    if n < 3:
-        warnings.warn("James-Stein needs dimension >= 3; returning inputs unshrunk",
-                      stacklevel=2)
-        return X + mu_bc
-    norm2 = float(X @ X) if X.ndim == 1 else float(np.sum(X * X))
-    if norm2 == 0.0:
-        return np.zeros_like(X) + mu_bc
-    factor = 1.0 - (n - 2) / norm2
-    if positive_part:
-        factor = max(factor, 0.0)
-    return factor * X + mu_bc
-
-
 def stein_adjust(pred: np.ndarray, shrink_factor: float,
                  positive_part: bool = False) -> np.ndarray:
-    """Bias-correct and shrink a (stations, seasons) prediction matrix.
+    """Bias-correct and shrink a (..., stations, seasons) prediction stack.
 
-    The measured shrinkage is inverted on the predictions (restoring
-    them to the anomaly scale, so the per-season regional mean is the
-    corrected mean), then station deviations from the corrected mean are
-    pulled toward it with the James-Stein factor. The rescaling is what
-    puts ||X||^2 on the scale where the factor's signal-to-noise
-    approximation holds. NaN columns pass through untouched; fewer than
-    3 stations disables the deviation shrinkage (the bias correction
-    still applies).
+    The measured shrinkage is inverted (restoring the anomaly scale, on
+    which the factor's signal-to-noise approximation holds), then each
+    season's station deviations X from its corrected mean mu become
+    (1 - (n-2)/||X||^2) X + mu; ``positive_part`` clamps a negative
+    factor at zero. A zero X returns mu, a season with a non-finite
+    station is NaN, and fewer than 3 stations skip the deviation
+    shrinkage. Seasons are the contiguous rows of a copy, so mu and
+    ||X||^2 are the same sum and ``ddot`` as on a lone 1-D column: a
+    matrix gives the same bits alone or in a stack.
     """
     pred = np.asarray(pred, dtype=float)
-    if pred.ndim != 2:
-        raise ValueError("pred must be (stations, seasons)")
-    n = pred.shape[0]
-    corrected = apply_bias_correction(pred, shrink_factor)
-    out = np.full_like(pred, np.nan)
-    for t in range(pred.shape[1]):
-        col = corrected[:, t]
-        if not np.all(np.isfinite(col)):
-            continue
-        mu_bc = float(col.mean())
-        if n < 3:
-            out[:, t] = col
-            continue
-        dev = col - mu_bc
-        out[:, t] = james_stein(dev, mu_bc, n, positive_part=positive_part)
-    return out
+    if pred.ndim < 2:
+        raise ValueError("pred must be (..., stations, seasons)")
+    n = pred.shape[-2]
+    cols = apply_bias_correction(np.ascontiguousarray(np.swapaxes(pred, -1, -2)),
+                                 shrink_factor)
+    finite = np.isfinite(cols).all(axis=-1, keepdims=True)
+    with np.errstate(all="ignore"):  # non-finite seasons are masked below
+        if n >= 3:
+            mu = cols.mean(axis=-1, keepdims=True)
+            dev = cols - mu
+            norm2 = (dev[..., None, :] @ dev[..., :, None])[..., 0]
+            factor = 1.0 - (n - 2) / norm2
+            if positive_part:
+                factor = np.maximum(factor, 0.0)
+            cols = np.where(norm2 == 0.0, 0.0, factor * dev) + mu
+    return np.swapaxes(np.where(finite, cols, np.nan), -1, -2)
 
 
 @dataclass

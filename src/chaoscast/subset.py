@@ -59,14 +59,6 @@ class SubsetModel:
         return self.intercept + X[:, list(self.columns)] @ self.coefficients
 
 
-@dataclass
-class OLSFit:
-    coefficients: np.ndarray  # full-width, zeros at dropped columns
-    intercept: float
-    rss: float
-    dropped: tuple[int, ...] = ()
-
-
 def _validate_xy(X, y):
     """X as (rows, columns) and y as (rows, targets); a vector is one target."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -108,33 +100,6 @@ def _independent_columns(Xc: np.ndarray) -> tuple[list[int], list[int]]:
         else:
             dropped.append(j)
     return keep, dropped
-
-
-def ols_fit(X, y) -> OLSFit:
-    """Least squares with an always-included intercept.
-
-    Solved through orthogonal decompositions (pivoted QR for rank
-    detection, SVD for the solve); dependent columns are dropped and
-    reported with zero coefficients.
-    """
-    X, Y = _validate_xy(X, np.ravel(y))
-    y = Y[:, 0]
-    n, p = X.shape
-    if n < p + 1:
-        raise ValueError(f"need at least {p + 1} rows for {p} columns, got {n}")
-    xm = X.mean(axis=0)
-    ym = float(y.mean())
-    Xc = X - xm
-    yc = y - ym
-    keep, dropped = _independent_columns(Xc)
-    coef = np.zeros(p)
-    if keep:
-        beta, *_ = np.linalg.lstsq(Xc[:, keep], yc, rcond=None)
-        coef[keep] = beta
-    resid = yc - Xc @ coef
-    intercept = ym - float(xm @ coef)
-    return OLSFit(coefficients=coef, intercept=intercept,
-                  rss=float(resid @ resid), dropped=tuple(dropped))
 
 
 def mallows_cp(rss_p, sigma2_full, n: int, p):

@@ -12,7 +12,6 @@ from chaoscast.ensemble import (
     PredictorKey,
     RankedModel,
     Station,
-    combine_mean,
     combine_members,
     combine_vote,
     fit_model_group,
@@ -106,12 +105,18 @@ def test_take_top_percent_counts():
         take_top_percent([], 10)
 
 
+def combine_cell(values):
+    """The mean combiner on a one-cell stack of the given member values."""
+    return combine_members(np.asarray(values, dtype=float).reshape(-1, 1, 1), "mean")[0, 0]
+
+
 def test_combine_mean():
-    assert combine_mean([1.0, 1.0, 1.0]) == 1.0
-    assert combine_mean([0.0, 10.0]) == 5.0
+    assert combine_cell([1.0, 1.0, 1.0]) == 1.0
+    assert combine_cell([0.0, 10.0]) == 5.0
     rng = np.random.default_rng(3)
     vals = rng.standard_normal(100)
-    assert combine_mean(vals) == pytest.approx(vals.sum() / 100.0, rel=1e-14)
+    assert combine_cell(vals) == vals.mean()
+    assert combine_cell(vals) == pytest.approx(vals.sum() / 100.0, rel=1e-14)
 
 
 def brute_force_vote(values, k=2):
@@ -164,7 +169,7 @@ def test_combine_vote_matches_brute_force_for_every_k(k):
 def test_combine_vote_k1_equals_mean_exactly():
     rng = np.random.default_rng(5)
     values = rng.standard_normal(17)
-    assert combine_vote(values, k=1) == combine_mean(values)
+    assert combine_vote(values, k=1) == values.mean()
 
 
 def test_combine_vote_permutation_and_translation():
@@ -320,20 +325,22 @@ def test_retain_thresholds_and_switching():
 
 def test_retain_keeps_each_key_once():
     keys = [_key("A", 10, "mean", 0.9, 0.6), _key("A", 10, "vote", 0.8, 0.7),
-            _key("A", 30, "vote", 0.7, 0.9), _key("A", 30, "mean", 0.6, 0.9)]
-    # both X010 keys switch to the vote key; the X030 keys tie and keep themselves
+            _key("A", 30, "vote", 0.7, 0.9), _key("A", 30, "mean", 0.6, 0.9),
+            _key("B", 30, "mean", 0.5, 0.8)]
+    # both X010 keys switch to the vote key; the X030 keys tie and keep
+    # themselves, so the first kept stands for its cut
     assert _ids(retain_predictors(keys, threshold=0.5)) == [
-        "A/X010/vote", "A/X030/vote", "A/X030/mean"]
+        "A/X010/vote", "A/X030/vote", "B/X030/mean"]
     assert _ids(retain_predictors(keys, threshold=0.5, allow_switching=False)) == [
-        "A/X010/mean", "A/X010/vote", "A/X030/vote", "A/X030/mean"]
+        "A/X010/mean", "A/X030/vote", "B/X030/mean"]
 
 
 def test_retain_top_k_per_attractor():
     keys = [_key(a, x, c, 0.9 - 0.1 * i, 0.9) for a in ("B", "A")
             for i, (x, c) in enumerate(itertools.product((10, 30, 100), ("mean", "vote")))]
     retained = retain_predictors(keys, threshold=0.5, top_k=4, allow_switching=False)
-    assert _ids(retained) == [f"{a}/X{x:03d}/{c}" for a in ("A", "B")
-                              for x, c in itertools.product((10, 30), ("mean", "vote"))]
+    # the top 4 are both keys of X010 and X030; each cut is kept once
+    assert _ids(retained) == [f"{a}/X{x:03d}/mean" for a in ("A", "B") for x in (10, 30)]
 
 
 def test_median_combine():
@@ -359,6 +366,24 @@ def test_combine_members_nan_cells():
     out = combine_members(stack, "mean")
     assert out[0, 0] == pytest.approx(2.0)
     assert np.isnan(out[0, 1])
+
+    # NaN members are skipped; each cell against the mean of its finite members
+    rng = np.random.default_rng(12)
+    for m in (1, 2, 5, 7, 8, 12, 30):
+        stack = rng.standard_normal((m, 4, 9))
+        stack[rng.random(stack.shape) < 0.3] = np.nan
+        stack[:, 0, 0] = np.nan  # a cell without members
+        out = combine_members(stack, "mean")
+        assert out.shape == (4, 9)
+        for i, j in itertools.product(range(4), range(9)):
+            cell = stack[:, i, j]
+            finite = cell[np.isfinite(cell)]
+            if finite.size == 0:
+                assert np.isnan(out[i, j])
+            elif finite.size == m or m < 8:  # the same sum, bit for bit
+                assert out[i, j] == finite.mean(), (m, i, j)
+            else:
+                assert out[i, j] == pytest.approx(finite.mean(), rel=1e-14, abs=1e-15)
 
 
 def test_ensemble_forecast_provenance_required():

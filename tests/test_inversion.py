@@ -1,9 +1,9 @@
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from chaoscast.ensemble import Station
+from chaoscast.ensemble import PredictorKey, Station
 from chaoscast.inversion import (
     InversionResult,
     estimate_parameter,
@@ -14,15 +14,22 @@ from chaoscast.panel import Panel
 
 
 @dataclass
-class PlantedKey:
-    """A key stub predicting a series with a planted correlation to obs."""
+class PlantedMember:
+    """A model-group stub predicting one station's planted series."""
 
     series: np.ndarray
-    stations: tuple = (Station("a", "wet", "a"),)
-    attractor_id: str = "A"
+    map_index: int
 
-    def predict(self, panel, seasons):
+    def predict(self, panel, stations, seasons):
         return self.series[None, seasons[0]:seasons[1]]
+
+
+def planted_keys(series_list):
+    """One-station, one-member mean keys: each predicts its series unchanged."""
+    return [PredictorKey(attractor_id="A", top_percent=100, combiner="mean", lead=3,
+                         stations=(Station("a", "wet", "a"),),
+                         members=(PlantedMember(series, i),), shrink_factor=1.0)
+            for i, series in enumerate(series_list)]
 
 
 def planted_series(obs, rho, rng):
@@ -43,7 +50,7 @@ def _panel(n=60, seed=0):
 
 def test_counts_all_keys_significant_when_near_perfect():
     panel, obs, rng = _panel()
-    keys = [PlantedKey(planted_series(obs, 0.99, rng)) for _ in range(6)]
+    keys = planted_keys([planted_series(obs, 0.99, rng) for _ in range(6)])
     counts = key_significance_counts({"A": keys}, panel, (0, 60), q=0.01,
                                      n_fitted_means=0)
     assert counts["A"] == 6
@@ -53,7 +60,7 @@ def test_counts_default_dof_bookkeeping_needs_enough_pairs():
     # the default charges one fitted regional mean per target season, so
     # a single station never reaches positive adjusted dof: nothing passes
     panel, obs, rng = _panel()
-    keys = [PlantedKey(planted_series(obs, 0.99, rng)) for _ in range(4)]
+    keys = planted_keys([planted_series(obs, 0.99, rng) for _ in range(4)])
     counts = key_significance_counts({"A": keys}, panel, (0, 60), q=0.01)
     assert counts["A"] == 0
 
@@ -65,7 +72,7 @@ def test_counts_null_keys_rarely_significant():
     for trial in range(trials):
         obs = rng.standard_normal(60)
         panel = Panel({("wet", "a"): obs})
-        keys = [PlantedKey(rng.standard_normal(60)) for _ in range(6)]
+        keys = planted_keys([rng.standard_normal(60) for _ in range(6)])
         counts = key_significance_counts({"A": keys}, panel, (0, 60), q=0.01,
                                      n_fitted_means=0)
         zero_hits += counts["A"] == 0
@@ -78,9 +85,9 @@ def test_counts_mixed_planted_set():
     for trial in range(20):
         obs = rng.standard_normal(80)
         panel = Panel({("wet", "a"): obs})
-        strong = [PlantedKey(planted_series(obs, 0.9, rng)) for _ in range(5)]
-        null = [PlantedKey(rng.standard_normal(80)) for _ in range(5)]
-        counts = key_significance_counts({"A": strong + null}, panel, (0, 80),
+        strong = [planted_series(obs, 0.9, rng) for _ in range(5)]
+        null = [rng.standard_normal(80) for _ in range(5)]
+        counts = key_significance_counts({"A": planted_keys(strong + null)}, panel, (0, 80),
                                          q=0.01, n_fitted_means=0)
         results.append(counts["A"])
     # half the keys are strongly predictive; binomial slack on the rest

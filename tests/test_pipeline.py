@@ -10,8 +10,11 @@ from chaoscast import pipeline as pl
 from chaoscast.artifacts import write_json, write_text
 from chaoscast.config import PipelineConfig, load_config, save_config
 from chaoscast.embedding import DelayMap
-from chaoscast.ensemble import ModelGroup, PredictorKey, save_keys
+from chaoscast.ensemble import (ModelGroup, PredictorKey, load_keys, observation_matrix,
+                                pooled_correlation, save_keys)
 from chaoscast.ground import SEASON_NAMES
+from chaoscast.inversion import key_significance_counts
+from chaoscast.metrics import adjusted_dof, benjamini_hochberg, correlation_pvalue
 
 GOLDEN_CONFIG = {"seed": 7,
                  "surrogate": {"forcings": [6.0, 8.0, 10.0], "n_seasons": 200},
@@ -29,13 +32,18 @@ GOLDEN_ARTIFACTS = {
 STAGED_VERBS = ("generate-library", "embed", "fit", "select", "forecast", "score",
                 "emit-plots")
 
-# golden variants that retain keys, with both combiners of each cut in the top_k
+# golden variants that retain keys, with both combiners of each cut in the top_k;
+# in "two-members-per-cut" the X010 vote of 2 members is its mean sibling
 RETAINING_CONFIGS = {
     "vote-k4-threshold-0.2": {
         **GOLDEN_CONFIG, "embedding": {"n_maps": 30, "dim": 4},
         "selection": {"vote_k": 4, "vote_mode": "two_cluster_average",
                       "retention_threshold": 0.2}},
     "threshold-0.1": {**GOLDEN_CONFIG, "selection": {"retention_threshold": 0.1}},
+    "two-members-per-cut": {
+        **GOLDEN_CONFIG, "embedding": {"n_maps": 20, "dim": 4},
+        "selection": {"vote_k": 4, "vote_mode": "two_cluster_average",
+                      "retention_threshold": 0.1}},
 }
 
 
@@ -120,6 +128,9 @@ def test_retained_keys_are_stored_and_forecast_once(tmp_path, name):
     retained = json.loads((out / "retained_keys.json").read_text())["keys"]
     ids = [k["key_id"] for k in retained]
     assert ids and len(set(ids)) == len(ids)
+    # the combiner is a switch within a cut: at most one key per (attractor, cut)
+    cuts = [(k["attractor_id"], k["top_percent"]) for k in retained]
+    assert len(set(cuts)) == len(cuts)
     # a retained key is the key itself, with its own select and retain r
     assert retained == [keys[key_id] for key_id in ids]
     assert json.loads((out / "forecast.json").read_text())["contributing_keys"] == ids
@@ -144,41 +155,85 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
     assert set(calls.values()) == {1}
 
 
-@pytest.mark.parametrize("section, field, value", [
-    ("selection", "vote_k", 0),
-    ("selection", "top_k", -1),
-    ("selection", "vote_mode", "plurality"),
-    ("selection", "x_grid", []),
-    ("embedding", "max_subset_size", 0),
-    ("calibration", "direction", "sideways"),
-    ("shrinkage", "n_reps", 50),
-    ("shrinkage", "n_points", 6),
-    ("shrinkage", "target_r", 1.0),
-    ("schedule", "first_season", -5),
-    ("stations", "a", ["wet", "s99"]),
-    ("surrogate", "K", 3),
-    ("surrogate", "dt", -0.05),
-    ("surrogate", "forcings", [8.0, 8.0]),
-    ("surrogate", "forcings", []),
-    ("surrogate", "steps_per_season", 0),
-    ("surrogate", "forcings", [8.0, 1e400]),
-    ("surrogate", "steady_window", 1),
-    ("surrogate", "n_seasons", 50),
+@pytest.mark.parametrize("section, settings", [
+    ("selection", {"vote_k": 0}),
+    ("selection", {"top_k": -1}),
+    ("selection", {"vote_mode": "plurality"}),
+    ("selection", {"x_grid": []}),
+    ("embedding", {"max_subset_size": 0}),
+    ("calibration", {"direction": "sideways"}),
+    ("shrinkage", {"n_reps": 50}),
+    ("shrinkage", {"n_points": 6}),
+    ("shrinkage", {"target_r": 1.0}),
+    ("schedule", {"first_season": -5}),
+    ("stations", {"a": ["wet", "s99"]}),
+    ("surrogate", {"K": 3}),
+    ("surrogate", {"dt": -0.05}),
+    ("surrogate", {"forcings": [8.0, 8.0]}),
+    ("surrogate", {"forcings": []}),
+    ("surrogate", {"steps_per_season": 0}),
+    ("surrogate", {"forcings": [8.0, 1e400]}),
+    ("surrogate", {"steady_window": 1}),
+    ("surrogate", {"n_seasons": 50}),
+    ("surrogate", {"indices": {"a": [["s00"], ["s99"]]}}),
+    ("ground", {"mode": "fresh", "forcing": 1e400}),
 ], ids=["vote_k-0", "top_k-negative", "vote_mode-plurality", "x_grid-empty", "max_subset_size-0",
         "direction-sideways", "n_reps-50", "n_points-6", "target_r-1",
         "first_season-negative", "station-series-unknown", "K-3", "dt-negative",
         "forcings-duplicate", "forcings-empty", "steps_per_season-0", "forcings-overflow",
-        "steady_window-1", "n_seasons-below-two-windows"])
-def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section, field,
-                                                              value):
-    payload = {**GOLDEN_CONFIG,
-               section: {**GOLDEN_CONFIG.get(section, {}), field: value}}
+        "steady_window-1", "n_seasons-below-two-windows", "index-site-outside-ring",
+        "fresh-forcing-overflow"])
+def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section, settings):
+    payload = {**GOLDEN_CONFIG, section: {**GOLDEN_CONFIG.get(section, {}), **settings}}
     config = _write_config(tmp_path / "config.json", payload)
     out = tmp_path / "out"
     assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 1
     assert not (out / "ground.csv").exists()
     if section != "stations":  # station targets are checked against the ground panel
         assert not out.exists()
+
+
+def test_invert_predicts_each_member_once_and_counts_as_per_key(golden_run, monkeypatch):
+    config, out = golden_run
+    cfg = load_config(config)
+    ground, _, _ = pl.load_ground(out)
+    keys_by_attractor = {}
+    for key in load_keys(out / "keys.json"):
+        keys_by_attractor.setdefault(key.attractor_id, []).append(key)
+    target = cfg.schedule.windows().predict
+    n_means = target[1] - target[0]
+
+    def per_key_counts(q):
+        """The counts with each key predicting its own members."""
+        counts = {}
+        for label, keys in sorted(keys_by_attractor.items()):
+            pvals = []
+            for key in keys:
+                pred = key.predict(ground, target)
+                obs = observation_matrix(ground, key.stations, target)
+                r, degenerate = pooled_correlation(pred, obs)
+                n_pairs = int((np.isfinite(pred) & np.isfinite(obs)).sum())
+                pvals.append(1.0 if degenerate or n_pairs <= n_means + 2 else
+                             correlation_pvalue(r, adjusted_dof(n_pairs, n_means)))
+            counts[label] = len(benjamini_hochberg(pvals, q))
+        return counts
+
+    expected = {q: per_key_counts(q) for q in (0.01, 0.5, 0.9)}
+    calls = Counter()
+    predict = ModelGroup.predict
+
+    def counted(self, *args, **kwargs):
+        calls[self.attractor_id, self.map_index] += 1
+        return predict(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModelGroup, "predict", counted)
+    for q, counts in expected.items():
+        calls.clear()
+        assert key_significance_counts(keys_by_attractor, ground, target, q=q) == counts
+        assert calls == Counter({(g.attractor_id, g.map_index) for keys in
+                                 keys_by_attractor.values() for k in keys
+                                 for g in k.members})
+    assert sum(expected[0.9].values()) > 0  # some counts are not 0
 
 
 def test_failed_json_artifact_leaves_no_file(tmp_path):

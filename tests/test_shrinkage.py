@@ -6,9 +6,38 @@ from chaoscast.shrinkage import (
     apply_bias_correction,
     bootstrap_shrinkage,
     calibrate,
-    james_stein,
     stein_adjust,
 )
+
+
+def reference_stein_adjust(pred, shrink_factor, positive_part=False):
+    """The per-season loop stein_adjust replaced, with its James-Stein step."""
+    corrected = apply_bias_correction(pred, shrink_factor)
+    n = pred.shape[0]
+    out = np.full_like(corrected, np.nan)
+    for t in range(pred.shape[1]):
+        col = corrected[:, t]
+        if not np.all(np.isfinite(col)):
+            continue
+        mu = float(col.mean())
+        if n < 3:
+            out[:, t] = col
+            continue
+        X = col - mu
+        norm2 = float(X @ X)
+        if norm2 == 0.0:
+            out[:, t] = np.zeros_like(X) + mu
+            continue
+        factor = 1.0 - (n - 2) / norm2
+        if positive_part:
+            factor = max(factor, 0.0)
+        out[:, t] = factor * X + mu
+    return out
+
+
+def shrink_column(X, mu, positive_part=False):
+    """stein_adjust at factor 1 on one season whose deviations X are centred."""
+    return stein_adjust((X + mu)[:, None], 1.0, positive_part=positive_part)[:, 0]
 
 
 def test_bootstrap_population_correlation_and_slope():
@@ -52,43 +81,38 @@ def test_bias_correction_round_trip_recovers_sd():
 
 
 def test_james_stein_hand_case():
-    X = np.ones(5)
-    out = james_stein(X, 2.0)
-    assert np.allclose(out, 0.4 * X + 2.0)
+    X = np.array([2.0, -2.0, 1.0, -1.0, 0.0])  # ||X||^2 = 10, factor 1 - 3/10
+    assert np.allclose(shrink_column(X, 2.0), 0.7 * X + 2.0)
 
 
 def test_james_stein_exact_collapse_to_mean():
     # ||X||^2 = n - 2 makes the factor exactly zero
-    n = 6
-    X = np.zeros(n)
-    X[0] = np.sqrt(n - 2)
-    out = james_stein(X, 1.5)
-    assert np.allclose(out, 1.5)
+    X = np.array([1.0, -1.0, 1.0, -1.0, 0.0, 0.0])
+    assert np.all(shrink_column(X, 1.5) == 1.5)
 
 
 def test_james_stein_zero_vector_and_small_n():
-    assert np.allclose(james_stein(np.zeros(4), 0.7), 0.7)
-    with pytest.warns(UserWarning):
-        out = james_stein(np.array([1.0, -1.0]), 0.5)
-    assert np.allclose(out, np.array([1.5, -0.5]))
+    assert np.all(shrink_column(np.zeros(4), 0.7) == 0.7)
+    # fewer than 3 stations pass through unshrunk
+    pred = np.array([[1.5, 0.2], [-0.5, 0.4]])
+    assert np.array_equal(stein_adjust(pred, 1.0), pred)
 
 
 def test_james_stein_negative_factor_documented_not_clamped():
     n = 10
-    X = np.full(n, 0.1)  # ||X||^2 = 0.1 < n - 2, factor = 1 - 8/0.1 = -79
-    out = james_stein(X, 0.0)
+    X = np.resize([0.1, -0.1], n)  # ||X||^2 = 0.1 < n - 2, factor = 1 - 8/0.1 = -79
     factor = 1.0 - (n - 2) / float(X @ X)
     assert factor < 0.0
-    assert np.allclose(out, factor * X)
-    clamped = james_stein(X, 0.0, positive_part=True)
-    assert np.allclose(clamped, 0.0)
+    assert np.allclose(shrink_column(X, 0.0), factor * X)
+    assert np.allclose(shrink_column(X, 0.3, positive_part=True), 0.3)
 
 
 def test_james_stein_never_inflates_deviation_for_factor_in_unit_range():
     rng = np.random.default_rng(10)
     for _ in range(50):
         X = rng.standard_normal(8) * rng.uniform(0.5, 3.0)
-        out = james_stein(X, 0.0)
+        X -= X.mean()
+        out = shrink_column(X, 0.0)
         factor = 1.0 - 6.0 / float(X @ X)
         if 0.0 <= factor <= 1.0:
             assert np.linalg.norm(out) <= np.linalg.norm(X) + 1e-12
@@ -116,8 +140,27 @@ def test_stein_adjust_matrix_shape_and_nan_columns():
     assert np.all(np.isnan(out[:, 1]))
     corrected = pred[:, 0] / 0.5  # scale restored before taking deviations
     mu = corrected.mean()
-    want = james_stein(corrected - mu, mu, 3)
-    assert np.allclose(out[:, 0], want)
+    X = corrected - mu
+    assert np.allclose(out[:, 0], (1.0 - 1.0 / float(X @ X)) * X + mu)
+
+
+@pytest.mark.parametrize("positive_part", [False, True])
+def test_stein_adjust_stack_is_bit_identical_to_the_per_season_loop(positive_part):
+    rng = np.random.default_rng(22)
+    for n in range(1, 13):
+        stack = rng.standard_normal((20, n, 44)) * rng.uniform(0.05, 3.0, (20, 1, 1))
+        stack[0, :, 3] = 0.7  # zero deviation vector
+        stack[1, 0, 5] = np.nan  # one NaN station
+        stack[2, :, 6] = np.nan
+        stack[3, -1, 7] = np.inf
+        got = stein_adjust(stack, 0.37, positive_part=positive_part)
+        for g in range(stack.shape[0]):
+            want = reference_stein_adjust(stack[g], 0.37, positive_part=positive_part)
+            assert np.array_equal(got[g], want, equal_nan=True), (n, g)
+            assert np.array_equal(np.signbit(got[g]), np.signbit(want))
+        # a lone matrix gives the same bits as its row of the stack
+        assert np.array_equal(stein_adjust(stack[4], 0.37, positive_part), got[4],
+                              equal_nan=True)
 
 
 def test_stein_adjust_regional_mean_matches_corrected_mean():

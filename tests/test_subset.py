@@ -8,8 +8,7 @@ from chaoscast.dynamics import build_attractor_library
 from chaoscast.embedding import build_design_matrix, sample_delay_maps
 from chaoscast.ensemble import Station, fit_model_group
 from chaoscast.errors import ConfigError
-from chaoscast.subset import (MAX_COLUMNS, best_subsets, mallows_cp, ols_fit,
-                              select_model)
+from chaoscast.subset import MAX_COLUMNS, best_subsets, mallows_cp, select_model
 
 
 def exhaustive_best(X, y, max_size):
@@ -28,10 +27,16 @@ def exhaustive_best(X, y, max_size):
     return best
 
 
+def ols(X, y):
+    """The ordinary least-squares fit: best_subsets' winner of the largest size."""
+    per_size = best_subsets(X, y)
+    return per_size[max(per_size)]
+
+
 def test_ols_exact_proportional_fit():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((30, 1))
-    fit = ols_fit(x, 2.0 * x[:, 0])
+    fit = ols(x, 2.0 * x[:, 0])
     assert fit.coefficients[0] == pytest.approx(2.0, abs=1e-10)
     assert fit.intercept == pytest.approx(0.0, abs=1e-10)
     assert fit.rss == pytest.approx(0.0, abs=1e-18)
@@ -43,7 +48,8 @@ def test_ols_orthogonal_columns_give_univariate_projections():
     Q = Q - Q.mean(axis=0)  # re-centering keeps columns nearly orthogonal
     Q, _ = np.linalg.qr(Q)
     y = Q @ np.array([1.5, -2.0, 0.7]) + 0.01 * rng.standard_normal(40)
-    fit = ols_fit(Q, y)
+    fit = ols(Q, y)
+    assert fit.columns == (0, 1, 2)
     yc = y - y.mean()
     for j in range(3):
         uni = float(Q[:, j] @ yc / (Q[:, j] @ Q[:, j]))
@@ -54,7 +60,7 @@ def test_ols_matches_normal_equations_oracle():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((20, 3))
     y = X @ np.array([1.0, -0.5, 2.0]) + rng.standard_normal(20)
-    fit = ols_fit(X, y)
+    fit = ols(X, y)
     A = np.column_stack([np.ones(20), X])
     beta = np.linalg.solve(A.T @ A, A.T @ y)
     assert fit.intercept == pytest.approx(beta[0], rel=1e-8, abs=1e-10)
@@ -67,30 +73,31 @@ def test_ols_drops_dependent_columns_with_report():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(25)
     X = np.column_stack([x, 2.0 * x, rng.standard_normal(25)])
-    fit = ols_fit(X, x + 1.0)
+    fit = ols(X, x + 1.0)
     assert fit.dropped == (1,)
-    assert fit.coefficients[1] == 0.0
+    assert fit.columns == (0, 2)
     assert fit.rss == pytest.approx(0.0, abs=1e-18)
 
 
 def test_ols_constant_response_and_validation():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((10, 2))
-    fit = ols_fit(X, np.full(10, 3.0))
+    fit = ols(X, np.full(10, 3.0))
     assert np.allclose(fit.coefficients, 0.0, atol=1e-12)
     assert fit.intercept == pytest.approx(3.0)
     with pytest.raises(ValueError):
-        ols_fit(np.empty((0, 2)), np.empty(0))
+        ols(np.empty((0, 2)), np.empty(0))
     with pytest.raises(ValueError):
-        ols_fit(X[:2], np.ones(2))  # rows < columns + 1
+        ols(X[:2], np.ones(2))  # rows < columns + 1
 
 
 def test_ols_residuals_orthogonal_to_columns():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((50, 6))
     y = rng.standard_normal(50)
-    fit = ols_fit(X, y)
-    resid = y - (fit.intercept + X @ fit.coefficients)
+    fit = ols(X, y)
+    assert fit.columns == tuple(range(6))
+    resid = y - fit.predict(X)
     bound = 1e-8 * np.linalg.norm(X) * np.linalg.norm(y)
     assert np.all(np.abs(X.T @ resid) <= bound)
 
