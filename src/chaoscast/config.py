@@ -120,6 +120,13 @@ class PipelineConfig:
         if emb.dim > MAX_COLUMNS:
             raise ConfigError(f"dim {emb.dim} exceeds the exhaustive subset "
                               f"search cap of {MAX_COLUMNS} columns")
+        if emb.lag_max + emb.dim + 2 > self.surrogate.n_seasons:
+            # a fit needs dim + 2 rows, and a map reaching lag_max leaves
+            # n_seasons - lag_max of them even before the transient is cut
+            raise ConfigError(
+                f"embedding.lag_max ({emb.lag_max}) + dim ({emb.dim}) + 2 exceeds "
+                f"surrogate.n_seasons ({self.surrogate.n_seasons}): a delay map's fit "
+                "would have too few rows")
         if emb.max_subset_size is not None and emb.max_subset_size < 1:
             raise ConfigError("embedding.max_subset_size must be >= 1 or null")
         if self.schedule.first_season < 0:

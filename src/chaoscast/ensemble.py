@@ -25,12 +25,13 @@ from .embedding import DelayMap, lagged_rows
 from .metrics import _pearson_with_flag
 from .panel import Panel
 from .shrinkage import stein_adjust
-from .subset import SubsetModel, select_models
+from .subset import SubsetModel, select_stack
 
 KEY_FORMAT_VERSION = 1
 ALLOWED_TOP_PERCENT = (10, 30, 100)
 COMBINERS = ("mean", "vote")
 VOTE_MODES = ("majority", "two_cluster_average")
+FIT_CHUNK = 128  # delay maps per batched fit; bounds the design and solve buffers
 
 
 @dataclass(frozen=True)
@@ -72,35 +73,63 @@ class ModelGroup:
         return out
 
 
-def fit_model_group(attractor_id: str, map_index: int, dmap: DelayMap,
-                    attractor_panel: Panel, stations, max_size: int | None = None,
-                    seasons: tuple[int, int] | None = None) -> ModelGroup:
-    """Fit the Cp-selected subset model per station on an attractor panel.
+def fit_model_groups(attractor_id: str, maps, panel: Panel, stations,
+                     max_size: int | None = None) -> list[ModelGroup]:
+    """Fit the Cp-selected subset model per station for every delay map.
 
-    The stations share the delay map's design matrix, so stations with
-    the same usable rows are fitted together in one batched search.
-    A station whose target misses seasons the others have is fitted on
-    its own rows, exactly as if it were fitted alone.
+    Map i becomes the group with ``map_index`` i, fitted on the response
+    seasons from its largest lag to the end of the attractor panel. Maps
+    are bucketed by (largest lag, dimension), so a bucket shares its
+    response rows; the pipeline's maps share their dimension, so there
+    is a bucket per lag, at most ``lag_max - lag_min + 1`` of them. A
+    bucket is fitted in chunks of at most ``FIT_CHUNK`` maps, and a
+    chunk's designs are gathered from the panel in one indexed read only
+    when the chunk is fitted, which bounds the memory a fit takes. Within
+    a chunk, maps with the same usable rows and stations with the same
+    target rows are fitted in one batched search; a station whose target
+    misses seasons the others have is fitted on its own rows. Every model
+    equals the one a lone fit of its map and station gives, bit for bit.
     """
-    if seasons is None:
-        seasons = (dmap.max_lag, attractor_panel.n_seasons)
     stations = tuple(stations)
-    X, usable = lagged_rows(attractor_panel, dmap, seasons)
-    Y = np.column_stack([attractor_panel.series(*st.target)[seasons[0]:seasons[1]]
-                         for st in stations])
-    rows = usable[:, None] & np.isfinite(Y)
-    by_rows: dict[bytes, list[int]] = {}
-    for i in range(len(stations)):
-        by_rows.setdefault(rows[:, i].tobytes(), []).append(i)
-    fits: dict[str, SubsetModel] = {}
-    for members in by_rows.values():
-        mask = rows[:, members[0]]
-        if not mask.any():
-            raise ValueError("no usable rows: every season misses data or history")
-        models = select_models(X[mask], Y[np.ix_(mask, members)], max_size=max_size)
-        fits.update((stations[i].station_id, m) for i, m in zip(members, models))
-    return ModelGroup(attractor_id=attractor_id, map_index=map_index, dmap=dmap,
-                      fits={st.station_id: fits[st.station_id] for st in stations})
+    coords = sorted({(v, s) for dmap in maps for v, s, _ in dmap.coords})
+    row_of = {c: i for i, c in enumerate(coords)}
+    series = np.stack([panel.series(v, s) for v, s in coords])
+    targets = np.stack([panel.series(*st.target) for st in stations], axis=1)
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, dmap in enumerate(maps):
+        buckets.setdefault((dmap.max_lag, dmap.dim), []).append(i)
+    fits: list[dict[str, SubsetModel]] = [{} for _ in maps]
+    for (start, _), indices in sorted(buckets.items()):
+        seasons = np.arange(start, panel.n_seasons)
+        Y = targets[start:]
+        for lo in range(0, len(indices), FIT_CHUNK):
+            chunk = indices[lo:lo + FIT_CHUNK]
+            which = np.array([[row_of[v, s] for v, s, _ in maps[i].coords] for i in chunk])
+            lags = np.array([[lag for _, _, lag in maps[i].coords] for i in chunk])
+            X = series[which[:, None, :], seasons[None, :, None] - lags[:, None, :]]
+            usable = np.isfinite(X).all(axis=2)
+            by_usable: dict[bytes, list[int]] = {}
+            for g, row in enumerate(usable):
+                by_usable.setdefault(row.tobytes(), []).append(g)
+            for gs in by_usable.values():
+                masks = usable[gs[0]][:, None] & np.isfinite(Y)
+                by_rows: dict[bytes, list[int]] = {}
+                for s in range(len(stations)):
+                    by_rows.setdefault(masks[:, s].tobytes(), []).append(s)
+                for members in by_rows.values():
+                    mask = masks[:, members[0]]
+                    if not mask.any():
+                        raise ValueError("no usable rows: every season misses data "
+                                         "or history")
+                    stack = (X if len(gs) == len(chunk) and mask.all()
+                             else X[np.ix_(gs, mask)])
+                    models = select_stack(stack, Y[np.ix_(mask, members)], max_size=max_size)
+                    for g, per_map in zip(gs, models):
+                        fits[chunk[g]].update((stations[s].station_id, m)
+                                              for s, m in zip(members, per_map))
+    return [ModelGroup(attractor_id=attractor_id, map_index=i, dmap=dmap,
+                       fits={st.station_id: fits[i][st.station_id] for st in stations})
+            for i, dmap in enumerate(maps)]
 
 
 def observation_matrix(panel: Panel, stations: tuple[Station, ...],

@@ -26,7 +26,7 @@ class InversionResult:
     raw_counts: tuple[int, ...]
     smoothed_counts: tuple[float, ...]
     chosen: tuple[str, ...]
-    estimate: float  # parameter units, count-weighted over chosen attractors
+    estimate: float | None  # parameter units, count-weighted over chosen; None: no estimate
     observable_estimate: float | None
     q: float
 
@@ -114,7 +114,10 @@ def estimate_parameter(attractor_ids, parameters, raw_counts, smoothed_counts,
     Attractors whose smoothed count reaches ``fraction_of_max`` of the
     maximum are selected; ``observables`` (one steady-state summary per
     attractor, the trailing-seasons analog) yields a second estimate on
-    the observable axis when provided.
+    the observable axis when provided. When no smoothed count is above
+    0, no attractor has an FDR-significant key: the result is a
+    no-estimate one, with both estimates None, nothing chosen and the
+    counts kept.
     """
     attractor_ids = tuple(attractor_ids)
     parameters = np.asarray(parameters, dtype=float)
@@ -123,15 +126,14 @@ def estimate_parameter(attractor_ids, parameters, raw_counts, smoothed_counts,
     if not 0.0 < fraction_of_max <= 1.0:
         raise ValueError("fraction_of_max must lie in (0, 1]")
     peak = float(smoothed.max(initial=0.0))
-    if peak <= 0.0:
-        raise ValueError("no attractor has FDR-significant keys; cannot estimate")
-    mask = smoothed >= fraction_of_max * peak
-    weights = smoothed[mask]
-    estimate = float(weights @ parameters[mask] / weights.sum())
-    observable_estimate = None
-    if observables is not None:
-        observables = np.asarray(observables, dtype=float)
-        observable_estimate = float(weights @ observables[mask] / weights.sum())
+    mask = (smoothed >= fraction_of_max * peak) & (peak > 0.0)
+    estimate = observable_estimate = None
+    if mask.any():
+        weights = smoothed[mask]
+        estimate = float(weights @ parameters[mask] / weights.sum())
+        if observables is not None:
+            observables = np.asarray(observables, dtype=float)
+            observable_estimate = float(weights @ observables[mask] / weights.sum())
     return InversionResult(
         attractor_ids=attractor_ids,
         parameters=tuple(float(p) for p in parameters),

@@ -21,7 +21,7 @@ from .config import PipelineConfig, save_config
 from .dynamics import AttractorEstimate, TuningParameter, build_attractor_library
 from .embedding import DelayMap, sample_delay_maps
 from .ensemble import (EnsembleForecast, ModelGroup, PredictorKey, Station,
-                       fit_model_group, form_keys, group_from_dict, group_to_dict,
+                       fit_model_groups, form_keys, group_from_dict, group_to_dict,
                        map_from_dict, map_to_dict, median_combine, observation_matrix,
                        pooled_correlation, rank_models, retain_predictors,
                        save_keys)
@@ -217,11 +217,17 @@ def load_maps(out: Path) -> list[DelayMap]:
 
 def stage_fit(cfg: PipelineConfig, library, maps, out: Path | None = None):
     stations = _stations(cfg)
+    emb = cfg.embedding
+    for est in library:
+        if est.panel.n_seasons < emb.lag_max + emb.dim + 2:
+            raise ConfigError(
+                f"attractor {est.label} has {est.panel.n_seasons} steady seasons; a fit "
+                f"at embedding.lag_max {emb.lag_max} and dim {emb.dim} needs at least "
+                f"{emb.lag_max + emb.dim + 2}")
     groups: dict[str, list[ModelGroup]] = {}
     for est in library:
-        fitted = [fit_model_group(est.label, i, dmap, est.panel, stations,
-                                  max_size=cfg.embedding.max_subset_size)
-                  for i, dmap in enumerate(maps)]
+        fitted = fit_model_groups(est.label, maps, est.panel, stations,
+                                  max_size=emb.max_subset_size)
         groups[est.label] = fitted
         log.info("fit: attractor %s -> %d model groups (%d stations each)",
                  est.label, len(fitted), len(stations))
@@ -407,8 +413,12 @@ def stage_invert(cfg: PipelineConfig, library, keys_by_attractor, ground: Panel,
                               fraction_of_max=inv.fraction_of_max,
                               n_fitted_means=inv.n_fitted_means,
                               trailing_seasons=inv.trailing_seasons)
-    log.info("invert: estimate=%.3f from %d/%d attractors (q=%.3g)",
-             result.estimate, len(result.chosen), len(result.attractor_ids), inv.q)
+    if result.estimate is None:
+        log.info("invert: no estimate: no attractor of %d has FDR-significant keys "
+                 "(q=%.3g)", len(result.attractor_ids), inv.q)
+    else:
+        log.info("invert: estimate=%.3f from %d/%d attractors (q=%.3g)",
+                 result.estimate, len(result.chosen), len(result.attractor_ids), inv.q)
     if out is not None:
         write_json(out / "inversion.json", {
             **_header(cfg),

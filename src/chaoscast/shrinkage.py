@@ -19,6 +19,7 @@ from .seeding import derive_rng
 
 N_HOLDOUT = 4  # predicted points per station, treated as pseudo-seasons
 MIN_REPS = 100  # fewest bootstrap replicates behind a measured factor
+REP_SLICE = 256  # bootstrap replicates per slice of the statistics' temporaries
 CALIBRATION_DIRECTIONS = ("obs_on_pred", "pred_on_obs")
 
 
@@ -78,28 +79,38 @@ def bootstrap_shrinkage(n_stations: int, n_points: int = 100,
     while done < n_reps:
         b = min(block, n_reps - done)
         shape = (b, n_stations, n_points)
+        # draws in a fixed order: all of x1, then the x2 noise, then the y noise
         x1 = rng.standard_normal(shape)
-        x2 = x1 + np.sqrt(noise_var) * rng.standard_normal(shape)
-        y = x1 + np.sqrt(noise_var) * rng.standard_normal(shape)
-
-        xf, yf = x2[..., :n_fit], y[..., :n_fit]
-        xm = xf.mean(axis=2, keepdims=True)
-        ym = yf.mean(axis=2, keepdims=True)
-        sxx = np.sum((xf - xm) ** 2, axis=2)
-        sxy = np.sum((xf - xm) * (yf - ym), axis=2)
-        slope = sxy / sxx
-        intercept = ym[..., 0] - slope * xm[..., 0]
-
-        pred = intercept[..., None] + slope[..., None] * x2[..., n_fit:]
-        obs = y[..., n_fit:]
-        pred_season = pred.mean(axis=1)  # (b, N_HOLDOUT) means across stations
-        obs_season = obs.mean(axis=1)
-        sd_pred_sum += float(np.sum(pred_season.std(axis=1, ddof=1)))
-        sd_obs_sum += float(np.sum(obs_season.std(axis=1, ddof=1)))
-
-        full_corr = _rowwise_corr(x2.reshape(b * n_stations, n_points),
-                                  y.reshape(b * n_stations, n_points))
-        corr_sum += float(np.sum(full_corr)) / n_stations
+        x2 = rng.standard_normal(shape)
+        x2 *= np.sqrt(noise_var)
+        x2 += x1
+        y = rng.standard_normal(shape)
+        y *= np.sqrt(noise_var)
+        y += x1
+        del x1
+        # per-replicate statistics in slices, each summed once over the block
+        sd_pred, sd_obs = np.empty(b), np.empty(b)
+        slope = np.empty((b, n_stations))
+        corr = np.empty(b * n_stations)
+        for lo in range(0, b, REP_SLICE):
+            hi = min(lo + REP_SLICE, b)
+            xs, ys = x2[lo:hi], y[lo:hi]
+            xf, yf = xs[..., :n_fit], ys[..., :n_fit]
+            xm = xf.mean(axis=2, keepdims=True)
+            ym = yf.mean(axis=2, keepdims=True)
+            sxx = np.sum((xf - xm) ** 2, axis=2)
+            sxy = np.sum((xf - xm) * (yf - ym), axis=2)
+            slope[lo:hi] = sxy / sxx
+            intercept = ym[..., 0] - slope[lo:hi] * xm[..., 0]
+            pred = intercept[..., None] + slope[lo:hi, :, None] * xs[..., n_fit:]
+            # (replicates, N_HOLDOUT) means across stations
+            sd_pred[lo:hi] = pred.mean(axis=1).std(axis=1, ddof=1)
+            sd_obs[lo:hi] = ys[..., n_fit:].mean(axis=1).std(axis=1, ddof=1)
+            corr[lo * n_stations:hi * n_stations] = _rowwise_corr(
+                xs.reshape(-1, n_points), ys.reshape(-1, n_points))
+        sd_pred_sum += float(np.sum(sd_pred))
+        sd_obs_sum += float(np.sum(sd_obs))
+        corr_sum += float(np.sum(corr)) / n_stations
         slope_sum += float(np.sum(slope)) / n_stations
         done += b
 

@@ -1,15 +1,21 @@
 """Best-subset least squares by exhaustive enumeration under the Cp criterion.
 
-For each delay map a small all-subsets regression problem is solved
-exactly by scoring every column subset on the centered Gram system.
-One batched solve per subset size covers every subset of that size and
-every target that shares the design matrix, so the stations fitted on
-one delay map share the column screening, the Gram product and the
-solves. The per-size winner has the minimum residual sum of squares;
-exact ties go to the first subset in ``itertools.combinations`` order.
-The per-size winners are compared on Mallows' Cp, ties going to fewer
-columns. A design with p columns costs 2**p - 1 solves, so designs are
-capped at ``MAX_COLUMNS`` columns. On a 2-vCPU VM (190 rows, 4 targets)
+Each delay map poses a small all-subsets regression problem, solved
+exactly by scoring every column subset on the centered Gram system. The
+kernel takes a stack of designs, ``(G, n, p)`` for G delay maps, that
+share one ``(n, t)`` response block: the stations fitted on a map share
+its column screen, Gram product and solves, and the maps of one row
+range share the batched calls. The screen runs once for the whole stack;
+maps whose screen keeps different columns go into separate sub-batches.
+One batched solve per (sub-batch, subset size) then covers every subset
+of that size, every map and every target. Each map's slice of a batched
+Gram product or solve is the BLAS or LAPACK call a lone map makes, so a
+map's models do not depend on the maps it is batched with. The per-size
+winner has the minimum residual sum of squares; exact ties go to the
+first subset in ``itertools.combinations`` order. The per-size winners
+are compared on Mallows' Cp, ties going to fewer columns. A design with
+p columns costs 2**p - 1 solves, so designs are capped at
+``MAX_COLUMNS`` columns. On a 2-vCPU VM (190 rows, 4 targets)
 enumeration beat a branch-and-bound (leaps) search up to 12 columns
 (11.7 ms against 38.3 ms) and lost at 14 (82.7 ms against 78.7 ms).
 """
@@ -60,12 +66,17 @@ class SubsetModel:
 
 
 def _validate_xy(X, y):
-    """X as (rows, columns) and y as (rows, targets); a vector is one target."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    """X as a (G, rows, columns) stack and y as (rows, targets).
+
+    A 2-D X is a stack of one design; a vector y is one target.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim < 3:
+        X = np.atleast_2d(X)[None]
     Y = np.asarray(y, dtype=float)
     if Y.ndim != 2:
         Y = Y.reshape(-1, 1)
-    if X.shape[0] != Y.shape[0]:
+    if X.shape[1] != Y.shape[0]:
         raise ValueError("X and y row counts differ")
     if Y.size == 0:
         raise ValueError("zero rows")
@@ -74,32 +85,28 @@ def _validate_xy(X, y):
     return X, Y
 
 
-def _independent_columns(Xc: np.ndarray) -> tuple[list[int], list[int]]:
-    """Split centered columns into (independent, dropped).
+def _independent_columns(XcT: np.ndarray) -> np.ndarray:
+    """(G, p) mask of the independent columns of a stack of centered designs.
 
-    Sequential orthogonalization in column order: the first occurrence
-    of a direction is kept, later dependents are dropped, so reports are
-    deterministic and reference the earliest coordinate.
+    ``XcT`` holds each design transposed, as (G, p, n). Sequential
+    orthogonalization in column order, one step per column for the whole
+    stack: per design, the first occurrence of a direction is kept and
+    later dependents are dropped, so reports are deterministic and
+    reference the earliest coordinate. A dropped column leaves a zero
+    basis vector, which projects nothing out of later columns.
     """
-    n, p = Xc.shape
-    if p == 0:
-        return [], []
-    scale = float(np.max(np.linalg.norm(Xc, axis=0), initial=0.0))
-    if scale == 0.0:
-        return [], list(range(p))
-    keep: list[int] = []
-    dropped: list[int] = []
-    basis = np.empty((n, 0))
+    G, p, n = XcT.shape
+    scale = np.linalg.norm(XcT, axis=2).max(axis=1, initial=0.0)
+    keep = np.zeros((G, p), dtype=bool)
+    basis = np.zeros((G, p, n))
     for j in range(p):
-        col = Xc[:, j]
-        resid = col - basis @ (basis.T @ col)
-        norm = float(np.linalg.norm(resid))
-        if norm > RANK_TOL * scale:
-            keep.append(j)
-            basis = np.column_stack([basis, resid / norm])
-        else:
-            dropped.append(j)
-    return keep, dropped
+        col = XcT[:, j]
+        prior = basis[:, :j]
+        resid = col - ((col[:, None, :] @ prior.transpose(0, 2, 1)) @ prior)[:, 0]
+        norm = np.linalg.norm(resid, axis=1)
+        keep[:, j] = norm > RANK_TOL * scale
+        basis[:, j] = resid / np.where(keep[:, j], norm, np.inf)[:, None]
+    return keep
 
 
 def mallows_cp(rss_p, sigma2_full, n: int, p):
@@ -113,79 +120,109 @@ def mallows_cp(rss_p, sigma2_full, n: int, p):
 
 
 @functools.cache
-def _combinations(m: int, k: int) -> np.ndarray:
+def _combinations(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every k-subset of range(m) as a (C(m, k), k) table, in combinations order.
 
-    Built on first use; at most MAX_COLUMNS**2 small tables are ever cached.
+    Also returns each subset's Gram submatrix as (C(m, k), k, k) positions
+    in a flattened (m, m) Gram matrix. Built on first use; at most
+    MAX_COLUMNS**2 pairs of small tables are ever cached.
     """
     table = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
-    table.flags.writeable = False
-    return table
+    flat = table[:, :, None] * m + table[:, None, :]
+    table.flags.writeable = flat.flags.writeable = False
+    return table, flat
 
 
-def _enumerate(X: np.ndarray, Y: np.ndarray, max_size: int | None):
-    """Minimum-RSS subset per size of the independent columns of X, per column of Y.
+def _search(XkT: np.ndarray, Yc: np.ndarray, tss: np.ndarray, max_size: int | None):
+    """Per-size minimum-RSS subsets of a stack of independent centered columns.
 
-    Returns Cp as (sizes, targets) and ``model(k, target)``, which builds
-    the size-k winner of one target.
+    ``XkT`` holds each design transposed, as a C-ordered (G, m, n) array:
+    a design's Gram product and right-hand sides are then the BLAS calls
+    on the same operands as ``Xk.T @ Xk`` and ``Xk.T @ Yc`` on the
+    column-indexed copy of a lone design. Returns the per-size winners,
+    size k at [k - 1] as (G, targets, k) positions, (G, targets, k)
+    coefficients and (G, targets) RSS, and Cp as (G, sizes, targets).
     """
-    n, p = X.shape
-    if p > MAX_COLUMNS:
-        raise ValueError(f"exhaustive subset search is capped at {MAX_COLUMNS} "
-                         f"columns, got {p}")
-    if n <= p:
-        raise ValueError("need more rows than columns")
-    x_mean = X.mean(axis=0)
-    y_mean = Y.mean(axis=0)
-    Xc = X - x_mean
-    Yc = Y - y_mean
-    keep, dropped = _independent_columns(Xc)
-    if not keep:
-        raise ValueError("no independent columns to search")
-    m = len(keep)
+    G, m, n = XkT.shape
     max_size = m if max_size is None else min(max_size, m)
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     if n <= m + 1:
         raise ValueError("cannot estimate residual variance: n <= p_full")
-    Xk = Xc[:, keep]
-    G = Xk.T @ Xk
-    B = Xk.T @ Yc  # (m, targets)
-    tss = np.einsum("it,it->t", Yc, Yc)
+    gram = (XkT @ XkT.transpose(0, 2, 1)).reshape(G, m * m)
+    B = XkT @ Yc  # (G, m, targets)
 
-    def solve(idx: np.ndarray):
-        """Coefficients (C, k, targets) and RSS (C, targets) of C subsets."""
-        Bs = B[idx]
-        sol = np.linalg.solve(G[idx[:, :, None], idx[:, None, :]], Bs)
-        return sol, np.maximum(tss - np.einsum("ckt,ckt->ct", Bs, sol), 0.0)
+    def solve(idx: np.ndarray, flat: np.ndarray):
+        """Coefficients (G, C, k, targets) and RSS (G, C, targets) of C subsets."""
+        Bs = B.take(idx, axis=1)  # C order, as B[idx] of a lone design
+        sol = np.linalg.solve(gram.take(flat, axis=1), Bs)
+        return sol, np.maximum(tss - np.einsum("gckt,gckt->gct", Bs, sol), 0.0)
 
     # residual variance of the full independent-column model
-    rss_full = solve(np.arange(m)[None, :])[1][0]
+    rss_full = solve(*_combinations(m, m))[1][:, 0]
     sigma2 = rss_full / (n - m - 1)
     # exact fit: fall back to a tiny positive variance so Cp stays finite
     sigma2 = np.where(sigma2 > 0.0, sigma2, np.maximum(rss_full, 1e-30))
 
-    targets = np.arange(Y.shape[1])
-    winners = []  # size k at [k - 1]: (targets, k) positions, coefficients, RSS
+    g, t = np.arange(G)[:, None], np.arange(Yc.shape[1])
+    winners = []
     for k in range(1, max_size + 1):
-        idx = _combinations(m, k)
-        sol, rss = solve(idx)
-        best = np.argmin(rss, axis=0)  # first of exact ties
-        winners.append((idx[best], sol[best, :, targets], rss[best, targets]))
-    cp = mallows_cp(np.array([w[2] for w in winners]), sigma2, n,
+        idx, flat = _combinations(m, k)
+        sol, rss = solve(idx, flat)
+        best = np.argmin(rss, axis=1)  # (G, targets), first of exact ties
+        winners.append((idx[best], sol[g, best, :, t], rss[g, best, t]))
+    cp = mallows_cp(np.stack([w[2] for w in winners], axis=1), sigma2[:, None, :], n,
                     np.arange(2, max_size + 2)[:, None])
-    keep = np.array(keep)
+    return winners, cp
 
-    def model(k: int, t: int) -> SubsetModel:
+
+def _enumerate(X: np.ndarray, Y: np.ndarray, max_size: int | None):
+    """Minimum-RSS subset per size of each design's independent columns, per column of Y.
+
+    X is a (G, n, p) stack of designs and Y the (n, targets) block they
+    share. Returns Cp per design as (sizes, targets) and ``model(g, k,
+    target)``, which builds the size-k winner of one target on design g.
+    """
+    G, n, p = X.shape
+    if p > MAX_COLUMNS:
+        raise ValueError(f"exhaustive subset search is capped at {MAX_COLUMNS} "
+                         f"columns, got {p}")
+    if n <= p:
+        raise ValueError("need more rows than columns")
+    x_mean = X.mean(axis=1)
+    y_mean = Y.mean(axis=0)
+    XcT = np.subtract(X.transpose(0, 2, 1), x_mean[:, :, None], order="C")
+    Yc = Y - y_mean
+    keep = _independent_columns(XcT)
+    if not keep.any(axis=1).all():
+        raise ValueError("no independent columns to search")
+    tss = np.einsum("it,it->t", Yc, Yc)
+    batches: dict[bytes, list[int]] = {}
+    for i, row in enumerate(keep):
+        batches.setdefault(row.tobytes(), []).append(i)
+    cps: list = [None] * G
+    found: list = [None] * G  # per design: winners, its row in them, kept and dropped columns
+    for members in batches.values():
+        columns = np.flatnonzero(keep[members[0]])
+        XkT = (XcT if len(batches) == 1 and columns.size == p
+               else np.ascontiguousarray(XcT[np.ix_(members, columns)]))
+        winners, cp = _search(XkT, Yc, tss, max_size)
+        dropped = tuple(int(c) for c in np.flatnonzero(~keep[members[0]]))
+        for row, i in enumerate(members):
+            cps[i] = cp[row]
+            found[i] = (winners, row, columns, dropped)
+
+    def model(i: int, k: int, t: int) -> SubsetModel:
+        winners, row, columns, dropped = found[i]
         positions, coefficients, rss = winners[k - 1]
-        cols = keep[positions[t]]
-        return SubsetModel(columns=tuple(int(c) for c in cols),
-                           coefficients=coefficients[t],
-                           intercept=float(y_mean[t] - x_mean[cols] @ coefficients[t]),
-                           rss=float(rss[t]), cp=float(cp[k - 1, t]),
-                           n_rows=n, dropped=tuple(dropped))
+        cols = columns[positions[row, t]]
+        beta = coefficients[row, t]
+        return SubsetModel(columns=tuple(int(c) for c in cols), coefficients=beta,
+                           intercept=float(y_mean[t] - x_mean[i, cols] @ beta),
+                           rss=float(rss[row, t]), cp=float(cps[i][k - 1, t]),
+                           n_rows=n, dropped=dropped)
 
-    return cp, model
+    return cps, model
 
 
 def best_subsets(X, y, max_size: int | None = None) -> dict[int, SubsetModel]:
@@ -197,20 +234,27 @@ def best_subsets(X, y, max_size: int | None = None) -> dict[int, SubsetModel]:
     column tuple. Designs of more than MAX_COLUMNS columns raise
     ValueError.
     """
-    cp, model = _enumerate(*_validate_xy(X, np.ravel(y)), max_size)
-    return {k: model(k, 0) for k in range(1, len(cp) + 1)}
+    cps, model = _enumerate(*_validate_xy(X, np.ravel(y)), max_size)
+    return {k: model(0, k, 0) for k in range(1, len(cps[0]) + 1)}
+
+
+def select_stack(X, Y, max_size: int | None = None) -> list[list[SubsetModel]]:
+    """Minimum-Cp subset model per design of a (G, n, p) stack, per column of Y.
+
+    The designs share the (n, targets) response block Y. Ties go to
+    fewer columns. Each size has a single winner, so no further
+    tie-break is needed and selection is deterministic.
+    """
+    cps, model = _enumerate(*_validate_xy(X, Y), max_size)
+    return [[model(i, int(k) + 1, t) for t, k in enumerate(np.argmin(cp, axis=0))]
+            for i, cp in enumerate(cps)]
 
 
 def select_models(X, Y, max_size: int | None = None) -> list[SubsetModel]:
-    """Minimum-Cp subset model for each column of Y, all on the design X.
-
-    Ties go to fewer columns. Each size has a single winner, so no
-    further tie-break is needed and selection is deterministic.
-    """
-    cp, model = _enumerate(*_validate_xy(X, Y), max_size)
-    return [model(int(k) + 1, t) for t, k in enumerate(np.argmin(cp, axis=0))]
+    """Minimum-Cp subset model for each column of Y, all on the design X."""
+    return select_stack(X, Y, max_size)[0]
 
 
 def select_model(X, y, max_size: int | None = None) -> SubsetModel:
-    """Minimum-Cp subset among per-size winners for one target; see select_models."""
+    """Minimum-Cp subset among per-size winners for one target; see select_stack."""
     return select_models(X, np.ravel(y), max_size)[0]

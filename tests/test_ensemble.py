@@ -14,7 +14,7 @@ from chaoscast.ensemble import (
     Station,
     combine_members,
     combine_vote,
-    fit_model_group,
+    fit_model_groups,
     form_keys,
     key_from_dict,
     key_to_dict,
@@ -257,7 +257,7 @@ def test_fit_form_retain_round_trip(tmp_path):
         DelayMap(coords=(("wet", "a", 5), ("tmp", "a", 4)), lead=3),
         DelayMap(coords=(("tmp", "a", 6),), lead=3),
     ]
-    groups = [fit_model_group("F8", i, m, attractor, stations) for i, m in enumerate(maps)]
+    groups = fit_model_groups("F8", maps, attractor, stations)
     # seasons 11..72 predicted once: rank 11..40, select 40..56, retain 56..72
     preds = predict_groups(groups, ground, stations, (11, 72))
     obs = observation_matrix(ground, stations, (11, 72))

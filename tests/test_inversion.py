@@ -142,9 +142,15 @@ def test_estimate_equal_counts_averages():
     assert set(res.chosen) == {"a6", "a8"}
 
 
-def test_estimate_empty_selection_errors():
+def test_estimate_empty_selection_is_a_no_estimate_result():
+    res = estimate_parameter(("a", "b", "c"), (1.0, 2.0, 3.0), (0, 0, 0),
+                             (0.0, 0.0, 0.0), q=0.01, observables=(4.0, 5.0, 6.0))
+    assert res.estimate is None and res.observable_estimate is None
+    assert res.chosen == ()
+    assert (res.raw_counts, res.smoothed_counts) == ((0, 0, 0), (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        estimate_parameter(("a", "b"), (1.0, 2.0), (0, 0), (0.0, 0.0), q=0.01)
+        estimate_parameter(("a", "b"), (1.0, 2.0), (0, 0), (0.0, 0.0), q=0.01,
+                           fraction_of_max=0.0)
 
 
 def test_estimate_observable_axis():

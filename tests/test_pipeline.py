@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from chaoscast import cli
+from chaoscast import cli, ensemble
 from chaoscast import pipeline as pl
 from chaoscast.artifacts import write_json, write_text
 from chaoscast.config import PipelineConfig, load_config, save_config
@@ -177,12 +177,15 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
     ("surrogate", {"n_seasons": 50}),
     ("surrogate", {"indices": {"a": [["s00"], ["s99"]]}}),
     ("ground", {"mode": "fresh", "forcing": 1e400}),
+    ("embedding", {"lag_max": 250}),
+    ("embedding", {"lag_max": 500}),
+    ("embedding", {"lag_max": 195}),
 ], ids=["vote_k-0", "top_k-negative", "vote_mode-plurality", "x_grid-empty", "max_subset_size-0",
         "direction-sideways", "n_reps-50", "n_points-6", "target_r-1",
         "first_season-negative", "station-series-unknown", "K-3", "dt-negative",
         "forcings-duplicate", "forcings-empty", "steps_per_season-0", "forcings-overflow",
         "steady_window-1", "n_seasons-below-two-windows", "index-site-outside-ring",
-        "fresh-forcing-overflow"])
+        "fresh-forcing-overflow", "lag_max-250", "lag_max-500", "lag_max-195"])
 def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section, settings):
     payload = {**GOLDEN_CONFIG, section: {**GOLDEN_CONFIG.get(section, {}), **settings}}
     config = _write_config(tmp_path / "config.json", payload)
@@ -191,6 +194,67 @@ def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section,
     assert not (out / "ground.csv").exists()
     if section != "stations":  # station targets are checked against the ground panel
         assert not out.exists()
+
+
+def test_run_all_rejects_a_steady_panel_too_short_to_fit(tmp_path, capsys):
+    # F10's steady panel has 197 seasons: n_seasons passes validate(), but a map
+    # reaching lag 188 would leave 9 rows where a dim-8 fit needs 10
+    payload = {**GOLDEN_CONFIG, "embedding": {**GOLDEN_CONFIG["embedding"], "lag_max": 188}}
+    config = _write_config(tmp_path / "config.json", payload)
+    out = tmp_path / "out"
+    assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 1
+    message = capsys.readouterr().err
+    assert "attractor F10 has 197 steady seasons" in message
+    assert "lag_max 188" in message and "dim 8" in message
+    assert not (out / "models.json").exists()
+
+
+def test_stage_fit_makes_one_solve_per_chunk_and_subset_size(golden_run, monkeypatch):
+    config, out = golden_run
+    cfg = load_config(config)
+    library, maps = pl.load_library(out), pl.load_maps(out)
+    by_lag = Counter(m.max_lag for m in maps)
+    chunks = sum(-(-count // ensemble.FIT_CHUNK) for count in by_lag.values())
+    assert len(by_lag) > 1
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for est in library:
+        calls.clear()
+        pl.stage_fit(cfg, [est], maps)
+        # one per (chunk, subset size) and one for the full model; one per map and
+        # size plus the full model (9 x maps) before the maps were batched
+        assert 0 < len(calls) <= chunks * (cfg.embedding.dim + 1) < 9 * len(maps)
+
+
+def test_run_all_with_inversion_ends_with_a_no_estimate_result(golden_run, tmp_path):
+    # no key of the golden run is FDR-significant on the predict window: the
+    # usual outcome, pinned here as a result rather than made to go away
+    _, golden_out = golden_run
+    config = _write_config(tmp_path / "config.json",
+                           {**GOLDEN_CONFIG, "inversion": {"enabled": True}})
+    out = tmp_path / "out"
+    assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 0
+    inversion = json.loads((out / "inversion.json").read_text())
+    assert inversion["attractor_ids"] == ["F6", "F8", "F10"]
+    assert inversion["raw_counts"] == [0, 0, 0]
+    assert inversion["smoothed_counts"] == [0.0, 0.0, 0.0]
+    assert inversion["chosen"] == []
+    assert inversion["estimate"] is None and inversion["observable_estimate"] is None
+    assert (out / "plots/fig3_inversion.csv").read_text().splitlines()[1:] == [
+        "true_parameter,estimated_parameter,observable_estimate", "6.0,,"]
+    tree = _tree(out)
+    assert set(tree) == GOLDEN_ARTIFACTS | {"inversion.json", "plots/fig3_inversion.csv"}
+    # the stages before invert give the golden values; only the config hash differs
+    golden_models = json.loads((golden_out / "models.json").read_text())
+    assert json.loads(tree["models.json"])["groups"] == golden_models["groups"]
+    assert cli.main(["invert", "-c", config, "-o", str(out)]) == 0
+    assert _tree(out) == tree
 
 
 def test_invert_predicts_each_member_once_and_counts_as_per_key(golden_run, monkeypatch):

@@ -1,8 +1,14 @@
+import tracemalloc
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from chaoscast.seeding import derive_rng
 from chaoscast.shrinkage import (
+    N_HOLDOUT,
     CalibrationResult,
+    ShrinkageReport,
     apply_bias_correction,
     bootstrap_shrinkage,
     calibrate,
@@ -38,6 +44,75 @@ def reference_stein_adjust(pred, shrink_factor, positive_part=False):
 def shrink_column(X, mu, positive_part=False):
     """stein_adjust at factor 1 on one season whose deviations X are centred."""
     return stein_adjust((X + mu)[:, None], 1.0, positive_part=positive_part)[:, 0]
+
+
+def _reference_rowwise_corr(a, b):
+    da = a - a.mean(axis=1, keepdims=True)
+    db = b - b.mean(axis=1, keepdims=True)
+    num = np.sum(da * db, axis=1)
+    den = np.sqrt(np.sum(da * da, axis=1) * np.sum(db * db, axis=1))
+    return num / den
+
+
+def reference_bootstrap_shrinkage(n_stations, n_points=100, target_r=1.0 / 3.0,
+                                  n_reps=2000, seed=0):
+    """The whole-block bootstrap loop that bootstrap_shrinkage replaced."""
+    noise_var = 1.0 / target_r - 1.0
+    rng = derive_rng(seed, "bootstrap-shrinkage")
+    n_fit = n_points - N_HOLDOUT
+    sd_obs_sum = sd_pred_sum = corr_sum = slope_sum = 0.0
+    done = 0
+    block = max(1, min(20_000, int(2e7 // (n_stations * n_points)) or 1))
+    while done < n_reps:
+        b = min(block, n_reps - done)
+        shape = (b, n_stations, n_points)
+        x1 = rng.standard_normal(shape)
+        x2 = x1 + np.sqrt(noise_var) * rng.standard_normal(shape)
+        y = x1 + np.sqrt(noise_var) * rng.standard_normal(shape)
+        xf, yf = x2[..., :n_fit], y[..., :n_fit]
+        xm = xf.mean(axis=2, keepdims=True)
+        ym = yf.mean(axis=2, keepdims=True)
+        sxx = np.sum((xf - xm) ** 2, axis=2)
+        sxy = np.sum((xf - xm) * (yf - ym), axis=2)
+        slope = sxy / sxx
+        intercept = ym[..., 0] - slope * xm[..., 0]
+        pred = intercept[..., None] + slope[..., None] * x2[..., n_fit:]
+        obs = y[..., n_fit:]
+        sd_pred_sum += float(np.sum(pred.mean(axis=1).std(axis=1, ddof=1)))
+        sd_obs_sum += float(np.sum(obs.mean(axis=1).std(axis=1, ddof=1)))
+        full_corr = _reference_rowwise_corr(x2.reshape(b * n_stations, n_points),
+                                            y.reshape(b * n_stations, n_points))
+        corr_sum += float(np.sum(full_corr)) / n_stations
+        slope_sum += float(np.sum(slope)) / n_stations
+        done += b
+    sd_obs = sd_obs_sum / n_reps
+    factor = min(sd_pred_sum / n_reps / sd_obs, 1.0)
+    return ShrinkageReport(
+        shrinkage_factor=factor, n_replicates=n_reps, sd_observed=sd_obs,
+        sd_predicted=sd_obs * factor,
+        signal_noise_ratio=factor / (1.0 - factor) if factor < 1.0 else np.inf,
+        seed=seed, n_stations=n_stations, n_points=n_points, target_r=target_r,
+        mean_sample_corr=corr_sum / n_reps, mean_fit_slope=slope_sum / n_reps)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_stations": 4}, {"n_stations": 1},
+    {"n_stations": 7, "n_points": 37, "n_reps": 333},
+    {"n_stations": 4, "n_reps": 30_000},  # two blocks of replicates
+], ids=["4-stations", "1-station", "7-stations-37-points-333-reps", "two-blocks"])
+def test_bootstrap_is_bit_identical_to_the_whole_block_loop(kwargs):
+    assert asdict(bootstrap_shrinkage(seed=11, **kwargs)) == \
+        asdict(reference_bootstrap_shrinkage(seed=11, **kwargs))
+
+
+def test_bootstrap_transient_memory_stays_below_24_mib():
+    tracemalloc.start()
+    try:
+        bootstrap_shrinkage(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_bootstrap_population_correlation_and_slope():

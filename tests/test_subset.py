@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from chaoscast import ensemble
 from chaoscast.config import PipelineConfig
 from chaoscast.dynamics import build_attractor_library
-from chaoscast.embedding import build_design_matrix, sample_delay_maps
-from chaoscast.ensemble import Station, fit_model_group
+from chaoscast.embedding import DelayMap, build_design_matrix, lagged_rows, sample_delay_maps
+from chaoscast.ensemble import ModelGroup, Station, fit_model_groups
 from chaoscast.errors import ConfigError
-from chaoscast.subset import MAX_COLUMNS, best_subsets, mallows_cp, select_model
+from chaoscast.subset import (MAX_COLUMNS, RANK_TOL, SubsetModel, _independent_columns,
+                              best_subsets, mallows_cp, select_model, select_stack)
 
 
 def exhaustive_best(X, y, max_size):
@@ -258,29 +260,30 @@ def short_attractor():
     return est.panel, stations, maps
 
 
-def _assert_group_matches_per_station_fits(panel, stations, dmap, brute_force):
-    group = fit_model_group("F8", 0, dmap, panel, stations)
-    assert list(group.fits) == [st.station_id for st in stations]
-    for st in stations:
-        X, y, _ = build_design_matrix(panel, dmap, st.target,
-                                      (dmap.max_lag, panel.n_seasons))
-        got = group.fits[st.station_id]
-        assert got.n_rows == len(y)
-        alone = select_model(X, y)
-        assert got.columns == alone.columns
-        assert np.allclose(got.coefficients, alone.coefficients, rtol=1e-9, atol=0)
-        if brute_force:
-            columns, beta = brute_force_cp(X, y)
-            assert got.columns == columns
-            assert np.allclose(got.coefficients, beta, rtol=1e-9, atol=0)
-    return group
+def _assert_groups_match_per_station_fits(panel, stations, maps):
+    """Every station's model equals its lone fit; the first map's equals brute force."""
+    groups = fit_model_groups("F8", maps, panel, stations)
+    for i, (dmap, group) in enumerate(zip(maps, groups)):
+        assert group.map_index == i and group.dmap == dmap
+        assert list(group.fits) == [st.station_id for st in stations]
+        for st in stations:
+            X, y, _ = build_design_matrix(panel, dmap, st.target,
+                                          (dmap.max_lag, panel.n_seasons))
+            got = group.fits[st.station_id]
+            assert got.n_rows == len(y)
+            alone = select_model(X, y)
+            assert got.columns == alone.columns
+            assert np.allclose(got.coefficients, alone.coefficients, rtol=1e-9, atol=0)
+            if i == 0:
+                columns, beta = brute_force_cp(X, y)
+                assert got.columns == columns
+                assert np.allclose(got.coefficients, beta, rtol=1e-9, atol=0)
+    return groups
 
 
 def test_fit_model_group_matches_per_station_and_brute_force(short_attractor):
     panel, stations, maps = short_attractor
-    for i, dmap in enumerate(maps):
-        _assert_group_matches_per_station_fits(panel, stations, dmap,
-                                               brute_force=i == 0)
+    _assert_groups_match_per_station_fits(panel, stations, maps)
 
 
 def test_fit_model_group_station_with_missing_target_seasons(short_attractor):
@@ -288,7 +291,185 @@ def test_fit_model_group_station_with_missing_target_seasons(short_attractor):
     gappy = panel.copy()
     target = gappy.series(*stations[1].target)
     target[[30, 31, 90, 150]] = np.nan
-    group = _assert_group_matches_per_station_fits(gappy, stations, maps[0],
-                                                   brute_force=False)
+    group = _assert_groups_match_per_station_fits(gappy, stations, maps[:1])[0]
     rows = {sid: m.n_rows for sid, m in group.fits.items()}
     assert rows[stations[1].station_id] < rows[stations[0].station_id]
+
+
+def reference_independent_columns(Xc):
+    """The per-design sequential screen: (kept, dropped) column lists."""
+    n, p = Xc.shape
+    scale = float(np.max(np.linalg.norm(Xc, axis=0), initial=0.0))
+    if scale == 0.0:
+        return [], list(range(p))
+    keep, dropped = [], []
+    basis = np.empty((n, 0))
+    for j in range(p):
+        col = Xc[:, j]
+        resid = col - basis @ (basis.T @ col)
+        norm = float(np.linalg.norm(resid))
+        if norm > RANK_TOL * scale:
+            keep.append(j)
+            basis = np.column_stack([basis, resid / norm])
+        else:
+            dropped.append(j)
+    return keep, dropped
+
+
+def reference_select_models(X, Y, max_size=None):
+    """The per-design search that select_stack replaced, on a finite (n, p) design."""
+    n, p = X.shape
+    x_mean, y_mean = X.mean(axis=0), Y.mean(axis=0)
+    Xc, Yc = X - x_mean, Y - y_mean
+    keep, dropped = reference_independent_columns(Xc)
+    m = len(keep)
+    max_size = m if max_size is None else min(max_size, m)
+    Xk = Xc[:, keep]
+    G = Xk.T @ Xk
+    B = Xk.T @ Yc
+    tss = np.einsum("it,it->t", Yc, Yc)
+
+    def solve(idx):
+        Bs = B[idx]
+        sol = np.linalg.solve(G[idx[:, :, None], idx[:, None, :]], Bs)
+        return sol, np.maximum(tss - np.einsum("ckt,ckt->ct", Bs, sol), 0.0)
+
+    rss_full = solve(np.arange(m)[None, :])[1][0]
+    sigma2 = rss_full / (n - m - 1)
+    sigma2 = np.where(sigma2 > 0.0, sigma2, np.maximum(rss_full, 1e-30))
+    targets = np.arange(Y.shape[1])
+    winners = []
+    for k in range(1, max_size + 1):
+        idx = np.array(list(itertools.combinations(range(m), k)))
+        sol, rss = solve(idx)
+        best = np.argmin(rss, axis=0)
+        winners.append((idx[best], sol[best, :, targets], rss[best, targets]))
+    cp = mallows_cp(np.array([w[2] for w in winners]), sigma2, n,
+                    np.arange(2, max_size + 2)[:, None])
+    keep = np.array(keep)
+    models = []
+    for t, k in enumerate(np.argmin(cp, axis=0)):
+        positions, coefficients, rss = winners[k]
+        cols = keep[positions[t]]
+        models.append(SubsetModel(
+            columns=tuple(int(c) for c in cols), coefficients=coefficients[t],
+            intercept=float(y_mean[t] - x_mean[cols] @ coefficients[t]), rss=float(rss[t]),
+            cp=float(cp[k, t]), n_rows=n, dropped=tuple(dropped)))
+    return models
+
+
+def reference_fit_model_group(attractor_id, map_index, dmap, attractor_panel, stations,
+                              max_size=None):
+    """The per-map fit that fit_model_groups replaced: one search per row set."""
+    seasons = (dmap.max_lag, attractor_panel.n_seasons)
+    stations = tuple(stations)
+    X, usable = lagged_rows(attractor_panel, dmap, seasons)
+    Y = np.column_stack([attractor_panel.series(*st.target)[seasons[0]:seasons[1]]
+                         for st in stations])
+    rows = usable[:, None] & np.isfinite(Y)
+    by_rows = {}
+    for i in range(len(stations)):
+        by_rows.setdefault(rows[:, i].tobytes(), []).append(i)
+    fits = {}
+    for members in by_rows.values():
+        mask = rows[:, members[0]]
+        models = reference_select_models(X[mask], Y[np.ix_(mask, members)], max_size)
+        fits.update((stations[i].station_id, m) for i, m in zip(members, models))
+    return ModelGroup(attractor_id=attractor_id, map_index=map_index, dmap=dmap,
+                      fits={st.station_id: fits[st.station_id] for st in stations})
+
+
+def _assert_same_group(got, want):
+    assert (got.attractor_id, got.map_index, got.dmap) == \
+        (want.attractor_id, want.map_index, want.dmap)
+    assert list(got.fits) == list(want.fits)
+    for sid, b in want.fits.items():
+        a = got.fits[sid]
+        assert (a.columns, a.dropped, a.n_rows) == (b.columns, b.dropped, b.n_rows)
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert (a.intercept, a.rss, a.cp) == (b.intercept, b.rss, b.cp)
+
+
+def _screened_panel(panel, stations):
+    """The panel plus a constant and a duplicate series, a gappy predictor and target."""
+    out = panel.copy()
+    out.add("wet", "const", np.full(panel.n_seasons, 0.25))
+    out.add("wet", "dup", panel.series("wet", "s01").copy())
+    out.series("tmp", "s05")[[40, 41, 120]] = np.nan
+    out.series(*stations[2].target)[[25, 90, 91, 180]] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("case", ["several-lags", "screened-and-gappy", "max-size-2",
+                                  "several-chunks"])
+def test_fit_model_groups_equals_the_per_map_fit_bit_for_bit(short_attractor, monkeypatch,
+                                                             case):
+    panel, stations, _ = short_attractor
+    maps = (sample_delay_maps(panel.catalog(), 16, 8, 4, 11, seed=5)
+            + sample_delay_maps(panel.catalog(), 16, 3, 4, 11, seed=6)
+            + sample_delay_maps(panel.catalog(), 8, 1, 4, 11, seed=7))
+    assert len({(m.max_lag, m.dim) for m in maps}) > 10
+    max_size = 2 if case == "max-size-2" else None
+    if case == "several-chunks":
+        monkeypatch.setattr(ensemble, "FIT_CHUNK", 3)
+    if case == "screened-and-gappy":
+        panel = _screened_panel(panel, stations)
+        maps += [
+            DelayMap((("wet", "const", 5), ("wet", "s03", 7), ("tmp", "s05", 9))),
+            DelayMap((("wet", "s01", 6), ("wet", "dup", 6), ("wet", "s04", 9))),
+            DelayMap((("wet", "s02", 5), ("wet", "s07", 8), ("wet", "s11", 9))),
+            DelayMap((("wet", "s01", 5), ("wet", "const", 9), ("wet", "dup", 5))),
+        ]
+    got = fit_model_groups("F8", maps, panel, stations, max_size=max_size)
+    want = [reference_fit_model_group("F8", i, m, panel, stations, max_size=max_size)
+            for i, m in enumerate(maps)]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        _assert_same_group(a, b)
+    if case == "screened-and-gappy":
+        assert {m.dropped for g in got[-4:] for m in g.fits.values()} == {(0,), (1,), (), (1, 2)}
+        assert len({m.n_rows for g in got for m in g.fits.values()}) > 8
+
+
+def test_batched_screen_keeps_the_columns_of_the_per_design_screen():
+    rng = np.random.default_rng(14)
+    designs = []
+    for case in range(40):
+        X = rng.standard_normal((30, 6))
+        if case % 4 == 1:
+            X[:, 2] = 3.0  # constant
+        if case % 4 == 2:
+            X[:, 4] = X[:, 1] - 2.0 * X[:, 3]  # a combination of earlier columns
+        if case % 4 == 3:
+            X[:, 0] = X[:, 5] = 1.0  # two constants
+        designs.append(X - X.mean(axis=0))
+    designs.append(np.zeros((30, 6)))
+    keep = _independent_columns(np.ascontiguousarray(np.stack(designs).transpose(0, 2, 1)))
+    for mask, Xc in zip(keep, designs):
+        kept, _ = reference_independent_columns(Xc)
+        assert list(np.flatnonzero(mask)) == kept
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_select_stack_equals_lone_searches_and_leaves_its_input(p):
+    rng = np.random.default_rng(15)
+    X = rng.standard_normal((5, 40, p))
+    X[1, :, p - 1] = X[1, :, 0] if p > 1 else 2.0
+    Y = rng.standard_normal((40, 3))
+    full_rank = X[[0, 2, 3, 4]]  # screens that keep every column
+    stacked = select_stack(full_rank, Y[:, :1])
+    assert np.array_equal(full_rank, X[[0, 2, 3, 4]])
+    for lone, batch in zip((reference_select_models(x, Y[:, :1]) for x in full_rank), stacked):
+        for a, b in zip(lone, batch):
+            assert (a.columns, a.dropped, a.intercept, a.rss, a.cp) == \
+                (b.columns, b.dropped, b.intercept, b.rss, b.cp)
+            assert np.array_equal(a.coefficients, b.coefficients)
+    if p > 1:
+        for lone, batch in zip((reference_select_models(x, Y) for x in X), select_stack(X, Y)):
+            for a, b in zip(lone, batch):
+                assert (a.columns, a.dropped, a.rss, a.cp) == (b.columns, b.dropped, b.rss, b.cp)
+                assert np.array_equal(a.coefficients, b.coefficients)
+        assert [m.dropped for m in select_stack(X, Y)[1]] == [(p - 1,)] * 3
+    else:
+        with pytest.raises(ValueError, match="no independent columns"):
+            select_stack(X, Y)
