@@ -43,60 +43,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _regroup(keys):
-    by_attractor = {}
-    for key in keys:
-        by_attractor.setdefault(key.attractor_id, []).append(key)
-    return by_attractor
-
-
-def _dispatch(verb: str, cfg, out: Path) -> int:
+def _dispatch(verb: str, cfg, out: Path) -> None:
     if verb == "run-all":
         result = pl.run_pipeline(cfg, out)
         if result.forecast.no_forecast:
             log.info("run-all finished with an explicit no-forecast outcome")
-        return 0
-    if verb == "generate-library":
+    elif verb == "generate-library":
         library = pl.stage_library(cfg, out)
         pl.stage_ground(cfg, library, out)
-        return 0
-    if verb == "embed":
+    elif verb == "embed":
         library = pl.load_library(out)
         ground, _, _ = pl.load_ground(out)
         pl.stage_embed(cfg, library, ground, out)
-        return 0
-    if verb == "fit":
+    elif verb == "fit":
         library = pl.load_library(out)
         maps = pl.load_maps(out)
         pl.stage_fit(cfg, library, maps, out)
-        return 0
-    if verb == "select":
+    elif verb == "select":
         groups = pl.load_groups(out)
         ground, _, _ = pl.load_ground(out)
         shrink = pl.stage_shrinkage(cfg, out)
         pl.stage_select(cfg, groups, ground, shrink, out)
-        return 0
-    if verb == "forecast":
+    elif verb == "forecast":
         retained = load_keys(out / "retained_keys.json")
         ground, _, _ = pl.load_ground(out)
         pl.stage_forecast(cfg, retained, ground, out)
-        return 0
-    if verb == "score":
+    elif verb == "score":
         retained = load_keys(out / "retained_keys.json")
         ground, _, _ = pl.load_ground(out)
         forecast = pl.stage_forecast(cfg, retained, ground, None)
         pl.stage_score(cfg, forecast, ground, out)
-        return 0
-    if verb == "invert":
+    elif verb == "invert":
         library = pl.load_library(out)
-        keys = load_keys(out / "keys.json")
+        keys_by_attractor = {}
+        for key in load_keys(out / "keys.json"):
+            keys_by_attractor.setdefault(key.attractor_id, []).append(key)
         ground, _, _ = pl.load_ground(out)
-        pl.stage_invert(cfg, library, _regroup(keys), ground, out)
-        return 0
-    if verb == "emit-plots":
+        pl.stage_invert(cfg, library, keys_by_attractor, ground, out)
+    elif verb == "emit-plots":
         pl.emit_plot_data(cfg, out)
-        return 0
-    raise ConfigError(f"unknown verb {verb}")
 
 
 def main(argv=None) -> int:
@@ -107,7 +92,8 @@ def main(argv=None) -> int:
         format="%(name)s %(levelname)s %(message)s")
     try:
         cfg = load_config(args.config)
-        return _dispatch(args.verb, cfg, Path(args.out))
+        _dispatch(args.verb, cfg, Path(args.out))
+        return 0
     except (ConfigError, PanelFormatError, FileNotFoundError) as exc:
         print(f"chaoscast: {exc}", file=sys.stderr)
         return 1

@@ -182,6 +182,10 @@ class PipelineConfig:
         for sid, target in self.stations.items():
             if len(target) != 2:
                 raise ConfigError(f"station {sid} target must be [variable, site]")
+        n_predict = windows.predict[1] - windows.predict[0]
+        if (n_stations := len(self.resolved_stations())) * n_predict <= n_predict + 2:
+            raise ConfigError(f"{n_stations} station(s) x {n_predict} predict seasons cannot "
+                              f"support the score's {n_predict} fitted means; add a station")
 
     def resolved_stations(self) -> dict[str, tuple[str, str]]:
         """Station map, defaulting to four evenly spaced surrogate sites."""

@@ -3,7 +3,8 @@
 A delay map is a fixed set of (variable, site, lag) coordinates; lags
 are counted in seasons before the season being predicted and must stay
 at least lead + 1 back, so no design row ever touches the response
-season or anything after it.
+season or anything after it. ``lagged_designs`` is the one read of the
+lagged rows that fits, predictions and ``build_design_matrix`` use.
 """
 
 from __future__ import annotations
@@ -85,26 +86,27 @@ def sample_delay_maps(catalog: list[Coord], n_maps: int, dim: int,
     return maps
 
 
-def lagged_rows(panel: Panel, dmap: DelayMap, seasons: tuple[int, int]):
-    """Predictor rows for each response season in [start, stop).
+def lagged_designs(maps, panel: Panel, seasons: tuple[int, int]) -> np.ndarray:
+    """Predictor rows of maps of one dimension for each response season in [start, stop).
 
-    Returns (X, usable) where X is (stop-start, dim) with NaN marking
-    rows that reach before season 0 or touch missing data, and usable is
-    the boolean row mask.
+    Returns the (maps, stop - start, dim) stack from one indexed read of
+    the panel: row t of map g holds panel[var, site][t - lag] per
+    coordinate, NaN where the lag reaches before season 0 or the panel
+    has no value.
     """
     start, stop = seasons
     if not 0 <= start < stop <= panel.n_seasons:
         raise ValueError(f"season interval [{start}, {stop}) outside panel "
                          f"of {panel.n_seasons} seasons")
-    t = np.arange(start, stop)
-    X = np.full((t.size, dmap.dim), np.nan)
-    for j, (var, site, lag) in enumerate(dmap.coords):
-        series = panel.series(var, site)
-        src = t - lag
-        ok = src >= 0
-        X[ok, j] = series[src[ok]]
-    usable = np.all(np.isfinite(X), axis=1)
-    return X, usable
+    coords = sorted({(v, s) for dmap in maps for v, s, _ in dmap.coords})
+    row_of = {c: i for i, c in enumerate(coords)}
+    # each series is padded with NaN history reaching back to the largest lag
+    pad = max(0, max(dmap.max_lag for dmap in maps) - start)
+    series = np.full((len(coords), pad + stop), np.nan)
+    series[:, pad:] = [panel.series(*c)[:stop] for c in coords]
+    which, lags = np.array([[(row_of[v, s], pad - lag) for v, s, lag in dmap.coords]
+                            for dmap in maps]).transpose(2, 0, 1)
+    return series[which[:, None, :], np.arange(start, stop)[:, None] + lags[:, None, :]]
 
 
 def build_design_matrix(panel: Panel, dmap: DelayMap, target: Coord,
@@ -114,9 +116,9 @@ def build_design_matrix(panel: Panel, dmap: DelayMap, target: Coord,
     Row for season t holds panel[var, site][t - lag] per coordinate and
     response panel[target][t]; rows with any missing value are dropped.
     """
-    X, usable = lagged_rows(panel, dmap, seasons)
+    X = lagged_designs([dmap], panel, seasons)[0]
     y = panel.series(*target)[seasons[0]:seasons[1]]
-    usable = usable & np.isfinite(y)
+    usable = np.isfinite(X).all(axis=1) & np.isfinite(y)
     if not np.any(usable):
         raise ValueError("no usable rows: every season misses data or history")
     used_seasons = [int(s) for s in np.arange(*seasons)[usable]]

@@ -1,8 +1,11 @@
 """Ensemble selection over fitted delay-map models.
 
-Model groups (one delay map fitted per station on an attractor panel)
-are predicted once per attractor; the rank, select and retain windows
-are column slices of that stack. Groups are ranked by the pooled
+A model group is one delay map fitted per station. ``fit_model_groups``
+fits and ``predict_groups`` predicts lists of groups in batches, on
+designs read by ``embedding.lagged_designs``; every prediction goes
+through ``predict_groups`` and equals a lone one bit for bit. Each
+attractor's groups are predicted once; the rank, select and retain
+windows are column slices of that stack. Groups are ranked by the pooled
 correlation of their shrunken predictions, the top X percent are
 combined by mean or by the most populous 1-D cluster (vote) into
 self-contained keys scored on the select and retain windows, retention
@@ -21,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import read_json, write_json
-from .embedding import DelayMap, lagged_rows
+from .embedding import DelayMap, lagged_designs
 from .metrics import _pearson_with_flag
 from .panel import Panel
 from .shrinkage import stein_adjust
-from .subset import SubsetModel, select_stack
+from .subset import SubsetModel, same_rows, select_stack
 
 KEY_FORMAT_VERSION = 1
 ALLOWED_TOP_PERCENT = (10, 30, 100)
@@ -63,14 +66,7 @@ class ModelGroup:
     def predict(self, panel: Panel, stations: tuple[Station, ...],
                 seasons: tuple[int, int]) -> np.ndarray:
         """(stations, seasons) predictions; NaN where history is missing."""
-        out = np.full((len(stations), seasons[1] - seasons[0]), np.nan)
-        X, usable = lagged_rows(panel, self.dmap, seasons)
-        for i, st in enumerate(stations):
-            model = self.fits.get(st.station_id)
-            if model is None:
-                raise KeyError(f"no fitted model for station {st.station_id}")
-            out[i, usable] = model.predict(X[usable])
-        return out
+        return predict_groups([self], panel, stations, seasons)[0]
 
 
 def fit_model_groups(attractor_id: str, maps, panel: Panel, stations,
@@ -80,43 +76,25 @@ def fit_model_groups(attractor_id: str, maps, panel: Panel, stations,
     Map i becomes the group with ``map_index`` i, fitted on the response
     seasons from its largest lag to the end of the attractor panel. Maps
     are bucketed by (largest lag, dimension), so a bucket shares its
-    response rows; the pipeline's maps share their dimension, so there
-    is a bucket per lag, at most ``lag_max - lag_min + 1`` of them. A
-    bucket is fitted in chunks of at most ``FIT_CHUNK`` maps, and a
-    chunk's designs are gathered from the panel in one indexed read only
-    when the chunk is fitted, which bounds the memory a fit takes. Within
-    a chunk, maps with the same usable rows and stations with the same
-    target rows are fitted in one batched search; a station whose target
-    misses seasons the others have is fitted on its own rows. Every model
-    equals the one a lone fit of its map and station gives, bit for bit.
+    response rows, and fitted in chunks of at most ``FIT_CHUNK`` maps,
+    each read by one ``lagged_designs`` call only when it is fitted. In a
+    chunk, maps with the same usable rows and stations with the same
+    target rows share one batched search. Every model equals a lone fit
+    of its map and station, bit for bit.
     """
     stations = tuple(stations)
-    coords = sorted({(v, s) for dmap in maps for v, s, _ in dmap.coords})
-    row_of = {c: i for i, c in enumerate(coords)}
-    series = np.stack([panel.series(v, s) for v, s in coords])
     targets = np.stack([panel.series(*st.target) for st in stations], axis=1)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, dmap in enumerate(maps):
-        buckets.setdefault((dmap.max_lag, dmap.dim), []).append(i)
     fits: list[dict[str, SubsetModel]] = [{} for _ in maps]
-    for (start, _), indices in sorted(buckets.items()):
-        seasons = np.arange(start, panel.n_seasons)
+    for indices in same_rows(np.array([(dmap.max_lag, dmap.dim) for dmap in maps])):
+        start = maps[indices[0]].max_lag
         Y = targets[start:]
         for lo in range(0, len(indices), FIT_CHUNK):
             chunk = indices[lo:lo + FIT_CHUNK]
-            which = np.array([[row_of[v, s] for v, s, _ in maps[i].coords] for i in chunk])
-            lags = np.array([[lag for _, _, lag in maps[i].coords] for i in chunk])
-            X = series[which[:, None, :], seasons[None, :, None] - lags[:, None, :]]
+            X = lagged_designs([maps[i] for i in chunk], panel, (start, panel.n_seasons))
             usable = np.isfinite(X).all(axis=2)
-            by_usable: dict[bytes, list[int]] = {}
-            for g, row in enumerate(usable):
-                by_usable.setdefault(row.tobytes(), []).append(g)
-            for gs in by_usable.values():
+            for gs in same_rows(usable):
                 masks = usable[gs[0]][:, None] & np.isfinite(Y)
-                by_rows: dict[bytes, list[int]] = {}
-                for s in range(len(stations)):
-                    by_rows.setdefault(masks[:, s].tobytes(), []).append(s)
-                for members in by_rows.values():
+                for members in same_rows(masks.T):
                     mask = masks[:, members[0]]
                     if not mask.any():
                         raise ValueError("no usable rows: every season misses data "
@@ -130,6 +108,36 @@ def fit_model_groups(attractor_id: str, maps, panel: Panel, stations,
     return [ModelGroup(attractor_id=attractor_id, map_index=i, dmap=dmap,
                        fits={st.station_id: fits[i][st.station_id] for st in stations})
             for i, dmap in enumerate(maps)]
+
+
+def predict_groups(groups, panel: Panel, stations, seasons: tuple[int, int]) -> np.ndarray:
+    """(groups, stations, seasons) predictions; NaN where history is missing.
+
+    Groups of one dimension share a ``lagged_designs`` read; groups with
+    the same usable rows make one product per (station, model size), over
+    those rows only, on a C-ordered (groups, size, rows) gather seen as
+    (groups, rows, size). Each slice then has the layout of a lone
+    ``X[usable][:, columns]``, so each value equals ``SubsetModel.predict``
+    bit for bit; a C-ordered (groups, rows, size) operand or extra rows
+    change the BLAS call and the last bits.
+    """
+    groups, stations = list(groups), tuple(stations)
+    out = np.full((len(groups), len(stations), seasons[1] - seasons[0]), np.nan)
+    for indices in same_rows(np.array([[g.dmap.dim] for g in groups])):
+        X = lagged_designs([groups[i].dmap for i in indices], panel, seasons)
+        usable = np.isfinite(X).all(axis=2)
+        for rows in same_rows(usable):
+            where, at = np.array(indices)[rows], np.flatnonzero(usable[rows[0]])
+            XT = X[np.ix_(rows, at)].transpose(0, 2, 1)  # (groups, dim, rows)
+            for s, st in enumerate(stations):
+                models = [groups[i].fits[st.station_id] for i in where]
+                for js in same_rows(np.array([[m.size] for m in models])):
+                    cols = [models[j].columns for j in js]
+                    coef = np.stack([models[j].coefficients for j in js])[:, :, None]
+                    icpt = np.array([models[j].intercept for j in js])[:, None]
+                    Xs = XT[np.array(js)[:, None], cols].transpose(0, 2, 1)
+                    out[where[js, None], s, at] = icpt + (Xs @ coef)[:, :, 0]
+    return out
 
 
 def observation_matrix(panel: Panel, stations: tuple[Station, ...],
@@ -343,8 +351,7 @@ class PredictorKey:
 
     def predict(self, panel: Panel, seasons: tuple[int, int]) -> np.ndarray:
         """Shrunken (stations, seasons) ensemble predictions."""
-        return self.combine(np.stack([g.predict(panel, self.stations, seasons)
-                                      for g in self.members]))
+        return self.combine(predict_groups(self.members, panel, self.stations, seasons))
 
 
 def form_keys(attractor_id: str, ranked: list[RankedModel], preds: np.ndarray,

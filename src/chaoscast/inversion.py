@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import observation_matrix, pooled_correlation
+from .ensemble import observation_matrix, pooled_correlation, predict_groups
 from .metrics import adjusted_dof, benjamini_hochberg, correlation_pvalue
 from .panel import Panel
 
@@ -63,15 +63,13 @@ def key_significance_counts(keys_by_attractor: dict[str, list], panel: Panel,
         stations = keys[0].stations
         members = {g.map_index: g for key in keys for g in key.members}
         row = {map_index: i for i, map_index in enumerate(members)}
-        stack = np.stack([g.predict(panel, stations, target_window)
-                          for g in members.values()])
+        stack = predict_groups(members.values(), panel, stations, target_window)
         obs = observation_matrix(panel, stations, target_window)
         pvals = []
         for key in keys:
             pred = key.combine(stack[[row[g.map_index] for g in key.members]])
-            finite = np.isfinite(pred.ravel()) & np.isfinite(obs.ravel())
             r, degenerate = pooled_correlation(pred, obs)
-            n_pairs = int(finite.sum())
+            n_pairs = int((np.isfinite(pred) & np.isfinite(obs)).sum())
             if degenerate or n_pairs <= n_fitted_means + 2:
                 pvals.append(1.0)
                 continue

@@ -23,8 +23,8 @@ from .embedding import DelayMap, sample_delay_maps
 from .ensemble import (EnsembleForecast, ModelGroup, PredictorKey, Station,
                        fit_model_groups, form_keys, group_from_dict, group_to_dict,
                        map_from_dict, map_to_dict, median_combine, observation_matrix,
-                       pooled_correlation, rank_models, retain_predictors,
-                       save_keys)
+                       pooled_correlation, predict_groups, rank_models,
+                       retain_predictors, save_keys)
 from .errors import ConfigError
 from .ground import StandardizationFactors, make_ground_panel, standardize_anomalies
 from .inversion import InversionResult, invert_parameter
@@ -261,7 +261,7 @@ def stage_select(cfg: PipelineConfig, groups, ground: Panel,
     obs = observation_matrix(ground, stations, span)
     keys_by_attractor: dict[str, list[PredictorKey]] = {}
     for label in sorted(groups):
-        preds = np.stack([g.predict(ground, stations, span) for g in groups[label]])
+        preds = predict_groups(groups[label], ground, stations, span)
         ranked = rank_models(groups[label], preds[:, :, :n_rank], obs[:, :n_rank],
                              factor, positive_part=positive_part)
         keys = form_keys(label, ranked, preds[:, :, n_rank:], obs[:, n_rank:], n_select,

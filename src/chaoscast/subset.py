@@ -6,11 +6,12 @@ kernel takes a stack of designs, ``(G, n, p)`` for G delay maps, that
 share one ``(n, t)`` response block: the stations fitted on a map share
 its column screen, Gram product and solves, and the maps of one row
 range share the batched calls. The screen runs once for the whole stack;
-maps whose screen keeps different columns go into separate sub-batches.
-One batched solve per (sub-batch, subset size) then covers every subset
-of that size, every map and every target. Each map's slice of a batched
-Gram product or solve is the BLAS or LAPACK call a lone map makes, so a
-map's models do not depend on the maps it is batched with. The per-size
+``same_rows`` splits it into sub-batches of equal screens, and one
+batched solve per (sub-batch, subset size) covers every subset of that
+size, every map and every target. By its array layout, each map's slice
+of a batched Gram product or solve is the BLAS or LAPACK call a lone map
+makes, so its models do not depend on the maps it is batched with, a rule
+``ensemble.predict_groups`` keeps for ``SubsetModel.predict``. The per-size
 winner has the minimum residual sum of squares; exact ties go to the
 first subset in ``itertools.combinations`` order. The per-size winners
 are compared on Mallows' Cp, ties going to fewer columns. A design with
@@ -83,6 +84,14 @@ def _validate_xy(X, y):
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise ValueError("X and y must be finite")
     return X, Y
+
+
+def same_rows(mask: np.ndarray) -> list[list[int]]:
+    """Indices of a 2-D array's rows grouped by equal rows, in first-seen order."""
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(mask):
+        groups.setdefault(row.tobytes(), []).append(i)
+    return list(groups.values())
 
 
 def _independent_columns(XcT: np.ndarray) -> np.ndarray:
@@ -197,12 +206,10 @@ def _enumerate(X: np.ndarray, Y: np.ndarray, max_size: int | None):
     if not keep.any(axis=1).all():
         raise ValueError("no independent columns to search")
     tss = np.einsum("it,it->t", Yc, Yc)
-    batches: dict[bytes, list[int]] = {}
-    for i, row in enumerate(keep):
-        batches.setdefault(row.tobytes(), []).append(i)
+    batches = same_rows(keep)
     cps: list = [None] * G
     found: list = [None] * G  # per design: winners, its row in them, kept and dropped columns
-    for members in batches.values():
+    for members in batches:
         columns = np.flatnonzero(keep[members[0]])
         XkT = (XcT if len(batches) == 1 and columns.size == p
                else np.ascontiguousarray(XcT[np.ix_(members, columns)]))
@@ -250,11 +257,6 @@ def select_stack(X, Y, max_size: int | None = None) -> list[list[SubsetModel]]:
             for i, cp in enumerate(cps)]
 
 
-def select_models(X, Y, max_size: int | None = None) -> list[SubsetModel]:
-    """Minimum-Cp subset model for each column of Y, all on the design X."""
-    return select_stack(X, Y, max_size)[0]
-
-
 def select_model(X, y, max_size: int | None = None) -> SubsetModel:
     """Minimum-Cp subset among per-size winners for one target; see select_stack."""
-    return select_models(X, np.ravel(y), max_size)[0]
+    return select_stack(X, np.ravel(y), max_size)[0][0]

@@ -22,6 +22,7 @@ from chaoscast.ensemble import (
     median_combine,
     observation_matrix,
     pooled_correlation,
+    predict_groups,
     rank_models,
     retain_predictors,
     save_keys,
@@ -41,8 +42,8 @@ def unit_corr_series(obs, rho, rng):
     return rho * o + np.sqrt(1.0 - rho * rho) * w
 
 
-def predict_groups(groups, panel, stations, seasons):
-    """The (groups, stations, seasons) prediction stack the select stage builds."""
+def stub_predictions(groups, panel, stations, seasons):
+    """The (groups, stations, seasons) stack of StubGroup predictions."""
     return np.stack([g.predict(panel, stations, seasons) for g in groups])
 
 
@@ -68,7 +69,7 @@ def test_rank_models_orders_planted_correlations():
     rhos = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0]
     groups = [StubGroup(unit_corr_series(obs, r, rng)[None, :]) for r in rhos]
     shuffled = [groups[i] for i in rng.permutation(len(groups))]
-    ranked = rank_models(shuffled, predict_groups(shuffled, panel, stations, (0, n)),
+    ranked = rank_models(shuffled, stub_predictions(shuffled, panel, stations, (0, n)),
                          observation_matrix(panel, stations, (0, n)), shrink_factor=1.0)
     got = [rm.correlation for rm in ranked]
     assert np.allclose(got, sorted(rhos, reverse=True), atol=1e-9)
@@ -84,7 +85,7 @@ def test_rank_models_perfect_and_flipped():
     flipped = StubGroup(-obs[None, :])
     flat = StubGroup(np.zeros((1, 30)))
     groups = [flipped, flat, perfect]
-    ranked = rank_models(groups, predict_groups(groups, panel, stations, (0, 30)),
+    ranked = rank_models(groups, stub_predictions(groups, panel, stations, (0, 30)),
                          observation_matrix(panel, stations, (0, 30)), 1.0)
     assert ranked[0].correlation == pytest.approx(1.0)
     assert ranked[-1].correlation == pytest.approx(-1.0)

@@ -1,9 +1,8 @@
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
-from chaoscast.ensemble import PredictorKey, Station
+from chaoscast.embedding import DelayMap
+from chaoscast.ensemble import ModelGroup, PredictorKey, Station
 from chaoscast.inversion import (
     InversionResult,
     estimate_parameter,
@@ -11,25 +10,30 @@ from chaoscast.inversion import (
     smooth_counts,
 )
 from chaoscast.panel import Panel
+from chaoscast.subset import SubsetModel
 
 
-@dataclass
-class PlantedMember:
-    """A model-group stub predicting one station's planted series."""
-
-    series: np.ndarray
-    map_index: int
-
-    def predict(self, panel, stations, seasons):
-        return self.series[None, seasons[0]:seasons[1]]
+LAG = 4  # the smallest lag a lead-3 delay map may use
 
 
-def planted_keys(series_list):
-    """One-station, one-member mean keys: each predicts its series unchanged."""
-    return [PredictorKey(attractor_id="A", top_percent=100, combiner="mean", lead=3,
-                         stations=(Station("a", "wet", "a"),),
-                         members=(PlantedMember(series, i),), shrink_factor=1.0)
-            for i, series in enumerate(series_list)]
+def planted_keys(panel, series_list):
+    """One-station, one-member mean keys: each predicts its series unchanged.
+
+    Member i is a one-column group with coefficient 1 and intercept 0 on
+    the panel series ("planted", i), which holds series i LAG seasons
+    early, so its prediction is the planted series itself, exactly.
+    """
+    keys = []
+    for i, series in enumerate(series_list):
+        panel.add("planted", str(i), np.concatenate([series, np.full(LAG, np.nan)]))
+        fit = SubsetModel(columns=(0,), coefficients=np.array([1.0]), intercept=0.0,
+                          rss=0.0, cp=0.0, n_rows=series.size)
+        member = ModelGroup("A", i, DelayMap(coords=(("planted", str(i), LAG),), lead=3),
+                            fits={"a": fit})
+        keys.append(PredictorKey(attractor_id="A", top_percent=100, combiner="mean", lead=3,
+                                 stations=(Station("a", "wet", "a"),), members=(member,),
+                                 shrink_factor=1.0))
+    return keys
 
 
 def planted_series(obs, rho, rng):
@@ -42,16 +46,29 @@ def planted_series(obs, rho, rng):
     return rho * o + np.sqrt(max(1.0 - rho * rho, 0.0)) * w
 
 
+def target_panel(obs):
+    """Station a observes obs over the seasons window(obs.size), after LAG of history."""
+    return Panel({("wet", "a"): np.concatenate([np.full(LAG, np.nan), obs])})
+
+
+def window(n):
+    return (LAG, LAG + n)
+
+
 def _panel(n=60, seed=0):
     rng = np.random.default_rng(seed)
     obs = rng.standard_normal(n)
-    return Panel({("wet", "a"): obs}), obs, rng
+    return target_panel(obs), obs, rng
 
 
 def test_counts_all_keys_significant_when_near_perfect():
     panel, obs, rng = _panel()
-    keys = planted_keys([planted_series(obs, 0.99, rng) for _ in range(6)])
-    counts = key_significance_counts({"A": keys}, panel, (0, 60), q=0.01,
+    planted = [planted_series(obs, 0.99, rng) for _ in range(6)]
+    keys = planted_keys(panel, planted)
+    for key, series in zip(keys, planted):
+        assert np.array_equal(key.members[0].predict(panel, key.stations, window(60)),
+                              series[None])
+    counts = key_significance_counts({"A": keys}, panel, window(60), q=0.01,
                                      n_fitted_means=0)
     assert counts["A"] == 6
 
@@ -60,8 +77,8 @@ def test_counts_default_dof_bookkeeping_needs_enough_pairs():
     # the default charges one fitted regional mean per target season, so
     # a single station never reaches positive adjusted dof: nothing passes
     panel, obs, rng = _panel()
-    keys = planted_keys([planted_series(obs, 0.99, rng) for _ in range(4)])
-    counts = key_significance_counts({"A": keys}, panel, (0, 60), q=0.01)
+    keys = planted_keys(panel, [planted_series(obs, 0.99, rng) for _ in range(4)])
+    counts = key_significance_counts({"A": keys}, panel, window(60), q=0.01)
     assert counts["A"] == 0
 
 
@@ -71,10 +88,10 @@ def test_counts_null_keys_rarely_significant():
     trials = 40
     for trial in range(trials):
         obs = rng.standard_normal(60)
-        panel = Panel({("wet", "a"): obs})
-        keys = planted_keys([rng.standard_normal(60) for _ in range(6)])
-        counts = key_significance_counts({"A": keys}, panel, (0, 60), q=0.01,
-                                     n_fitted_means=0)
+        panel = target_panel(obs)
+        keys = planted_keys(panel, [rng.standard_normal(60) for _ in range(6)])
+        counts = key_significance_counts({"A": keys}, panel, window(60), q=0.01,
+                                         n_fitted_means=0)
         zero_hits += counts["A"] == 0
     assert zero_hits / trials >= 0.95
 
@@ -84,11 +101,11 @@ def test_counts_mixed_planted_set():
     results = []
     for trial in range(20):
         obs = rng.standard_normal(80)
-        panel = Panel({("wet", "a"): obs})
+        panel = target_panel(obs)
         strong = [planted_series(obs, 0.9, rng) for _ in range(5)]
         null = [rng.standard_normal(80) for _ in range(5)]
-        counts = key_significance_counts({"A": planted_keys(strong + null)}, panel, (0, 80),
-                                         q=0.01, n_fitted_means=0)
+        counts = key_significance_counts({"A": planted_keys(panel, strong + null)}, panel,
+                                         window(80), q=0.01, n_fitted_means=0)
         results.append(counts["A"])
     # half the keys are strongly predictive; binomial slack on the rest
     assert 4.5 <= np.mean(results) <= 6.5
@@ -97,7 +114,7 @@ def test_counts_mixed_planted_set():
 def test_counts_validation():
     panel, obs, rng = _panel()
     with pytest.raises(ValueError):
-        key_significance_counts({"A": []}, panel, (0, 60))
+        key_significance_counts({"A": []}, panel, window(60))
 
 
 def test_smooth_constant_unchanged():

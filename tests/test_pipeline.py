@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from chaoscast import cli, ensemble
+from chaoscast import cli, ensemble, inversion
 from chaoscast import pipeline as pl
 from chaoscast.artifacts import write_json, write_text
 from chaoscast.config import PipelineConfig, load_config, save_config
@@ -136,23 +136,32 @@ def test_retained_keys_are_stored_and_forecast_once(tmp_path, name):
     assert json.loads((out / "forecast.json").read_text())["contributing_keys"] == ids
 
 
+def _count_predict_groups(monkeypatch, *modules):
+    """Record the (attractor, map_index) groups of each predict_groups call."""
+    calls = []
+    predict = ensemble.predict_groups
+
+    def counted(groups, *args, **kwargs):
+        groups = list(groups)
+        calls.append(Counter((g.attractor_id, g.map_index) for g in groups))
+        return predict(groups, *args, **kwargs)
+
+    for module in (ensemble, *modules):
+        monkeypatch.setattr(module, "predict_groups", counted)
+    return calls
+
+
 def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
     config, out = golden_run
     cfg = load_config(config)
     groups = pl.load_groups(out)
     ground, _, _ = pl.load_ground(out)
-    calls = Counter()
-    predict = ModelGroup.predict
-
-    def counted(self, *args, **kwargs):
-        calls[self.attractor_id, self.map_index] += 1
-        return predict(self, *args, **kwargs)
-
-    monkeypatch.setattr(ModelGroup, "predict", counted)
+    calls = _count_predict_groups(monkeypatch, pl)
     pl.stage_select(cfg, groups, ground, pl.stage_shrinkage(cfg))
-    assert calls == Counter((g.attractor_id, g.map_index)
-                            for gs in groups.values() for g in gs)
-    assert set(calls.values()) == {1}
+    # one batched call per attractor, holding each of its groups once
+    assert calls == [Counter((g.attractor_id, g.map_index) for g in groups[label])
+                     for label in sorted(groups)]
+    assert {n for call in calls for n in call.values()} == {1}
 
 
 @pytest.mark.parametrize("section, settings", [
@@ -166,7 +175,8 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
     ("shrinkage", {"n_points": 6}),
     ("shrinkage", {"target_r": 1.0}),
     ("schedule", {"first_season": -5}),
-    ("stations", {"a": ["wet", "s99"]}),
+    ("stations", {"a": ["wet", "s99"], "b": ["wet", "s03"]}),
+    ("stations", {"a": ["wet", "s03"]}),
     ("surrogate", {"K": 3}),
     ("surrogate", {"dt": -0.05}),
     ("surrogate", {"forcings": [8.0, 8.0]}),
@@ -182,7 +192,7 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
     ("embedding", {"lag_max": 195}),
 ], ids=["vote_k-0", "top_k-negative", "vote_mode-plurality", "x_grid-empty", "max_subset_size-0",
         "direction-sideways", "n_reps-50", "n_points-6", "target_r-1",
-        "first_season-negative", "station-series-unknown", "K-3", "dt-negative",
+        "first_season-negative", "station-series-unknown", "stations-one", "K-3", "dt-negative",
         "forcings-duplicate", "forcings-empty", "steps_per_season-0", "forcings-overflow",
         "steady_window-1", "n_seasons-below-two-windows", "index-site-outside-ring",
         "fresh-forcing-overflow", "lag_max-250", "lag_max-500", "lag_max-195"])
@@ -283,20 +293,14 @@ def test_invert_predicts_each_member_once_and_counts_as_per_key(golden_run, monk
         return counts
 
     expected = {q: per_key_counts(q) for q in (0.01, 0.5, 0.9)}
-    calls = Counter()
-    predict = ModelGroup.predict
-
-    def counted(self, *args, **kwargs):
-        calls[self.attractor_id, self.map_index] += 1
-        return predict(self, *args, **kwargs)
-
-    monkeypatch.setattr(ModelGroup, "predict", counted)
+    calls = _count_predict_groups(monkeypatch, inversion)
     for q, counts in expected.items():
         calls.clear()
         assert key_significance_counts(keys_by_attractor, ground, target, q=q) == counts
-        assert calls == Counter({(g.attractor_id, g.map_index) for keys in
-                                 keys_by_attractor.values() for k in keys
-                                 for g in k.members})
+        # one batched call per attractor, holding each distinct member once
+        assert calls == [Counter({(g.attractor_id, g.map_index)
+                                  for k in keys_by_attractor[label] for g in k.members})
+                         for label in sorted(keys_by_attractor)]
     assert sum(expected[0.9].values()) > 0  # some counts are not 0
 
 

@@ -6,11 +6,13 @@ import pytest
 from chaoscast import ensemble
 from chaoscast.config import PipelineConfig
 from chaoscast.dynamics import build_attractor_library
-from chaoscast.embedding import DelayMap, build_design_matrix, lagged_rows, sample_delay_maps
-from chaoscast.ensemble import ModelGroup, Station, fit_model_groups
+from chaoscast.embedding import (DelayMap, build_design_matrix, lagged_designs,
+                                 sample_delay_maps)
+from chaoscast.ensemble import ModelGroup, Station, fit_model_groups, predict_groups
 from chaoscast.errors import ConfigError
 from chaoscast.subset import (MAX_COLUMNS, RANK_TOL, SubsetModel, _independent_columns,
-                              best_subsets, mallows_cp, select_model, select_stack)
+                              best_subsets, mallows_cp, same_rows, select_model,
+                              select_stack)
 
 
 def exhaustive_best(X, y, max_size):
@@ -358,6 +360,28 @@ def reference_select_models(X, Y, max_size=None):
     return models
 
 
+def lagged_rows(panel, dmap, seasons):
+    """The per-map design read that lagged_designs replaced: (X, usable rows)."""
+    start, stop = seasons
+    t = np.arange(start, stop)
+    X = np.full((t.size, dmap.dim), np.nan)
+    for j, (var, site, lag) in enumerate(dmap.coords):
+        series = panel.series(var, site)
+        src = t - lag
+        ok = src >= 0
+        X[ok, j] = series[src[ok]]
+    return X, np.all(np.isfinite(X), axis=1)
+
+
+def reference_predict(group, panel, stations, seasons):
+    """The per-group prediction that predict_groups replaced: one lone product per station."""
+    out = np.full((len(stations), seasons[1] - seasons[0]), np.nan)
+    X, usable = lagged_rows(panel, group.dmap, seasons)
+    for i, st in enumerate(stations):
+        out[i, usable] = group.fits[st.station_id].predict(X[usable])
+    return out
+
+
 def reference_fit_model_group(attractor_id, map_index, dmap, attractor_panel, stations,
                               max_size=None):
     """The per-map fit that fit_model_groups replaced: one search per row set."""
@@ -473,3 +497,76 @@ def test_select_stack_equals_lone_searches_and_leaves_its_input(p):
     else:
         with pytest.raises(ValueError, match="no independent columns"):
             select_stack(X, Y)
+
+
+def test_same_rows_groups_equal_rows_in_first_seen_order():
+    mask = np.array([[1, 0], [0, 1], [1, 0], [1, 1], [0, 1]], dtype=bool)
+    assert same_rows(mask) == [[0, 2], [1, 4], [3]]
+    assert same_rows(mask.T) == [[0], [1]]
+
+
+def _mixed_maps(panel):
+    """Maps of dimension 8, 3 and 1, and three reading the gappy tmp/s05 at other lags."""
+    return (sample_delay_maps(panel.catalog(), 12, 8, 4, 11, seed=5)
+            + sample_delay_maps(panel.catalog(), 12, 3, 4, 11, seed=6)
+            + sample_delay_maps(panel.catalog(), 6, 1, 4, 11, seed=7)
+            + [DelayMap((("tmp", "s05", lag), ("wet", "s03", 4), ("wet", "s09", 6)))
+               for lag in (4, 7, 11)])
+
+
+def _every_size_groups(maps, stations, seed):
+    """Groups whose station models take every size from 1 to the map's dimension."""
+    rng = np.random.default_rng(seed)
+    groups = []
+    for i, dmap in enumerate(maps):
+        fits = {}
+        for j, st in enumerate(stations):
+            k = (i + j) % dmap.dim + 1
+            fits[st.station_id] = SubsetModel(
+                columns=tuple(int(c) for c in np.sort(rng.choice(dmap.dim, k, replace=False))),
+                coefficients=rng.standard_normal(k), intercept=float(rng.standard_normal()),
+                rss=0.0, cp=0.0, n_rows=1)
+        groups.append(ModelGroup("F8", i, dmap, fits))
+    return groups
+
+
+def test_lagged_designs_equals_the_per_map_read(short_attractor):
+    panel, _, _ = short_attractor
+    panel = _screened_panel(panel, short_attractor[1])
+    maps = sample_delay_maps(panel.catalog(), 20, 3, 4, 11, seed=3)
+    maps += [DelayMap((("tmp", "s05", lag), ("wet", "const", 5), ("wet", "s01", 9)))
+             for lag in (4, 8)]
+    for seasons in ((0, 30), (3, 60), (11, panel.n_seasons), (150, 181)):
+        X = lagged_designs(maps, panel, seasons)
+        assert X.shape == (len(maps), seasons[1] - seasons[0], 3)
+        for dmap, x in zip(maps, X):
+            assert np.array_equal(x, lagged_rows(panel, dmap, seasons)[0], equal_nan=True)
+    with pytest.raises(ValueError, match="outside panel"):
+        lagged_designs(maps, panel, (0, panel.n_seasons + 1))
+
+
+@pytest.mark.parametrize("case", ["fitted", "every-size", "single-group"])
+def test_predict_groups_equals_lone_predictions_bit_for_bit(short_attractor, case):
+    panel, stations, _ = short_attractor
+    panel = _screened_panel(panel, stations)  # tmp/s05 has gaps: usable rows differ
+    maps = _mixed_maps(panel)
+    assert {m.dim for m in maps} == {1, 3, 8}
+    if case == "fitted":
+        groups = fit_model_groups("F8", maps, panel, stations)
+    else:
+        groups = _every_size_groups(maps, stations, seed=21)
+        assert {m.size for g in groups[:12] for m in g.fits.values()} == set(range(1, 9))
+    if case == "single-group":
+        groups = groups[:1]
+    # spans that start before the largest lag (NaN history rows) and after it
+    for seasons in ((0, 60), (5, 49), (40, 181), (120, 125)):
+        got = predict_groups(groups, panel, stations, seasons)
+        want = np.stack([reference_predict(g, panel, stations, seasons) for g in groups])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isfinite(got).any()
+        if seasons[0] == 0:  # no lag reaches back to a season before 0
+            assert np.isnan(got[:, :, :4]).all()
+        if case != "single-group":  # groups differ in their usable rows
+            assert len(same_rows(np.isfinite(got[:, 0]))) > 1
+        for g, lone in zip(groups[:3], want):  # ModelGroup.predict is its one-group call
+            assert np.array_equal(g.predict(panel, stations, seasons), lone, equal_nan=True)
