@@ -20,8 +20,8 @@ from .ground import load_panel, make_ground_panel, standardize_anomalies
 from .inversion import (InversionResult, estimate_parameter, invert_parameter,
                         key_significance_counts, smooth_counts)
 from .metrics import (SkillReport, adjusted_dof, benjamini_hochberg, box_ljung,
-                      correlation_pvalue, heidke_skill, pearson_r, running_skill,
-                      tercile_boundaries)
+                      correlation_pvalue, heidke_skill, pooled_correlations,
+                      running_skill, tercile_boundaries)
 from .panel import Panel
 from .pipeline import PipelineResult, emit_plot_data, run_pipeline
 from .shrinkage import (ShrinkageReport, apply_bias_correction,

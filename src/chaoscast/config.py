@@ -18,6 +18,7 @@ from .dynamics import SurrogateConfig, check_grid
 from .embedding import WindowSchedule, split_windows
 from .ensemble import ALLOWED_TOP_PERCENT, VOTE_MODES
 from .errors import ConfigError
+from .metrics import adjusted_dof
 from .shrinkage import CALIBRATION_DIRECTIONS, MIN_REPS, N_HOLDOUT
 from .subset import MAX_COLUMNS
 
@@ -144,6 +145,8 @@ class PipelineConfig:
         for x in sel.x_grid:
             if x not in ALLOWED_TOP_PERCENT:
                 raise ConfigError(f"x_grid entries must be among {ALLOWED_TOP_PERCENT}")
+        if len(set(sel.x_grid)) < len(sel.x_grid):
+            raise ConfigError("selection.x_grid entries must be distinct")
         if sel.top_k < 1:
             raise ConfigError("selection.top_k must be >= 1")
         if sel.vote_k < 1:
@@ -183,9 +186,21 @@ class PipelineConfig:
             if len(target) != 2:
                 raise ConfigError(f"station {sid} target must be [variable, site]")
         n_predict = windows.predict[1] - windows.predict[0]
-        if (n_stations := len(self.resolved_stations())) * n_predict <= n_predict + 2:
-            raise ConfigError(f"{n_stations} station(s) x {n_predict} predict seasons cannot "
-                              f"support the score's {n_predict} fitted means; add a station")
+        if n_predict < 2:
+            raise ConfigError("the running skill needs a predict window of >= 2 seasons")
+        try:  # the score pools stations x predict seasons against one mean per season
+            adjusted_dof(len(self.resolved_stations()) * n_predict, n_predict)
+        except ValueError as exc:
+            raise ConfigError(f"stations x predict seasons: {exc}; add a station") from exc
+        inv = self.inversion  # checked when disabled too: the invert verb ignores enabled
+        if not 0.0 < inv.q < 1.0:
+            raise ConfigError("inversion.q must lie in (0, 1)")
+        if not 0.0 < inv.fraction_of_max <= 1.0:
+            raise ConfigError("inversion.fraction_of_max must lie in (0, 1]")
+        if (tw := inv.target_window) and not (len(tw) == 2 and 0 <= tw[0] < tw[1]):
+            raise ConfigError("inversion.target_window must be [start, end], 0 <= start < end")
+        if inv.trailing_seasons < 1:
+            raise ConfigError("inversion.trailing_seasons must be >= 1")
 
     def resolved_stations(self) -> dict[str, tuple[str, str]]:
         """Station map, defaulting to four evenly spaced surrogate sites."""

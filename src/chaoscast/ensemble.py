@@ -11,7 +11,8 @@ combined by mean or by the most populous 1-D cluster (vote) into
 self-contained keys scored on the select and retain windows, retention
 keeps at most one key per cut (a key or its other-combiner sibling) whose
 retain r is strictly above a threshold, and the survivors' per-season
-median is the forecast.
+median is the forecast. An attractor's groups, and its keys, are scored
+in one ``metrics.pooled_correlations`` call per window.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .artifacts import read_json, write_json
 from .embedding import DelayMap, lagged_designs
-from .metrics import _pearson_with_flag
+from .metrics import pooled_correlations
 from .panel import Panel
 from .shrinkage import stein_adjust
 from .subset import SubsetModel, same_rows, select_stack
@@ -146,19 +147,6 @@ def observation_matrix(panel: Panel, stations: tuple[Station, ...],
                       for st in stations])
 
 
-def pooled_correlation(pred: np.ndarray, obs: np.ndarray) -> tuple[float, bool]:
-    """Pearson correlation over all finite (station, season) pairs.
-
-    Fewer than 3 pairs or zero-variance input gives 0 with a degenerate flag.
-    """
-    p = np.asarray(pred, dtype=float).ravel()
-    o = np.asarray(obs, dtype=float).ravel()
-    ok = np.isfinite(p) & np.isfinite(o)
-    if ok.sum() < 3:
-        return 0.0, True
-    return _pearson_with_flag(p[ok], o[ok])
-
-
 @dataclass
 class RankedModel:
     group: ModelGroup
@@ -172,15 +160,14 @@ def rank_models(groups, preds: np.ndarray, obs: np.ndarray, shrink_factor: float
     """Order model groups by pooled correlation of shrunken predictions.
 
     ``preds`` is the (groups, stations, seasons) stack on the rank window,
-    shrunk in one call. Zero-variance predictions rank with correlation 0
-    and a degenerate flag; ties break toward smaller models, then input
-    order.
+    shrunk and correlated in one call each. Zero-variance predictions rank
+    with correlation 0 and a degenerate flag; ties break toward smaller
+    models, then input order.
     """
-    adjusted = stein_adjust(preds, shrink_factor, positive_part=positive_part)
-    ranked = []
-    for idx, group in enumerate(groups):
-        r, degenerate = pooled_correlation(adjusted[idx], obs)
-        ranked.append(RankedModel(group, r, idx, degenerate))
+    r, degenerate, _ = pooled_correlations(
+        stein_adjust(preds, shrink_factor, positive_part=positive_part), obs)
+    ranked = [RankedModel(group, float(r[idx]), idx, bool(degenerate[idx]))
+              for idx, group in enumerate(groups)]
     return sorted(ranked, key=lambda rm: (-rm.correlation, rm.group.total_size, rm.index))
 
 
@@ -363,23 +350,25 @@ def form_keys(attractor_id: str, ranked: list[RankedModel], preds: np.ndarray,
 
     ``preds`` is the (groups, stations, seasons) stack ``RankedModel.index``
     points into and ``obs`` its observations: ``n_select`` select seasons,
-    then the retain seasons.
+    then the retain seasons. The combined keys are stacked and scored in
+    one ``pooled_correlations`` call per window.
     """
-    keys = []
+    keys, combined = [], []
     for x in x_grid:
         top = take_top_percent(ranked, x)
         stack = preds[[rm.index for rm in top]]
         for comb in COMBINERS:
-            key = PredictorKey(
+            keys.append(PredictorKey(
                 attractor_id=attractor_id, top_percent=x, combiner=comb,
                 lead=lead, stations=stations, members=tuple(rm.group for rm in top),
                 shrink_factor=shrink_factor, vote_k=vote_k, vote_mode=vote_mode,
-                positive_part=positive_part)
-            adjusted = key.combine(stack)
-            key.correlations = {
-                "select": pooled_correlation(adjusted[:, :n_select], obs[:, :n_select])[0],
-                "retain": pooled_correlation(adjusted[:, n_select:], obs[:, n_select:])[0]}
-            keys.append(key)
+                positive_part=positive_part))
+            combined.append(keys[-1].combine(stack))
+    combined = np.stack(combined)
+    select = pooled_correlations(combined[:, :, :n_select], obs[:, :n_select])[0]
+    retain = pooled_correlations(combined[:, :, n_select:], obs[:, n_select:])[0]
+    for key, rs, rr in zip(keys, select, retain):
+        key.correlations = {"select": float(rs), "retain": float(rr)}
     return keys
 
 

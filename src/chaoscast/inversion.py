@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import observation_matrix, pooled_correlation, predict_groups
-from .metrics import adjusted_dof, benjamini_hochberg, correlation_pvalue
+from .ensemble import observation_matrix, predict_groups
+from .metrics import adjusted_dof, benjamini_hochberg, correlation_pvalue, pooled_correlations
 from .panel import Panel
 
 
@@ -50,8 +50,8 @@ def key_significance_counts(keys_by_attractor: dict[str, list], panel: Panel,
     means (one per target season unless overridden); the step-up FDR
     rule at level q runs within each attractor's key set. The keys of an
     attractor share their stations; each distinct member (by
-    ``map_index``) is predicted once, and a key combines its rows of
-    that stack.
+    ``map_index``) is predicted once, a key combines its rows of that
+    stack, and the combined keys are correlated in one call.
     """
     if n_fitted_means is None:
         n_fitted_means = target_window[1] - target_window[0]
@@ -64,17 +64,13 @@ def key_significance_counts(keys_by_attractor: dict[str, list], panel: Panel,
         members = {g.map_index: g for key in keys for g in key.members}
         row = {map_index: i for i, map_index in enumerate(members)}
         stack = predict_groups(members.values(), panel, stations, target_window)
-        obs = observation_matrix(panel, stations, target_window)
-        pvals = []
-        for key in keys:
-            pred = key.combine(stack[[row[g.map_index] for g in key.members]])
-            r, degenerate = pooled_correlation(pred, obs)
-            n_pairs = int((np.isfinite(pred) & np.isfinite(obs)).sum())
-            if degenerate or n_pairs <= n_fitted_means + 2:
-                pvals.append(1.0)
-                continue
-            dof = adjusted_dof(n_pairs, n_fitted_means)
-            pvals.append(correlation_pvalue(r, dof))
+        preds = np.stack([key.combine(stack[[row[g.map_index] for g in key.members]])
+                          for key in keys])
+        rs, degenerate, n_pairs = pooled_correlations(
+            preds, observation_matrix(panel, stations, target_window))
+        pvals = [1.0 if flat or n <= n_fitted_means + 2 else
+                 correlation_pvalue(float(r), adjusted_dof(int(n), n_fitted_means))
+                 for r, flat, n in zip(rs, degenerate, n_pairs)]
         counts[attractor_id] = len(benjamini_hochberg(pvals, q))
     return counts
 

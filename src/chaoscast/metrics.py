@@ -1,8 +1,9 @@
 """Skill and diagnostic statistics.
 
-Pearson correlation with a one-sided t test on adjusted degrees of
-freedom, tercile Heidke skill, running 4-season skill curves, the
-Ljung-Box portmanteau test, and Benjamini-Hochberg FDR selection.
+``pooled_correlations`` is the one pooled Pearson r (model ranking, key
+scores, FDR tests of keys, forecast skill); also a one-sided t test on
+adjusted degrees of freedom, tercile Heidke skill, running 4-season skill
+curves, the Ljung-Box portmanteau test, and Benjamini-Hochberg FDR selection.
 Tail probabilities go through scipy's regularized incomplete beta /
 gamma evaluations (target accuracy well below 1e-12 relative).
 """
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+
+from .subset import same_rows
 
 
 @dataclass
@@ -37,25 +40,38 @@ class SkillReport:
             raise ValueError("dof must be >= 1")
 
 
-def pearson_r(a, b) -> float:
-    """Sample Pearson correlation; zero-variance inputs give 0 (degenerate)."""
-    r, _ = _pearson_with_flag(a, b)
-    return r
+def pooled_correlations(pred, obs):
+    """Pooled Pearson r of each (stations, seasons) prediction of a stack.
 
-
-def _pearson_with_flag(a, b) -> tuple[float, bool]:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.size < 3:
-        raise ValueError("inputs must share shape and have at least 3 values")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("inputs must be finite")
-    da, db = a - a.mean(), b - b.mean()
-    va, vb = float(da @ da), float(db @ db)
-    if va <= 0.0 or vb <= 0.0:
-        return 0.0, True
-    r = float(da @ db / np.sqrt(va * vb))
-    return float(np.clip(r, -1.0, 1.0)), False
+    ``pred`` is (..., stations, seasons) and ``obs`` (stations, seasons);
+    each prediction pools the pairs where both are finite. Returns r, a
+    degenerate flag and the pair count, shaped like the leading axes;
+    fewer than 3 pairs or zero variance gives r 0, flagged degenerate.
+    Rows with the same pairs form one C-ordered (rows, pairs) block, so a
+    mean is a lone row's pairwise sum and a product the stacked (1, n) @
+    (n, 1) ``ddot``: r is the same bits alone or stacked. A gemv
+    (``da @ db`` on the block) or an ``einsum`` changes the last bits.
+    """
+    pred, obs = np.asarray(pred, dtype=float), np.asarray(obs, dtype=float)
+    if obs.ndim != 2 or pred.shape[-2:] != obs.shape:
+        raise ValueError("pred must be a (..., stations, seasons) stack over obs")
+    lead = pred.shape[:-2]
+    rows, o = pred.reshape(-1, obs.size), obs.ravel()
+    ok = np.isfinite(rows) & np.isfinite(o)
+    r, degenerate = np.zeros(len(rows)), np.ones(len(rows), dtype=bool)
+    for group in same_rows(ok):
+        at = np.flatnonzero(ok[group[0]])
+        if at.size < 3:
+            continue
+        a, b = rows[np.ix_(group, at)], o[at]
+        da, db = a - a.mean(axis=1, keepdims=True), b - b.mean()
+        va, vb = (da[:, None, :] @ da[:, :, None])[:, 0, 0], db @ db
+        flat = (va <= 0.0) | (vb <= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # flat rows are 0
+            ab = (da[:, None, :] @ db[:, None])[:, 0, 0] / np.sqrt(va * vb)
+        r[group] = np.where(flat, 0.0, np.clip(ab, -1.0, 1.0))
+        degenerate[group] = flat
+    return tuple(x.reshape(lead)[()] for x in (r, degenerate, ok.sum(axis=1)))
 
 
 def correlation_pvalue(r: float, dof: int, sided: str = "one") -> float:
@@ -135,18 +151,15 @@ def running_skill(pred, obs, boundaries, window: int = 4):
         raise ValueError("pred and obs must share shape")
     if window < 2:
         raise ValueError("window must be >= 2")
-    n_seasons = pred.shape[1]
     out = []
-    for start in range(n_seasons - window + 1):
-        p = pred[:, start:start + window].ravel()
-        o = obs[:, start:start + window].ravel()
-        ok = np.isfinite(p) & np.isfinite(o)
-        if ok.sum() < 3:
+    for start in range(pred.shape[1] - window + 1):
+        p, o = pred[:, start:start + window], obs[:, start:start + window]
+        r, _, n_pairs = pooled_correlations(p, o)
+        if n_pairs < 3:
             out.append((start, np.nan, np.nan))
             continue
-        r = pearson_r(p[ok], o[ok])
-        hss = heidke_skill(p[ok], o[ok], boundaries)
-        out.append((start, r, hss))
+        ok = np.isfinite(p) & np.isfinite(o)
+        out.append((start, float(r), heidke_skill(p[ok], o[ok], boundaries)))
     return out
 
 

@@ -23,13 +23,12 @@ from .embedding import DelayMap, sample_delay_maps
 from .ensemble import (EnsembleForecast, ModelGroup, PredictorKey, Station,
                        fit_model_groups, form_keys, group_from_dict, group_to_dict,
                        map_from_dict, map_to_dict, median_combine, observation_matrix,
-                       pooled_correlation, predict_groups, rank_models,
-                       retain_predictors, save_keys)
+                       predict_groups, rank_models, retain_predictors, save_keys)
 from .errors import ConfigError
 from .ground import StandardizationFactors, make_ground_panel, standardize_anomalies
 from .inversion import InversionResult, invert_parameter
-from .metrics import (SkillReport, adjusted_dof, box_ljung, correlation_pvalue,
-                      heidke_skill, running_skill, tercile_boundaries)
+from .metrics import (SkillReport, adjusted_dof, box_ljung, correlation_pvalue, heidke_skill,
+                      pooled_correlations, running_skill, tercile_boundaries)
 from .panel import Panel, panel_from_text, panel_to_text
 from .seeding import derive_rng
 from .shrinkage import ShrinkageReport, bootstrap_shrinkage, calibrate
@@ -362,9 +361,8 @@ def stage_score(cfg: PipelineConfig, forecast: EnsembleForecast, ground: Panel,
 
     obs = observation_matrix(ground, stations, predict)
     pred = forecast.predictions
-    finite = np.isfinite(pred) & np.isfinite(obs)
-    n_pairs = int(finite.sum())
-    r, _ = pooled_correlation(pred, obs)
+    r, _, n_pairs = pooled_correlations(pred, obs)
+    r, n_pairs = float(r), int(n_pairs)
     n_seasons = predict[1] - predict[0]
     dof = adjusted_dof(n_pairs, n_seasons)
     p = correlation_pvalue(r, dof)
@@ -372,6 +370,7 @@ def stage_score(cfg: PipelineConfig, forecast: EnsembleForecast, ground: Panel,
     reference = np.concatenate([
         ground.series(*st.target)[0:predict[0]] for st in stations])
     boundaries = tercile_boundaries(reference)
+    finite = np.isfinite(pred) & np.isfinite(obs)
     hss = heidke_skill(pred[finite], obs[finite], boundaries)
 
     bl_results = []
@@ -408,6 +407,9 @@ def stage_invert(cfg: PipelineConfig, library, keys_by_attractor, ground: Panel,
     windows = cfg.schedule.windows()
     inv = cfg.inversion
     target = tuple(inv.target_window) if inv.target_window else windows.predict
+    if target[1] > ground.n_seasons:
+        raise ConfigError(f"inversion.target_window ends at season {target[1]}, past the "
+                          f"{ground.n_seasons}-season ground panel")
     result = invert_parameter(library, keys_by_attractor, ground, target,
                               q=inv.q, bandwidth=inv.bandwidth,
                               fraction_of_max=inv.fraction_of_max,

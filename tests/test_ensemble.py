@@ -21,7 +21,6 @@ from chaoscast.ensemble import (
     load_keys,
     median_combine,
     observation_matrix,
-    pooled_correlation,
     predict_groups,
     rank_models,
     retain_predictors,
@@ -29,6 +28,7 @@ from chaoscast.ensemble import (
     take_top_percent,
 )
 from chaoscast.panel import Panel
+from test_metrics import reference_pooled_correlation
 
 
 def unit_corr_series(obs, rho, rng):
@@ -218,8 +218,8 @@ def test_rule3_vote_beats_mean_on_intermittent_bias():
         truth, preds = intermittency_scenario(seed)
         mean_series = preds.mean(axis=0)
         vote_series = np.array([combine_vote(preds[:, t]) for t in range(preds.shape[1])])
-        r_mean, _ = pooled_correlation(mean_series, truth)
-        r_vote, _ = pooled_correlation(vote_series, truth)
+        r_mean, _ = reference_pooled_correlation(mean_series, truth)
+        r_vote, _ = reference_pooled_correlation(vote_series, truth)
         wins += r_vote >= r_mean
     assert wins >= 20
 
@@ -275,7 +275,8 @@ def test_fit_form_retain_round_trip(tmp_path):
     for key in keys:
         for name, window in (("select", (40, 56)), ("retain", (56, 72))):
             pred = key.predict(ground, window)
-            r, _ = pooled_correlation(pred, observation_matrix(ground, key.stations, window))
+            obs = observation_matrix(ground, key.stations, window)
+            r, _ = reference_pooled_correlation(pred, obs)
             assert r == pytest.approx(key.correlations[name], abs=1e-12)
 
     retained = retain_predictors(keys, threshold=0.5, top_k=10)

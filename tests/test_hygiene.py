@@ -33,6 +33,17 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
+def test_no_module_imports_a_private_name_from_another_module():
+    # a name with a leading underscore belongs to its module; a second module
+    # that needs it needs a public function instead
+    private = [f"{path.name}: {node.module}.{alias.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("chaoscast"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
 
 def _resolve(module: str, name: str):
     """The object ``from module import name`` binds: an attribute or a submodule."""

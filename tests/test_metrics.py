@@ -8,7 +8,7 @@ from chaoscast.metrics import (
     box_ljung,
     correlation_pvalue,
     heidke_skill,
-    pearson_r,
+    pooled_correlations,
     running_skill,
     tercile_boundaries,
 )
@@ -26,28 +26,108 @@ def t_tail_by_quadrature(t, dof, dps=50):
         return float(val)
 
 
+def reference_pooled_correlation(pred, obs) -> tuple[float, bool]:
+    """Per-row reference for ``pooled_correlations``: one prediction at a time.
+
+    Pearson r over all finite (station, season) pairs, from the 1-D
+    vectors of those pairs; fewer than 3 pairs or zero variance gives 0
+    with a degenerate flag.
+    """
+    p = np.asarray(pred, dtype=float).ravel()
+    o = np.asarray(obs, dtype=float).ravel()
+    ok = np.isfinite(p) & np.isfinite(o)
+    if ok.sum() < 3:
+        return 0.0, True
+    a, b = p[ok], o[ok]
+    da, db = a - a.mean(), b - b.mean()
+    va, vb = float(da @ da), float(db @ db)
+    if va <= 0.0 or vb <= 0.0:
+        return 0.0, True
+    r = float(da @ db / np.sqrt(va * vb))
+    return float(np.clip(r, -1.0, 1.0)), False
+
+
+def one_row_r(a, b):
+    """The kernel's one-row call: a lone (1, n) prediction against (1, n) observations."""
+    return pooled_correlations(np.atleast_2d(a), np.atleast_2d(b))[0]
+
+
 def test_pearson_endpoints():
     a = np.array([0.3, 1.2, -0.7, 2.2])
-    assert pearson_r(a, a) == pytest.approx(1.0)
-    assert pearson_r(a, -a) == pytest.approx(-1.0)
+    assert one_row_r(a, a) == pytest.approx(1.0)
+    assert one_row_r(a, -a) == pytest.approx(-1.0)
 
 
 def test_pearson_hand_dataset():
-    r = pearson_r([1.0, 2.0, 3.0], [2.0, 4.0, 5.0])
+    r = one_row_r([1.0, 2.0, 3.0], [2.0, 4.0, 5.0])
     assert r == pytest.approx(0.9820, abs=1e-4)
 
 
 def test_pearson_zero_variance_is_degenerate_zero():
-    assert pearson_r([1.0, 1.0, 1.0], [0.0, 2.0, 5.0]) == 0.0
+    assert one_row_r([1.0, 1.0, 1.0], [0.0, 2.0, 5.0]) == 0.0
+    r, degenerate, n_pairs = pooled_correlations([[1.0, 1.0, 1.0]], [[0.0, 2.0, 5.0]])
+    assert (r, degenerate, n_pairs) == (0.0, True, 3)
 
 
 def test_pearson_affine_invariance_and_sign_flip():
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal(50), rng.standard_normal(50)
-    r = pearson_r(a, b)
-    assert pearson_r(3.0 * a + 1.0, b) == pytest.approx(r, abs=1e-12)
-    assert pearson_r(a, 0.1 * b - 7.0) == pytest.approx(r, abs=1e-12)
-    assert pearson_r(-2.0 * a, b) == pytest.approx(-r, abs=1e-12)
+    r = one_row_r(a, b)
+    assert one_row_r(3.0 * a + 1.0, b) == pytest.approx(r, abs=1e-12)
+    assert one_row_r(a, 0.1 * b - 7.0) == pytest.approx(r, abs=1e-12)
+    assert one_row_r(-2.0 * a, b) == pytest.approx(-r, abs=1e-12)
+
+
+def _prediction_stack(rng, lead, obs):
+    """Correlated predictions shaped lead + obs.shape, with NaN history columns
+    (a span from season 0: each row misses its first 0-11 seasons), scattered
+    -inf values, and offsets and scales that stress the mean's rounding."""
+    pred = (0.4 * obs + rng.standard_normal(lead + obs.shape)) * rng.choice(
+        [1e-3, 1.0, 7.0], lead + (1, 1)) + rng.choice([0.0, -3.5, 1e4], lead + (1, 1))
+    history = rng.choice([0, 4, 7, 11], lead)
+    for idx in np.ndindex(lead):
+        pred[idx][:, :history[idx]] = np.nan
+    pred[rng.random(pred.shape) < 0.01] = -np.inf
+    return pred
+
+
+def _plant_edge_rows(pred):
+    """An all-inf row, zero-variance rows, and rows of 2 and 3 pairs."""
+    flat = pred.reshape(-1, *pred.shape[-2:])
+    flat[0] = np.inf
+    flat[1] = 0.75  # exact in binary, so its mean is too
+    flat[2, :, :3] = -2.0
+    flat[3] = np.nan
+    flat[3, 0, -2:] = (1.0, 2.0)
+    flat[4] = np.nan
+    flat[4, 1, -3:] = (1.0, -2.0, 0.5)
+
+
+@pytest.mark.parametrize("lead, seasons", [((), 30), ((40,), 30), ((3, 25), 18),
+                                           ((300,), 250), ((2, 150), 60)])
+def test_pooled_correlations_equal_the_per_row_reference_bit_for_bit(lead, seasons):
+    rng = np.random.default_rng(len(lead) * 1000 + seasons)
+    obs = rng.standard_normal((4, seasons))
+    obs[1, 5] = obs[3, -1] = np.nan  # NaN observations
+    pred = _prediction_stack(rng, lead, obs)
+    if lead:
+        _plant_edge_rows(pred)
+    for observed in (obs, np.where(np.isfinite(obs), 0.25, np.nan)):  # and a constant block
+        r, degenerate, n_pairs = pooled_correlations(pred, observed)
+        assert np.shape(r) == np.shape(degenerate) == np.shape(n_pairs) == lead
+        expected = [reference_pooled_correlation(pred[idx], observed) for idx in np.ndindex(lead)]
+        ok = np.isfinite(pred) & np.isfinite(observed)
+        # bits, so sign bits count too
+        assert (np.reshape(r, -1).view(np.uint64)
+                == np.array([e[0] for e in expected]).view(np.uint64)).all()
+        assert np.reshape(degenerate, -1).tolist() == [e[1] for e in expected]
+        assert np.array_equal(n_pairs, ok.sum(axis=(-2, -1)))
+        if lead and observed is obs:  # the planted rows
+            assert degenerate.reshape(-1)[[0, 1, 3]].all() and not degenerate.reshape(-1)[4]
+            assert n_pairs.reshape(-1)[[0, 3, 4]].tolist() == [0, 2, 3]
+    assert np.all(degenerate) and not np.any(r)  # under the constant block
+    with pytest.raises(ValueError):
+        pooled_correlations(pred, obs[:, 1:])
 
 
 def test_pvalue_trivial_points():

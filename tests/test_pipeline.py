@@ -11,10 +11,11 @@ from chaoscast.artifacts import write_json, write_text
 from chaoscast.config import PipelineConfig, load_config, save_config
 from chaoscast.embedding import DelayMap
 from chaoscast.ensemble import (ModelGroup, PredictorKey, load_keys, observation_matrix,
-                                pooled_correlation, save_keys)
+                                save_keys)
 from chaoscast.ground import SEASON_NAMES
 from chaoscast.inversion import key_significance_counts
 from chaoscast.metrics import adjusted_dof, benjamini_hochberg, correlation_pvalue
+from test_metrics import reference_pooled_correlation
 
 GOLDEN_CONFIG = {"seed": 7,
                  "surrogate": {"forcings": [6.0, 8.0, 10.0], "n_seasons": 200},
@@ -157,11 +158,24 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
     groups = pl.load_groups(out)
     ground, _, _ = pl.load_ground(out)
     calls = _count_predict_groups(monkeypatch, pl)
-    pl.stage_select(cfg, groups, ground, pl.stage_shrinkage(cfg))
+    correlated = []
+    correlate = ensemble.pooled_correlations
+
+    def counted(pred, obs):
+        correlated.append(np.shape(pred)[:-2])
+        return correlate(pred, obs)
+
+    monkeypatch.setattr(ensemble, "pooled_correlations", counted)
+    keys_by_attractor, _ = pl.stage_select(cfg, groups, ground, pl.stage_shrinkage(cfg))
     # one batched call per attractor, holding each of its groups once
     assert calls == [Counter((g.attractor_id, g.map_index) for g in groups[label])
                      for label in sorted(groups)]
     assert {n for call in calls for n in call.values()} == {1}
+    # per attractor, one correlation call ranks its groups and one per window
+    # (select, retain) scores its keys
+    assert correlated == [shape for label in sorted(groups)
+                          for shape in ((len(groups[label]),),
+                                        *[(len(keys_by_attractor[label]),)] * 2)]
 
 
 @pytest.mark.parametrize("section, settings", [
@@ -190,12 +204,21 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
     ("embedding", {"lag_max": 250}),
     ("embedding", {"lag_max": 500}),
     ("embedding", {"lag_max": 195}),
+    ("schedule", {"lengths": [28, 8, 8, 1]}),
+    ("inversion", {"enabled": True, "q": 0}),
+    ("inversion", {"enabled": True, "q": 1.5}),
+    ("inversion", {"fraction_of_max": 0}),
+    ("inversion", {"enabled": True, "target_window": [44, 40]}),
+    ("inversion", {"trailing_seasons": 0}),
+    ("selection", {"x_grid": [10, 10]}),
 ], ids=["vote_k-0", "top_k-negative", "vote_mode-plurality", "x_grid-empty", "max_subset_size-0",
         "direction-sideways", "n_reps-50", "n_points-6", "target_r-1",
         "first_season-negative", "station-series-unknown", "stations-one", "K-3", "dt-negative",
         "forcings-duplicate", "forcings-empty", "steps_per_season-0", "forcings-overflow",
         "steady_window-1", "n_seasons-below-two-windows", "index-site-outside-ring",
-        "fresh-forcing-overflow", "lag_max-250", "lag_max-500", "lag_max-195"])
+        "fresh-forcing-overflow", "lag_max-250", "lag_max-500", "lag_max-195",
+        "predict-window-1", "q-0", "q-1.5", "fraction_of_max-0", "target_window-reversed",
+        "trailing_seasons-0", "x_grid-repeated"])
 def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section, settings):
     payload = {**GOLDEN_CONFIG, section: {**GOLDEN_CONFIG.get(section, {}), **settings}}
     config = _write_config(tmp_path / "config.json", payload)
@@ -204,6 +227,19 @@ def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section,
     assert not (out / "ground.csv").exists()
     if section != "stations":  # station targets are checked against the ground panel
         assert not out.exists()
+
+
+def test_invert_rejects_a_target_window_past_the_ground_panel(tmp_path, capsys):
+    # the golden ground panel ends with the schedule, at season 49; a file-mode
+    # ground can be longer, so validate() cannot know the panel's length
+    config = _write_config(tmp_path / "config.json", {
+        **GOLDEN_CONFIG, "inversion": {"enabled": True, "target_window": [40, 100]}})
+    out = tmp_path / "out"
+    assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 1
+    assert "past the 49-season ground panel" in capsys.readouterr().err
+    assert (out / "forecast.json").exists() and not (out / "inversion.json").exists()
+    assert cli.main(["invert", "-c", config, "-o", str(out)]) == 1
+    assert not (out / "inversion.json").exists()
 
 
 def test_run_all_rejects_a_steady_panel_too_short_to_fit(tmp_path, capsys):
@@ -285,7 +321,7 @@ def test_invert_predicts_each_member_once_and_counts_as_per_key(golden_run, monk
             for key in keys:
                 pred = key.predict(ground, target)
                 obs = observation_matrix(ground, key.stations, target)
-                r, degenerate = pooled_correlation(pred, obs)
+                r, degenerate = reference_pooled_correlation(pred, obs)
                 n_pairs = int((np.isfinite(pred) & np.isfinite(obs)).sum())
                 pvals.append(1.0 if degenerate or n_pairs <= n_means + 2 else
                              correlation_pvalue(r, adjusted_dof(n_pairs, n_means)))
