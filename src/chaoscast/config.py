@@ -201,6 +201,9 @@ class PipelineConfig:
             raise ConfigError("inversion.target_window must be [start, end], 0 <= start < end")
         if inv.trailing_seasons < 1:
             raise ConfigError("inversion.trailing_seasons must be >= 1")
+        for name in ("bandwidth", "n_fitted_means"):
+            if (value := getattr(inv, name)) is not None and not value >= 0:
+                raise ConfigError(f"inversion.{name} must be null or >= 0")
 
     def resolved_stations(self) -> dict[str, tuple[str, str]]:
         """Station map, defaulting to four evenly spaced surrogate sites."""

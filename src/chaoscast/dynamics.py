@@ -7,9 +7,12 @@ a single-ring run. One routine, :func:`steady_run`, integrates a grid
 past its transient, aggregates each row to seasonal means and truncates
 it at the detected steady state. The attractor library is one such call
 over the whole grid, standardized per row and tagged with its forcing
-value; a fresh synthetic ground record is the one-row call, at a forcing
-outside the library. At the default 6-forcing, 400-season grid the
-batched state array is about 14 MB.
+value. A fresh synthetic ground run, at a forcing the library need not
+hold, rides in the same call as one more row: its cost is per-step
+Python overhead, not rows, so the extra row is almost free. The library
+keeps that row's raw steady run, never an attractor of it. At the
+default 6-forcing, 400-season grid the batched state array is about
+14 MB.
 """
 
 from __future__ import annotations
@@ -324,7 +327,8 @@ def check_grid(parameters: list[TuningParameter]) -> None:
 
 
 def steady_run(parameters: list[TuningParameter], seeds: list[int],
-               surrogate: SurrogateConfig) -> list[tuple[Panel, int]]:
+               surrogate: SurrogateConfig,
+               names: list[str] | None = None) -> list[tuple[Panel, int]]:
     """Integrate one run per grid row at its fixed forcing and keep its steady seasons.
 
     All rows are integrated together as one ``(P, K)`` batch. Row p starts
@@ -332,28 +336,30 @@ def steady_run(parameters: list[TuningParameter], seeds: list[int],
     to seasonal means with the configured two-region indices appended,
     and is cut where the cross-site mean of every variable is first
     steady. Returns each row's raw steady panel and the season it starts
-    at. A diverged row (the earliest to diverge, the first in grid order
-    at that step) or, after it, the first row in grid order that never
-    settles raises an error naming the row's parameter.
+    at. Errors name a row by ``names[p]`` (``parameter <label>`` by
+    default). Divergence comes first: the row that diverges at the
+    earliest step, the first in batch order at that step, whatever its
+    name. Then the first row in batch order that never settles.
     """
     sur = surrogate
     sur.check()
+    if names is None:
+        names = [f"parameter {p.label}" for p in parameters]
     x0 = np.stack([start_state(p.value, sur.K, None, seed, PERTURBATION)
                    for p, seed in zip(parameters, seeds, strict=True)])
     try:
         states = integrate_grid(x0, [p.value for p in parameters], sur.dt,
                                 sur.n_seasons * sur.steps_per_season)
     except IntegrationDivergedError as exc:
-        raise IntegrationDivergedError(
-            exc.step, exc.row, f"parameter {parameters[exc.row].label}: {exc}") from exc
+        raise IntegrationDivergedError(exc.step, exc.row, f"{names[exc.row]}: {exc}") from exc
 
     observables = default_observables(sur.K, sur.temp_smooth)
     runs = []
-    for param, row in zip(parameters, states):
+    for name, row in zip(names, states, strict=True):
         panel = seasonal_aggregate(Trajectory(states=row, dt=sur.dt), sur.steps_per_season,
                                    observables)
-        for name, (ra, rb) in sorted(sur.indices.items()):
-            panel.add(IDX, name, synth_index(panel, set(ra), set(rb)))
+        for index, (ra, rb) in sorted(sur.indices.items()):
+            panel.add(IDX, index, synth_index(panel, set(ra), set(rb)))
         variables = sorted({var for var, _ in panel.values})
         monitored = [np.mean([panel.series(var, site) for v2, site in panel.catalog()
                               if v2 == var], axis=0)
@@ -361,9 +367,24 @@ def steady_run(parameters: list[TuningParameter], seeds: list[int],
         try:
             steady = detect_steady_state(monitored, sur.steady_window, sur.slope_tol)
         except StationarityNotReachedError as exc:
-            raise StationarityNotReachedError(f"parameter {param.label}: {exc}") from exc
+            raise StationarityNotReachedError(f"{name}: {exc}") from exc
         runs.append((panel.window(steady, panel.n_seasons), steady))
     return runs
+
+
+def fresh_ground_name(param: TuningParameter) -> str:
+    """How errors name the fresh ground run."""
+    return f"fresh ground run at {param.label}"
+
+
+class AttractorLibrary(list):
+    """Attractor estimates sorted by parameter value, plus the raw steady runs
+    (panel, steady start) of fresh ground rows integrated in their batch,
+    keyed by each row's (parameter, seed). Those rows are not attractors."""
+
+    def __init__(self, estimates=()):
+        super().__init__(estimates)
+        self.fresh_ground: dict[tuple[TuningParameter, int], tuple[Panel, int]] = {}
 
 
 def _standardized_attractor(param: TuningParameter, steady_panel: Panel, steady: int,
@@ -385,18 +406,32 @@ def _standardized_attractor(param: TuningParameter, steady_panel: Panel, steady:
 
 
 def build_attractor_library(parameters: list[TuningParameter], surrogate: SurrogateConfig,
-                            seed: int) -> list[AttractorEstimate]:
+                            seed: int,
+                            fresh_ground: tuple[TuningParameter, int] | None = None,
+                            ) -> AttractorLibrary:
     """One steady, standardized attractor estimate per parameter, sorted by value.
 
-    The whole grid is one :func:`steady_run` call. Errors name the
-    failing parameter: divergence first, then a row that never settles,
-    then a row with too few steady seasons, each the first in grid order.
+    The whole grid is one :func:`steady_run` call. ``fresh_ground``, a
+    (parameter, seed) row, is integrated as the last row of that call;
+    its raw steady run is kept in ``fresh_ground`` of the result,
+    bit-identical to a lone run. Errors name the failing row: divergence
+    first, then a row that never settles, then a grid row with too few
+    steady seasons, each the first in batch order.
     """
     check_grid(parameters)
     run_seeds = [int(derive_rng(seed, "attractor", p.label).integers(2**32))
                  for p in parameters]
-    runs = steady_run(parameters, run_seeds, surrogate)
-    library = [_standardized_attractor(param, panel, steady, surrogate, seed)
-               for param, (panel, steady) in zip(parameters, runs)]
+    rows = list(parameters)
+    names = [f"parameter {p.label}" for p in parameters]
+    if fresh_ground is not None:
+        rows.append(fresh_ground[0])
+        run_seeds.append(fresh_ground[1])
+        names.append(fresh_ground_name(fresh_ground[0]))
+    runs = steady_run(rows, run_seeds, surrogate, names)
+    library = AttractorLibrary()
+    if fresh_ground is not None:
+        library.fresh_ground[fresh_ground] = runs.pop()
+    library.extend(_standardized_attractor(param, panel, steady, surrogate, seed)
+                   for param, (panel, steady) in zip(parameters, runs, strict=True))
     library.sort(key=lambda a: a.parameter.value)
     return library

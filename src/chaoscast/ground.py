@@ -2,8 +2,11 @@
 
 The ground panel shares the attractor panels' (variable, site)
 coordinate system; file input maps weather-station rows onto configured
-sites, and synthetic ground copies or re-runs a surrogate trajectory
-with observation noise at a chosen signal-to-noise ratio.
+sites, and synthetic ground copies a library member or runs the
+surrogate afresh, with observation noise at a chosen signal-to-noise
+ratio. The fresh run is integrated as the last row of the library's
+batch (see :func:`fresh_ground_row`), and only alone when the library
+given does not carry it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .dynamics import AttractorEstimate, TuningParameter, steady_run
+from .dynamics import AttractorEstimate, TuningParameter, fresh_ground_name, steady_run
 from .errors import ConfigError, PanelFormatError
 from .panel import Coord, Panel
 from .seeding import derive_rng
@@ -149,11 +152,22 @@ def _destandardized_member(member: AttractorEstimate) -> Panel:
     return Panel(raw)
 
 
+def fresh_ground_row(cfg: PipelineConfig) -> tuple[TuningParameter, int]:
+    """The (parameter, seed) row of the fresh ground run at ``ground.forcing``."""
+    forcing = float(cfg.ground.forcing)
+    seed = int(derive_rng(cfg.seed, "ground", "fresh").integers(2**32))
+    return TuningParameter(forcing, cfg.surrogate.label(forcing)), seed
+
+
 def make_ground_panel(cfg: PipelineConfig, library: list[AttractorEstimate]) -> tuple[Panel, dict]:
     """Raw (unstandardized) ground panel plus provenance metadata.
 
     Synthetic modes add per-series Gaussian observation noise with
-    sd = series sd / snr; file mode parses the configured input.
+    sd = series sd / snr; file mode parses the configured input. Fresh
+    mode takes its raw steady run from ``library.fresh_ground``, where
+    ``build_attractor_library`` keeps the row it integrated in the
+    library's batch; given a plain list, it integrates that row alone,
+    with the same result.
     """
     windows = cfg.schedule.windows()
     n_seasons = windows.end
@@ -174,16 +188,17 @@ def make_ground_panel(cfg: PipelineConfig, library: list[AttractorEstimate]) -> 
         meta = {"mode": "member", "member": label,
                 "true_forcing": member.parameter.value}
     else:
-        seed = int(derive_rng(cfg.seed, "ground", "fresh").integers(2**32))
-        forcing = float(cfg.ground.forcing)
-        param = TuningParameter(forcing, cfg.surrogate.label(forcing))
-        ((steady, _),) = steady_run([param], [seed], cfg.surrogate)
+        param, seed = fresh_ground_row(cfg)
+        run = getattr(library, "fresh_ground", {}).get((param, seed))
+        if run is None:
+            (run,) = steady_run([param], [seed], cfg.surrogate, [fresh_ground_name(param)])
+        steady, _ = run
         if steady.n_seasons < n_seasons:
             raise ConfigError(
                 f"fresh ground run has only {steady.n_seasons} steady seasons, "
                 f"need {n_seasons}; lengthen surrogate.n_seasons")
         base = steady.window(0, n_seasons)
-        meta = {"mode": "fresh", "true_forcing": forcing}
+        meta = {"mode": "fresh", "true_forcing": param.value}
 
     rng = derive_rng(cfg.seed, "ground", "noise")
     noisy = {}

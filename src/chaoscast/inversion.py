@@ -81,16 +81,16 @@ def smooth_counts(counts, parameters, bandwidth: float | None = None) -> np.ndar
     Weights fall linearly from 1 at distance 0 to 0 at 2*bandwidth, so
     the default bandwidth of one grid step spreads a spike to its
     immediate neighbors; endpoints renormalize by the weights present.
-    Bandwidth 0 (or a single attractor) is the identity.
+    Bandwidth 0, or a grid of fewer than 3 attractors, is the identity.
     """
     counts = np.asarray(counts, dtype=float)
     parameters = np.asarray(parameters, dtype=float)
     if counts.shape != parameters.shape:
         raise ValueError("counts and parameters must align")
-    if counts.size < 3:
-        raise ValueError("need at least 3 attractors to smooth")
     if np.any(np.diff(parameters) <= 0):
         raise ValueError("parameters must be strictly increasing")
+    if counts.size < 3:
+        return counts.copy()
     if bandwidth is None:
         bandwidth = float(np.median(np.diff(parameters)))
     if bandwidth <= 0.0:

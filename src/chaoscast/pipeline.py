@@ -25,7 +25,8 @@ from .ensemble import (EnsembleForecast, ModelGroup, PredictorKey, Station,
                        map_from_dict, map_to_dict, median_combine, observation_matrix,
                        predict_groups, rank_models, retain_predictors, save_keys)
 from .errors import ConfigError
-from .ground import StandardizationFactors, make_ground_panel, standardize_anomalies
+from .ground import (StandardizationFactors, fresh_ground_row, make_ground_panel,
+                     standardize_anomalies)
 from .inversion import InversionResult, invert_parameter
 from .metrics import (SkillReport, adjusted_dof, box_ljung, correlation_pvalue, heidke_skill,
                       pooled_correlations, running_skill, tercile_boundaries)
@@ -67,7 +68,11 @@ def _stations(cfg: PipelineConfig) -> tuple[Station, ...]:
 # --- library -------------------------------------------------------------
 
 def stage_library(cfg: PipelineConfig, out: Path | None = None) -> list[AttractorEstimate]:
-    library = build_attractor_library(cfg.surrogate.parameters(), cfg.surrogate, cfg.seed)
+    """The attractor library; in fresh ground mode it also carries the fresh
+    ground run, integrated in the same batch for :func:`stage_ground`."""
+    fresh = fresh_ground_row(cfg) if cfg.ground.mode == "fresh" else None
+    library = build_attractor_library(cfg.surrogate.parameters(), cfg.surrogate, cfg.seed,
+                                      fresh)
     log.info("library: %d attractors, %d steady seasons each (min)",
              len(library), min(a.panel.n_seasons for a in library))
     if out is not None:

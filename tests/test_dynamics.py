@@ -16,6 +16,7 @@ from chaoscast.dynamics import (
     integrate_lorenz96,
     seasonal_aggregate,
     start_state,
+    steady_run,
     synth_index,
 )
 from chaoscast.errors import IntegrationDivergedError, StationarityNotReachedError
@@ -279,6 +280,39 @@ def test_library_error_names_the_parameter_once(forcings, change, error, label):
     assert all(p.label == label or p.label not in message for p in params)
     if error is IntegrationDivergedError:
         assert isinstance(err.value.step, int) and str(err.value.step) in message
+
+
+@pytest.mark.parametrize("forcing", [7.0, 8.0, 11.0], ids=["inside", "on-a-grid-row", "outside"])
+def test_fresh_ground_row_is_the_lone_run(forcing):
+    grid = [TuningParameter(F, f"F{F:g}") for F in (6.0, 8.0, 10.0)]
+    row = (TuningParameter(forcing, f"F{forcing:g}"), 5)
+    library = build_attractor_library(grid, FAST_RUN, FAST_SEED, fresh_ground=row)
+    (panel, steady), = steady_run([row[0]], [row[1]], FAST_RUN)
+    batched, batched_steady = library.fresh_ground[row]
+    assert batched_steady == steady
+    assert batched.values.keys() == panel.values.keys()
+    assert all(np.array_equal(batched.values[k], panel.values[k]) for k in panel.values)
+    # the ground row is no attractor, and the attractors do not change
+    alone = build_attractor_library(grid, FAST_RUN, FAST_SEED)
+    assert list(library.fresh_ground) == [row] and alone.fresh_ground == {}
+    assert [a.label for a in library] == ["F6", "F8", "F10"]
+    for a, b in zip(library, alone):
+        assert (a.steady_start, a.seed, a.scale) == (b.steady_start, b.seed, b.scale)
+        assert all(np.array_equal(a.panel.values[k], b.panel.values[k]) for k in b.panel.values)
+
+
+@pytest.mark.parametrize("forcing, error", [
+    (30.0, IntegrationDivergedError),  # diverges before the F8 row could
+    (0.0, StationarityNotReachedError),  # decays for the whole run
+], ids=["diverged", "never-settles"])
+def test_library_errors_name_the_fresh_ground_row(forcing, error):
+    row = (TuningParameter(forcing, f"F{forcing:g}"), 5)
+    with pytest.raises(error) as err:
+        build_attractor_library([TuningParameter(8.0, "F8")], replace(FAST_RUN, K=36),
+                                FAST_SEED, fresh_ground=row)
+    message = str(err.value)
+    assert message.startswith(f"fresh ground run at F{forcing:g}: ")
+    assert "parameter" not in message and "F8" not in message
 
 
 def test_library_sorted_and_deterministic():

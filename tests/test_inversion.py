@@ -137,6 +137,14 @@ def test_smooth_bandwidth_zero_is_identity():
                           np.asarray(counts, dtype=float))
 
 
+@pytest.mark.parametrize("counts, params", [([4], [8.0]), ([4, 1], [6.0, 8.0])],
+                         ids=["one-attractor", "two-attractors"])
+def test_smooth_fewer_than_three_attractors_is_identity(counts, params):
+    for bandwidth in (None, 1.0, 1e14):
+        assert np.array_equal(smooth_counts(counts, params, bandwidth=bandwidth),
+                              np.asarray(counts, dtype=float))
+
+
 def test_smooth_huge_bandwidth_preserves_mass():
     rng = np.random.default_rng(3)
     counts = rng.integers(0, 10, size=7).astype(float)

@@ -5,14 +5,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from chaoscast import cli, ensemble, inversion
+from chaoscast import cli, dynamics, ensemble, inversion
 from chaoscast import pipeline as pl
 from chaoscast.artifacts import write_json, write_text
 from chaoscast.config import PipelineConfig, load_config, save_config
 from chaoscast.embedding import DelayMap
 from chaoscast.ensemble import (ModelGroup, PredictorKey, load_keys, observation_matrix,
                                 save_keys)
-from chaoscast.ground import SEASON_NAMES
+from chaoscast.ground import SEASON_NAMES, make_ground_panel
 from chaoscast.inversion import key_significance_counts
 from chaoscast.metrics import adjusted_dof, benjamini_hochberg, correlation_pvalue
 from test_metrics import reference_pooled_correlation
@@ -211,6 +211,8 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
     ("inversion", {"enabled": True, "target_window": [44, 40]}),
     ("inversion", {"trailing_seasons": 0}),
     ("selection", {"x_grid": [10, 10]}),
+    ("inversion", {"enabled": True, "n_fitted_means": -200}),
+    ("inversion", {"enabled": True, "bandwidth": -1.0}),
 ], ids=["vote_k-0", "top_k-negative", "vote_mode-plurality", "x_grid-empty", "max_subset_size-0",
         "direction-sideways", "n_reps-50", "n_points-6", "target_r-1",
         "first_season-negative", "station-series-unknown", "stations-one", "K-3", "dt-negative",
@@ -218,7 +220,8 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
         "steady_window-1", "n_seasons-below-two-windows", "index-site-outside-ring",
         "fresh-forcing-overflow", "lag_max-250", "lag_max-500", "lag_max-195",
         "predict-window-1", "q-0", "q-1.5", "fraction_of_max-0", "target_window-reversed",
-        "trailing_seasons-0", "x_grid-repeated"])
+        "trailing_seasons-0", "x_grid-repeated", "n_fitted_means-negative",
+        "bandwidth-negative"])
 def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section, settings):
     payload = {**GOLDEN_CONFIG, section: {**GOLDEN_CONFIG.get(section, {}), **settings}}
     config = _write_config(tmp_path / "config.json", payload)
@@ -301,6 +304,59 @@ def test_run_all_with_inversion_ends_with_a_no_estimate_result(golden_run, tmp_p
     assert json.loads(tree["models.json"])["groups"] == golden_models["groups"]
     assert cli.main(["invert", "-c", config, "-o", str(out)]) == 0
     assert _tree(out) == tree
+
+
+def test_run_all_inverts_on_a_two_forcing_grid(tmp_path):
+    # fewer than 3 attractors: smoothing is the identity, not an error
+    config = _write_config(tmp_path / "config.json", {
+        **GOLDEN_CONFIG, "surrogate": {**GOLDEN_CONFIG["surrogate"], "forcings": [6.0, 8.0]},
+        "inversion": {"enabled": True, "q": 0.9}})
+    out = tmp_path / "out"
+    assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 0
+    written = (out / "inversion.json").read_bytes()
+    inversion = json.loads(written)
+    assert inversion["attractor_ids"] == ["F6", "F8"]
+    assert inversion["smoothed_counts"] == inversion["raw_counts"]
+    assert inversion["estimate"] is not None
+    assert cli.main(["invert", "-c", config, "-o", str(out)]) == 0
+    assert (out / "inversion.json").read_bytes() == written
+
+
+def test_fresh_ground_rides_in_the_library_batch(tmp_path, monkeypatch):
+    cfg = PipelineConfig.from_dict({**GOLDEN_CONFIG,
+                                    "ground": {"mode": "fresh", "forcing": 7.0}})
+    config = _write_config(tmp_path / "config.json", cfg.to_dict())
+    calls = []  # the row count of each integrate_grid call
+    integrate = dynamics.integrate_grid
+
+    def counted(x0, *args, **kwargs):
+        calls.append(len(x0))
+        return integrate(x0, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_grid", counted)
+    result = pl.run_pipeline(cfg)
+    assert calls == [4]  # the 3 forcings and the ground row
+    assert [a.label for a in result.library] == ["F6", "F8", "F10"]
+    calls.clear()
+    assert cli.main(["generate-library", "-c", config, "-o", str(tmp_path / "out")]) == 0
+    assert calls == [4]
+    # a plain list has no batched row: the ground run is integrated alone, the same
+    calls.clear()
+    alone, _ = make_ground_panel(cfg, list(result.library))
+    assert calls == [1]
+    batched, _ = make_ground_panel(cfg, result.library)
+    assert alone.values.keys() == batched.values.keys()
+    assert all(np.array_equal(alone.values[k], batched.values[k]) for k in alone.values)
+
+
+def test_run_all_names_a_diverged_fresh_ground_run(tmp_path, capsys):
+    config = _write_config(tmp_path / "config.json", {
+        **GOLDEN_CONFIG, "ground": {"mode": "fresh", "forcing": 30}})
+    out = tmp_path / "out"
+    assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "chaoscast: fresh ground run at F30: integration diverged at step 9\n")
+    assert not (out / "attractors").exists()
 
 
 def test_invert_predicts_each_member_once_and_counts_as_per_key(golden_run, monkeypatch):
