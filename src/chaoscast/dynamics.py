@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IntegrationDivergedError, StationarityNotReachedError
+from .errors import ConfigError, IntegrationDivergedError, StationarityNotReachedError
 from .panel import Coord, Panel
 from .seeding import derive_rng
 
@@ -29,6 +29,7 @@ WET = "wet"  # per-site seasonal mean of the raw state (precipitation analog)
 TMP = "tmp"  # per-site seasonal mean of a short trailing average (temperature analog)
 IDX = "idx"  # derived two-region difference indices
 PERTURBATION = 1e-3  # sd of the seed-drawn kick off the x = F fixed point
+CONSTANT_SD = 1e-9  # relative sd at or below which a steady series is constant
 
 
 @dataclass(frozen=True)
@@ -397,8 +398,11 @@ def _standardized_attractor(param: TuningParameter, steady_panel: Panel, steady:
     scale = {}
     for key, vals in steady_panel.values.items():
         mean, sd = float(np.mean(vals)), float(np.std(vals))
-        if sd < 1e-12:
-            sd = 1.0
+        if sd <= CONSTANT_SD * max(1.0, abs(mean)):
+            raise ConfigError(
+                f"parameter {param.label}: series {key} is constant on the steady run "
+                f"(sd {sd:.3g}); the ring settles on a fixed point, which has no "
+                "attractor to fit; drop this forcing from surrogate.forcings")
         steady_panel.values[key] = (vals - mean) / sd
         scale[key] = (mean, sd)
     return AttractorEstimate(parameter=param, panel=steady_panel,
@@ -416,7 +420,8 @@ def build_attractor_library(parameters: list[TuningParameter], surrogate: Surrog
     its raw steady run is kept in ``fresh_ground`` of the result,
     bit-identical to a lone run. Errors name the failing row: divergence
     first, then a row that never settles, then a grid row with too few
-    steady seasons, each the first in batch order.
+    steady seasons or a constant series (a fixed point, a ConfigError),
+    each the first in batch order.
     """
     check_grid(parameters)
     run_seeds = [int(derive_rng(seed, "attractor", p.label).integers(2**32))

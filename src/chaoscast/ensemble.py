@@ -75,39 +75,26 @@ def fit_model_groups(attractor_id: str, maps, panel: Panel, stations,
     """Fit the Cp-selected subset model per station for every delay map.
 
     Map i becomes the group with ``map_index`` i, fitted on the response
-    seasons from its largest lag to the end of the attractor panel. Maps
-    are bucketed by (largest lag, dimension), so a bucket shares its
+    seasons from its largest lag to the end of the attractor panel, which
+    must be complete: a missing or non-finite value raises ValueError.
+    Maps are bucketed by (largest lag, dimension), so a bucket shares its
     response rows, and fitted in chunks of at most ``FIT_CHUNK`` maps,
-    each read by one ``lagged_designs`` call only when it is fitted. In a
-    chunk, maps with the same usable rows and stations with the same
-    target rows share one batched search. Every model equals a lone fit
-    of its map and station, bit for bit.
+    each read by one ``lagged_designs`` call only when it is fitted and
+    searched for every station in one ``select_stack`` call. Every model
+    equals a lone fit of its map and station, bit for bit.
     """
     stations = tuple(stations)
     targets = np.stack([panel.series(*st.target) for st in stations], axis=1)
-    fits: list[dict[str, SubsetModel]] = [{} for _ in maps]
+    fits: list[list[SubsetModel]] = [[] for _ in maps]
     for indices in same_rows(np.array([(dmap.max_lag, dmap.dim) for dmap in maps])):
         start = maps[indices[0]].max_lag
-        Y = targets[start:]
         for lo in range(0, len(indices), FIT_CHUNK):
             chunk = indices[lo:lo + FIT_CHUNK]
             X = lagged_designs([maps[i] for i in chunk], panel, (start, panel.n_seasons))
-            usable = np.isfinite(X).all(axis=2)
-            for gs in same_rows(usable):
-                masks = usable[gs[0]][:, None] & np.isfinite(Y)
-                for members in same_rows(masks.T):
-                    mask = masks[:, members[0]]
-                    if not mask.any():
-                        raise ValueError("no usable rows: every season misses data "
-                                         "or history")
-                    stack = (X if len(gs) == len(chunk) and mask.all()
-                             else X[np.ix_(gs, mask)])
-                    models = select_stack(stack, Y[np.ix_(mask, members)], max_size=max_size)
-                    for g, per_map in zip(gs, models):
-                        fits[chunk[g]].update((stations[s].station_id, m)
-                                              for s, m in zip(members, per_map))
+            for i, models in zip(chunk, select_stack(X, targets[start:], max_size=max_size)):
+                fits[i] = models
     return [ModelGroup(attractor_id=attractor_id, map_index=i, dmap=dmap,
-                       fits={st.station_id: fits[i][st.station_id] for st in stations})
+                       fits={st.station_id: m for st, m in zip(stations, fits[i])})
             for i, dmap in enumerate(maps)]
 
 

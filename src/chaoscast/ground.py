@@ -24,15 +24,14 @@ from .seeding import derive_rng
 SEASON_NAMES = ("winter", "spring", "summer", "fall")
 
 
-def load_panel(path, station_sites: dict[str, tuple[str, str]] | None = None) -> Panel:
+def load_panel(path, station_sites: dict[str, tuple[str, str]]) -> Panel:
     """Parse a station,year,season,value file into a raw panel.
 
     Seasons are winter/spring/summer/fall within calendar years; the
     global season index runs from the earliest year seen. Stations map
-    to panel coordinates through ``station_sites`` (identity onto
-    ("wet", station) when omitted). Duplicate (station, season) rows are
-    a hard error naming the line; missing cells stay NaN and fall out of
-    regressions downstream.
+    to panel coordinates through ``station_sites``. Duplicate (station,
+    season) rows are a hard error naming the line; missing cells stay NaN
+    and fall out of the predictions and scores downstream.
     """
     rows = []
     with open(path) as fh:
@@ -69,13 +68,10 @@ def load_panel(path, station_sites: dict[str, tuple[str, str]] | None = None) ->
     series: dict[Coord, np.ndarray] = {}
     filled: dict[tuple[Coord, int], int] = {}
     for lineno, station, year, season, value in rows:
-        if station_sites is not None:
-            if station not in station_sites:
-                raise PanelFormatError(
-                    f"{path}: station {station!r} has no configured site mapping")
-            coord = station_sites[station]
-        else:
-            coord = ("wet", station)
+        if station not in station_sites:
+            raise PanelFormatError(
+                f"{path}: station {station!r} has no configured site mapping")
+        coord = station_sites[station]
         t = (year - year0) * 4 + season
         prev = filled.get((coord, t))
         if prev is not None:

@@ -2,8 +2,9 @@
 
 Both attractor estimates (model-world runs) and the ground record share
 this container, so delay-map coordinates mean the same thing in either
-world. Missing cells are NaN; regression rows touching them are dropped
-downstream, never imputed.
+world. Missing cells are NaN, never imputed. Only the ground record has
+them: they fall out of the predictions and scores downstream, while an
+attractor panel, the data every regression is fitted on, is complete.
 """
 
 from __future__ import annotations

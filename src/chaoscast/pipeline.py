@@ -24,7 +24,7 @@ from .ensemble import (EnsembleForecast, ModelGroup, PredictorKey, Station,
                        fit_model_groups, form_keys, group_from_dict, group_to_dict,
                        map_from_dict, map_to_dict, median_combine, observation_matrix,
                        predict_groups, rank_models, retain_predictors, save_keys)
-from .errors import ConfigError
+from .errors import ConfigError, PanelFormatError
 from .ground import (StandardizationFactors, fresh_ground_row, make_ground_panel,
                      standardize_anomalies)
 from .inversion import InversionResult, invert_parameter
@@ -97,15 +97,21 @@ def stage_library(cfg: PipelineConfig, out: Path | None = None) -> list[Attracto
 
 
 def load_library(out: Path) -> list[AttractorEstimate]:
+    """The library that :func:`stage_library` wrote; every panel must be complete."""
     adir = out / "attractors"
     if not adir.is_dir():
         raise ConfigError(f"no attractor library under {out}; run generate-library")
     library = []
     for meta_path in sorted(adir.glob("*.meta.json")):
         meta = read_json(meta_path)
-        panel, _ = panel_from_text((adir / f"{meta['label']}.csv").read_text())
+        path = adir / f"{meta['label']}.csv"
+        panel, _ = panel_from_text(path.read_text())
         scale = {tuple(k.split("|")): (float(m), float(sd))
                  for k, (m, sd) in meta["scale"].items()}
+        for key in sorted(scale):
+            if key not in panel.values or not np.isfinite(panel.values[key]).all():
+                raise PanelFormatError(f"{path}: series {key} misses a season or holds a "
+                                       "non-finite value; an attractor panel must be complete")
         library.append(AttractorEstimate(
             parameter=TuningParameter(float(meta["parameter_value"]), meta["label"]),
             panel=panel, steady_start=int(meta["steady_start"]),
@@ -116,13 +122,9 @@ def load_library(out: Path) -> list[AttractorEstimate]:
 
 # --- ground --------------------------------------------------------------
 
-def stage_ground(cfg: PipelineConfig, library, out: Path | None = None,
-                 raw_override: Panel | None = None):
+def stage_ground(cfg: PipelineConfig, library, out: Path | None = None):
     windows = cfg.schedule.windows()
-    if raw_override is not None:
-        raw, meta = raw_override, {"mode": "override"}
-    else:
-        raw, meta = make_ground_panel(cfg, library)
+    raw, meta = make_ground_panel(cfg, library)
     shared = set(raw.values) & set(library[0].panel.values)
     for sid, target in cfg.resolved_stations().items():
         if target not in shared:
@@ -196,9 +198,13 @@ def stage_shrinkage(cfg: PipelineConfig, out: Path | None = None) -> ShrinkageRe
 def stage_embed(cfg: PipelineConfig, library, ground: Panel,
                 out: Path | None = None) -> list[DelayMap]:
     catalog = sorted(set(library[0].panel.values) & set(ground.values))
-    if not catalog:
-        raise ConfigError("attractor and ground panels share no coordinates")
     emb = cfg.embedding
+    n_lags = emb.lag_max - emb.lag_min + 1
+    if len(catalog) * n_lags < emb.dim:
+        raise ConfigError(
+            f"{len(catalog)} coordinates shared by the attractor and ground panels at "
+            f"lags {emb.lag_min}..{emb.lag_max} give {len(catalog) * n_lags} delay "
+            f"coordinates, fewer than embedding.dim {emb.dim}")
     maps = sample_delay_maps(catalog, emb.n_maps, emb.dim, emb.lag_min, emb.lag_max,
                              seed=int(derive_rng(cfg.seed, "maps").integers(2**32)),
                              lead=emb.lead)
@@ -495,15 +501,14 @@ def _csv(v) -> str:
 
 # --- orchestration -------------------------------------------------------
 
-def run_pipeline(cfg: PipelineConfig, out_dir=None,
-                 raw_ground_override: Panel | None = None) -> PipelineResult:
+def run_pipeline(cfg: PipelineConfig, out_dir=None) -> PipelineResult:
     """Execute every stage in order; see module docstring for contracts."""
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out / "config.json")
     library = stage_library(cfg, out)
-    ground, factors, meta = stage_ground(cfg, library, out, raw_ground_override)
+    ground, factors, meta = stage_ground(cfg, library, out)
     shrink = stage_shrinkage(cfg, out)
     maps = stage_embed(cfg, library, ground, out)
     groups = stage_fit(cfg, library, maps, out)

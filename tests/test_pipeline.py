@@ -262,23 +262,85 @@ def test_stage_fit_makes_one_solve_per_chunk_and_subset_size(golden_run, monkeyp
     config, out = golden_run
     cfg = load_config(config)
     library, maps = pl.load_library(out), pl.load_maps(out)
-    by_lag = Counter(m.max_lag for m in maps)
-    chunks = sum(-(-count // ensemble.FIT_CHUNK) for count in by_lag.values())
-    assert len(by_lag) > 1
-    calls = []
-    solve = np.linalg.solve
+    by_bucket = Counter((m.max_lag, m.dim) for m in maps)
+    assert len(by_bucket) > 1
+    calls, searches = [], []
+    solve, select_stack = np.linalg.solve, ensemble.select_stack
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
+    def searched(X, Y, **kwargs):
+        searches.append((len(X), Y.shape[1]))
+        return select_stack(X, Y, **kwargs)
+
     monkeypatch.setattr(np.linalg, "solve", counted)
-    for est in library:
-        calls.clear()
-        pl.stage_fit(cfg, [est], maps)
-        # one per (chunk, subset size) and one for the full model; one per map and
-        # size plus the full model (9 x maps) before the maps were batched
-        assert 0 < len(calls) <= chunks * (cfg.embedding.dim + 1) < 9 * len(maps)
+    monkeypatch.setattr(ensemble, "select_stack", searched)
+    for fit_chunk in (ensemble.FIT_CHUNK, 3):
+        monkeypatch.setattr(ensemble, "FIT_CHUNK", fit_chunk)
+        chunks = sum(-(-count // fit_chunk) for count in by_bucket.values())
+        assert (chunks > len(by_bucket)) == (fit_chunk == 3)
+        for est in library:
+            calls.clear()
+            searches.clear()
+            pl.stage_fit(cfg, [est], maps)
+            # one search of every station per (bucket, chunk), with no regrouping
+            assert len(searches) == chunks
+            assert sum(g for g, _ in searches) == len(maps)
+            assert {t for _, t in searches} == {len(cfg.resolved_stations())}
+            # one per (chunk, subset size) and one for the full model; one per map
+            # and size plus the full model (9 x maps) before the maps were batched
+            assert 0 < len(calls) <= chunks * (cfg.embedding.dim + 1) < 9 * len(maps)
+
+
+@pytest.mark.parametrize("lost", ["one-row", "a-station-series"])
+def test_fit_rejects_an_attractor_file_with_a_missing_row(golden_run, tmp_path, capsys, lost):
+    # only a hand-edited library has a gap: the staged fit names the file
+    config, golden_out = golden_run
+    out = tmp_path / "out"
+    shutil.copytree(golden_out, out)
+    path = out / "attractors" / "F8.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    if lost == "one-row":
+        lines = lines[:40] + lines[41:]
+    else:  # st00's target, wet/s00
+        lines = [line for line in lines if not line.startswith("wet,s00,")]
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert cli.main(["fit", "-c", config, "-o", str(out)]) == 1
+    message = capsys.readouterr().err
+    assert "F8.csv" in message and "must be complete" in message
+    assert (out / "models.json").read_bytes() == (golden_out / "models.json").read_bytes()
+
+
+# configs that pass validate() and once ended in an unexpected error, or split
+# the fit's column screens end to end (the temperature series equal the wet ones)
+GUARD_CONFIGS = {
+    "fixed-point-forcing": ({**GOLDEN_CONFIG,
+                             "surrogate": {**GOLDEN_CONFIG["surrogate"],
+                                           "forcings": [0.5, 8.0, 10.0]},
+                             "ground": {"mode": "member", "member": "F8"}},
+                            1, "parameter F0.5"),
+    "space-below-dim": ({**GOLDEN_CONFIG, "surrogate": {**GOLDEN_CONFIG["surrogate"], "K": 4},
+                         "embedding": {**GOLDEN_CONFIG["embedding"], "dim": 12,
+                                       "lag_min": 4, "lag_max": 4}},
+                        1, "embedding.dim 12"),
+    "temp-smooth-1": ({**GOLDEN_CONFIG,
+                       "surrogate": {**GOLDEN_CONFIG["surrogate"], "temp_smooth": 1}},
+                      0, ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_CONFIGS))
+def test_run_all_on_a_valid_config_never_ends_in_an_unexpected_error(tmp_path, capsys, name):
+    payload, code, named = GUARD_CONFIGS[name]
+    config = _write_config(tmp_path / "config.json", payload)
+    PipelineConfig.from_dict(payload).validate()
+    assert cli.main(["run-all", "-c", config, "-o", str(tmp_path / "out")]) == code
+    message = capsys.readouterr().err
+    assert "unexpected error" not in message
+    assert named in message
 
 
 def test_run_all_with_inversion_ends_with_a_no_estimate_result(golden_run, tmp_path):

@@ -289,13 +289,12 @@ def test_fit_model_group_matches_per_station_and_brute_force(short_attractor):
 
 
 def test_fit_model_group_station_with_missing_target_seasons(short_attractor):
+    # attractor panels are complete; load_library names a file that is not
     panel, stations, maps = short_attractor
     gappy = panel.copy()
-    target = gappy.series(*stations[1].target)
-    target[[30, 31, 90, 150]] = np.nan
-    group = _assert_groups_match_per_station_fits(gappy, stations, maps[:1])[0]
-    rows = {sid: m.n_rows for sid, m in group.fits.items()}
-    assert rows[stations[1].station_id] < rows[stations[0].station_id]
+    gappy.series(*stations[1].target)[90] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        fit_model_groups("F8", maps[:1], gappy, stations)
 
 
 def reference_independent_columns(Xc):
@@ -384,23 +383,14 @@ def reference_predict(group, panel, stations, seasons):
 
 def reference_fit_model_group(attractor_id, map_index, dmap, attractor_panel, stations,
                               max_size=None):
-    """The per-map fit that fit_model_groups replaced: one search per row set."""
+    """The per-map fit that fit_model_groups replaced: one search of every station."""
     seasons = (dmap.max_lag, attractor_panel.n_seasons)
-    stations = tuple(stations)
-    X, usable = lagged_rows(attractor_panel, dmap, seasons)
+    X, _ = lagged_rows(attractor_panel, dmap, seasons)
     Y = np.column_stack([attractor_panel.series(*st.target)[seasons[0]:seasons[1]]
                          for st in stations])
-    rows = usable[:, None] & np.isfinite(Y)
-    by_rows = {}
-    for i in range(len(stations)):
-        by_rows.setdefault(rows[:, i].tobytes(), []).append(i)
-    fits = {}
-    for members in by_rows.values():
-        mask = rows[:, members[0]]
-        models = reference_select_models(X[mask], Y[np.ix_(mask, members)], max_size)
-        fits.update((stations[i].station_id, m) for i, m in zip(members, models))
+    models = reference_select_models(X, Y, max_size)
     return ModelGroup(attractor_id=attractor_id, map_index=map_index, dmap=dmap,
-                      fits={st.station_id: fits[st.station_id] for st in stations})
+                      fits={st.station_id: m for st, m in zip(stations, models)})
 
 
 def _assert_same_group(got, want):
@@ -414,17 +404,23 @@ def _assert_same_group(got, want):
         assert (a.intercept, a.rss, a.cp) == (b.intercept, b.rss, b.cp)
 
 
-def _screened_panel(panel, stations):
-    """The panel plus a constant and a duplicate series, a gappy predictor and target."""
+def _screened_panel(panel):
+    """The panel plus a constant and a duplicate series."""
     out = panel.copy()
     out.add("wet", "const", np.full(panel.n_seasons, 0.25))
     out.add("wet", "dup", panel.series("wet", "s01").copy())
+    return out
+
+
+def _gappy_panel(panel, stations):
+    """The screened panel with a gappy predictor and target, as a ground panel can be."""
+    out = _screened_panel(panel)
     out.series("tmp", "s05")[[40, 41, 120]] = np.nan
     out.series(*stations[2].target)[[25, 90, 91, 180]] = np.nan
     return out
 
 
-@pytest.mark.parametrize("case", ["several-lags", "screened-and-gappy", "max-size-2",
+@pytest.mark.parametrize("case", ["several-lags", "screened", "max-size-2",
                                   "several-chunks"])
 def test_fit_model_groups_equals_the_per_map_fit_bit_for_bit(short_attractor, monkeypatch,
                                                              case):
@@ -436,8 +432,8 @@ def test_fit_model_groups_equals_the_per_map_fit_bit_for_bit(short_attractor, mo
     max_size = 2 if case == "max-size-2" else None
     if case == "several-chunks":
         monkeypatch.setattr(ensemble, "FIT_CHUNK", 3)
-    if case == "screened-and-gappy":
-        panel = _screened_panel(panel, stations)
+    if case == "screened":
+        panel = _screened_panel(panel)
         maps += [
             DelayMap((("wet", "const", 5), ("wet", "s03", 7), ("tmp", "s05", 9))),
             DelayMap((("wet", "s01", 6), ("wet", "dup", 6), ("wet", "s04", 9))),
@@ -450,9 +446,10 @@ def test_fit_model_groups_equals_the_per_map_fit_bit_for_bit(short_attractor, mo
     assert len(got) == len(want)
     for a, b in zip(got, want):
         _assert_same_group(a, b)
-    if case == "screened-and-gappy":
+    if case == "screened":
         assert {m.dropped for g in got[-4:] for m in g.fits.values()} == {(0,), (1,), (), (1, 2)}
-        assert len({m.n_rows for g in got for m in g.fits.values()}) > 8
+    assert all(m.n_rows == panel.n_seasons - g.dmap.max_lag
+               for g in got for m in g.fits.values())
 
 
 def test_batched_screen_keeps_the_columns_of_the_per_design_screen():
@@ -532,7 +529,7 @@ def _every_size_groups(maps, stations, seed):
 
 def test_lagged_designs_equals_the_per_map_read(short_attractor):
     panel, _, _ = short_attractor
-    panel = _screened_panel(panel, short_attractor[1])
+    panel = _gappy_panel(panel, short_attractor[1])
     maps = sample_delay_maps(panel.catalog(), 20, 3, 4, 11, seed=3)
     maps += [DelayMap((("tmp", "s05", lag), ("wet", "const", 5), ("wet", "s01", 9)))
              for lag in (4, 8)]
@@ -548,11 +545,12 @@ def test_lagged_designs_equals_the_per_map_read(short_attractor):
 @pytest.mark.parametrize("case", ["fitted", "every-size", "single-group"])
 def test_predict_groups_equals_lone_predictions_bit_for_bit(short_attractor, case):
     panel, stations, _ = short_attractor
-    panel = _screened_panel(panel, stations)  # tmp/s05 has gaps: usable rows differ
+    complete = _screened_panel(panel)
+    panel = _gappy_panel(panel, stations)  # tmp/s05 has gaps: usable rows differ
     maps = _mixed_maps(panel)
     assert {m.dim for m in maps} == {1, 3, 8}
-    if case == "fitted":
-        groups = fit_model_groups("F8", maps, panel, stations)
+    if case == "fitted":  # fitted on the complete panel, predicted on the gappy one
+        groups = fit_model_groups("F8", maps, complete, stations)
     else:
         groups = _every_size_groups(maps, stations, seed=21)
         assert {m.size for g in groups[:12] for m in g.fits.values()} == set(range(1, 9))
