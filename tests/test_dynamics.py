@@ -80,6 +80,13 @@ def test_integration_input_validation():
         integrate_lorenz96(8.0, 8, -0.05, 10)
     with pytest.raises(ValueError):
         integrate_lorenz96(8.0, 8, 0.05, 10, x0=np.array([np.inf] * 8))
+    x0 = np.full((2, 8), 8.0)
+    with pytest.raises(ValueError, match="one value per row"):
+        integrate_grid(x0, [8.0], 0.05, 10)
+    with pytest.raises(ValueError, match="forcings must be finite"):
+        integrate_grid(x0, [8.0, np.nan], 0.05, 10)
+    with pytest.raises(ValueError, match=r"x0 must be a \(P, K\) array"):
+        integrate_grid(x0[0], [8.0], 0.05, 10)
 
 
 def test_integration_deterministic_given_seed():
@@ -115,13 +122,26 @@ def _kicked_grid(forcings, seeds, K):
     return x0, [F for F, _ in rows]
 
 
-@pytest.mark.parametrize("K", [4, 5, 36])  # at K = 4, sites i+2 and i-2 coincide
-def test_grid_rows_are_bit_identical_to_the_single_ring_reference(K):
-    x0, forcings = _kicked_grid([5.0, 8.0, 10.0], [1, 2], K)
-    states = integrate_grid(x0, forcings, 0.05, 400)
-    assert states.shape == (6, 401, K)
+@pytest.mark.parametrize("K, forcings, seeds, n_steps, order", [
+    pytest.param(4, [5.0, 8.0, 10.0], [1, 2], 400, "C", id="4"),  # sites i+2 and i-2 coincide
+    pytest.param(5, [5.0, 8.0, 10.0], [1, 2], 400, "C", id="5"),
+    pytest.param(36, [5.0, 8.0, 10.0], [1, 2], 400, "C", id="36"),
+    pytest.param(36, [8.0], [1], 400, "C", id="1-row"),
+    pytest.param(36, [5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0], [1], 400, "C", id="7-rows"),
+    # chaos amplifies a last-bit slip far above the state's scale within 2,000 steps
+    pytest.param(36, [8.0, 10.0], [1], 2000, "C", id="2000-steps"),
+    pytest.param(36, [5.0, 8.0, 10.0], [1, 2], 400, "F", id="fortran-x0"),
+])
+def test_grid_rows_are_bit_identical_to_the_single_ring_reference(K, forcings, seeds,
+                                                                  n_steps, order):
+    x0, forcings = _kicked_grid(forcings, seeds, K)
+    x0 = np.asarray(x0, order=order)
+    before = x0.copy()
+    states = integrate_grid(x0, forcings, 0.05, n_steps)
+    assert states.shape == (len(forcings), n_steps + 1, K)
+    assert np.array_equal(x0, before)
     for row, F in enumerate(forcings):
-        assert np.array_equal(states[row], _reference_rk4(x0[row], F, 0.05, 400))
+        assert states[row].tobytes() == _reference_rk4(x0[row], F, 0.05, n_steps).tobytes()
 
 
 def test_grid_divergence_reports_the_earliest_step_and_its_first_row():
@@ -138,6 +158,24 @@ def test_grid_divergence_reports_the_earliest_step_and_its_first_row():
     with pytest.raises(IntegrationDivergedError) as err:
         integrate_grid(x0, forcings, 0.05, 50)
     assert (err.value.step, err.value.row) == (min(alone), 4)
+
+
+def test_grid_divergence_after_many_finite_steps_matches_the_lone_run():
+    # dt = 2.8 is past RK4's stability limit for the -x term, so a kicked ring
+    # at F = 0 grows slowly and blows up late; the unkicked ring stays at 0.
+    dt, kicks = 2.8, [(None, 0.0), (3, 1e-3), (1, 1e-6)]
+    x0 = np.stack([start_state(0.0, 36, None, seed, kick) for seed, kick in kicks])
+    with pytest.raises(IntegrationDivergedError) as err:
+        integrate_lorenz96(0.0, 36, dt, 300, seed=3, perturbation=1e-3)
+    lone = err.value.step
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = _reference_rk4(x0[1], 0.0, dt, 300)
+    assert lone > 100
+    assert lone == int(np.argmin(np.isfinite(reference).all(axis=1)))
+    with pytest.raises(IntegrationDivergedError) as err:
+        integrate_grid(x0, [0.0] * 3, dt, 300)
+    assert (err.value.step, err.value.row) == (lone, 1)
+    assert integrate_grid(x0[::2], [0.0] * 2, dt, 300).shape == (2, 301, 36)
 
 
 def _ramp_trajectory(n, K=4):
