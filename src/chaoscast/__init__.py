@@ -8,7 +8,7 @@ parameter from anomaly patterns.
 """
 
 from .config import PipelineConfig, load_config, save_config
-from .dynamics import (AttractorEstimate, SurrogateConfig, Trajectory, TuningParameter,
+from .dynamics import (AttractorEstimate, SurrogateConfig, TuningParameter,
                        build_attractor_library, detect_steady_state, integrate_grid,
                        integrate_lorenz96, seasonal_aggregate, steady_run, synth_index)
 from .embedding import (DelayMap, WindowSchedule, build_design_matrix,

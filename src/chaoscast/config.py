@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .artifacts import write_json
 from .dynamics import SurrogateConfig, check_grid
@@ -23,6 +23,7 @@ from .shrinkage import CALIBRATION_DIRECTIONS, MIN_REPS, N_HOLDOUT
 from .subset import MAX_COLUMNS
 
 CONFIG_VERSION = 1
+IGNORED_KEYS = ("config_version", "threads")  # the version tag and a retired setting
 
 
 @dataclass
@@ -111,6 +112,7 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.seed is None:
             raise ConfigError("seed is mandatory")
+        _check_integers(self)
         emb = self.embedding
         if emb.lag_min < emb.lead + 1:
             raise ConfigError(f"lag_min {emb.lag_min} leaks inside lead {emb.lead}")
@@ -220,8 +222,9 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        d = dict(d)
-        d.pop("config_version", None)
+        d = {k: v for k, v in d.items() if k not in IGNORED_KEYS}
+        if unknown := sorted(set(d) - {f.name for f in fields(cls)}):
+            raise ConfigError(f"unknown config key: {', '.join(map(repr, unknown))}")
         try:
             return cls(
                 seed=d["seed"],
@@ -246,6 +249,28 @@ class PipelineConfig:
         d["ground"] = {k: v for k, v in d["ground"].items() if k != "path"}
         blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def _check_integers(cfg, prefix: str = "") -> None:
+    """Reject a non-integer, a bool included, in every field of ``cfg`` and of its
+    nested config dataclasses that is annotated ``int`` or ``list[int]``,
+    either of them possibly ``| None``."""
+    for f in fields(cfg):
+        name, value = prefix + f.name, getattr(cfg, f.name)
+        if is_dataclass(value):
+            _check_integers(value, f"{name}.")
+            continue
+        kind = f.type.removesuffix(" | None")
+        if kind not in ("int", "list[int]") or (value is None and kind != f.type):
+            continue
+        if kind == "int" and not _is_int(value):
+            raise ConfigError(f"{name} must be an integer, not {value!r}")
+        if kind == "list[int]" and not (isinstance(value, list) and all(map(_is_int, value))):
+            raise ConfigError(f"{name} must be a list of integers, not {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_config(path) -> PipelineConfig:

@@ -17,6 +17,8 @@ per call, one gather per RK stage and about 30 small ufunc calls per
 step, and looks for divergence only after the loop. Its one output is
 the ``(P, n_steps + 1, K)`` state array: at the default 6-forcing,
 400-season grid about 14 MB, about 16 MB with the fresh ground row.
+A run is one row of it, a ``(n_steps + 1, K)`` array that
+:func:`seasonal_aggregate` turns into its seasonal panel.
 """
 
 from __future__ import annotations
@@ -46,29 +48,6 @@ class TuningParameter:
     def __post_init__(self):
         if not np.isfinite(self.value):
             raise ValueError("tuning parameter value must be finite")
-
-
-@dataclass
-class Trajectory:
-    states: np.ndarray  # (n_steps + 1, K), includes the initial state
-    dt: float
-
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=float)
-        if self.states.ndim != 2 or self.states.shape[0] < 1:
-            raise ValueError("states must be a non-empty (steps, K) array")
-        if self.K < 4:
-            raise ValueError("Lorenz-96 coupling needs at least 4 sites")
-        if not np.all(np.isfinite(self.states)):
-            raise ValueError("trajectory contains non-finite entries")
-
-    @property
-    def K(self) -> int:
-        return self.states.shape[1]
-
-    def energy(self) -> np.ndarray:
-        """0.5 * sum_i x_i(t)^2 per stored step."""
-        return 0.5 * np.sum(self.states**2, axis=1)
 
 
 @dataclass
@@ -201,42 +180,21 @@ def integrate_grid(x0, forcings, dt: float, n_steps: int) -> np.ndarray:
     return states
 
 
-def integrate_lorenz96(F, K, dt, n_steps, x0=None, seed=None,
-                       perturbation=PERTURBATION) -> Trajectory:
+def integrate_lorenz96(F, K, dt, n_steps, x0=None, seed=None) -> np.ndarray:
     """Integrate one Lorenz-96 ring: the one-row case of :func:`integrate_grid`.
 
-    Deterministic given (x0, F, dt, n_steps); ``seed`` only draws an
-    optional Gaussian perturbation of the initial condition (used to kick
-    runs off the x = F fixed point). Raises IntegrationDivergedError
-    naming the step if the state blows up.
+    Returns the ``(n_steps + 1, K)`` states, initial state included.
+    Deterministic given (x0, F, dt, n_steps); ``seed`` only draws a
+    Gaussian kick of sd ``PERTURBATION`` off the initial condition (used
+    to start runs off the x = F fixed point). Raises
+    IntegrationDivergedError naming the step if the state blows up.
     """
-    x = start_state(F, K, x0, seed, perturbation)
-    return Trajectory(states=integrate_grid(x[None], [F], dt, n_steps)[0], dt=dt)
-
-
-@dataclass(frozen=True)
-class Observable:
-    """One panel series extracted from a trajectory.
-
-    ``smooth_steps`` > 1 applies a trailing moving average on the step
-    series before seasonal aggregation (the temperature analog).
-    """
-
-    variable: str
-    site: str
-    site_index: int
-    smooth_steps: int = 1
+    x = start_state(F, K, x0, seed, PERTURBATION)
+    return integrate_grid(x[None], [F], dt, n_steps)[0]
 
 
 def site_id(i: int) -> str:
     return f"s{i:02d}"
-
-
-def default_observables(K: int, temp_smooth: int = 5) -> list[Observable]:
-    """Per-site precipitation analog (raw) and temperature analog (smoothed)."""
-    obs = [Observable(WET, site_id(i), i, 1) for i in range(K)]
-    obs += [Observable(TMP, site_id(i), i, temp_smooth) for i in range(K)]
-    return obs
 
 
 def _trailing_mean(series: np.ndarray, w: int) -> np.ndarray:
@@ -249,24 +207,25 @@ def _trailing_mean(series: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
-def seasonal_aggregate(traj: Trajectory, season_length: int,
-                       observables: list[Observable]) -> Panel:
-    """Seasonal means of selected observables; trailing partial season dropped."""
+def seasonal_aggregate(states: np.ndarray, season_length: int, temp_smooth: int) -> Panel:
+    """Seasonal means of one run's ``(steps, K)`` states, trailing partial season dropped.
+
+    Every site's raw state (``wet``), then every site's trailing mean over
+    ``temp_smooth`` steps (``tmp``), shorter at the run's start.
+    """
     if season_length < 1:
         raise ValueError("season_length must be >= 1")
-    if not observables:
-        raise ValueError("at least one observable is required")
-    n_steps = traj.states.shape[0]
+    n_steps, K = states.shape
     if n_steps < season_length:
-        raise ValueError("trajectory shorter than one season")
+        raise ValueError("run shorter than one season")
     n_seasons = n_steps // season_length
     used = n_seasons * season_length
     series = {}
-    for ob in observables:
-        if not (0 <= ob.site_index < traj.K):
-            raise ValueError(f"site index {ob.site_index} outside 0..{traj.K - 1}")
-        raw = _trailing_mean(traj.states[:, ob.site_index], ob.smooth_steps)
-        series[(ob.variable, ob.site)] = raw[:used].reshape(n_seasons, season_length).mean(axis=1)
+    for variable, w in ((WET, 1), (TMP, temp_smooth)):
+        for i in range(K):
+            raw = _trailing_mean(states[:, i], w)
+            series[(variable, site_id(i))] = (
+                raw[:used].reshape(n_seasons, season_length).mean(axis=1))
     return Panel(series)
 
 
@@ -340,9 +299,12 @@ class SurrogateConfig:
     def check(self) -> None:
         """Raise ValueError for run settings :func:`steady_run` cannot integrate,
         aggregate or scan for a steady window."""
-        check_integration(self.K, self.dt, self.n_seasons * self.steps_per_season)
+        n_steps = self.n_seasons * self.steps_per_season
+        check_integration(self.K, self.dt, n_steps)
         if self.steps_per_season < 1:
             raise ValueError("steps_per_season must be >= 1")
+        if not 1 <= self.temp_smooth <= n_steps:
+            raise ValueError(f"temp_smooth must lie in 1..{n_steps}, the run's steps")
         if self.steady_window < 2 or self.n_seasons < 2 * self.steady_window:
             raise ValueError("steady_window must be >= 2 and n_seasons must cover "
                              "two steady windows")
@@ -395,11 +357,9 @@ def steady_run(parameters: list[TuningParameter], seeds: list[int],
     except IntegrationDivergedError as exc:
         raise IntegrationDivergedError(exc.step, exc.row, f"{names[exc.row]}: {exc}") from exc
 
-    observables = default_observables(sur.K, sur.temp_smooth)
     runs = []
     for name, row in zip(names, states, strict=True):
-        panel = seasonal_aggregate(Trajectory(states=row, dt=sur.dt), sur.steps_per_season,
-                                   observables)
+        panel = seasonal_aggregate(row, sur.steps_per_season, sur.temp_smooth)
         for index, (ra, rb) in sorted(sur.indices.items()):
             panel.add(IDX, index, synth_index(panel, set(ra), set(rb)))
         variables = sorted({var for var, _ in panel.values})

@@ -5,12 +5,9 @@ import pytest
 
 from chaoscast.dynamics import (
     PERTURBATION,
-    Observable,
     SurrogateConfig,
-    Trajectory,
     TuningParameter,
     build_attractor_library,
-    default_observables,
     detect_steady_state,
     integrate_grid,
     integrate_lorenz96,
@@ -23,30 +20,34 @@ from chaoscast.errors import IntegrationDivergedError, StationarityNotReachedErr
 from chaoscast.panel import Panel
 
 
+def _energy(states):
+    """0.5 * sum_i x_i(t)^2 per stored step."""
+    return 0.5 * np.sum(states**2, axis=-1)
+
+
 def test_zero_forcing_zero_state_stays_zero():
-    traj = integrate_lorenz96(0.0, 6, 0.05, 200, x0=np.zeros(6))
-    assert np.all(traj.states == 0.0)
+    states = integrate_lorenz96(0.0, 6, 0.05, 200, x0=np.zeros(6))
+    assert states.shape == (201, 6)
+    assert np.all(states == 0.0)
 
 
 def test_constant_solution_is_fixed_point():
     # x == F makes the advection vanish and -x + F cancel exactly
     F = 7.5
-    traj = integrate_lorenz96(F, 8, 0.05, 10_000, x0=np.full(8, F))
-    assert np.allclose(traj.states, F, atol=1e-12)
+    states = integrate_lorenz96(F, 8, 0.05, 10_000, x0=np.full(8, F))
+    assert np.allclose(states, F, atol=1e-12)
 
 
 def test_energy_decays_monotonically_at_zero_forcing():
     rng = np.random.default_rng(3)
-    traj = integrate_lorenz96(0.0, 8, 0.01, 400, x0=rng.standard_normal(8))
-    E = traj.energy()
+    E = _energy(integrate_lorenz96(0.0, 8, 0.01, 400, x0=rng.standard_normal(8)))
     assert np.all(np.diff(E) <= 1e-12)
 
 
 def test_energy_decay_matches_analytic_law():
     # advection conserves energy, the -x term gives dE/dt = -2E exactly
     rng = np.random.default_rng(4)
-    traj = integrate_lorenz96(0.0, 8, 0.01, 500, x0=3.0 * rng.standard_normal(8))
-    E = traj.energy()
+    E = _energy(integrate_lorenz96(0.0, 8, 0.01, 500, x0=3.0 * rng.standard_normal(8)))
     t = np.arange(E.size) * 0.01
     assert np.all(np.abs(E / (E[0] * np.exp(-2.0 * t)) - 1.0) < 0.01)
 
@@ -58,7 +59,7 @@ def test_step_halving_shrinks_error_sixteenfold():
     T, dt = 0.5, 0.02
 
     def final_state(step):
-        return integrate_lorenz96(8.0, 8, step, int(round(T / step)), x0=x0).states[-1]
+        return integrate_lorenz96(8.0, 8, step, int(round(T / step)), x0=x0)[-1]
 
     ref = final_state(dt / 8)
     e1 = np.linalg.norm(final_state(dt) - ref)
@@ -93,8 +94,8 @@ def test_integration_deterministic_given_seed():
     a = integrate_lorenz96(8.0, 6, 0.05, 100, seed=11)
     b = integrate_lorenz96(8.0, 6, 0.05, 100, seed=11)
     c = integrate_lorenz96(8.0, 6, 0.05, 100, seed=12)
-    assert np.array_equal(a.states, b.states)
-    assert not np.array_equal(a.states, c.states)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def _reference_rhs(x, F):
@@ -166,7 +167,7 @@ def test_grid_divergence_after_many_finite_steps_matches_the_lone_run():
     dt, kicks = 2.8, [(None, 0.0), (3, 1e-3), (1, 1e-6)]
     x0 = np.stack([start_state(0.0, 36, None, seed, kick) for seed, kick in kicks])
     with pytest.raises(IntegrationDivergedError) as err:
-        integrate_lorenz96(0.0, 36, dt, 300, seed=3, perturbation=1e-3)
+        integrate_lorenz96(0.0, 36, dt, 300, seed=3)
     lone = err.value.step
     with np.errstate(over="ignore", invalid="ignore"):
         reference = _reference_rk4(x0[1], 0.0, dt, 300)
@@ -178,39 +179,63 @@ def test_grid_divergence_after_many_finite_steps_matches_the_lone_run():
     assert integrate_grid(x0[::2], [0.0] * 2, dt, 300).shape == (2, 301, 36)
 
 
-def _ramp_trajectory(n, K=4):
+def _ramp_run(n, K=4):
     states = np.zeros((n, K))
     states[:, 0] = np.arange(n, dtype=float)
-    return Trajectory(states=states, dt=1.0)
+    return states
 
 
 def test_seasonal_aggregate_constant():
-    traj = Trajectory(states=np.full((40, 4), 2.5), dt=1.0)
-    panel = seasonal_aggregate(traj, 8, [Observable("wet", "s00", 0)])
-    assert np.allclose(panel.series("wet", "s00"), 2.5)
+    panel = seasonal_aggregate(np.full((40, 4), 2.5), 8, 5)
+    assert all(np.allclose(series, 2.5) for series in panel.values.values())
 
 
 def test_seasonal_aggregate_length_one_is_identity():
-    traj = _ramp_trajectory(10)
-    panel = seasonal_aggregate(traj, 1, [Observable("wet", "s00", 0)])
+    panel = seasonal_aggregate(_ramp_run(10), 1, 5)
     assert np.array_equal(panel.series("wet", "s00"), np.arange(10.0))
 
 
 def test_seasonal_aggregate_ramp_means():
-    traj = _ramp_trajectory(16)
-    panel = seasonal_aggregate(traj, 4, [Observable("wet", "s00", 0)])
+    panel = seasonal_aggregate(_ramp_run(16), 4, 5)
     assert np.allclose(panel.series("wet", "s00"), [1.5, 5.5, 9.5, 13.5])
 
 
 def test_seasonal_aggregate_drops_partial_season():
-    traj = _ramp_trajectory(18)
-    panel = seasonal_aggregate(traj, 4, [Observable("wet", "s00", 0)])
+    panel = seasonal_aggregate(_ramp_run(18), 4, 5)
     assert panel.n_seasons == 4
 
 
-def test_seasonal_aggregate_rejects_empty_observables():
-    with pytest.raises(ValueError):
-        seasonal_aggregate(_ramp_trajectory(8), 4, [])
+def test_seasonal_aggregate_rejects_a_run_shorter_than_a_season():
+    with pytest.raises(ValueError, match="shorter than one season"):
+        seasonal_aggregate(_ramp_run(3), 4, 5)
+    with pytest.raises(ValueError, match="season_length"):
+        seasonal_aggregate(_ramp_run(8), 0, 5)
+
+
+def test_seasonal_aggregate_tmp_is_the_trailing_mean_of_the_run():
+    # x_t = t at site 0; the 3-step trailing mean is t - 1 once the window is
+    # full and the mean of 0..t over the first two steps
+    panel = seasonal_aggregate(_ramp_run(14), 4, 3)
+    trailing = [0.0, 0.5] + [t - 1.0 for t in range(2, 12)]
+    want = [np.mean(trailing[s:s + 4]) for s in (0, 4, 8)]
+    assert np.allclose(panel.series("tmp", "s00"), want)
+    assert panel.series("tmp", "s00")[0] == 0.875  # mean of 0, 0.5, 1, 2
+    assert np.allclose(panel.series("wet", "s00"), [1.5, 5.5, 9.5])
+    assert np.array_equal(panel.series("tmp", "s01"), np.zeros(3))
+
+
+def test_seasonal_aggregate_tmp_without_smoothing_is_wet():
+    states = np.random.default_rng(2).standard_normal((30, 5))
+    panel = seasonal_aggregate(states, 6, 1)
+    for i in range(5):
+        assert np.array_equal(panel.series("tmp", f"s{i:02d}"),
+                              panel.series("wet", f"s{i:02d}"))
+
+
+def test_seasonal_aggregate_keys_are_every_wet_site_then_every_tmp_site():
+    panel = seasonal_aggregate(np.zeros((20, 12)), 5, 3)
+    sites = [f"s{i:02d}" for i in range(12)]
+    assert list(panel.values) == [("wet", s) for s in sites] + [("tmp", s) for s in sites]
 
 
 def test_synth_index_trivial_cases():
@@ -368,8 +393,7 @@ def test_steady_energy_monotone_in_forcing():
     forcings = [5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
     x0, row_forcings = _kicked_grid(forcings, range(5), 8)
     runs = integrate_grid(x0, row_forcings, 0.05, 4000).reshape(len(forcings), 5, 4001, 8)
-    means = [np.mean([Trajectory(states=run, dt=0.05).energy()[2000:].mean() for run in per_seed])
-             for per_seed in runs]
+    means = [np.mean(_energy(per_seed)[:, 2000:].mean(axis=1)) for per_seed in runs]
     assert np.all(np.diff(means) >= 0.0)
 
 

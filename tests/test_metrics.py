@@ -26,6 +26,25 @@ def t_tail_by_quadrature(t, dof, dps=50):
         return float(val)
 
 
+def box_ljung_by_quadrature(x, n_lags, dps=50):
+    """Independent oracle: Q summed in mpmath, its chi-square tail by quadrature."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        xs = [mp.mpf(float(v)) for v in x]
+        n = len(xs)
+        mean = mp.fsum(xs) / n
+        d = [v - mean for v in xs]
+        denom = mp.fsum(v * v for v in d)
+        q = n * (n + 2) * mp.fsum(
+            (mp.fsum(d[t] * d[t - k] for t in range(k, n)) / denom) ** 2 / (n - k)
+            for k in range(1, n_lags + 1))
+        h = mp.mpf(n_lags) / 2
+        c = 1 / (mp.gamma(h) * 2**h)
+        tail = mp.quad(lambda u: c * u ** (h - 1) * mp.exp(-u / 2), [q, mp.inf])
+        return float(q), float(tail)
+
+
 def reference_pooled_correlation(pred, obs) -> tuple[float, bool]:
     """Per-row reference for ``pooled_correlations``: one prediction at a time.
 
@@ -271,6 +290,15 @@ def test_box_ljung_matches_reference_implementation():
     table = sm.acorr_ljungbox(x, lags=[6])
     assert q == pytest.approx(float(table["lb_stat"].iloc[0]), rel=1e-9)
     assert p == pytest.approx(float(table["lb_pvalue"].iloc[0]), rel=1e-9)
+
+
+@pytest.mark.parametrize("n_lags", [1, 6])
+def test_box_ljung_matches_a_high_precision_reference(n_lags):
+    x = np.random.default_rng(6).standard_normal(80)
+    q, p = box_ljung(x, n_lags)
+    want_q, want_p = box_ljung_by_quadrature(x, n_lags)
+    assert q == pytest.approx(want_q, rel=1e-12)
+    assert p == pytest.approx(want_p, rel=1e-12)
 
 
 def test_box_ljung_white_noise_rejection_rate():

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from collections import Counter
 
@@ -12,6 +13,7 @@ from chaoscast.config import PipelineConfig, load_config, save_config
 from chaoscast.embedding import DelayMap
 from chaoscast.ensemble import (ModelGroup, PredictorKey, load_keys, observation_matrix,
                                 save_keys)
+from chaoscast.errors import ConfigError
 from chaoscast.ground import SEASON_NAMES, make_ground_panel
 from chaoscast.inversion import key_significance_counts
 from chaoscast.metrics import adjusted_dof, benjamini_hochberg, correlation_pvalue
@@ -213,6 +215,23 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
     ("selection", {"x_grid": [10, 10]}),
     ("inversion", {"enabled": True, "n_fitted_means": -200}),
     ("inversion", {"enabled": True, "bandwidth": -1.0}),
+    ("surrogate", {"temp_smooth": 0}),
+    ("surrogate", {"temp_smooth": -3}),
+    ("surrogate", {"temp_smooth": 4001}),
+    ("surrogate", {"temp_smooth": 10**6}),
+    ("seed", 7.5),
+    ("seed", True),
+    ("embedding", {"n_maps": 20.5}),
+    ("surrogate", {"n_seasons": 200.5}),
+    ("surrogate", {"temp_smooth": 2.5}),
+    ("embedding", {"dim": 8.0}),
+    ("embedding", {"lag_max": 11.0}),
+    ("selection", {"vote_k": 2.0}),
+    ("selection", {"vote_k": True}),
+    ("selection", {"top_k": 2.5}),
+    ("selection", {"x_grid": [10.0, 30, 100]}),
+    ("inversion", {"enabled": True, "target_window": [40, 44.5]}),
+    ("selction", {"vote_k": 3}),
 ], ids=["vote_k-0", "top_k-negative", "vote_mode-plurality", "x_grid-empty", "max_subset_size-0",
         "direction-sideways", "n_reps-50", "n_points-6", "target_r-1",
         "first_season-negative", "station-series-unknown", "stations-one", "K-3", "dt-negative",
@@ -221,9 +240,15 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
         "fresh-forcing-overflow", "lag_max-250", "lag_max-500", "lag_max-195",
         "predict-window-1", "q-0", "q-1.5", "fraction_of_max-0", "target_window-reversed",
         "trailing_seasons-0", "x_grid-repeated", "n_fitted_means-negative",
-        "bandwidth-negative"])
+        "bandwidth-negative", "temp_smooth-0", "temp_smooth-negative",
+        "temp_smooth-past-the-run", "temp_smooth-1e6", "seed-float", "seed-bool",
+        "n_maps-float", "n_seasons-float", "temp_smooth-float", "dim-float", "lag_max-float",
+        "vote_k-float", "vote_k-bool", "top_k-float", "x_grid-float",
+        "target_window-float", "unknown-section"])
 def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section, settings):
-    payload = {**GOLDEN_CONFIG, section: {**GOLDEN_CONFIG.get(section, {}), **settings}}
+    if isinstance(settings, dict):
+        settings = {**GOLDEN_CONFIG.get(section, {}), **settings}
+    payload = {**GOLDEN_CONFIG, section: settings}
     config = _write_config(tmp_path / "config.json", payload)
     out = tmp_path / "out"
     assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 1
@@ -490,6 +515,23 @@ def test_failed_write_keeps_the_older_complete_file(tmp_path):
     with pytest.raises(TypeError):
         save_keys([key], tmp_path / "keys.json", {"seed": object()})
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("payload, named", [
+    ({"seed": 7.5}, "seed must be an integer, not 7.5"),
+    ({"seed": 7, "embedding": {"n_maps": 20.5}}, "embedding.n_maps must be an integer"),
+    ({"seed": 7, "selection": {"vote_k": True}}, "selection.vote_k must be an integer"),
+    ({"seed": 7, "selection": {"x_grid": [10.0, 30]}},
+     "selection.x_grid must be a list of integers"),
+    ({"seed": 7, "inversion": {"target_window": [40, 44.5]}},
+     "inversion.target_window must be a list of integers"),
+    ({"seed": 7, "surrogate": {"temp_smooth": 0}}, "surrogate: temp_smooth must lie in 1..8000"),
+    ({"seed": 7, "selction": {"vote_k": 3}}, "unknown config key: 'selction'"),
+], ids=["seed", "n_maps", "vote_k-bool", "x_grid", "target_window", "temp_smooth",
+        "unknown-key"])
+def test_config_error_names_the_setting(payload, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        PipelineConfig.from_dict(payload)
 
 
 def test_config_ignores_the_retired_threads_key():
