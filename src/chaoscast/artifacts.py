@@ -20,7 +20,7 @@ def write_text(path, text: str) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    write_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_json(path) -> dict:

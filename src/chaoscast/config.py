@@ -112,7 +112,7 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.seed is None:
             raise ConfigError("seed is mandatory")
-        _check_integers(self)
+        _check_types(self)
         emb = self.embedding
         if emb.lag_min < emb.lead + 1:
             raise ConfigError(f"lag_min {emb.lag_min} leaks inside lead {emb.lead}")
@@ -251,26 +251,37 @@ class PipelineConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _check_integers(cfg, prefix: str = "") -> None:
-    """Reject a non-integer, a bool included, in every field of ``cfg`` and of its
-    nested config dataclasses that is annotated ``int`` or ``list[int]``,
-    either of them possibly ``| None``."""
+# field type: (the Python types it admits, a message's name for one, for a list)
+FIELD_TYPES = {"int": (int, "an integer", "integers"),
+               "float": ((int, float), "a number", "numbers"),
+               "bool": (bool, "true or false", "booleans"),
+               "str": (str, "a string", "strings")}
+
+
+def _check_types(cfg, prefix: str = "") -> None:
+    """Reject a value of the wrong type in every field of ``cfg`` and of its nested
+    config dataclasses that is annotated ``int``, ``float``, ``bool`` or ``str``,
+    or a ``list`` of one, either of them possibly ``| None``. An int is a number,
+    but a bool is only true or false."""
     for f in fields(cfg):
         name, value = prefix + f.name, getattr(cfg, f.name)
         if is_dataclass(value):
-            _check_integers(value, f"{name}.")
+            _check_types(value, f"{name}.")
             continue
         kind = f.type.removesuffix(" | None")
-        if kind not in ("int", "list[int]") or (value is None and kind != f.type):
+        item = kind[5:-1] if kind.startswith("list[") else kind
+        if item not in FIELD_TYPES or (value is None and kind != f.type):
             continue
-        if kind == "int" and not _is_int(value):
-            raise ConfigError(f"{name} must be an integer, not {value!r}")
-        if kind == "list[int]" and not (isinstance(value, list) and all(map(_is_int, value))):
-            raise ConfigError(f"{name} must be a list of integers, not {value!r}")
+        _, one, many = FIELD_TYPES[item]
+        if item == kind and not _is_of(value, item):
+            raise ConfigError(f"{name} must be {one}, not {value!r}")
+        if item != kind and not (isinstance(value, list) and all(_is_of(v, item) for v in value)):
+            raise ConfigError(f"{name} must be a list of {many}, not {value!r}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_of(v, item: str) -> bool:
+    """Whether ``v`` is of the field type ``item``; a bool is of no type but bool."""
+    return isinstance(v, FIELD_TYPES[item][0]) and isinstance(v, bool) == (item == "bool")
 
 
 def load_config(path) -> PipelineConfig:

@@ -7,12 +7,13 @@ through ``predict_groups`` and equals a lone one bit for bit. Each
 attractor's groups are predicted once; the rank, select and retain
 windows are column slices of that stack. Groups are ranked by the pooled
 correlation of their shrunken predictions, the top X percent are
-combined by mean or by the most populous 1-D cluster (vote) into
-self-contained keys scored on the select and retain windows, retention
-keeps at most one key per cut (a key or its other-combiner sibling) whose
-retain r is strictly above a threshold, and the survivors' per-season
-median is the forecast. An attractor's groups, and its keys, are scored
-in one ``metrics.pooled_correlations`` call per window.
+combined by mean or by the most populous 1-D cluster (vote) into keys
+scored on the select and retain windows, retention keeps at most one
+key per cut (a key or its other-combiner sibling) whose retain r is
+strictly above a threshold, and the survivors' per-season median is the
+forecast. An attractor's groups, and its keys, are scored in one
+``metrics.pooled_correlations`` call per window. A key file holds each
+member group once, and its keys name their members by ``map_index``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ import numpy as np
 
 from .artifacts import read_json, write_json
 from .embedding import DelayMap, lagged_designs
+from .errors import PanelFormatError
 from .metrics import pooled_correlations
 from .panel import Panel
 from .shrinkage import stein_adjust
 from .subset import SubsetModel, same_rows, select_stack
 
-KEY_FORMAT_VERSION = 1
+KEY_FORMAT_VERSION = 2
 ALLOWED_TOP_PERCENT = (10, 30, 100)
 COMBINERS = ("mean", "vote")
 VOTE_MODES = ("majority", "two_cluster_average")
@@ -282,11 +284,10 @@ def combine_members(member_preds: np.ndarray, combiner: str,
 
 @dataclass
 class PredictorKey:
-    """Self-contained record of one ensemble predictor.
-
-    Carries everything needed to replay its predictions on a panel:
-    the member delay maps with their per-station subset fits, the
-    top-percent cut, the combiner, the shrinkage factor, and the lead.
+    """One ensemble predictor, with everything needed to replay it on a panel:
+    its member groups (delay maps with per-station subset fits), the top-percent
+    cut, the combiner, the shrinkage factor and the lead. A key file stores each
+    member group once, and the key names its members by ``map_index`` in order.
     """
 
     attractor_id: str
@@ -462,7 +463,6 @@ def group_from_dict(d: dict, attractor_id: str) -> ModelGroup:
 
 def key_to_dict(key: PredictorKey) -> dict:
     return {
-        "format_version": KEY_FORMAT_VERSION,
         "key_id": key.key_id,
         "attractor_id": key.attractor_id,
         "top_percent": key.top_percent,
@@ -474,32 +474,40 @@ def key_to_dict(key: PredictorKey) -> dict:
         "shrink_factor": key.shrink_factor,
         "stations": [[st.station_id, st.variable, st.site] for st in key.stations],
         "correlations": {k: float(v) for k, v in sorted(key.correlations.items())},
-        "members": [group_to_dict(g) for g in key.members],
+        "members": [g.map_index for g in key.members],
     }
 
 
-def key_from_dict(d: dict) -> PredictorKey:
-    if d.get("format_version") != KEY_FORMAT_VERSION:
-        raise ValueError(f"unsupported key format version {d.get('format_version')}")
-    members = tuple(group_from_dict(g, d["attractor_id"]) for g in d["members"])
+def key_from_dict(d: dict, groups: dict[int, ModelGroup]) -> PredictorKey:
     return PredictorKey(
         attractor_id=d["attractor_id"], top_percent=int(d["top_percent"]),
         combiner=d["combiner"], lead=int(d["lead"]),
         stations=tuple(Station(*st) for st in d["stations"]),
-        members=members, shrink_factor=float(d["shrink_factor"]),
+        members=tuple(groups[i] for i in d["members"]), shrink_factor=float(d["shrink_factor"]),
         correlations={k: float(v) for k, v in d["correlations"].items()},
         vote_k=int(d["vote_k"]), vote_mode=d["vote_mode"],
-        positive_part=bool(d.get("positive_part", False)))
+        positive_part=bool(d["positive_part"]))
 
 
 def save_keys(keys: list[PredictorKey], path, header: dict | None = None) -> None:
-    """Write the keys atomically, with the header fields at the top level."""
+    """Write the keys atomically, with the header fields at the top level; each
+    member group is stored once, under its attractor in ``map_index`` order."""
+    members = {(k.attractor_id, g.map_index): g for k in keys for g in k.members}
+    groups: dict[str, list[dict]] = {}
+    for aid, i in sorted(members):
+        groups.setdefault(aid, []).append(group_to_dict(members[aid, i]))
     write_json(path, {**(header or {}), "format_version": KEY_FORMAT_VERSION,
-                      "keys": [key_to_dict(k) for k in keys]})
+                      "groups": groups, "keys": [key_to_dict(k) for k in keys]})
 
 
 def load_keys(path) -> list[PredictorKey]:
     payload = read_json(path)
-    if payload.get("format_version") != KEY_FORMAT_VERSION:
-        raise ValueError("unsupported key file version")
-    return [key_from_dict(d) for d in payload["keys"]]
+    if (version := payload.get("format_version")) != KEY_FORMAT_VERSION:
+        raise PanelFormatError(f"{path}: key file format version {version}; rerun select")
+    groups = {aid: {g["map_index"]: group_from_dict(g, aid) for g in items}
+              for aid, items in payload["groups"].items()}
+    for d in payload["keys"]:
+        if missing := sorted(set(d["members"]) - set(groups.get(d["attractor_id"], {}))):
+            raise PanelFormatError(f"{path}: key {d['key_id']} names member map_index "
+                                   f"{missing}, which the file's groups do not hold")
+    return [key_from_dict(d, groups[d["attractor_id"]]) for d in payload["keys"]]

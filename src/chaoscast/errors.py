@@ -27,4 +27,4 @@ class ConfigError(ChaoscastError):
 
 
 class PanelFormatError(ChaoscastError):
-    """Malformed ground-panel input file."""
+    """Malformed input file: a ground or attractor panel, or a key file."""

@@ -11,7 +11,7 @@ retention is a successful run with an explicit no-forecast marker.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -176,20 +176,9 @@ def stage_shrinkage(cfg: PipelineConfig, out: Path | None = None) -> ShrinkageRe
     log.info("shrinkage: factor=%.4f over %d replicates",
              report.shrinkage_factor, report.n_replicates)
     if out is not None:
-        write_json(out / "shrinkage.json", {
-            **_header(cfg),
-            "shrinkage_factor": report.shrinkage_factor,
-            "n_replicates": report.n_replicates,
-            "sd_observed": report.sd_observed,
-            "sd_predicted": report.sd_predicted,
-            "signal_noise_ratio": report.signal_noise_ratio,
-            "bootstrap_seed": report.seed,
-            "n_stations": report.n_stations,
-            "n_points": report.n_points,
-            "target_r": report.target_r,
-            "mean_sample_corr": report.mean_sample_corr,
-            "mean_fit_slope": report.mean_fit_slope,
-        })
+        payload = asdict(report)
+        payload["bootstrap_seed"] = payload.pop("seed")
+        write_json(out / "shrinkage.json", {**payload, **_header(cfg)})
     return report
 
 
@@ -433,18 +422,8 @@ def stage_invert(cfg: PipelineConfig, library, keys_by_attractor, ground: Panel,
         log.info("invert: estimate=%.3f from %d/%d attractors (q=%.3g)",
                  result.estimate, len(result.chosen), len(result.attractor_ids), inv.q)
     if out is not None:
-        write_json(out / "inversion.json", {
-            **_header(cfg),
-            "attractor_ids": list(result.attractor_ids),
-            "parameters": list(result.parameters),
-            "raw_counts": list(result.raw_counts),
-            "smoothed_counts": list(result.smoothed_counts),
-            "chosen": list(result.chosen),
-            "estimate": result.estimate,
-            "observable_estimate": result.observable_estimate,
-            "q": result.q,
-            "target_window": list(target),
-        })
+        write_json(out / "inversion.json", {**asdict(result), **_header(cfg),
+                                            "target_window": list(target)})
     return result
 
 

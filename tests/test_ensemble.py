@@ -16,6 +16,7 @@ from chaoscast.ensemble import (
     combine_vote,
     fit_model_groups,
     form_keys,
+    group_to_dict,
     key_from_dict,
     key_to_dict,
     load_keys,
@@ -291,6 +292,7 @@ def test_fit_form_retain_round_trip(tmp_path):
     assert len(loaded) == len(retained)
     for a, b in zip(retained, loaded):
         assert key_to_dict(a) == key_to_dict(b)
+        assert list(map(group_to_dict, a.members)) == list(map(group_to_dict, b.members))
         assert np.array_equal(a.predict(ground, (56, 72)), b.predict(ground, (56, 72)))
 
 

@@ -112,14 +112,60 @@ def test_staged_verbs_write_the_same_bytes_as_run_all(golden_run, tmp_path):
     assert _tree(out) == expected
 
 
-def test_forecast_rejects_a_retained_keys_file_of_another_version(golden_run, tmp_path):
+def test_forecast_rejects_a_retained_keys_file_of_another_version(golden_run, tmp_path,
+                                                                     capsys):
     config, run_all_out = golden_run
     out = tmp_path / "out"
     shutil.copytree(run_all_out, out)
     assert cli.main(["forecast", "-c", config, "-o", str(out)]) == 0
     path = out / "retained_keys.json"
-    path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 2}))
-    assert cli.main(["forecast", "-c", config, "-o", str(out)]) != 0
+    path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 1}))
+    capsys.readouterr()
+    assert cli.main(["forecast", "-c", config, "-o", str(out)]) == 1
+    assert f"{path}: key file format version 1; rerun select" in capsys.readouterr().err
+
+
+def test_invert_rejects_a_key_naming_a_member_the_file_lacks(golden_run, tmp_path, capsys):
+    config, run_all_out = golden_run
+    out = tmp_path / "out"
+    shutil.copytree(run_all_out, out)
+    path = out / "keys.json"
+    payload = json.loads(path.read_text())
+    key = payload["keys"][0]
+    lost = key["members"][0]
+    groups = payload["groups"][key["attractor_id"]]
+    groups[:] = [g for g in groups if g["map_index"] != lost]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["invert", "-c", config, "-o", str(out)]) == 1
+    assert (f"{path}: key {key['key_id']} names member map_index [{lost}], which the "
+            "file's groups do not hold") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["golden", "two-members-per-cut"])
+def test_key_files_hold_each_member_group_once(tmp_path, name):
+    payload = GOLDEN_CONFIG if name == "golden" else RETAINING_CONFIGS[name]
+    out = tmp_path / "out"
+    result = pl.run_pipeline(PipelineConfig.from_dict(payload), out)
+    models = json.loads((out / "models.json").read_text())["groups"]
+    all_keys = [k for label in sorted(result.keys_by_attractor)
+                for k in result.keys_by_attractor[label]]
+    for file, keys in (("keys.json", all_keys), ("retained_keys.json", result.retained)):
+        stored = json.loads((out / file).read_text())
+        assert stored["format_version"] == 2
+        # each (attractor, map_index) group once, in map_index order, as models.json holds it
+        for label, groups in stored["groups"].items():
+            indices = [g["map_index"] for g in groups]
+            by_index = {g["map_index"]: g for g in models[label]}
+            assert indices == sorted(set(indices))
+            assert groups == [by_index[i] for i in indices]
+        assert {(label, g["map_index"]) for label, groups in stored["groups"].items()
+                for g in groups} == {(k.attractor_id, g.map_index)
+                                     for k in keys for g in k.members}
+        # a key names its members by map_index, in member order
+        assert [d["members"] for d in stored["keys"]] == [
+            [g.map_index for g in k.members] for k in keys]
+        assert all("format_version" not in d for d in stored["keys"])
 
 
 @pytest.mark.parametrize("name", sorted(RETAINING_CONFIGS))
@@ -232,6 +278,11 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
     ("selection", {"x_grid": [10.0, 30, 100]}),
     ("inversion", {"enabled": True, "target_window": [40, 44.5]}),
     ("selction", {"vote_k": 3}),
+    ("selection", {"retention_threshold": "0.5"}),
+    ("surrogate", {"slope_tol": "0.01"}),
+    ("selection", {"allow_switching": "no"}),
+    ("shrinkage", {"positive_part": 1}),
+    ("inversion", {"enabled": "yes"}),
 ], ids=["vote_k-0", "top_k-negative", "vote_mode-plurality", "x_grid-empty", "max_subset_size-0",
         "direction-sideways", "n_reps-50", "n_points-6", "target_r-1",
         "first_season-negative", "station-series-unknown", "stations-one", "K-3", "dt-negative",
@@ -244,7 +295,8 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
         "temp_smooth-past-the-run", "temp_smooth-1e6", "seed-float", "seed-bool",
         "n_maps-float", "n_seasons-float", "temp_smooth-float", "dim-float", "lag_max-float",
         "vote_k-float", "vote_k-bool", "top_k-float", "x_grid-float",
-        "target_window-float", "unknown-section"])
+        "target_window-float", "unknown-section", "retention_threshold-string",
+        "slope_tol-string", "allow_switching-string", "positive_part-int", "enabled-string"])
 def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section, settings):
     if isinstance(settings, dict):
         settings = {**GOLDEN_CONFIG.get(section, {}), **settings}
@@ -527,11 +579,24 @@ def test_failed_write_keeps_the_older_complete_file(tmp_path):
      "inversion.target_window must be a list of integers"),
     ({"seed": 7, "surrogate": {"temp_smooth": 0}}, "surrogate: temp_smooth must lie in 1..8000"),
     ({"seed": 7, "selction": {"vote_k": 3}}, "unknown config key: 'selction'"),
+    ({"seed": 7, "selection": {"retention_threshold": "0.5"}},
+     "selection.retention_threshold must be a number, not '0.5'"),
+    ({"seed": 7, "surrogate": {"forcings": [6, "8"]}}, "surrogate.forcings must be a list of numbers"),
+    ({"seed": 7, "shrinkage": {"positive_part": 1}},
+     "shrinkage.positive_part must be true or false, not 1"),
+    ({"seed": 7, "ground": {"mode": 2}}, "ground.mode must be a string, not 2"),
 ], ids=["seed", "n_maps", "vote_k-bool", "x_grid", "target_window", "temp_smooth",
-        "unknown-key"])
+        "unknown-key", "retention_threshold", "forcings", "positive_part", "mode"])
 def test_config_error_names_the_setting(payload, named):
     with pytest.raises(ConfigError, match=re.escape(named)):
         PipelineConfig.from_dict(payload)
+
+
+def test_config_takes_an_integer_as_a_number():
+    cfg = PipelineConfig.from_dict({**GOLDEN_CONFIG, "surrogate": {"forcings": [6, 8, 10]},
+                                    "selection": {"retention_threshold": 1}})
+    assert cfg.surrogate.forcings == [6, 8, 10]
+    assert cfg.selection.retention_threshold == 1
 
 
 def test_config_ignores_the_retired_threads_key():
