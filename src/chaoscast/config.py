@@ -226,18 +226,10 @@ class PipelineConfig:
         if unknown := sorted(set(d) - {f.name for f in fields(cls)}):
             raise ConfigError(f"unknown config key: {', '.join(map(repr, unknown))}")
         try:
-            return cls(
-                seed=d["seed"],
-                surrogate=SurrogateConfig(**d.get("surrogate", {})),
-                embedding=EmbeddingConfig(**d.get("embedding", {})),
-                schedule=ScheduleConfig(**d.get("schedule", {})),
-                selection=SelectionConfig(**d.get("selection", {})),
-                shrinkage=ShrinkageConfig(**d.get("shrinkage", {})),
-                calibration=CalibrationConfig(**d.get("calibration", {})),
-                ground=GroundConfig(**d.get("ground", {})),
-                inversion=InversionConfig(**d.get("inversion", {})),
-                stations=d.get("stations", {}),
-            )
+            # each section field's default factory is its config class
+            return cls(seed=d["seed"], stations=d.get("stations", {}),
+                       **{f.name: f.default_factory(**d.get(f.name, {})) for f in fields(cls)
+                          if f.name not in ("seed", "stations")})
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc}") from exc
         except TypeError as exc:

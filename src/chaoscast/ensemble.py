@@ -38,6 +38,7 @@ ALLOWED_TOP_PERCENT = (10, 30, 100)
 COMBINERS = ("mean", "vote")
 VOTE_MODES = ("majority", "two_cluster_average")
 FIT_CHUNK = 128  # delay maps per batched fit; bounds the design and solve buffers
+VOTE_CHUNK = 1 << 16  # floats per vote DP pass buffer; bounds its (cells, n+1, n+1) passes
 
 
 @dataclass(frozen=True)
@@ -170,68 +171,58 @@ def take_top_percent(ranked: list[RankedModel], top_percent: int) -> list[Ranked
     return ranked[:count]
 
 
-def _partition_indices(sorted_vals: np.ndarray, k: int) -> list[np.ndarray]:
-    """Exact minimum within-SS partition of n >= 2 sorted values into min(k, n) runs.
-
-    Fisher's (1958) grouping DP over prefix sums. The first run's cost is
-    a vector over its end; each middle run is one (n+1, n+1) pass of
-    best-cost-so-far plus run cost, minimised over its start; the last
-    run is a vector over its start with the end fixed at n. Equal costs
-    go to the first (lowest) start.
-    """
-    n = sorted_vals.size
-    k = min(k, n)
-    pref = np.concatenate([[0.0], np.cumsum(sorted_vals)])
-    pref2 = np.concatenate([[0.0], np.cumsum(sorted_vals**2)])
-
-    def seg(i, j):
-        """Within-SS of run [i, j); +inf where the run would be empty."""
-        width = j - i
-        s = pref[j] - pref[i]
-        ss = (pref2[j] - pref2[i]) - s * s / np.maximum(width, 1)
-        return np.where(width > 0, ss, np.inf)
-
+def _cut_bounds(ordered: np.ndarray, k: int) -> np.ndarray:
+    """(cells, k + 1) run bounds of each sorted row's minimum within-SS split into
+    2 <= k <= n runs: Fisher's (1958) grouping DP over prefix sums. Each middle
+    run is one (cells, n+1, n+1) pass, in [end, start] layout, of run cost plus
+    best cost so far, minimised over the start; equal costs go to the lowest
+    start. Passes share two buffers of ``VOTE_CHUNK`` floats (or one cell)."""
+    cells, n = ordered.shape
+    p, p2 = np.pad(np.cumsum(np.stack([ordered, ordered**2]), axis=2), [(0, 0), (0, 0), (1, 0)])
     ends = np.arange(n + 1)
-    cost = seg(0, ends)  # cost[j]: best cost of the runs so far covering [0, j)
-    starts = []
-    for _ in range(k - 2):
-        total = cost[:, None] + seg(ends[:, None], ends)
-        start = np.argmin(total, axis=0)
-        starts.append(start)
-        cost = total[start, ends]
-    bounds = [n, int(np.argmin(cost + seg(ends, n)))]
-    for start in reversed(starts):
-        bounds.append(int(start[bounds[-1]]))
-    bounds = [0, *reversed(bounds)]
-    return [sorted_vals[i:j] for i, j in zip(bounds, bounds[1:])]
+    width = np.maximum(ends[:, None] - ends, 1).astype(float)  # [end, start]
+    cost = p2 - p * p / width[:, 0]  # cost[:, j]: one run over [0, j)
+    cost[:, 0] = np.inf
+    starts = np.empty((k - 2, cells, n + 1), dtype=np.intp)
+    chunk = max(1, VOTE_CHUNK // (n + 1) ** 2)  # cells per pass, at least one
+    seg, total = np.empty((2, min(chunk, cells), n + 1, n + 1))
+    for lo in range(0, cells if k > 2 else 0, chunk):  # no middle run at k = 2
+        c = slice(lo, lo + chunk)
+        g, t = seg[:cells - lo], total[:cells - lo]
+        np.subtract(p[c, :, None], p[c, None, :], out=t)
+        np.multiply(t, t, out=t)
+        np.divide(t, width, out=t)
+        np.subtract(p2[c, :, None], p2[c, None, :], out=g)
+        np.subtract(g, t, out=g)
+        np.copyto(g, np.inf, where=ends[:, None] <= ends)  # empty runs
+        for d in range(k - 2):
+            np.add(g, cost[c, None, :], out=t)
+            starts[d, c] = t.argmin(axis=2)
+            cost[c] = np.take_along_axis(t, starts[d, c, :, None], axis=2)[:, :, 0]
+    s = p[:, -1:] - p
+    tail = (p2[:, -1:] - p2) - s * s / width[-1]  # the last run, from each start to n
+    tail[:, -1] = np.inf
+    bounds = np.full((cells, k + 1), n)
+    bounds[:, 0], bounds[:, k - 1] = 0, np.argmin(cost + tail, axis=1)
+    for d in reversed(range(k - 2)):
+        bounds[:, d + 1] = starts[d, np.arange(cells), bounds[:, d + 2]]
+    return bounds
 
 
 def combine_vote(values, k: int = 2, mode: str = "majority") -> float:
-    """Majority-cluster combination of one season's model predictions.
-
-    Values are split into min(k, n) groups by the exact sorted-cut
-    partition minimizing within-cluster sum of squares. ``majority``
-    returns the mean of the most populous cluster (population ties go to
-    the cluster whose mean is nearer the overall mean, then to the lower
-    mean); ``two_cluster_average`` averages the members of the two most
-    populous clusters instead.
+    """Majority-cluster combination of one season's finite model predictions:
+    ``combine_members``' vote on one cell. Values are split into min(k, n) groups
+    by the exact sorted-cut partition minimizing within-cluster sum of squares.
+    ``majority`` returns the mean of the most populous cluster (population ties go
+    to the cluster whose mean is nearer the overall mean, then to the lower mean);
+    ``two_cluster_average`` averages the members of the two most populous clusters.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float).ravel()
     if values.size < 1:
         raise ValueError("need at least one prediction")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if mode not in VOTE_MODES:
-        raise ValueError("unknown vote mode")
-    if k == 1 or values.size == 1:
-        return float(values.mean())
-    clusters = _partition_indices(np.sort(values), k)
-    overall = float(values.mean())
-    if mode == "two_cluster_average":
-        ranked = sorted(clusters, key=lambda c: (-c.size, float(c.mean())))
-        members = np.concatenate(ranked[:2]) if len(ranked) >= 2 else ranked[0]
-        return float(members.mean())
-    return float(select_majority_cluster(clusters, overall).mean())
+    if not np.isfinite(values).all():
+        raise ValueError(f"vote values must be finite, not {values[~np.isfinite(values)][0]}")
+    return float(combine_members(values[:, None, None], "vote", k, mode)[0, 0])
 
 
 def select_majority_cluster(clusters, overall: float) -> np.ndarray:
@@ -244,14 +235,11 @@ def select_majority_cluster(clusters, overall: float) -> np.ndarray:
     """
     top_size = max(c.size for c in clusters)
     finalists = [c for c in clusters if c.size == top_size]
-    if len(finalists) == 1:
-        return finalists[0]
     means = [float(c.mean()) for c in finalists]
     dists = [abs(m - overall) for m in means]
     scale = 1.0 + abs(overall) + max(abs(m) for m in means)
-    d_min = min(dists)
     nearest = [(m, c) for m, d, c in zip(means, dists, finalists)
-               if d <= d_min + 1e-9 * scale]
+               if d <= min(dists) + 1e-9 * scale]
     return min(nearest, key=lambda mc: mc[0])[1]
 
 
@@ -263,23 +251,51 @@ def combine_members(member_preds: np.ndarray, combiner: str,
     without members is NaN. The mean is a ``nanmean`` over a member-last
     copy, so a NaN-free cell sums in the order of a lone 1-D cell; with
     NaN members and 8 or more members the last bit may differ from it.
+    The vote checks its settings first, then splits all cells of n finite
+    members at once, as one sorted (cells, n) array of their values in
+    member order. Each mean is the ``.mean()`` of a contiguous row, a gathered
+    copy or a slice, so it sums as a lone cell does: a vote has a lone cell's bits.
     """
     if combiner not in COMBINERS:
         raise ValueError(f"combiner must be one of {COMBINERS}")
+    cells = np.ascontiguousarray(np.moveaxis(member_preds, 0, -1))
     if combiner == "mean":
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN cells
-            return np.nanmean(np.ascontiguousarray(np.moveaxis(member_preds, 0, -1)),
-                              axis=-1)
+            return np.nanmean(cells, axis=-1)
+    if vote_k < 1:
+        raise ValueError("k must be >= 1")
+    if vote_mode not in VOTE_MODES:
+        raise ValueError("unknown vote mode")
     m, s, t = member_preds.shape
-    out = np.full((s, t), np.nan)
-    for i in range(s):
-        for j in range(t):
-            cell = member_preds[:, i, j]
-            cell = cell[np.isfinite(cell)]
-            if cell.size:
-                out[i, j] = combine_vote(cell, k=vote_k, mode=vote_mode)
-    return out
+    cells = cells.reshape(s * t, m)
+    finite = np.isfinite(cells)
+    counts = finite.sum(axis=1)
+    out = np.full(s * t, np.nan)
+    for n in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == n)
+        values = cells[rows][finite[rows]].reshape(-1, n)
+        if vote_k == 1 or n == 1:
+            out[rows] = values.mean(axis=1)
+            continue
+        ordered = np.sort(values, axis=1)
+        bounds = _cut_bounds(ordered, min(vote_k, n))
+        sizes = np.diff(bounds, axis=1)
+        i, top = np.arange(len(rows)), sizes.argmax(axis=1)
+        first, largest = bounds[i, top], sizes[i, top]
+        lone = (sizes == largest[:, None]).sum(axis=1) == 1
+        if vote_mode == "majority":  # a lone largest cluster's mean, gathered by its size
+            for size in np.unique(largest[lone]):
+                at = i[lone & (largest == size)]
+                out[rows[at]] = ordered[at[:, None], first[at, None] + np.arange(size)].mean(axis=1)
+        for c in i[~lone] if vote_mode == "majority" else i:
+            clusters = [ordered[c, a:b] for a, b in itertools.pairwise(bounds[c].tolist())]
+            if vote_mode == "two_cluster_average":
+                ranked = sorted(clusters, key=lambda cl: (-cl.size, float(cl.mean())))
+                out[rows[c]] = np.concatenate(ranked[:2]).mean()
+            else:
+                out[rows[c]] = select_majority_cluster(clusters, float(values[c].mean())).mean()
+    return out.reshape(s, t)
 
 
 @dataclass

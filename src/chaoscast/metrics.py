@@ -113,12 +113,6 @@ def tercile_boundaries(reference) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _categorize(x, boundaries) -> np.ndarray:
-    lo, hi = boundaries
-    x = np.asarray(x, dtype=float)
-    return np.digitize(x, [lo, hi])
-
-
 def heidke_skill(pred, obs, boundaries: tuple[float, float]) -> float:
     """Tercile Heidke skill: 100 perfect, 0 chance, -50 perfectly wrong.
 
@@ -130,10 +124,8 @@ def heidke_skill(pred, obs, boundaries: tuple[float, float]) -> float:
     obs = np.asarray(obs, dtype=float)
     if pred.size == 0 or pred.shape != obs.shape:
         raise ValueError("pred and obs must be equal-length and non-empty")
-    cp = _categorize(pred, boundaries)
-    co = _categorize(obs, boundaries)
-    total = cp.size
-    hits = int(np.sum(cp == co))
+    hits = int(np.sum(np.digitize(pred, boundaries) == np.digitize(obs, boundaries)))
+    total = pred.size
     expected = total / 3.0
     return 100.0 * (hits - expected) / (total - expected)
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from chaoscast.embedding import DelayMap
 from chaoscast.ensemble import (
+    VOTE_MODES,
     EnsembleForecast,
     ModelGroup,
     PredictorKey,
@@ -194,6 +196,126 @@ def test_combine_vote_general_k_matches_dp_expectation():
     values = np.array([0.0, 0.05, 1.0, 1.05, 1.1, 3.0, 3.05])
     # k=3 splits at the obvious gaps; majority cluster is the middle one
     assert combine_vote(values, k=3) == pytest.approx(np.mean([1.0, 1.05, 1.1]))
+
+
+def partition_indices(sorted_vals, k):
+    """Per-cell reference: the exact minimum within-SS split of n >= 2 sorted
+    values into min(k, n) runs, one lone Fisher (1958) DP per cell.
+
+    The first run's cost is a vector over its end; each middle run is one
+    (n+1, n+1) pass of best-cost-so-far plus run cost, minimised over its
+    start; the last run is a vector over its start with the end fixed at n.
+    Equal costs go to the first (lowest) start.
+    """
+    n = sorted_vals.size
+    k = min(k, n)
+    pref = np.concatenate([[0.0], np.cumsum(sorted_vals)])
+    pref2 = np.concatenate([[0.0], np.cumsum(sorted_vals**2)])
+
+    def seg(i, j):
+        """Within-SS of run [i, j); +inf where the run would be empty."""
+        width = j - i
+        s = pref[j] - pref[i]
+        ss = (pref2[j] - pref2[i]) - s * s / np.maximum(width, 1)
+        return np.where(width > 0, ss, np.inf)
+
+    ends = np.arange(n + 1)
+    cost = seg(0, ends)  # cost[j]: best cost of the runs so far covering [0, j)
+    starts = []
+    for _ in range(k - 2):
+        total = cost[:, None] + seg(ends[:, None], ends)
+        start = np.argmin(total, axis=0)
+        starts.append(start)
+        cost = total[start, ends]
+    bounds = [n, int(np.argmin(cost + seg(ends, n)))]
+    for start in reversed(starts):
+        bounds.append(int(start[bounds[-1]]))
+    bounds = [0, *reversed(bounds)]
+    return [sorted_vals[i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+def reference_vote(values, k, mode):
+    """Per-cell reference vote of finite values, with the documented tie rules."""
+    values = np.asarray(values, dtype=float)
+    if k == 1 or values.size == 1:
+        return float(values.mean())
+    clusters = partition_indices(np.sort(values), k)
+    if mode == "two_cluster_average":
+        ranked = sorted(clusters, key=lambda c: (-c.size, float(c.mean())))
+        return float(np.concatenate(ranked[:2]).mean())
+    overall = float(values.mean())
+    top = max(c.size for c in clusters)
+    finalists = [c for c in clusters if c.size == top]
+    if len(finalists) == 1:
+        return float(finalists[0].mean())
+    means = [float(c.mean()) for c in finalists]
+    dists = [abs(m - overall) for m in means]
+    scale = 1.0 + abs(overall) + max(abs(m) for m in means)
+    nearest = [m for m, d in zip(means, dists) if d <= min(dists) + 1e-9 * scale]
+    return float(finalists[means.index(min(nearest))].mean())
+
+
+def reference_members(stack, k, mode):
+    """The vote of a (members, stations, seasons) stack, one cell at a time."""
+    out = np.full(stack.shape[1:], np.nan)
+    for i, j in itertools.product(*map(range, stack.shape[1:])):
+        cell = stack[:, i, j]
+        cell = cell[np.isfinite(cell)]
+        if cell.size:
+            out[i, j] = reference_vote(cell, k, mode)
+    return out
+
+
+def vote_stack(rng, n, cells, kind):
+    """A (members, 1, cells) stack with n finite members per cell, at random member
+    positions among NaN and +-inf ones; ``kind`` draws the finite values."""
+    values = {"normal": lambda: rng.standard_normal((cells, n)) * 10 ** rng.uniform(-3, 3),
+              "integer": lambda: rng.integers(-2, 3, (cells, n)).astype(float),
+              "equal": lambda: np.full((cells, n), rng.standard_normal())}[kind]()
+    m = n + 4
+    stack = rng.choice([np.nan, np.inf, -np.inf], (cells, m))
+    for row, vals in zip(stack, values):
+        row[np.sort(rng.choice(m, n, replace=False))] = vals
+    return stack.T[:, None, :].copy()
+
+
+@pytest.mark.parametrize("mode", VOTE_MODES)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_combine_members_vote_equals_the_per_cell_reference(k, mode):
+    rng = np.random.default_rng(70 + k)
+    stacks = [vote_stack(rng, n, 1 if n == 1000 else 5, kind)
+              for n in (1, 2, 7, 8, 9, 127, 128, 129, 1000)
+              for kind in ("normal", "integer", "equal")]
+    mixed = rng.integers(-3, 4, (40, 3, 7)).astype(float)  # 0 to 40 finite members a cell
+    mixed[rng.random(mixed.shape) < rng.random((1, 3, 7))] = np.nan
+    mixed[0, 0, :3] = np.inf
+    mixed[:, 2, 6] = np.nan  # a cell without members
+    stacks.append(mixed)
+    for stack in stacks:
+        got = combine_members(stack, "vote", k, mode)
+        assert got.tobytes() == reference_members(stack, k, mode).tobytes(), stack.shape
+    for stack in stacks[:-1:3]:  # the one-cell call runs the same kernel
+        cell = stack[:, 0, 0]
+        cell = cell[np.isfinite(cell)]
+        assert combine_vote(cell, k, mode) == reference_vote(cell, k, mode)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"vote_k": 0}, "k must be >= 1"), ({"vote_mode": "bogus"}, "unknown vote mode")])
+def test_combine_members_checks_the_vote_settings_before_any_cell(settings, message):
+    empty = np.full((3, 2, 4), np.nan)
+    populated = np.arange(24.0).reshape(3, 2, 4)
+    for stack in (empty, populated):
+        with pytest.raises(ValueError, match=message):
+            combine_members(stack, "vote", **settings)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_combine_vote_rejects_a_non_finite_value_by_name(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+        with pytest.raises(ValueError, match=f"vote values must be finite, not {bad}"):
+            combine_vote([1.0, bad, 2.0, 3.0])
 
 
 def intermittency_scenario(seed, n_models=30, bad_frac=0.4, n_seasons=16):

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import re
 import shutil
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,9 +53,33 @@ RETAINING_CONFIGS = {
 }
 
 
+# the configs whose run-all artifacts golden_digests.json pins, byte for byte
+DIGEST_CONFIGS = {
+    "golden": GOLDEN_CONFIG,
+    "golden-inversion": {**GOLDEN_CONFIG, "inversion": {"enabled": True}},
+    "fresh": {**GOLDEN_CONFIG, "ground": {"mode": "fresh", "forcing": 7.0}},
+    **RETAINING_CONFIGS,
+}
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+
 def _tree(root):
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _digests(root):
+    return {path: hashlib.sha256(data).hexdigest() for path, data in _tree(root).items()}
+
+
+def _build():
+    """The numpy version and BLAS the digests depend on."""
+    try:  # numpy >= 1.26
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):
+        name = "unknown"
+    return {"numpy": np.__version__, "blas": name}
 
 
 def _write_config(path, payload):
@@ -61,12 +88,47 @@ def _write_config(path, payload):
 
 
 @pytest.fixture(scope="module")
-def golden_run(tmp_path_factory):
+def run_all(tmp_path_factory):
+    """run-all once per module on a named DIGEST_CONFIGS entry: name -> (config, out)."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            root = tmp_path_factory.mktemp(name)
+            config = _write_config(root / "config.json", DIGEST_CONFIGS[name])
+            assert cli.main(["run-all", "-c", config, "-o", str(root / "out")]) == 0
+            runs[name] = config, root / "out"
+        return runs[name]
+    return run
+
+
+@pytest.fixture(scope="module")
+def golden_run(run_all):
     """The golden config and the artifact directory of one run-all on it."""
-    root = tmp_path_factory.mktemp("golden")
-    config = _write_config(root / "config.json", GOLDEN_CONFIG)
-    assert cli.main(["run-all", "-c", config, "-o", str(root / "out")]) == 0
-    return config, root / "out"
+    return run_all("golden")
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_CONFIGS))
+def test_run_all_writes_the_recorded_golden_bytes(run_all, name):
+    recorded = json.loads(DIGESTS.read_text())
+    if (build := _build()) != recorded["build"]:
+        pytest.skip(f"{DIGESTS.name} holds digests for numpy {recorded['build']['numpy']} "
+                    f"with {recorded['build']['blas']}; this is numpy {build['numpy']} "
+                    f"with {build['blas']}")
+    got, want = _digests(run_all(name)[1]), recorded["runs"][name]
+    differ = sorted(p for p in got.keys() | want.keys() if got.get(p) != want.get(p))
+    assert not differ, f"{name}: these artifacts differ from {DIGESTS.name}: {differ}"
+
+
+def record_golden_digests(root: Path) -> None:
+    """Rewrite golden_digests.json from one run-all per DIGEST_CONFIGS entry."""
+    runs = {}
+    for name, payload in sorted(DIGEST_CONFIGS.items()):
+        config = _write_config(root / f"{name}.json", payload)
+        assert cli.main(["run-all", "-c", config, "-o", str(root / name)]) == 0
+        runs[name] = _digests(root / name)
+    DIGESTS.write_text(json.dumps({"build": _build(), "runs": runs}, indent=1,
+                                  sort_keys=True) + "\n")
 
 
 def _write_ground_file(path, run_out):
@@ -81,21 +143,23 @@ def _write_ground_file(path, run_out):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_run_all_is_complete_and_byte_reproducible(tmp_path):
+def test_run_all_is_complete_and_byte_reproducible(run_all, tmp_path):
     # member ground (the default), a fresh ground run outside the library, and
-    # a ground file holding the member run's raw ground at the default stations
+    # a ground file holding the member run's raw ground at the default stations;
+    # the first member and fresh runs are the module's golden and fresh runs
     ground_file = tmp_path / "ground_file.csv"
-    for mode, extra in (("member", {}),
-                        ("fresh", {"ground": {"mode": "fresh", "forcing": 7.0}}),
-                        ("file", {"ground": {"mode": "file", "path": str(ground_file)}})):
-        config = _write_config(tmp_path / f"{mode}.json", {**GOLDEN_CONFIG, **extra})
-        trees = []
-        for name in ("a", "b"):
-            out = tmp_path / mode / name
+    for mode, payload in (("member", GOLDEN_CONFIG), ("fresh", DIGEST_CONFIGS["fresh"]),
+                          ("file", {**GOLDEN_CONFIG, "ground": {"mode": "file",
+                                                                "path": str(ground_file)}})):
+        config = _write_config(tmp_path / f"{mode}.json", payload)
+        outs = [tmp_path / mode / name for name in ("a", "b")]
+        if mode != "file":
+            outs[0] = run_all("golden" if mode == "member" else mode)[1]
+        for out in outs[mode != "file":]:
             assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 0
-            trees.append(_tree(out))
+        trees = [_tree(out) for out in outs]
         if mode == "member":
-            _write_ground_file(ground_file, tmp_path / mode / "a")
+            _write_ground_file(ground_file, outs[0])
         assert set(trees[0]) == GOLDEN_ARTIFACTS
         assert trees[0] == trees[1]
         assert json.loads(trees[0]["shrinkage.json"])["bootstrap_seed"] >= 0
@@ -169,10 +233,8 @@ def test_key_files_hold_each_member_group_once(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", sorted(RETAINING_CONFIGS))
-def test_retained_keys_are_stored_and_forecast_once(tmp_path, name):
-    config = _write_config(tmp_path / "config.json", RETAINING_CONFIGS[name])
-    out = tmp_path / "out"
-    assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 0
+def test_retained_keys_are_stored_and_forecast_once(run_all, name):
+    _, out = run_all(name)
     keys = {k["key_id"]: k for k in json.loads((out / "keys.json").read_text())["keys"]}
     retained = json.loads((out / "retained_keys.json").read_text())["keys"]
     ids = [k["key_id"] for k in retained]
@@ -420,14 +482,11 @@ def test_run_all_on_a_valid_config_never_ends_in_an_unexpected_error(tmp_path, c
     assert named in message
 
 
-def test_run_all_with_inversion_ends_with_a_no_estimate_result(golden_run, tmp_path):
+def test_run_all_with_inversion_ends_with_a_no_estimate_result(golden_run, run_all):
     # no key of the golden run is FDR-significant on the predict window: the
     # usual outcome, pinned here as a result rather than made to go away
     _, golden_out = golden_run
-    config = _write_config(tmp_path / "config.json",
-                           {**GOLDEN_CONFIG, "inversion": {"enabled": True}})
-    out = tmp_path / "out"
-    assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 0
+    config, out = run_all("golden-inversion")
     inversion = json.loads((out / "inversion.json").read_text())
     assert inversion["attractor_ids"] == ["F6", "F8", "F10"]
     assert inversion["raw_counts"] == [0, 0, 0]
@@ -603,3 +662,8 @@ def test_config_ignores_the_retired_threads_key():
     old = PipelineConfig.from_dict({**GOLDEN_CONFIG, "threads": 4})
     assert "threads" not in old.to_dict()
     assert old.config_hash() == PipelineConfig.from_dict(GOLDEN_CONFIG).config_hash()
+
+
+if __name__ == "__main__":  # PYTHONPATH=src python tests/test_pipeline.py
+    with tempfile.TemporaryDirectory() as tmp:
+        record_golden_digests(Path(tmp))
