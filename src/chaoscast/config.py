@@ -29,8 +29,8 @@ IGNORED_KEYS = ("config_version", "threads")  # the version tag and a retired se
 @dataclass
 class EmbeddingConfig:
     n_maps: int = 1000
-    # coordinates per delay map, at most subset.MAX_COLUMNS (12): every
-    # subset of a map's columns is enumerated, 2**dim - 1 of them
+    # coordinates per delay map, at most subset.MAX_COLUMNS (12): all
+    # 2**dim - 1 subsets of a map's columns are screened, the near-best solved
     dim: int = 8
     lag_min: int = 4
     lag_max: int = 11

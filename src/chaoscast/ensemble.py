@@ -186,13 +186,17 @@ def _cut_bounds(ordered: np.ndarray, k: int) -> np.ndarray:
     starts = np.empty((k - 2, cells, n + 1), dtype=np.intp)
     chunk = max(1, VOTE_CHUNK // (n + 1) ** 2)  # cells per pass, at least one
     seg, total = np.empty((2, min(chunk, cells), n + 1, n + 1))
+    # [q_end, 1] @ [1, -q_start] is q_end - q_start rounded once: both products are exact
+    one = np.ones_like(p)
+    pe, p2e = (np.stack([q, one], axis=2) for q in (p, p2))
+    ps, p2s = (np.stack([one, -q], axis=1) for q in (p, p2))
     for lo in range(0, cells if k > 2 else 0, chunk):  # no middle run at k = 2
         c = slice(lo, lo + chunk)
         g, t = seg[:cells - lo], total[:cells - lo]
-        np.subtract(p[c, :, None], p[c, None, :], out=t)
+        np.matmul(pe[c], ps[c], out=t)
         np.multiply(t, t, out=t)
         np.divide(t, width, out=t)
-        np.subtract(p2[c, :, None], p2[c, None, :], out=g)
+        np.matmul(p2e[c], p2s[c], out=g)
         np.subtract(g, t, out=g)
         np.copyto(g, np.inf, where=ends[:, None] <= ends)  # empty runs
         for d in range(k - 2):

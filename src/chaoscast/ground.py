@@ -92,20 +92,13 @@ class StandardizationFactors:
     means: dict[Coord, np.ndarray]
     sds: dict[Coord, np.ndarray]
 
-    def inverse(self, panel: Panel) -> Panel:
-        out = {}
-        for key, vals in panel.values.items():
-            soy = np.arange(vals.size) % self.seasons_per_year
-            out[key] = vals * self.sds[key][soy] + self.means[key][soy]
-        return Panel(out, seasons_per_year=panel.seasons_per_year)
-
 
 def standardize_anomalies(panel: Panel,
                           reference_window: tuple[int, int]) -> tuple[Panel, StandardizationFactors]:
     """Per-series, per-season-of-year z-scores against the reference window.
 
     Factors come from the reference window only, so later data cannot
-    move them; they are stored for exact inverse transforms. A zero
+    move them; they are stored with the ground panel. A zero
     reference sd is an error naming the series and season.
     """
     lo, hi = reference_window

@@ -131,14 +131,19 @@ def record_golden_digests(root: Path) -> None:
                                   sort_keys=True) + "\n")
 
 
+def _raw_series(ground, factors, target):
+    """A standardized ground series on its raw scale: the anomalies' inverse."""
+    soy = np.arange(ground.n_seasons) % factors.seasons_per_year
+    return ground.series(*target) * factors.sds[target][soy] + factors.means[target][soy]
+
+
 def _write_ground_file(path, run_out):
     """station,year,season,value rows of a run's raw ground, per default station."""
     ground, factors, _ = pl.load_ground(run_out)
-    raw = factors.inverse(ground)
     stations = PipelineConfig.from_dict(GOLDEN_CONFIG).resolved_stations()
     lines = ["station,year,season,value"]
     for sid, target in stations.items():
-        for t, value in enumerate(raw.series(*target)):
+        for t, value in enumerate(_raw_series(ground, factors, target)):
             lines.append(f"{sid},{1950 + t // 4},{SEASON_NAMES[t % 4]},{float(value)!r}")
     path.write_text("\n".join(lines) + "\n")
 

@@ -3,16 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from chaoscast import ensemble
+from chaoscast import ensemble, subset
 from chaoscast.config import PipelineConfig
 from chaoscast.dynamics import build_attractor_library
 from chaoscast.embedding import (DelayMap, build_design_matrix, lagged_designs,
                                  sample_delay_maps)
 from chaoscast.ensemble import ModelGroup, Station, fit_model_groups, predict_groups
 from chaoscast.errors import ConfigError
-from chaoscast.subset import (MAX_COLUMNS, RANK_TOL, SubsetModel, _independent_columns,
-                              best_subsets, mallows_cp, same_rows, select_model,
-                              select_stack)
+from chaoscast.subset import (MAX_COLUMNS, PIVOT_TOL, RANK_TOL, SCREEN_MIN_SUBSETS, SCREEN_TOL,
+                              SubsetModel, _independent_columns, best_subsets, mallows_cp,
+                              same_rows, select_model, select_stack)
 
 
 def exhaustive_best(X, y, max_size):
@@ -494,6 +494,175 @@ def test_select_stack_equals_lone_searches_and_leaves_its_input(p):
     else:
         with pytest.raises(ValueError, match="no independent columns"):
             select_stack(X, Y)
+
+
+def _assert_same_bits(got, want):
+    """Lists of models that are equal bit for bit, compared by tobytes()."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.columns, a.dropped, a.n_rows) == (b.columns, b.dropped, b.n_rows)
+        assert a.coefficients.tobytes() == b.coefficients.tobytes()
+        assert np.array([a.intercept, a.rss, a.cp]).tobytes() == \
+            np.array([b.intercept, b.rss, b.cp]).tobytes()
+
+
+def _centered_transposed(X):
+    """A (G, n, p) stack as _search takes it: centered, transposed, C-ordered."""
+    return np.ascontiguousarray((X - X.mean(axis=1, keepdims=True)).transpose(0, 2, 1))
+
+
+def _relative_pivots(X, Y):
+    """Each design's smallest relative pivot in the RSS screen."""
+    XkT, Yc = _centered_transposed(X), Y - Y.mean(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return subset._screen(XkT @ XkT.transpose(0, 2, 1), XkT @ Yc,
+                              np.sum(Yc * Yc, axis=0))[1]
+
+
+def _screen_stack(case, m, rng):
+    """A (24, 60, p) stack and a (60, 3) response block for one bit-equality case."""
+    X = rng.standard_normal((24, 60, m)) * 10.0 ** rng.uniform(-2, 2, (24, 1, m))
+    Y = rng.standard_normal((60, 3))
+    Y[:, 0] += X[0, :, 1] / X[0, :, 1].std() - X[0, :, m - 1] / X[0, :, m - 1].std()
+    if case == "near-tie-columns":  # columns 1 and 4 differ by 1e-7 relative noise;
+        # at 1e-8 the columns pass RANK_TOL but some subset's Gram is singular to gesv
+        X[:, :, 4] = X[:, :, 1] * (1.0 + 1e-7 * rng.standard_normal((24, 60)))
+        Y[:, 1] = X[3, :, 1] + 0.1 * Y[:, 1]
+    if case == "near-tie-rss":  # sizes whose best subsets differ by ~1e-12 of TSS
+        Q = np.linalg.qr(X[0] - X[0].mean(axis=0))[0] * 7.0
+        X[0] = Q
+        noise = Y[:, 1] - Q @ np.linalg.lstsq(Q, Y[:, 1], rcond=None)[0]
+        Y[:, 1] = Q[:, 0] + Q[:, 1] * (1.0 + 1e-12) + Q[:, 2] * (1.0 - 1e-12) + 0.01 * noise
+    if case == "dependent":  # eight columns, of which m are independent
+        X = np.concatenate([X, X[:, :, :8 - m] * 2.0 - X[:, :, 1:2]], axis=2)
+    if case == "mixed-fallback":  # even designs: a column 1e-4 from its neighbour
+        near = X[::2, :, 2]
+        X[::2, :, m - 1] = near + 1e-4 * near.std(axis=1, keepdims=True) * \
+            rng.standard_normal((12, 60))
+    return X, Y
+
+
+@pytest.mark.parametrize("m", [6, 7, 8])
+@pytest.mark.parametrize("case", ["random", "near-tie-columns", "near-tie-rss",
+                                  "mixed-fallback"])
+def test_screened_search_equals_the_reference_bit_for_bit(case, m):
+    rng = np.random.default_rng(30 + m)
+    X, Y = _screen_stack(case, m, rng)
+    assert len(X) * (2**m - 1) >= SCREEN_MIN_SUBSETS
+    pivots = _relative_pivots(X, Y)
+    if case == "near-tie-columns":
+        assert (pivots < PIVOT_TOL).all()
+    elif case == "mixed-fallback":  # the fallback pivot is below PIVOT_TOL, above RANK_TOL
+        assert (pivots[::2] < PIVOT_TOL).all() and (pivots[1::2] >= PIVOT_TOL).all()
+        assert (pivots[::2] > RANK_TOL ** 2).all()
+    else:
+        assert (pivots >= PIVOT_TOL).all()
+    for max_size in (None, m - 1, m - 3):
+        for x, got in zip(X, select_stack(X, Y, max_size=max_size)):
+            _assert_same_bits(got, reference_select_models(x, Y, max_size))
+
+
+def test_dependent_columns_below_the_crossover_equal_the_reference_bit_for_bit():
+    rng = np.random.default_rng(40)
+    m = 5
+    X, Y = _screen_stack("dependent", m, rng)
+    assert X.shape[2] == 8 and len(X) * (2**8 - 1) >= SCREEN_MIN_SUBSETS
+    assert len(X) * (2**m - 1) < SCREEN_MIN_SUBSETS
+    for x, got in zip(X, select_stack(X, Y)):
+        want = reference_select_models(x, Y)
+        assert all(len(model.dropped) == 8 - m for model in want)
+        _assert_same_bits(got, want)
+
+
+def test_exact_rss_ties_go_to_the_first_subset_in_a_wide_design():
+    # eight orthogonal +-1 columns that explain y equally well, bit for bit
+    m = 8
+    X = np.zeros((2 * m + 3, m))
+    X[np.arange(m), np.arange(m)], X[m + np.arange(m), np.arange(m)] = 1.0, -1.0
+    y = X.sum(axis=1)
+    y[2 * m:] = [0.5, -0.25, 0.125]
+    stack = np.stack([X, X[:, ::-1]] * 2)
+    assert len(stack) * (2**m - 1) >= SCREEN_MIN_SUBSETS
+    XkT, yc = _centered_transposed(stack), (y - y.mean())[:, None]
+    tss = np.sum(yc * yc, axis=0)
+    every = _every_subset_rss(XkT, yc, tss)
+    winners, _ = subset._search(XkT, yc, tss, None)
+    for k, (positions, _, rss) in enumerate(winners, start=1):
+        sized = [sum(1 << c for c in s) for s in itertools.combinations(range(m), k)]
+        assert len(set(every[:, sized].ravel())) == 1  # every k-subset ties exactly
+        assert (positions == np.arange(k)).all()
+    for x, got in zip(stack, select_stack(stack, y)):
+        _assert_same_bits(got, reference_select_models(x, y[:, None]))
+
+
+def _every_subset_rss(XkT, Yc, tss):
+    """(G, 2**m, targets) RSS of every subset by bitmask, from today's batched solve."""
+    G, m, _ = XkT.shape
+    gram, B = XkT @ XkT.transpose(0, 2, 1), XkT @ Yc
+    out = np.empty((G, 1 << m, Yc.shape[1]))
+    out[:, 0] = tss
+    for k in range(1, m + 1):
+        idx = np.array(list(itertools.combinations(range(m), k)))
+        Bs = B[:, idx]
+        sol = np.linalg.solve(gram[:, idx[:, :, None], idx[:, None, :]], Bs)
+        out[:, (1 << idx).sum(axis=1)] = np.maximum(
+            tss - np.einsum("gckt,gckt->gct", Bs, sol), 0.0)
+    return out
+
+
+@pytest.mark.parametrize("case", ["random", "near-collinear"])
+def test_screened_rss_is_within_the_candidate_margin_of_the_solved_rss(case):
+    # a per-size winner stays a candidate when every screened RSS is within
+    # SCREEN_TOL / 2 of TSS of its solved RSS: the winner's screened RSS is
+    # then at most the screened minimum plus SCREEN_TOL of TSS
+    rng = np.random.default_rng(50)
+    smallest = []
+    for m in (6, 8, MAX_COLUMNS):
+        X = rng.standard_normal((8, 80, m)) * 10.0 ** rng.uniform(-3, 3, (8, 1, m))
+        if case == "near-collinear":  # columns 1e-2.4 to 1e-1 of their norm off column 0
+            eps = 10.0 ** rng.uniform(-2.4, -1.0, (8, 1, m - 1))
+            base = X[:, :, :1] / X[:, :, :1].std(axis=1, keepdims=True)
+            X[:, :, 1:] *= eps
+            X[:, :, 1:] += base * X[:, :, 1:].std(axis=1, keepdims=True) / eps
+        Y = rng.standard_normal((80, 4))
+        Y[:, 0] += X[0] @ rng.standard_normal(m) / X[0].std()
+        XkT, Yc = _centered_transposed(X), Y - Y.mean(axis=0)
+        tss = np.sum(Yc * Yc, axis=0)
+        screened, pivot = subset._screen(XkT @ XkT.transpose(0, 2, 1), XkT @ Yc, tss)
+        assert (pivot >= PIVOT_TOL).all()
+        smallest.append(pivot.min())
+        err = np.abs(screened.transpose(2, 1, 0) - _every_subset_rss(XkT, Yc, tss)) / tss
+        assert err.max() <= SCREEN_TOL / 2
+    if case == "near-collinear":  # the margin holds down to the fallback's threshold
+        assert min(smallest) < 2 * PIVOT_TOL
+
+
+def test_a_small_pivot_solves_every_subset(monkeypatch):
+    rng = np.random.default_rng(60)
+    X, Y = _screen_stack("mixed-fallback", 8, rng)
+    pivots = _relative_pivots(X, Y)
+    small, fine = X[::2][:4], X[1::2][:4]
+    assert (pivots[::2] < PIVOT_TOL).all() and (pivots[1::2] >= PIVOT_TOL).all()
+    solved = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        solved.append(len(a))
+        return solve(a, b)
+
+    def systems(stack):
+        solved.clear()
+        select_stack(stack, Y)
+        assert len(solved) == 9  # the full model, then one solve per size
+        return sum(solved) - len(stack)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    assert 8 * (2**8 - 1) >= SCREEN_MIN_SUBSETS
+    # a design's candidates do not depend on the designs it is stacked with
+    screened = systems(np.concatenate([fine, fine])) // 2
+    assert screened < 4 * (2**8 - 1) // 4
+    assert systems(np.concatenate([small, fine])) == 4 * (2**8 - 1) + screened
+    assert systems(np.concatenate([small, small])) == 8 * (2**8 - 1)
 
 
 def test_same_rows_groups_equal_rows_in_first_seen_order():
