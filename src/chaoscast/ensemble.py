@@ -1,23 +1,28 @@
 """Ensemble selection over fitted delay-map models.
 
-A model group is one delay map fitted per station. ``fit_model_groups``
-fits and ``predict_groups`` predicts lists of groups in batches, on
-designs read by ``embedding.lagged_designs``; every prediction goes
-through ``predict_groups`` and equals a lone one bit for bit. Each
-attractor's groups are predicted once; the rank, select and retain
-windows are column slices of that stack. Groups are ranked by the pooled
-correlation of their shrunken predictions, the top X percent are
-combined by mean or by the most populous 1-D cluster (vote) into keys
-scored on the select and retain windows, retention keeps at most one
-key per cut (a key or its other-combiner sibling) whose retain r is
-strictly above a threshold, and the survivors' per-season median is the
-forecast. An attractor's groups, and its keys, are scored in one
-``metrics.pooled_correlations`` call per window. A key file holds each
-member group once, and its keys name their members by ``map_index``.
+A model group is one delay map fitted per station. An attractor's groups
+are one ``GroupTable``: its ``subset.ModelTable`` holds every model as
+arrays over (map, station), written straight from the subset search by
+``fit_model_groups``, and a ``ModelGroup`` is a (table, row) view of one
+map. ``predict_groups`` predicts from those arrays, one product per model
+size, on designs read by ``embedding.lagged_designs``; every prediction
+goes through it and equals a lone one bit for bit. Each attractor's
+groups are predicted once; the rank, select and retain windows are
+column slices of that stack. Groups are ranked by the pooled correlation
+of their shrunken predictions, the top X percent are combined by mean or
+by the most populous 1-D cluster (vote) into keys scored on the select
+and retain windows, retention keeps at most one key per cut (a key or its
+other-combiner sibling) whose retain r is strictly above a threshold, and
+the survivors' per-season median is the forecast. An attractor's groups,
+and its keys, are scored in one ``metrics.pooled_correlations`` call per
+window. ``models.json`` and key files are written from the table arrays;
+a key file holds each member group once, and its keys name their members
+by ``map_index``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -31,7 +36,7 @@ from .errors import PanelFormatError
 from .metrics import pooled_correlations
 from .panel import Panel
 from .shrinkage import stein_adjust
-from .subset import SubsetModel, same_rows, select_stack
+from .subset import ModelTable, SubsetModel, same_rows, select_stack
 
 KEY_FORMAT_VERSION = 2
 ALLOWED_TOP_PERCENT = (10, 30, 100)
@@ -54,18 +59,55 @@ class Station:
         return (self.variable, self.site)
 
 
-@dataclass
-class ModelGroup:
-    """One delay map with a fitted subset model per station."""
+@dataclass(eq=False)
+class GroupTable:
+    """An attractor's model groups as one table: ``models`` row i is the
+    delay map ``maps[i]``, numbered ``map_index[i]``, and its target s is
+    the station ``stations[s]``."""
 
     attractor_id: str
-    map_index: int
-    dmap: DelayMap
-    fits: dict[str, SubsetModel]
+    maps: tuple[DelayMap, ...]
+    map_index: tuple[int, ...]
+    stations: tuple[str, ...]  # station ids
+    models: ModelTable
+
+    @functools.cached_property
+    def total_sizes(self) -> list[int]:
+        return self.models.sizes.sum(axis=1).tolist()
+
+    def groups(self) -> list[ModelGroup]:
+        return [ModelGroup(self, row) for row in range(len(self.maps))]
+
+
+@dataclass(frozen=True)
+class ModelGroup:
+    """One delay map with a fitted subset model per station: row ``row`` of
+    its attractor's table."""
+
+    table: GroupTable
+    row: int
+
+    @property
+    def attractor_id(self) -> str:
+        return self.table.attractor_id
+
+    @property
+    def map_index(self) -> int:
+        return self.table.map_index[self.row]
+
+    @property
+    def dmap(self) -> DelayMap:
+        return self.table.maps[self.row]
+
+    @property
+    def fits(self) -> dict[str, SubsetModel]:
+        """Each station's model as a SubsetModel, built on every call."""
+        return {sid: self.table.models.model(self.row, s)
+                for s, sid in enumerate(self.table.stations)}
 
     @property
     def total_size(self) -> int:
-        return sum(m.size for m in self.fits.values())
+        return self.table.total_sizes[self.row]
 
     def predict(self, panel: Panel, stations: tuple[Station, ...],
                 seasons: tuple[int, int]) -> np.ndarray:
@@ -73,61 +115,81 @@ class ModelGroup:
         return predict_groups([self], panel, stations, seasons)[0]
 
 
+def _by_table(groups: list[ModelGroup]) -> list[tuple[GroupTable, np.ndarray, np.ndarray]]:
+    """Each distinct table of the groups, first seen first, with its groups'
+    positions in the list and rows in the table."""
+    tables: dict[int, tuple[GroupTable, list[int], list[int]]] = {}
+    for i, g in enumerate(groups):
+        _, at, rows = tables.setdefault(id(g.table), (g.table, [], []))
+        at.append(i)
+        rows.append(g.row)
+    return [(table, np.array(at), np.array(rows)) for table, at, rows in tables.values()]
+
+
 def fit_model_groups(attractor_id: str, maps, panel: Panel, stations,
                      max_size: int | None = None) -> list[ModelGroup]:
     """Fit the Cp-selected subset model per station for every delay map.
 
-    Map i becomes the group with ``map_index`` i, fitted on the response
-    seasons from its largest lag to the end of the attractor panel, which
-    must be complete: a missing or non-finite value raises ValueError.
-    Maps are bucketed by (largest lag, dimension), so a bucket shares its
-    response rows, and fitted in chunks of at most ``FIT_CHUNK`` maps,
-    each read by one ``lagged_designs`` call only when it is fitted and
-    searched for every station in one ``select_stack`` call. Every model
-    equals a lone fit of its map and station, bit for bit.
+    Map i becomes row i of the attractor's one table and the group with
+    ``map_index`` i, fitted on the response seasons from its largest lag
+    to the end of the attractor panel, which must be complete: a missing
+    or non-finite value raises ValueError. Maps are bucketed by (largest
+    lag, dimension), so a bucket shares its response rows, and fitted in
+    chunks of at most ``FIT_CHUNK`` maps, each read by one
+    ``lagged_designs`` call only when it is fitted and searched for every
+    station in one ``select_stack`` call, whose ModelTable goes into the
+    attractor's table with no per-model object. Every model equals a lone
+    fit of its map and station, bit for bit.
     """
     stations = tuple(stations)
     targets = np.stack([panel.series(*st.target) for st in stations], axis=1)
-    fits: list[list[SubsetModel]] = [[] for _ in maps]
+    parts, rows = [], []
     for indices in same_rows(np.array([(dmap.max_lag, dmap.dim) for dmap in maps])):
         start = maps[indices[0]].max_lag
         for lo in range(0, len(indices), FIT_CHUNK):
             chunk = indices[lo:lo + FIT_CHUNK]
             X = lagged_designs([maps[i] for i in chunk], panel, (start, panel.n_seasons))
-            for i, models in zip(chunk, select_stack(X, targets[start:], max_size=max_size)):
-                fits[i] = models
-    return [ModelGroup(attractor_id=attractor_id, map_index=i, dmap=dmap,
-                       fits={st.station_id: m for st, m in zip(stations, fits[i])})
-            for i, dmap in enumerate(maps)]
+            parts.append(select_stack(X, targets[start:], max_size=max_size))
+            rows.append(chunk)
+    return GroupTable(attractor_id, tuple(maps), tuple(range(len(maps))),
+                      tuple(st.station_id for st in stations),
+                      ModelTable.stack(parts, rows)).groups()
 
 
 def predict_groups(groups, panel: Panel, stations, seasons: tuple[int, int]) -> np.ndarray:
     """(groups, stations, seasons) predictions; NaN where history is missing.
 
-    Groups of one dimension share a ``lagged_designs`` read; groups with
-    the same usable rows make one product per (station, model size), over
-    those rows only, on a C-ordered (groups, size, rows) gather seen as
-    (groups, rows, size). Each slice then has the layout of a lone
-    ``X[usable][:, columns]``, so each value equals ``SubsetModel.predict``
-    bit for bit; a C-ordered (groups, rows, size) operand or extra rows
-    change the BLAS call and the last bits.
+    Groups are predicted from their table's arrays, one table at a time.
+    Groups of one dimension share a ``lagged_designs`` read. Groups with
+    the same usable rows make one product per model size, bucketed on the
+    table's size array, over all their (group, station) models of that
+    size and over those rows only: a C-ordered (models, size, rows) gather
+    seen as (models, rows, size), times the (models, size, 1) coefficients.
+    Each slice then has the layout of a lone ``X[usable][:, columns]``, so
+    each value equals ``SubsetModel.predict`` bit for bit; a C-ordered
+    (models, rows, size) operand or extra rows change the BLAS call and
+    the last bits.
     """
     groups, stations = list(groups), tuple(stations)
     out = np.full((len(groups), len(stations), seasons[1] - seasons[0]), np.nan)
-    for indices in same_rows(np.array([[g.dmap.dim] for g in groups])):
-        X = lagged_designs([groups[i].dmap for i in indices], panel, seasons)
-        usable = np.isfinite(X).all(axis=2)
-        for rows in same_rows(usable):
-            where, at = np.array(indices)[rows], np.flatnonzero(usable[rows[0]])
-            XT = X[np.ix_(rows, at)].transpose(0, 2, 1)  # (groups, dim, rows)
-            for s, st in enumerate(stations):
-                models = [groups[i].fits[st.station_id] for i in where]
-                for js in same_rows(np.array([[m.size] for m in models])):
-                    cols = [models[j].columns for j in js]
-                    coef = np.stack([models[j].coefficients for j in js])[:, :, None]
-                    icpt = np.array([models[j].intercept for j in js])[:, None]
-                    Xs = XT[np.array(js)[:, None], cols].transpose(0, 2, 1)
-                    out[where[js, None], s, at] = icpt + (Xs @ coef)[:, :, 0]
+    for table, at, rows in _by_table(groups):
+        m = table.models
+        targets = np.array([table.stations.index(st.station_id) for st in stations], dtype=int)
+        sizes = m.sizes[:, targets]
+        for dim in same_rows(np.array([[table.maps[r].dim] for r in rows])):
+            X = lagged_designs([table.maps[r] for r in rows[dim]], panel, seasons)
+            usable = np.isfinite(X).all(axis=2)
+            for same in same_rows(usable):
+                where, r = at[dim][same], rows[dim][same]
+                t = np.flatnonzero(usable[same[0]])
+                XT = X[np.ix_(same, t)].transpose(0, 2, 1)  # (groups, dim, rows)
+                for k in np.unique(sizes[r]):
+                    g, s = np.nonzero(sizes[r] == k)
+                    cols = m.columns[r[g], targets[s], :k]
+                    coef = m.coefficients[r[g], targets[s], :k][:, :, None]
+                    icpt = m.intercept[r[g], targets[s]][:, None]
+                    Xs = XT[g[:, None], cols].transpose(0, 2, 1)
+                    out[where[g, None], s[:, None], t] = icpt + (Xs @ coef)[:, :, 0]
     return out
 
 
@@ -447,38 +509,57 @@ def map_from_dict(d: dict) -> DelayMap:
                     lead=int(d["lead"]))
 
 
-def model_to_dict(model: SubsetModel) -> dict:
-    return {
-        "columns": list(model.columns),
-        "coefficients": [float(c) for c in model.coefficients],
-        "intercept": float(model.intercept),
-        "rss": float(model.rss),
-        "cp": float(model.cp),
-        "n_rows": int(model.n_rows),
-        "dropped": list(model.dropped),
-    }
+def groups_to_dicts(groups) -> list[dict]:
+    """The groups as ``models.json`` and key files store them, in order,
+    written from their tables' arrays with ``.tolist()``."""
+    groups = list(groups)
+    out: list = [None] * len(groups)
+    for table, at, rows in _by_table(groups):
+        m = table.models
+        sizes, columns, coefficients = (a[rows].tolist()
+                                        for a in (m.sizes, m.columns, m.coefficients))
+        intercept, rss, cp, n_rows = (a[rows].tolist() for a in (m.intercept, m.rss, m.cp,
+                                                                   m.n_rows))
+        for j, (i, row) in enumerate(zip(at.tolist(), rows.tolist())):
+            dropped = np.flatnonzero(m.dropped[row]).tolist()
+            out[i] = {"map_index": table.map_index[row], "map": map_to_dict(table.maps[row]),
+                      "fits": {sid: {"columns": columns[j][s][:sizes[j][s]],
+                                     "coefficients": coefficients[j][s][:sizes[j][s]],
+                                     "intercept": intercept[j][s], "rss": rss[j][s],
+                                     "cp": cp[j][s], "n_rows": n_rows[j], "dropped": dropped}
+                               for s, sid in enumerate(table.stations)}}
+    return out
 
 
-def model_from_dict(d: dict) -> SubsetModel:
-    return SubsetModel(columns=tuple(int(c) for c in d["columns"]),
-                       coefficients=np.array(d["coefficients"], dtype=float),
-                       intercept=float(d["intercept"]), rss=float(d["rss"]),
-                       cp=float(d["cp"]), n_rows=int(d["n_rows"]),
-                       dropped=tuple(int(c) for c in d["dropped"]))
+def groups_from_dicts(items: list[dict], attractor_id: str) -> list[ModelGroup]:
+    """The stored groups of one attractor as views of one new table.
 
-
-def group_to_dict(group: ModelGroup) -> dict:
-    return {
-        "map_index": group.map_index,
-        "map": map_to_dict(group.dmap),
-        "fits": {sid: model_to_dict(m) for sid, m in sorted(group.fits.items())},
-    }
-
-
-def group_from_dict(d: dict, attractor_id: str) -> ModelGroup:
-    return ModelGroup(attractor_id=attractor_id, map_index=int(d["map_index"]),
-                      dmap=map_from_dict(d["map"]),
-                      fits={sid: model_from_dict(m) for sid, m in d["fits"].items()})
+    The table's checks reject, at once, a model with no column, with a
+    non-finite coefficient, intercept or Cp, or with an RSS below -1e-9.
+    A map's models share its row count and dropped columns, so both are
+    read from its first station's model.
+    """
+    maps = tuple(map_from_dict(d["map"]) for d in items)
+    stations = tuple(items[0]["fits"]) if items else ()
+    fits = [[d["fits"][sid] for sid in stations] for d in items]
+    flat = [f for row in fits for f in row]
+    shape = (len(items), len(stations))
+    width = max((dmap.dim for dmap in maps), default=1)
+    used = np.arange(width) < np.array([len(f["columns"]) for f in flat],
+                                       dtype=int).reshape(*shape, 1)
+    columns, coefficients = np.full((*shape, width), -1), np.zeros((*shape, width))
+    columns[used] = [c for f in flat for c in f["columns"]]
+    coefficients[used] = [c for f in flat for c in f["coefficients"]]
+    dropped = np.zeros((len(items), width), dtype=bool)
+    for g, row in enumerate(fits):
+        dropped[g, row[0]["dropped"] if row else []] = True
+    models = ModelTable(columns, coefficients,
+                        *(np.array([f[name] for f in flat], dtype=float).reshape(shape)
+                          for name in ("intercept", "rss", "cp")),
+                        np.array([row[0]["n_rows"] if row else 0 for row in fits], dtype=int),
+                        dropped)
+    return GroupTable(attractor_id, maps, tuple(int(d["map_index"]) for d in items),
+                      stations, models).groups()
 
 
 def key_to_dict(key: PredictorKey) -> dict:
@@ -513,9 +594,10 @@ def save_keys(keys: list[PredictorKey], path, header: dict | None = None) -> Non
     """Write the keys atomically, with the header fields at the top level; each
     member group is stored once, under its attractor in ``map_index`` order."""
     members = {(k.attractor_id, g.map_index): g for k in keys for g in k.members}
+    order = sorted(members)
     groups: dict[str, list[dict]] = {}
-    for aid, i in sorted(members):
-        groups.setdefault(aid, []).append(group_to_dict(members[aid, i]))
+    for (aid, _), d in zip(order, groups_to_dicts(members[i] for i in order)):
+        groups.setdefault(aid, []).append(d)
     write_json(path, {**(header or {}), "format_version": KEY_FORMAT_VERSION,
                       "groups": groups, "keys": [key_to_dict(k) for k in keys]})
 
@@ -524,7 +606,7 @@ def load_keys(path) -> list[PredictorKey]:
     payload = read_json(path)
     if (version := payload.get("format_version")) != KEY_FORMAT_VERSION:
         raise PanelFormatError(f"{path}: key file format version {version}; rerun select")
-    groups = {aid: {g["map_index"]: group_from_dict(g, aid) for g in items}
+    groups = {aid: {g.map_index: g for g in groups_from_dicts(items, aid)}
               for aid, items in payload["groups"].items()}
     for d in payload["keys"]:
         if missing := sorted(set(d["members"]) - set(groups.get(d["attractor_id"], {}))):

@@ -21,7 +21,7 @@ from .config import PipelineConfig, save_config
 from .dynamics import AttractorEstimate, TuningParameter, build_attractor_library
 from .embedding import DelayMap, sample_delay_maps
 from .ensemble import (EnsembleForecast, ModelGroup, PredictorKey, Station,
-                       fit_model_groups, form_keys, group_from_dict, group_to_dict,
+                       fit_model_groups, form_keys, groups_from_dicts, groups_to_dicts,
                        map_from_dict, map_to_dict, median_combine, observation_matrix,
                        predict_groups, rank_models, retain_predictors, save_keys)
 from .errors import ConfigError, PanelFormatError
@@ -234,14 +234,14 @@ def stage_fit(cfg: PipelineConfig, library, maps, out: Path | None = None):
         write_json(out / "models.json", {
             **_header(cfg),
             "stations": [[st.station_id, st.variable, st.site] for st in stations],
-            "groups": {label: [group_to_dict(g) for g in fitted]
+            "groups": {label: groups_to_dicts(fitted)
                        for label, fitted in sorted(groups.items())}})
     return groups
 
 
 def load_groups(out: Path) -> dict[str, list[ModelGroup]]:
     payload = read_json(out / "models.json")
-    return {label: [group_from_dict(g, label) for g in items]
+    return {label: groups_from_dicts(items, label)
             for label, items in payload["groups"].items()}
 
 

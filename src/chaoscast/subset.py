@@ -14,11 +14,15 @@ size's screened minimum, for some target, are solved: one batched solve
 per (sub-batch, subset size) covers them for every map and target. By
 its array layout, each map's slice of a batched Gram product or solve is
 the BLAS or LAPACK call a lone map makes, so its models do not depend on
-the maps it is batched with, a rule ``ensemble.predict_groups`` keeps
-for ``SubsetModel.predict``. The per-size winner has the minimum solved
+the maps it is batched with. The per-size winner has the minimum solved
 residual sum of squares; exact ties go to the first subset in
 ``itertools.combinations`` order. The per-size winners are compared on
-Mallows' Cp, ties going to fewer columns.
+Mallows' Cp, ties going to fewer columns, and each winner is written
+straight into a ``ModelTable``, one array per field over (design,
+target), one model size at a time. ``ensemble.predict_groups`` predicts
+from those arrays with one product per model size whose slices are the
+calls a lone ``SubsetModel.predict`` makes, so a prediction does not
+depend on the models it is batched with either.
 
 Measured on 2 vCPUs with 1 BLAS thread, on 188-row designs with 4
 targets:
@@ -52,6 +56,13 @@ from dataclasses import dataclass
 import numpy as np
 
 RANK_TOL = 1e-10  # relative pivot threshold for dropping dependent columns
+# A column whose residual on the earlier columns is a fraction f of its own
+# norm leaves their Gram submatrix a relative pivot of f**2, while a Gram
+# entry summed over n rows carries a relative rounding error near sqrt(n)
+# epsilons, 3e-15 at 188 rows. On 188-row designs LU rounded such pivots
+# to exactly zero, and gesv raised "Singular matrix", up to f = 5e-8; at
+# f = 1e-7 the pivot, 1e-14, is three times that rounding error.
+RESIDUAL_TOL = 1e-7
 MAX_COLUMNS = 12  # column cap: 4095 subsets per design, a (t, 4096, G) screened RSS
 SCREEN_TOL = 1e-9  # candidate margin over a size's screened minimum RSS, as a share of TSS
 PIVOT_TOL = 1e-5  # smallest relative pivot of a screened design; see the module docstring
@@ -60,7 +71,8 @@ SCREEN_MIN_SUBSETS = 1000  # G * (2**m - 1) below which a sub-batch solves every
 
 @dataclass
 class SubsetModel:
-    """A fitted least-squares model on a column subset of one delay map."""
+    """A fitted least-squares model on a column subset of one delay map: the
+    one-model view of a ModelTable, whose construction checks it."""
 
     columns: tuple[int, ...]  # indices into the original design matrix
     coefficients: np.ndarray  # one per selected column
@@ -70,18 +82,6 @@ class SubsetModel:
     n_rows: int
     dropped: tuple[int, ...] = ()  # dependent/constant columns excluded up front
 
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if len(self.columns) < 1:
-            raise ValueError("a subset model needs at least one column")
-        if self.rss < -1e-9 or not np.isfinite(self.rss):
-            raise ValueError("rss must be finite and non-negative")
-        if not np.all(np.isfinite(self.coefficients)) or not np.isfinite(self.intercept):
-            raise ValueError("coefficients must be finite")
-        if not np.isfinite(self.cp):
-            raise ValueError("cp must be finite")
-        self.rss = max(self.rss, 0.0)
-
     @property
     def size(self) -> int:
         return len(self.columns)
@@ -89,6 +89,71 @@ class SubsetModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         return self.intercept + X[:, list(self.columns)] @ self.coefficients
+
+
+@dataclass(eq=False)
+class ModelTable:
+    """Subset models of G designs by S targets, one array per field.
+
+    Model (g, s) holds its columns in increasing order at the front of
+    ``columns[g, s]`` and their coefficients at the front of
+    ``coefficients[g, s]``; the rest is padding, -1 and 0, so its size is
+    the count of columns >= 0. The models of a design share its row count
+    and the mask of the dependent columns it screened out. Construction
+    checks every model at once, rejecting a model with no column, a
+    non-finite coefficient, intercept or Cp, or an RSS below -1e-9, and
+    clamps RSS at 0.
+    """
+
+    columns: np.ndarray  # (G, S, p) column indices, padded with -1
+    coefficients: np.ndarray  # (G, S, p), padded with 0
+    intercept: np.ndarray  # (G, S)
+    rss: np.ndarray  # (G, S)
+    cp: np.ndarray  # (G, S)
+    n_rows: np.ndarray  # (G,)
+    dropped: np.ndarray  # (G, p) mask of dependent/constant columns excluded up front
+
+    def __post_init__(self):
+        if not (self.columns[..., :1] >= 0).all():
+            raise ValueError("a subset model needs at least one column")
+        if not (np.isfinite(self.rss) & (self.rss >= -1e-9)).all():
+            raise ValueError("rss must be finite and non-negative")
+        if not (np.isfinite(self.coefficients).all() and np.isfinite(self.intercept).all()):
+            raise ValueError("coefficients must be finite")
+        if not np.isfinite(self.cp).all():
+            raise ValueError("cp must be finite")
+        self.rss = np.where(self.rss < 0.0, 0.0, self.rss)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """(G, S) model sizes."""
+        return (self.columns >= 0).sum(axis=-1)
+
+    def model(self, g: int, s: int) -> SubsetModel:
+        """Model (g, s) as a SubsetModel."""
+        k = int((self.columns[g, s] >= 0).sum())
+        return SubsetModel(columns=tuple(self.columns[g, s, :k].tolist()),
+                           coefficients=self.coefficients[g, s, :k].copy(),
+                           intercept=float(self.intercept[g, s]), rss=float(self.rss[g, s]),
+                           cp=float(self.cp[g, s]), n_rows=int(self.n_rows[g]),
+                           dropped=tuple(np.flatnonzero(self.dropped[g]).tolist()))
+
+    @classmethod
+    def stack(cls, parts: list[ModelTable], rows: list[list[int]]) -> ModelTable:
+        """One table of several, row j of ``parts[i]`` at row ``rows[i][j]``;
+        narrower tables are padded to the widest."""
+        width = max(t.columns.shape[-1] for t in parts)
+        order = np.argsort(np.concatenate(rows))
+
+        def joined(name, fill=None):
+            arrays = [getattr(t, name) for t in parts]
+            if fill is not None:
+                arrays = [np.concatenate([a, np.full((*a.shape[:-1], width - a.shape[-1]),
+                                                     fill, a.dtype)], axis=-1) for a in arrays]
+            return np.concatenate(arrays)[order]
+
+        return cls(joined("columns", -1), joined("coefficients", 0.0), joined("intercept"),
+                   joined("rss"), joined("cp"), joined("n_rows"), joined("dropped", False))
 
 
 def _validate_xy(X, y):
@@ -126,11 +191,14 @@ def _independent_columns(XcT: np.ndarray) -> np.ndarray:
     orthogonalization in column order, one step per column for the whole
     stack: per design, the first occurrence of a direction is kept and
     later dependents are dropped, so reports are deterministic and
-    reference the earliest coordinate. A dropped column leaves a zero
-    basis vector, which projects nothing out of later columns.
+    reference the earliest coordinate. A column is dependent when its
+    residual is at most ``RANK_TOL`` of the design's largest column norm,
+    or at most ``RESIDUAL_TOL`` of its own norm. A dropped column leaves a
+    zero basis vector, which projects nothing out of later columns.
     """
     G, p, n = XcT.shape
-    scale = np.linalg.norm(XcT, axis=2).max(axis=1, initial=0.0)
+    norms = np.linalg.norm(XcT, axis=2)
+    scale = norms.max(axis=1, initial=0.0)
     keep = np.zeros((G, p), dtype=bool)
     basis = np.zeros((G, p, n))
     for j in range(p):
@@ -138,7 +206,7 @@ def _independent_columns(XcT: np.ndarray) -> np.ndarray:
         prior = basis[:, :j]
         resid = col - ((col[:, None, :] @ prior.transpose(0, 2, 1)) @ prior)[:, 0]
         norm = np.linalg.norm(resid, axis=1)
-        keep[:, j] = norm > RANK_TOL * scale
+        keep[:, j] = (norm > RANK_TOL * scale) & (norm > RESIDUAL_TOL * norms[:, j])
         basis[:, j] = resid / np.where(keep[:, j], norm, np.inf)[:, None]
     return keep
 
@@ -257,18 +325,20 @@ def _search(XkT: np.ndarray, Yc: np.ndarray, tss: np.ndarray, max_size: int | No
     winners = []
     for k in range(1, max_size + 1):
         idx, _, masks = _combinations(m, k)
-        size = G * len(idx)
         chosen = slice(None)  # every subset of every design
-        if screened is not None:
+        if screened is not None and not exhaustive.all():
             s = screened[:, masks]  # (targets, C, G)
             near = s <= s.min(axis=1, keepdims=True) + SCREEN_TOL * tss[:, None, None]
             chosen = np.flatnonzero(near.any(axis=0).T | exhaustive[:, None])
         sol, rss = solve(k, chosen)
-        rows = np.arange(size)[chosen]  # flat (design, subset) position of each solve
-        table = np.full((size, targets), np.inf)
-        table[rows] = rss
-        best = table.reshape(G, -1, targets).argmin(axis=1)  # (G, targets), first of ties
-        at = np.searchsorted(rows, best + g * len(idx))  # its row in sol and rss
+        if isinstance(chosen, slice):  # the dense argmin, (G, targets), first of ties
+            best = rss.reshape(G, -1, targets).argmin(axis=1)
+            at = best + g * len(idx)  # its row in sol and rss
+        else:  # chosen holds the flat (design, subset) position of each solve
+            table = np.full((G * len(idx), targets), np.inf)
+            table[chosen] = rss
+            best = table.reshape(G, -1, targets).argmin(axis=1)
+            at = np.searchsorted(chosen, best + g * len(idx))
         winners.append((idx[best], sol[at, :, t], rss[at, t]))
     cp = mallows_cp(np.stack([w[2] for w in winners], axis=1), sigma2[:, None, :], n,
                     np.arange(2, max_size + 2)[:, None])
@@ -279,8 +349,12 @@ def _enumerate(X: np.ndarray, Y: np.ndarray, max_size: int | None):
     """Minimum-RSS subset per size of each design's independent columns, per column of Y.
 
     X is a (G, n, p) stack of designs and Y the (n, targets) block they
-    share. Returns Cp per design as (sizes, targets) and ``model(g, k,
-    target)``, which builds the size-k winner of one target on design g.
+    share. Returns the number of sizes searched on the first design and
+    ``table(size)``, the (G, targets) ModelTable of every size-``size``
+    winner, or of every minimum-Cp winner (ties to fewer columns) when
+    ``size`` is None. The winners of one size are written at once, each
+    intercept by one batched ``(N, 1, k) @ (N, k, 1)`` product, whose
+    slices are the dot products of a lone model.
     """
     G, n, p = X.shape
     if p > MAX_COLUMNS:
@@ -297,29 +371,31 @@ def _enumerate(X: np.ndarray, Y: np.ndarray, max_size: int | None):
         raise ValueError("no independent columns to search")
     tss = np.einsum("it,it->t", Yc, Yc)
     batches = same_rows(keep)
-    cps: list = [None] * G
-    found: list = [None] * G  # per design: winners, its row in them, kept and dropped columns
+    found = []  # per sub-batch: its designs, kept columns, per-size winners and Cp
     for members in batches:
         columns = np.flatnonzero(keep[members[0]])
         XkT = (XcT if len(batches) == 1 and columns.size == p
                else np.ascontiguousarray(XcT[np.ix_(members, columns)]))
-        winners, cp = _search(XkT, Yc, tss, max_size)
-        dropped = tuple(int(c) for c in np.flatnonzero(~keep[members[0]]))
-        for row, i in enumerate(members):
-            cps[i] = cp[row]
-            found[i] = (winners, row, columns, dropped)
+        found.append((np.array(members), columns, *_search(XkT, Yc, tss, max_size)))
+    targets = Y.shape[1]
 
-    def model(i: int, k: int, t: int) -> SubsetModel:
-        winners, row, columns, dropped = found[i]
-        positions, coefficients, rss = winners[k - 1]
-        cols = columns[positions[row, t]]
-        beta = coefficients[row, t]
-        return SubsetModel(columns=tuple(int(c) for c in cols), coefficients=beta,
-                           intercept=float(y_mean[t] - x_mean[i, cols] @ beta),
-                           rss=float(rss[row, t]), cp=float(cps[i][k - 1, t]),
-                           n_rows=n, dropped=dropped)
+    def table(size: int | None) -> ModelTable:
+        columns, coefficients = np.full((G, targets, p), -1), np.zeros((G, targets, p))
+        intercept, rss, cp = (np.empty((G, targets)) for _ in range(3))
+        for members, kept, winners, cps in found:
+            picked = cps.argmin(axis=1) if size is None else np.full((len(members), targets),
+                                                                      size - 1)
+            for k in (np.unique(picked) + 1).tolist():
+                positions, betas, rsss = winners[k - 1]
+                i, t = np.nonzero(picked == k - 1)
+                rows, cols, beta = members[i], kept[positions[i, t]], betas[i, t]
+                columns[rows, t, :k], coefficients[rows, t, :k] = cols, beta
+                intercept[rows, t] = y_mean[t] - (x_mean[rows[:, None], cols][:, None]
+                                                  @ beta[:, :, None])[:, 0, 0]
+                rss[rows, t], cp[rows, t] = rsss[i, t], cps[i, k - 1, t]
+        return ModelTable(columns, coefficients, intercept, rss, cp, np.full(G, n), ~keep)
 
-    return cps, model
+    return found[0][3].shape[1], table
 
 
 def best_subsets(X, y, max_size: int | None = None) -> dict[int, SubsetModel]:
@@ -331,22 +407,21 @@ def best_subsets(X, y, max_size: int | None = None) -> dict[int, SubsetModel]:
     column tuple. Designs of more than MAX_COLUMNS columns raise
     ValueError.
     """
-    cps, model = _enumerate(*_validate_xy(X, np.ravel(y)), max_size)
-    return {k: model(0, k, 0) for k in range(1, len(cps[0]) + 1)}
+    sizes, table = _enumerate(*_validate_xy(X, np.ravel(y)), max_size)
+    return {k: table(k).model(0, 0) for k in range(1, sizes + 1)}
 
 
-def select_stack(X, Y, max_size: int | None = None) -> list[list[SubsetModel]]:
+def select_stack(X, Y, max_size: int | None = None) -> ModelTable:
     """Minimum-Cp subset model per design of a (G, n, p) stack, per column of Y.
 
-    The designs share the (n, targets) response block Y. Ties go to
-    fewer columns. Each size has a single winner, so no further
-    tie-break is needed and selection is deterministic.
+    The designs share the (n, targets) response block Y; the models are
+    returned as a (G, targets) ModelTable. Ties go to fewer columns. Each
+    size has a single winner, so no further tie-break is needed and
+    selection is deterministic.
     """
-    cps, model = _enumerate(*_validate_xy(X, Y), max_size)
-    return [[model(i, int(k) + 1, t) for t, k in enumerate(np.argmin(cp, axis=0))]
-            for i, cp in enumerate(cps)]
+    return _enumerate(*_validate_xy(X, Y), max_size)[1](None)
 
 
 def select_model(X, y, max_size: int | None = None) -> SubsetModel:
     """Minimum-Cp subset among per-size winners for one target; see select_stack."""
-    return select_stack(X, np.ravel(y), max_size)[0][0]
+    return select_stack(X, np.ravel(y), max_size).model(0, 0)

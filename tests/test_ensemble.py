@@ -10,7 +10,6 @@ from chaoscast.embedding import DelayMap
 from chaoscast.ensemble import (
     VOTE_MODES,
     EnsembleForecast,
-    ModelGroup,
     PredictorKey,
     RankedModel,
     Station,
@@ -18,10 +17,12 @@ from chaoscast.ensemble import (
     combine_vote,
     fit_model_groups,
     form_keys,
-    group_to_dict,
+    groups_from_dicts,
+    groups_to_dicts,
     key_from_dict,
     key_to_dict,
     load_keys,
+    map_to_dict,
     median_combine,
     observation_matrix,
     predict_groups,
@@ -32,6 +33,18 @@ from chaoscast.ensemble import (
 )
 from chaoscast.panel import Panel
 from test_metrics import reference_pooled_correlation
+
+
+def table_groups(attractor_id, rows):
+    """Views of one model table holding (map_index, dmap, {station id: SubsetModel})
+    rows, built by the loader from each model's stored fields."""
+    return groups_from_dicts([
+        {"map_index": i, "map": map_to_dict(dmap),
+         "fits": {sid: {"columns": list(m.columns), "coefficients": m.coefficients.tolist(),
+                        "intercept": m.intercept, "rss": m.rss, "cp": m.cp,
+                        "n_rows": m.n_rows, "dropped": list(m.dropped)}
+                  for sid, m in fits.items()}}
+        for i, dmap, fits in rows], attractor_id)
 
 
 def unit_corr_series(obs, rho, rng):
@@ -414,11 +427,11 @@ def test_fit_form_retain_round_trip(tmp_path):
     assert len(loaded) == len(retained)
     for a, b in zip(retained, loaded):
         assert key_to_dict(a) == key_to_dict(b)
-        assert list(map(group_to_dict, a.members)) == list(map(group_to_dict, b.members))
+        assert groups_to_dicts(a.members) == groups_to_dicts(b.members)
         assert np.array_equal(a.predict(ground, (56, 72)), b.predict(ground, (56, 72)))
 
 
-_MEMBER = ModelGroup("A", 0, DelayMap(coords=(("wet", "a", 4),), lead=3), fits={})
+(_MEMBER,) = table_groups("A", [(0, DelayMap(coords=(("wet", "a", 4),), lead=3), {})])
 
 
 def _key(attractor, top_percent, combiner, select, retain):
@@ -526,7 +539,7 @@ def test_ensemble_forecast_provenance_required():
 
 
 def test_key_validation():
-    group = ModelGroup("A", 0, DelayMap(coords=(("wet", "a", 4),), lead=3), fits={})
+    (group,) = table_groups("A", [(0, DelayMap(coords=(("wet", "a", 4),), lead=3), {})])
     with pytest.raises(ValueError):
         PredictorKey(attractor_id="A", top_percent=25, combiner="mean", lead=3,
                      stations=(), members=(group,), shrink_factor=1.0)

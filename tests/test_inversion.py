@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chaoscast.embedding import DelayMap
-from chaoscast.ensemble import ModelGroup, PredictorKey, Station
+from chaoscast.ensemble import PredictorKey, Station
 from chaoscast.inversion import (
     InversionResult,
     estimate_parameter,
@@ -11,6 +11,7 @@ from chaoscast.inversion import (
 )
 from chaoscast.panel import Panel
 from chaoscast.subset import SubsetModel
+from test_ensemble import table_groups
 
 
 LAG = 4  # the smallest lag a lead-3 delay map may use
@@ -28,8 +29,8 @@ def planted_keys(panel, series_list):
         panel.add("planted", str(i), np.concatenate([series, np.full(LAG, np.nan)]))
         fit = SubsetModel(columns=(0,), coefficients=np.array([1.0]), intercept=0.0,
                           rss=0.0, cp=0.0, n_rows=series.size)
-        member = ModelGroup("A", i, DelayMap(coords=(("planted", str(i), LAG),), lead=3),
-                            fits={"a": fit})
+        (member,) = table_groups(
+            "A", [(i, DelayMap(coords=(("planted", str(i), LAG),), lead=3), {"a": fit})])
         keys.append(PredictorKey(attractor_id="A", top_percent=100, combiner="mean", lead=3,
                                  stations=(Station("a", "wet", "a"),), members=(member,),
                                  shrink_factor=1.0))

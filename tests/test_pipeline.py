@@ -1,5 +1,6 @@
 import hashlib
 import json
+import dataclasses
 import re
 import shutil
 import tempfile
@@ -9,17 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chaoscast import cli, dynamics, ensemble, inversion
+from chaoscast import cli, dynamics, ensemble, inversion, subset
 from chaoscast import pipeline as pl
 from chaoscast.artifacts import write_json, write_text
 from chaoscast.config import PipelineConfig, load_config, save_config
 from chaoscast.embedding import DelayMap
-from chaoscast.ensemble import (ModelGroup, PredictorKey, load_keys, observation_matrix,
-                                save_keys)
+from chaoscast.ensemble import PredictorKey, load_keys, observation_matrix, save_keys
 from chaoscast.errors import ConfigError
 from chaoscast.ground import SEASON_NAMES, make_ground_panel
 from chaoscast.inversion import key_significance_counts
 from chaoscast.metrics import adjusted_dof, benjamini_hochberg, correlation_pvalue
+from test_ensemble import table_groups
 from test_metrics import reference_pooled_correlation
 
 GOLDEN_CONFIG = {"seed": 7,
@@ -599,6 +600,74 @@ def test_invert_predicts_each_member_once_and_counts_as_per_key(golden_run, monk
     assert sum(expected[0.9].values()) > 0  # some counts are not 0
 
 
+def _tables(groups):
+    """attractor id -> the one table its groups view."""
+    tables = {}
+    for g in groups:
+        assert tables.setdefault(g.attractor_id, g.table) is g.table
+    return tables
+
+
+def test_loaders_rebuild_the_fitted_tables_bit_for_bit(golden_run):
+    config, out = golden_run
+    cfg = load_config(config)
+    fitted = pl.stage_fit(cfg, pl.load_library(out), pl.load_maps(out))
+    stored = {label: _tables(groups)[label] for label, groups in pl.load_groups(out).items()}
+    keyed = _tables(g for key in load_keys(out / "keys.json") for g in key.members)
+    assert set(stored) == set(keyed) == set(fitted)
+    for label, groups in fitted.items():
+        want = _tables(groups)[label]
+        for got in (stored[label], keyed[label]):
+            rows = list(got.map_index)
+            assert rows == list(range(len(groups)))  # x_grid holds 100: every group
+            assert (got.maps, got.stations) == (want.maps, want.stations)
+            for field in dataclasses.fields(subset.ModelTable):
+                a, b = getattr(got.models, field.name), getattr(want.models, field.name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), field.name
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"columns": [], "coefficients": []}, "at least one column"),
+    ({"coefficients": [float("nan")]}, "coefficients must be finite"),
+    ({"intercept": float("inf")}, "coefficients must be finite"),
+    ({"cp": float("nan")}, "cp must be finite"),
+    ({"rss": -1e-8}, "rss must be finite and non-negative"),
+    ({"rss": float("inf")}, "rss must be finite and non-negative"),
+], ids=["no-column", "coefficient", "intercept", "cp", "negative-rss", "rss"])
+def test_loaders_reject_what_a_subset_model_rejects(golden_run, tmp_path, change, message):
+    _, out = golden_run
+    for name in ("models.json", "keys.json"):
+        payload = json.loads((out / name).read_text())
+        model = payload["groups"]["F8"][3]["fits"]["st01"]
+        if len(change.get("coefficients", [])) == 1:  # one non-finite coefficient
+            change = {"coefficients": model["coefficients"][:-1] + change["coefficients"]}
+        model.update(change)
+        (tmp_path / name).write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
+        pl.load_groups(tmp_path)
+    with pytest.raises(ValueError, match=message):
+        load_keys(tmp_path / "keys.json")
+
+
+def test_no_stage_builds_a_subset_model(monkeypatch):
+    built = []
+    init = subset.SubsetModel.__init__
+
+    def counted(model, *args, **kwargs):
+        built.append(model)
+        init(model, *args, **kwargs)
+
+    monkeypatch.setattr(subset.SubsetModel, "__init__", counted)
+    cfg = PipelineConfig.from_dict({**RETAINING_CONFIGS["threshold-0.1"],
+                                    "inversion": {"enabled": True}})
+    result = pl.run_pipeline(cfg)
+    assert result.retained and result.inversion is not None
+    assert built == []
+    # the count sees the one-model views: a group's fits build one per station
+    assert len(result.groups["F8"][0].fits) == len(built) == len(cfg.resolved_stations())
+
+
 def test_failed_json_artifact_leaves_no_file(tmp_path):
     path = tmp_path / "shrinkage.json"
     with pytest.raises(TypeError):
@@ -620,7 +689,7 @@ def test_failed_write_keeps_the_older_complete_file(tmp_path):
     # the config and key savers write through the same writer
     cfg = PipelineConfig.from_dict(GOLDEN_CONFIG)
     save_config(cfg, tmp_path / "config.json")
-    member = ModelGroup("F8", 0, DelayMap(coords=(("wet", "s00", 4),), lead=3), fits={})
+    (member,) = table_groups("F8", [(0, DelayMap(coords=(("wet", "s00", 4),), lead=3), {})])
     key = PredictorKey(attractor_id="F8", top_percent=100, combiner="mean", lead=3,
                        stations=(), members=(member,), shrink_factor=1.0)
     save_keys([key], tmp_path / "keys.json", {"seed": 7})

@@ -8,11 +8,12 @@ from chaoscast.config import PipelineConfig
 from chaoscast.dynamics import build_attractor_library
 from chaoscast.embedding import (DelayMap, build_design_matrix, lagged_designs,
                                  sample_delay_maps)
-from chaoscast.ensemble import ModelGroup, Station, fit_model_groups, predict_groups
+from chaoscast.ensemble import Station, fit_model_groups, predict_groups
 from chaoscast.errors import ConfigError
-from chaoscast.subset import (MAX_COLUMNS, PIVOT_TOL, RANK_TOL, SCREEN_MIN_SUBSETS, SCREEN_TOL,
-                              SubsetModel, _independent_columns, best_subsets, mallows_cp,
-                              same_rows, select_model, select_stack)
+from chaoscast.subset import (MAX_COLUMNS, PIVOT_TOL, RANK_TOL, RESIDUAL_TOL, SCREEN_MIN_SUBSETS,
+                              SCREEN_TOL, SubsetModel, _independent_columns, best_subsets,
+                              mallows_cp, same_rows, select_model, select_stack)
+from test_ensemble import table_groups
 
 
 def exhaustive_best(X, y, max_size):
@@ -309,7 +310,7 @@ def reference_independent_columns(Xc):
         col = Xc[:, j]
         resid = col - basis @ (basis.T @ col)
         norm = float(np.linalg.norm(resid))
-        if norm > RANK_TOL * scale:
+        if norm > RANK_TOL * scale and norm > RESIDUAL_TOL * float(np.linalg.norm(col)):
             keep.append(j)
             basis = np.column_stack([basis, resid / norm])
         else:
@@ -381,27 +382,21 @@ def reference_predict(group, panel, stations, seasons):
     return out
 
 
-def reference_fit_model_group(attractor_id, map_index, dmap, attractor_panel, stations,
-                              max_size=None):
-    """The per-map fit that fit_model_groups replaced: one search of every station."""
+def reference_fit_model_group(dmap, attractor_panel, stations, max_size=None):
+    """The per-map fit that fit_model_groups replaced: one search of every station,
+    as {station id: SubsetModel}."""
     seasons = (dmap.max_lag, attractor_panel.n_seasons)
     X, _ = lagged_rows(attractor_panel, dmap, seasons)
     Y = np.column_stack([attractor_panel.series(*st.target)[seasons[0]:seasons[1]]
                          for st in stations])
     models = reference_select_models(X, Y, max_size)
-    return ModelGroup(attractor_id=attractor_id, map_index=map_index, dmap=dmap,
-                      fits={st.station_id: m for st, m in zip(stations, models)})
+    return {st.station_id: m for st, m in zip(stations, models)}
 
 
-def _assert_same_group(got, want):
-    assert (got.attractor_id, got.map_index, got.dmap) == \
-        (want.attractor_id, want.map_index, want.dmap)
-    assert list(got.fits) == list(want.fits)
-    for sid, b in want.fits.items():
-        a = got.fits[sid]
-        assert (a.columns, a.dropped, a.n_rows) == (b.columns, b.dropped, b.n_rows)
-        assert np.array_equal(a.coefficients, b.coefficients)
-        assert (a.intercept, a.rss, a.cp) == (b.intercept, b.rss, b.cp)
+def table_models(table):
+    """A (G, S) ModelTable as G lists of S SubsetModels."""
+    G, S = table.intercept.shape
+    return [[table.model(g, s) for s in range(S)] for g in range(G)]
 
 
 def _screened_panel(panel):
@@ -441,11 +436,12 @@ def test_fit_model_groups_equals_the_per_map_fit_bit_for_bit(short_attractor, mo
             DelayMap((("wet", "s01", 5), ("wet", "const", 9), ("wet", "dup", 5))),
         ]
     got = fit_model_groups("F8", maps, panel, stations, max_size=max_size)
-    want = [reference_fit_model_group("F8", i, m, panel, stations, max_size=max_size)
-            for i, m in enumerate(maps)]
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        _assert_same_group(a, b)
+    assert len(got) == len(maps)
+    for i, (group, dmap) in enumerate(zip(got, maps)):
+        assert (group.attractor_id, group.map_index, group.dmap) == ("F8", i, dmap)
+        want = reference_fit_model_group(dmap, panel, stations, max_size=max_size)
+        assert list(group.fits) == list(want)
+        _assert_same_bits(list(group.fits.values()), list(want.values()))
     if case == "screened":
         assert {m.dropped for g in got[-4:] for m in g.fits.values()} == {(0,), (1,), (), (1, 2)}
     assert all(m.n_rows == panel.n_seasons - g.dmap.max_lag
@@ -478,7 +474,7 @@ def test_select_stack_equals_lone_searches_and_leaves_its_input(p):
     X[1, :, p - 1] = X[1, :, 0] if p > 1 else 2.0
     Y = rng.standard_normal((40, 3))
     full_rank = X[[0, 2, 3, 4]]  # screens that keep every column
-    stacked = select_stack(full_rank, Y[:, :1])
+    stacked = table_models(select_stack(full_rank, Y[:, :1]))
     assert np.array_equal(full_rank, X[[0, 2, 3, 4]])
     for lone, batch in zip((reference_select_models(x, Y[:, :1]) for x in full_rank), stacked):
         for a, b in zip(lone, batch):
@@ -486,11 +482,12 @@ def test_select_stack_equals_lone_searches_and_leaves_its_input(p):
                 (b.columns, b.dropped, b.intercept, b.rss, b.cp)
             assert np.array_equal(a.coefficients, b.coefficients)
     if p > 1:
-        for lone, batch in zip((reference_select_models(x, Y) for x in X), select_stack(X, Y)):
+        for lone, batch in zip((reference_select_models(x, Y) for x in X),
+                               table_models(select_stack(X, Y))):
             for a, b in zip(lone, batch):
                 assert (a.columns, a.dropped, a.rss, a.cp) == (b.columns, b.dropped, b.rss, b.cp)
                 assert np.array_equal(a.coefficients, b.coefficients)
-        assert [m.dropped for m in select_stack(X, Y)[1]] == [(p - 1,)] * 3
+        assert [m.dropped for m in table_models(select_stack(X, Y))[1]] == [(p - 1,)] * 3
     else:
         with pytest.raises(ValueError, match="no independent columns"):
             select_stack(X, Y)
@@ -524,8 +521,9 @@ def _screen_stack(case, m, rng):
     X = rng.standard_normal((24, 60, m)) * 10.0 ** rng.uniform(-2, 2, (24, 1, m))
     Y = rng.standard_normal((60, 3))
     Y[:, 0] += X[0, :, 1] / X[0, :, 1].std() - X[0, :, m - 1] / X[0, :, m - 1].std()
-    if case == "near-tie-columns":  # columns 1 and 4 differ by 1e-7 relative noise;
-        # at 1e-8 the columns pass RANK_TOL but some subset's Gram is singular to gesv
+    if case == "near-tie-columns":  # columns 1 and 4 differ by 1e-7 relative noise:
+        # some designs keep column 4 and search near-singular Grams, others drop it
+        # by RESIDUAL_TOL (at 1e-8 some subset's Gram was singular to gesv)
         X[:, :, 4] = X[:, :, 1] * (1.0 + 1e-7 * rng.standard_normal((24, 60)))
         Y[:, 1] = X[3, :, 1] + 0.1 * Y[:, 1]
     if case == "near-tie-rss":  # sizes whose best subsets differ by ~1e-12 of TSS
@@ -552,14 +550,32 @@ def test_screened_search_equals_the_reference_bit_for_bit(case, m):
     pivots = _relative_pivots(X, Y)
     if case == "near-tie-columns":
         assert (pivots < PIVOT_TOL).all()
+        dropped = select_stack(X, Y).dropped[:, 4]
+        assert dropped.any() and not dropped.all()
     elif case == "mixed-fallback":  # the fallback pivot is below PIVOT_TOL, above RANK_TOL
         assert (pivots[::2] < PIVOT_TOL).all() and (pivots[1::2] >= PIVOT_TOL).all()
         assert (pivots[::2] > RANK_TOL ** 2).all()
     else:
         assert (pivots >= PIVOT_TOL).all()
     for max_size in (None, m - 1, m - 3):
-        for x, got in zip(X, select_stack(X, Y, max_size=max_size)):
+        for x, got in zip(X, table_models(select_stack(X, Y, max_size=max_size))):
             _assert_same_bits(got, reference_select_models(x, Y, max_size))
+
+
+@pytest.mark.parametrize("eps", [1e-9, 3e-9, 1e-8, 3e-8])
+def test_a_near_duplicate_column_is_dropped_where_its_gram_was_singular(eps):
+    # column 4 is column 1 times (1 + eps * noise), so its residual on the earlier
+    # columns is about eps of its norm; gesv used to raise "Singular matrix" here
+    for p in (6, 7, 8):
+        rng = np.random.default_rng(100 + p)
+        X = rng.standard_normal((10, 188, p))
+        X[:, :, 4] = X[:, :, 1] * (1.0 + eps * rng.standard_normal((10, 188)))
+        Y = rng.standard_normal((188, 4))
+        table = select_stack(X, Y)
+        assert table.dropped[:, 4].all() and table.dropped.sum() == len(X)
+        for x, got in zip(X, table_models(table)):
+            _assert_same_bits(got, reference_select_models(x, Y))
+        assert best_subsets(X[0], Y[:, 0])[1].dropped == (4,)
 
 
 def test_dependent_columns_below_the_crossover_equal_the_reference_bit_for_bit():
@@ -568,7 +584,7 @@ def test_dependent_columns_below_the_crossover_equal_the_reference_bit_for_bit()
     X, Y = _screen_stack("dependent", m, rng)
     assert X.shape[2] == 8 and len(X) * (2**8 - 1) >= SCREEN_MIN_SUBSETS
     assert len(X) * (2**m - 1) < SCREEN_MIN_SUBSETS
-    for x, got in zip(X, select_stack(X, Y)):
+    for x, got in zip(X, table_models(select_stack(X, Y))):
         want = reference_select_models(x, Y)
         assert all(len(model.dropped) == 8 - m for model in want)
         _assert_same_bits(got, want)
@@ -591,7 +607,7 @@ def test_exact_rss_ties_go_to_the_first_subset_in_a_wide_design():
         sized = [sum(1 << c for c in s) for s in itertools.combinations(range(m), k)]
         assert len(set(every[:, sized].ravel())) == 1  # every k-subset ties exactly
         assert (positions == np.arange(k)).all()
-    for x, got in zip(stack, select_stack(stack, y)):
+    for x, got in zip(stack, table_models(select_stack(stack, y))):
         _assert_same_bits(got, reference_select_models(x, y[:, None]))
 
 
@@ -683,7 +699,7 @@ def _mixed_maps(panel):
 def _every_size_groups(maps, stations, seed):
     """Groups whose station models take every size from 1 to the map's dimension."""
     rng = np.random.default_rng(seed)
-    groups = []
+    rows = []
     for i, dmap in enumerate(maps):
         fits = {}
         for j, st in enumerate(stations):
@@ -692,8 +708,8 @@ def _every_size_groups(maps, stations, seed):
                 columns=tuple(int(c) for c in np.sort(rng.choice(dmap.dim, k, replace=False))),
                 coefficients=rng.standard_normal(k), intercept=float(rng.standard_normal()),
                 rss=0.0, cp=0.0, n_rows=1)
-        groups.append(ModelGroup("F8", i, dmap, fits))
-    return groups
+        rows.append((i, dmap, fits))
+    return table_groups("F8", rows)
 
 
 def test_lagged_designs_equals_the_per_map_read(short_attractor):
