@@ -22,7 +22,6 @@ by ``map_index``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -36,7 +35,7 @@ from .errors import PanelFormatError
 from .metrics import pooled_correlations
 from .panel import Panel
 from .shrinkage import stein_adjust
-from .subset import ModelTable, SubsetModel, same_rows, select_stack
+from .subset import ModelTable, SubsetModel, same_rows, select_stacks
 
 KEY_FORMAT_VERSION = 2
 ALLOWED_TOP_PERCENT = (10, 30, 100)
@@ -71,10 +70,6 @@ class GroupTable:
     stations: tuple[str, ...]  # station ids
     models: ModelTable
 
-    @functools.cached_property
-    def total_sizes(self) -> list[int]:
-        return self.models.sizes.sum(axis=1).tolist()
-
     def groups(self) -> list[ModelGroup]:
         return [ModelGroup(self, row) for row in range(len(self.maps))]
 
@@ -107,7 +102,7 @@ class ModelGroup:
 
     @property
     def total_size(self) -> int:
-        return self.table.total_sizes[self.row]
+        return int((self.table.models.columns[self.row] >= 0).sum())
 
     def predict(self, panel: Panel, stations: tuple[Station, ...],
                 seasons: tuple[int, int]) -> np.ndarray:
@@ -136,24 +131,27 @@ def fit_model_groups(attractor_id: str, maps, panel: Panel, stations,
     or non-finite value raises ValueError. Maps are bucketed by (largest
     lag, dimension), so a bucket shares its response rows, and fitted in
     chunks of at most ``FIT_CHUNK`` maps, each read by one
-    ``lagged_designs`` call only when it is fitted and searched for every
-    station in one ``select_stack`` call, whose ModelTable goes into the
-    attractor's table with no per-model object. Every model equals a lone
-    fit of its map and station, bit for bit.
+    ``lagged_designs`` call only when it is fitted. ``select_stacks``
+    searches a chunk for every station at once and writes its winners
+    straight into the rows of the attractor's one table, with no
+    per-model object. Every model equals a lone fit of its map and
+    station, bit for bit.
     """
     stations = tuple(stations)
     targets = np.stack([panel.series(*st.target) for st in stations], axis=1)
-    parts, rows = [], []
-    for indices in same_rows(np.array([(dmap.max_lag, dmap.dim) for dmap in maps])):
-        start = maps[indices[0]].max_lag
-        for lo in range(0, len(indices), FIT_CHUNK):
-            chunk = indices[lo:lo + FIT_CHUNK]
-            X = lagged_designs([maps[i] for i in chunk], panel, (start, panel.n_seasons))
-            parts.append(select_stack(X, targets[start:], max_size=max_size))
-            rows.append(chunk)
+
+    def stacks():
+        for indices in same_rows(np.array([(dmap.max_lag, dmap.dim) for dmap in maps])):
+            start = maps[indices[0]].max_lag
+            for lo in range(0, len(indices), FIT_CHUNK):
+                chunk = indices[lo:lo + FIT_CHUNK]
+                yield (lagged_designs([maps[i] for i in chunk], panel, (start, panel.n_seasons)),
+                       targets[start:], chunk)
+
+    shape = (len(maps), len(stations), max((dmap.dim for dmap in maps), default=1))
     return GroupTable(attractor_id, tuple(maps), tuple(range(len(maps))),
                       tuple(st.station_id for st in stations),
-                      ModelTable.stack(parts, rows)).groups()
+                      select_stacks(stacks(), shape, max_size)).groups()
 
 
 def predict_groups(groups, panel: Panel, stations, seasons: tuple[int, int]) -> np.ndarray:
@@ -534,13 +532,21 @@ def groups_to_dicts(groups) -> list[dict]:
 def groups_from_dicts(items: list[dict], attractor_id: str) -> list[ModelGroup]:
     """The stored groups of one attractor as views of one new table.
 
-    The table's checks reject, at once, a model with no column, with a
+    Every group must hold models for the first group's stations, which
+    agree on its row count and dropped columns: the table stores both
+    once per map. PanelFormatError names a group that does not. The
+    table's checks then reject, at once, a model with no column, with a
     non-finite coefficient, intercept or Cp, or with an RSS below -1e-9.
-    A map's models share its row count and dropped columns, so both are
-    read from its first station's model.
     """
     maps = tuple(map_from_dict(d["map"]) for d in items)
     stations = tuple(items[0]["fits"]) if items else ()
+    for d in items:
+        where = f"attractor {attractor_id}, map_index {d['map_index']}"
+        if set(d["fits"]) != set(stations):
+            raise PanelFormatError(f"{where}: models for stations {sorted(d['fits'])}, "
+                                   f"not {sorted(stations)}")
+        if len({(f["n_rows"], tuple(f["dropped"])) for f in d["fits"].values()}) > 1:
+            raise PanelFormatError(f"{where}: its stations' models differ in n_rows or dropped")
     fits = [[d["fits"][sid] for sid in stations] for d in items]
     flat = [f for row in fits for f in row]
     shape = (len(items), len(stations))

@@ -57,11 +57,11 @@ import numpy as np
 
 RANK_TOL = 1e-10  # relative pivot threshold for dropping dependent columns
 # A column whose residual on the earlier columns is a fraction f of its own
-# norm leaves their Gram submatrix a relative pivot of f**2, while a Gram
-# entry summed over n rows carries a relative rounding error near sqrt(n)
-# epsilons, 3e-15 at 188 rows. On 188-row designs LU rounded such pivots
-# to exactly zero, and gesv raised "Singular matrix", up to f = 5e-8; at
-# f = 1e-7 the pivot, 1e-14, is three times that rounding error.
+# norm leaves their Gram submatrix a relative pivot of f**2. On stacks with
+# one such column, LU rounded that pivot to exactly zero, and gesv raised
+# "Singular matrix", in some stacks at every f up to 5e-8 and in none at
+# 6e-8 or more. That bound did not move with the row count: it was measured
+# on designs of 40, 188, 4,000 and 20,000 rows. 1e-7 keeps a margin of two.
 RESIDUAL_TOL = 1e-7
 MAX_COLUMNS = 12  # column cap: 4095 subsets per design, a (t, 4096, G) screened RSS
 SCREEN_TOL = 1e-9  # candidate margin over a size's screened minimum RSS, as a share of TSS
@@ -137,23 +137,6 @@ class ModelTable:
                            intercept=float(self.intercept[g, s]), rss=float(self.rss[g, s]),
                            cp=float(self.cp[g, s]), n_rows=int(self.n_rows[g]),
                            dropped=tuple(np.flatnonzero(self.dropped[g]).tolist()))
-
-    @classmethod
-    def stack(cls, parts: list[ModelTable], rows: list[list[int]]) -> ModelTable:
-        """One table of several, row j of ``parts[i]`` at row ``rows[i][j]``;
-        narrower tables are padded to the widest."""
-        width = max(t.columns.shape[-1] for t in parts)
-        order = np.argsort(np.concatenate(rows))
-
-        def joined(name, fill=None):
-            arrays = [getattr(t, name) for t in parts]
-            if fill is not None:
-                arrays = [np.concatenate([a, np.full((*a.shape[:-1], width - a.shape[-1]),
-                                                     fill, a.dtype)], axis=-1) for a in arrays]
-            return np.concatenate(arrays)[order]
-
-        return cls(joined("columns", -1), joined("coefficients", 0.0), joined("intercept"),
-                   joined("rss"), joined("cp"), joined("n_rows"), joined("dropped", False))
 
 
 def _validate_xy(X, y):
@@ -325,24 +308,29 @@ def _search(XkT: np.ndarray, Yc: np.ndarray, tss: np.ndarray, max_size: int | No
     winners = []
     for k in range(1, max_size + 1):
         idx, _, masks = _combinations(m, k)
+        size = G * len(idx)
         chosen = slice(None)  # every subset of every design
-        if screened is not None and not exhaustive.all():
+        if screened is not None:
             s = screened[:, masks]  # (targets, C, G)
             near = s <= s.min(axis=1, keepdims=True) + SCREEN_TOL * tss[:, None, None]
             chosen = np.flatnonzero(near.any(axis=0).T | exhaustive[:, None])
         sol, rss = solve(k, chosen)
-        if isinstance(chosen, slice):  # the dense argmin, (G, targets), first of ties
-            best = rss.reshape(G, -1, targets).argmin(axis=1)
-            at = best + g * len(idx)  # its row in sol and rss
-        else:  # chosen holds the flat (design, subset) position of each solve
-            table = np.full((G * len(idx), targets), np.inf)
-            table[chosen] = rss
-            best = table.reshape(G, -1, targets).argmin(axis=1)
-            at = np.searchsorted(chosen, best + g * len(idx))
+        rows = np.arange(size)[chosen]  # flat (design, subset) position of each solve
+        table = np.full((size, targets), np.inf)
+        table[rows] = rss
+        best = table.reshape(G, -1, targets).argmin(axis=1)  # (G, targets), first of ties
+        at = np.searchsorted(rows, best + g * len(idx))  # its row in sol and rss
         winners.append((idx[best], sol[at, :, t], rss[at, t]))
     cp = mallows_cp(np.stack([w[2] for w in winners], axis=1), sigma2[:, None, :], n,
                     np.arange(2, max_size + 2)[:, None])
     return winners, cp
+
+
+def _blank(G: int, S: int, p: int) -> list[np.ndarray]:
+    """The fields of a (G, S) ModelTable padded to p columns, with no model
+    written: the arrays ``_enumerate``'s writer fills."""
+    return [np.full((G, S, p), -1), np.zeros((G, S, p)), np.empty((G, S)), np.empty((G, S)),
+            np.empty((G, S)), np.empty(G, dtype=int), np.zeros((G, p), dtype=bool)]
 
 
 def _enumerate(X: np.ndarray, Y: np.ndarray, max_size: int | None):
@@ -350,11 +338,12 @@ def _enumerate(X: np.ndarray, Y: np.ndarray, max_size: int | None):
 
     X is a (G, n, p) stack of designs and Y the (n, targets) block they
     share. Returns the number of sizes searched on the first design and
-    ``table(size)``, the (G, targets) ModelTable of every size-``size``
-    winner, or of every minimum-Cp winner (ties to fewer columns) when
-    ``size`` is None. The winners of one size are written at once, each
-    intercept by one batched ``(N, 1, k) @ (N, k, 1)`` product, whose
-    slices are the dot products of a lone model.
+    ``write(size, fields, rows)``, which writes every size-``size``
+    winner, or every minimum-Cp winner (ties to fewer columns) when
+    ``size`` is None, into ``_blank`` fields, design g at row ``rows[g]``.
+    The winners of one size are written at once, each intercept by one
+    batched ``(N, 1, k) @ (N, k, 1)`` product, whose slices are the dot
+    products of a lone model.
     """
     G, n, p = X.shape
     if p > MAX_COLUMNS:
@@ -379,23 +368,23 @@ def _enumerate(X: np.ndarray, Y: np.ndarray, max_size: int | None):
         found.append((np.array(members), columns, *_search(XkT, Yc, tss, max_size)))
     targets = Y.shape[1]
 
-    def table(size: int | None) -> ModelTable:
-        columns, coefficients = np.full((G, targets, p), -1), np.zeros((G, targets, p))
-        intercept, rss, cp = (np.empty((G, targets)) for _ in range(3))
+    def write(size: int | None, fields: list[np.ndarray], rows: np.ndarray) -> None:
+        columns, coefficients, intercept, rss, cp, n_rows, dropped = fields
         for members, kept, winners, cps in found:
             picked = cps.argmin(axis=1) if size is None else np.full((len(members), targets),
                                                                       size - 1)
             for k in (np.unique(picked) + 1).tolist():
                 positions, betas, rsss = winners[k - 1]
                 i, t = np.nonzero(picked == k - 1)
-                rows, cols, beta = members[i], kept[positions[i, t]], betas[i, t]
-                columns[rows, t, :k], coefficients[rows, t, :k] = cols, beta
-                intercept[rows, t] = y_mean[t] - (x_mean[rows[:, None], cols][:, None]
-                                                  @ beta[:, :, None])[:, 0, 0]
-                rss[rows, t], cp[rows, t] = rsss[i, t], cps[i, k - 1, t]
-        return ModelTable(columns, coefficients, intercept, rss, cp, np.full(G, n), ~keep)
+                at, cols, beta = rows[members[i]], kept[positions[i, t]], betas[i, t]
+                columns[at, t, :k], coefficients[at, t, :k] = cols, beta
+                intercept[at, t] = y_mean[t] - (x_mean[members[i][:, None], cols][:, None]
+                                                @ beta[:, :, None])[:, 0, 0]
+                rss[at, t], cp[at, t] = rsss[i, t], cps[i, k - 1, t]
+        n_rows[rows] = n
+        dropped[rows, :p] = ~keep
 
-    return found[0][3].shape[1], table
+    return found[0][3].shape[1], write
 
 
 def best_subsets(X, y, max_size: int | None = None) -> dict[int, SubsetModel]:
@@ -407,8 +396,30 @@ def best_subsets(X, y, max_size: int | None = None) -> dict[int, SubsetModel]:
     column tuple. Designs of more than MAX_COLUMNS columns raise
     ValueError.
     """
-    sizes, table = _enumerate(*_validate_xy(X, np.ravel(y)), max_size)
-    return {k: table(k).model(0, 0) for k in range(1, sizes + 1)}
+    X, Y = _validate_xy(X, np.ravel(y))
+    sizes, write = _enumerate(X, Y, max_size)
+    models = {}
+    for k in range(1, sizes + 1):
+        fields = _blank(len(X), 1, X.shape[2])
+        write(k, fields, np.arange(len(X)))
+        models[k] = ModelTable(*fields).model(0, 0)
+    return models
+
+
+def select_stacks(stacks, shape: tuple[int, int, int],
+                  max_size: int | None = None) -> ModelTable:
+    """Minimum-Cp subset models of several stacks as one ``shape`` = (G, S, p) table.
+
+    Each item of ``stacks`` is (X, Y, rows): a stack of designs and the
+    response block of S targets they share, as ``select_stack`` takes
+    them, and the table row of each design. Every winner is written
+    straight into the table's arrays, padded to p columns, which are
+    checked once; a row no stack writes fails that check.
+    """
+    fields = _blank(*shape)
+    for X, Y, rows in stacks:
+        _enumerate(*_validate_xy(X, Y), max_size)[1](None, fields, np.asarray(rows))
+    return ModelTable(*fields)
 
 
 def select_stack(X, Y, max_size: int | None = None) -> ModelTable:
@@ -419,7 +430,9 @@ def select_stack(X, Y, max_size: int | None = None) -> ModelTable:
     size has a single winner, so no further tie-break is needed and
     selection is deterministic.
     """
-    return _enumerate(*_validate_xy(X, Y), max_size)[1](None)
+    X, Y = _validate_xy(X, Y)
+    return select_stacks([(X, Y, np.arange(len(X)))], (len(X), Y.shape[1], X.shape[2]),
+                         max_size)
 
 
 def select_model(X, y, max_size: int | None = None) -> SubsetModel:

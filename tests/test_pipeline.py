@@ -16,7 +16,7 @@ from chaoscast.artifacts import write_json, write_text
 from chaoscast.config import PipelineConfig, load_config, save_config
 from chaoscast.embedding import DelayMap
 from chaoscast.ensemble import PredictorKey, load_keys, observation_matrix, save_keys
-from chaoscast.errors import ConfigError
+from chaoscast.errors import ConfigError, PanelFormatError
 from chaoscast.ground import SEASON_NAMES, make_ground_panel
 from chaoscast.inversion import key_significance_counts
 from chaoscast.metrics import adjusted_dof, benjamini_hochberg, correlation_pvalue
@@ -410,18 +410,18 @@ def test_stage_fit_makes_one_solve_per_chunk_and_subset_size(golden_run, monkeyp
     by_bucket = Counter((m.max_lag, m.dim) for m in maps)
     assert len(by_bucket) > 1
     calls, searches = [], []
-    solve, select_stack = np.linalg.solve, ensemble.select_stack
+    solve, enumerate_stack = np.linalg.solve, subset._enumerate
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    def searched(X, Y, **kwargs):
+    def searched(X, Y, max_size):
         searches.append((len(X), Y.shape[1]))
-        return select_stack(X, Y, **kwargs)
+        return enumerate_stack(X, Y, max_size)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    monkeypatch.setattr(ensemble, "select_stack", searched)
+    monkeypatch.setattr(subset, "_enumerate", searched)
     for fit_chunk in (ensemble.FIT_CHUNK, 3):
         monkeypatch.setattr(ensemble, "FIT_CHUNK", fit_chunk)
         chunks = sum(-(-count // fit_chunk) for count in by_bucket.values())
@@ -627,26 +627,44 @@ def test_loaders_rebuild_the_fitted_tables_bit_for_bit(golden_run):
                 assert a.tobytes() == b.tobytes(), field.name
 
 
-@pytest.mark.parametrize("change, message", [
-    ({"columns": [], "coefficients": []}, "at least one column"),
-    ({"coefficients": [float("nan")]}, "coefficients must be finite"),
-    ({"intercept": float("inf")}, "coefficients must be finite"),
-    ({"cp": float("nan")}, "cp must be finite"),
-    ({"rss": -1e-8}, "rss must be finite and non-negative"),
-    ({"rss": float("inf")}, "rss must be finite and non-negative"),
-], ids=["no-column", "coefficient", "intercept", "cp", "negative-rss", "rss"])
-def test_loaders_reject_what_a_subset_model_rejects(golden_run, tmp_path, change, message):
+def _set(**fields):
+    """A change to one station's stored model."""
+    return lambda fits: fits["st01"].update(fields)
+
+
+def _last_coefficient_nan(fits):
+    fits["st01"]["coefficients"][-1] = float("nan")
+
+
+@pytest.mark.parametrize("change, error, message", [
+    (_set(columns=[], coefficients=[]), ValueError, "at least one column"),
+    (_last_coefficient_nan, ValueError, "coefficients must be finite"),
+    (_set(intercept=float("inf")), ValueError, "coefficients must be finite"),
+    (_set(cp=float("nan")), ValueError, "cp must be finite"),
+    (_set(rss=-1e-8), ValueError, "rss must be finite and non-negative"),
+    (_set(rss=float("inf")), ValueError, "rss must be finite and non-negative"),
+    (lambda fits: fits.pop("st02"), PanelFormatError,
+     r"attractor F8, map_index 3: models for stations \['st00', 'st01', 'st03'\], not"),
+    (lambda fits: fits.update(st99=fits["st01"]), PanelFormatError,
+     r"attractor F8, map_index 3: models for stations .*'st99'"),
+    (lambda fits: fits["st01"].update(n_rows=fits["st01"]["n_rows"] - 1), PanelFormatError,
+     "attractor F8, map_index 3: its stations' models differ in n_rows or dropped"),
+    (lambda fits: fits["st02"]["dropped"].append(0), PanelFormatError,
+     "attractor F8, map_index 3: its stations' models differ in n_rows or dropped"),
+], ids=["no-column", "coefficient", "intercept", "cp", "negative-rss", "rss", "missing-station",
+        "extra-station", "n-rows", "dropped"])
+def test_loaders_reject_what_a_subset_model_rejects(golden_run, tmp_path, change, error,
+                                                    message):
     _, out = golden_run
     for name in ("models.json", "keys.json"):
         payload = json.loads((out / name).read_text())
-        model = payload["groups"]["F8"][3]["fits"]["st01"]
-        if len(change.get("coefficients", [])) == 1:  # one non-finite coefficient
-            change = {"coefficients": model["coefficients"][:-1] + change["coefficients"]}
-        model.update(change)
+        group = payload["groups"]["F8"][3]
+        assert group["map_index"] == 3
+        change(group["fits"])
         (tmp_path / name).write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         pl.load_groups(tmp_path)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         load_keys(tmp_path / "keys.json")
 
 

@@ -562,15 +562,17 @@ def test_screened_search_equals_the_reference_bit_for_bit(case, m):
             _assert_same_bits(got, reference_select_models(x, Y, max_size))
 
 
-@pytest.mark.parametrize("eps", [1e-9, 3e-9, 1e-8, 3e-8])
-def test_a_near_duplicate_column_is_dropped_where_its_gram_was_singular(eps):
+@pytest.mark.parametrize("n, eps", [(188, 1e-9), (188, 3e-9), (188, 1e-8), (188, 3e-8),
+                                    (4000, 1e-8), (4000, 3e-8)])
+def test_a_near_duplicate_column_is_dropped_where_its_gram_was_singular(n, eps):
     # column 4 is column 1 times (1 + eps * noise), so its residual on the earlier
-    # columns is about eps of its norm; gesv used to raise "Singular matrix" here
+    # columns is about eps of its norm; gesv used to raise "Singular matrix" here,
+    # at 4,000 rows as at 188
     for p in (6, 7, 8):
         rng = np.random.default_rng(100 + p)
-        X = rng.standard_normal((10, 188, p))
-        X[:, :, 4] = X[:, :, 1] * (1.0 + eps * rng.standard_normal((10, 188)))
-        Y = rng.standard_normal((188, 4))
+        X = rng.standard_normal((10, n, p))
+        X[:, :, 4] = X[:, :, 1] * (1.0 + eps * rng.standard_normal((10, n)))
+        Y = rng.standard_normal((n, 4))
         table = select_stack(X, Y)
         assert table.dropped[:, 4].all() and table.dropped.sum() == len(X)
         for x, got in zip(X, table_models(table)):
