@@ -1,9 +1,10 @@
 """Pipeline configuration: one nested key/value file, all constants overridable.
 
 Defaults carry the published constants (1000 maps of dimension 8, lags
-4..11 for lead 3, top percents {10, 30, 100}, retention threshold 0.5
-over the top 10, FDR q = 0.01, calibration over 8 seasons). The seed is
-mandatory; nothing falls back to wall-clock entropy.
+4..11 for the third-season-ahead forecast, top percents {10, 30, 100},
+retention threshold 0.5 over the top 10, FDR q = 0.01, calibration over
+8 seasons). The seed is mandatory; nothing falls back to wall-clock
+entropy.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ class EmbeddingConfig:
     # coordinates per delay map, at most subset.MAX_COLUMNS (12): all
     # 2**dim - 1 subsets of a map's columns are screened, the near-best solved
     dim: int = 8
+    # the horizon: season t's newest predictor is season t - lag_min, so 4
+    # is the paper's third-season-ahead forecast
     lag_min: int = 4
     lag_max: int = 11
-    lead: int = 3
     max_subset_size: int | None = None
 
 
@@ -114,8 +116,9 @@ class PipelineConfig:
             raise ConfigError("seed is mandatory")
         _check_types(self)
         emb = self.embedding
-        if emb.lag_min < emb.lead + 1:
-            raise ConfigError(f"lag_min {emb.lag_min} leaks inside lead {emb.lead}")
+        if emb.lag_min < 1:
+            raise ConfigError(f"embedding.lag_min {emb.lag_min} must be >= 1: a lag of 0 "
+                              "reads the response season itself")
         if emb.lag_max < emb.lag_min:
             raise ConfigError("lag_max must be >= lag_min")
         if emb.n_maps < 1 or emb.dim < 1:

@@ -1,15 +1,16 @@
 """Random delay maps and regression plumbing around them.
 
 A delay map is a fixed set of (variable, site, lag) coordinates; lags
-are counted in seasons before the season being predicted and must stay
-at least lead + 1 back, so no design row ever touches the response
-season or anything after it. ``lagged_designs`` is the one read of the
-lagged rows that fits, predictions and ``build_design_matrix`` use.
+are counted in seasons before the season being predicted and must be
+at least 1, so no design row ever touches the response season or
+anything after it. ``lagged_designs`` is the one read of the lagged rows
+that fits, predictions and ``build_design_matrix`` use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,33 +24,28 @@ MapCoord = tuple[str, str, int]  # (variable, site, lag in seasons)
 @dataclass(frozen=True)
 class DelayMap:
     coords: tuple[MapCoord, ...]
-    lead: int = 3
 
     def __post_init__(self):
         if len(self.coords) < 1:
             raise ValueError("a delay map needs at least one coordinate")
         if len(set(self.coords)) != len(self.coords):
             raise ValueError("delay-map coordinates must be distinct")
-        if self.lead < 1:
-            raise ValueError("lead must be >= 1")
         for var, site, lag in self.coords:
-            if lag < self.lead + 1:
-                raise ValueError(
-                    f"lag {lag} for ({var}, {site}) leaks inside the lead window "
-                    f"(need lag >= {self.lead + 1})")
+            if lag < 1:
+                raise ValueError(f"lag {lag} for ({var}, {site}) reads the response "
+                                 "season or later (need lag >= 1)")
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
-    @property
+    @cached_property
     def max_lag(self) -> int:
         return max(lag for _, _, lag in self.coords)
 
 
 def sample_delay_maps(catalog: list[Coord], n_maps: int, dim: int,
-                      lag_min: int, lag_max: int, seed: int,
-                      lead: int = 3) -> list[DelayMap]:
+                      lag_min: int, lag_max: int, seed: int) -> list[DelayMap]:
     """Uniform distinct coordinate sets from catalog x {lag_min..lag_max}.
 
     Maps are deduplicated by exact set equality; duplicates are redrawn
@@ -61,9 +57,6 @@ def sample_delay_maps(catalog: list[Coord], n_maps: int, dim: int,
         raise ValueError("n_maps and dim must be >= 1")
     if lag_min > lag_max:
         raise ValueError("lag_min must not exceed lag_max")
-    if lag_min < lead + 1:
-        raise ValueError(f"lag_min {lag_min} leaks inside the lead window "
-                         f"(need >= {lead + 1})")
     catalog = sorted(set((str(v), str(s)) for v, s in catalog))
     space = [(v, s, lag) for v, s in catalog for lag in range(lag_min, lag_max + 1)]
     if len(space) < dim:
@@ -82,7 +75,7 @@ def sample_delay_maps(catalog: list[Coord], n_maps: int, dim: int,
         if key in seen:
             continue
         seen.add(key)
-        maps.append(DelayMap(coords=coords, lead=lead))
+        maps.append(DelayMap(coords=coords))
     return maps
 
 

@@ -37,7 +37,7 @@ from .panel import Panel
 from .shrinkage import stein_adjust
 from .subset import ModelTable, SubsetModel, same_rows, select_stacks
 
-KEY_FORMAT_VERSION = 2
+KEY_FORMAT_VERSION = 3
 ALLOWED_TOP_PERCENT = (10, 30, 100)
 COMBINERS = ("mean", "vote")
 VOTE_MODES = ("majority", "two_cluster_average")
@@ -366,14 +366,13 @@ def combine_members(member_preds: np.ndarray, combiner: str,
 class PredictorKey:
     """One ensemble predictor, with everything needed to replay it on a panel:
     its member groups (delay maps with per-station subset fits), the top-percent
-    cut, the combiner, the shrinkage factor and the lead. A key file stores each
+    cut, the combiner and the shrinkage factor. A key file stores each
     member group once, and the key names its members by ``map_index`` in order.
     """
 
     attractor_id: str
     top_percent: int
     combiner: str
-    lead: int
     stations: tuple[Station, ...]
     members: tuple[ModelGroup, ...]
     shrink_factor: float
@@ -411,9 +410,8 @@ class PredictorKey:
 
 def form_keys(attractor_id: str, ranked: list[RankedModel], preds: np.ndarray,
               obs: np.ndarray, n_select: int, stations: tuple[Station, ...],
-              shrink_factor: float, x_grid=(10, 30, 100), lead: int = 3,
-              vote_k: int = 2, vote_mode: str = "majority",
-              positive_part: bool = False) -> list[PredictorKey]:
+              shrink_factor: float, x_grid=(10, 30, 100), vote_k: int = 2,
+              vote_mode: str = "majority", positive_part: bool = False) -> list[PredictorKey]:
     """One key per (top-percent, combiner), scored on the select and retain windows.
 
     ``preds`` is the (groups, stations, seasons) stack ``RankedModel.index``
@@ -428,7 +426,7 @@ def form_keys(attractor_id: str, ranked: list[RankedModel], preds: np.ndarray,
         for comb in COMBINERS:
             keys.append(PredictorKey(
                 attractor_id=attractor_id, top_percent=x, combiner=comb,
-                lead=lead, stations=stations, members=tuple(rm.group for rm in top),
+                stations=stations, members=tuple(rm.group for rm in top),
                 shrink_factor=shrink_factor, vote_k=vote_k, vote_mode=vote_mode,
                 positive_part=positive_part))
             combined.append(keys[-1].combine(stack))
@@ -499,12 +497,11 @@ class EnsembleForecast:
 # --- key serialization (self-describing, versioned) ---------------------
 
 def map_to_dict(dmap: DelayMap) -> dict:
-    return {"coords": [list(c) for c in dmap.coords], "lead": dmap.lead}
+    return {"coords": [list(c) for c in dmap.coords]}
 
 
 def map_from_dict(d: dict) -> DelayMap:
-    return DelayMap(coords=tuple((str(v), str(s), int(lag)) for v, s, lag in d["coords"]),
-                    lead=int(d["lead"]))
+    return DelayMap(coords=tuple((str(v), str(s), int(lag)) for v, s, lag in d["coords"]))
 
 
 def groups_to_dicts(groups) -> list[dict]:
@@ -574,7 +571,6 @@ def key_to_dict(key: PredictorKey) -> dict:
         "attractor_id": key.attractor_id,
         "top_percent": key.top_percent,
         "combiner": key.combiner,
-        "lead": key.lead,
         "vote_k": key.vote_k,
         "vote_mode": key.vote_mode,
         "positive_part": key.positive_part,
@@ -588,8 +584,7 @@ def key_to_dict(key: PredictorKey) -> dict:
 def key_from_dict(d: dict, groups: dict[int, ModelGroup]) -> PredictorKey:
     return PredictorKey(
         attractor_id=d["attractor_id"], top_percent=int(d["top_percent"]),
-        combiner=d["combiner"], lead=int(d["lead"]),
-        stations=tuple(Station(*st) for st in d["stations"]),
+        combiner=d["combiner"], stations=tuple(Station(*st) for st in d["stations"]),
         members=tuple(groups[i] for i in d["members"]), shrink_factor=float(d["shrink_factor"]),
         correlations={k: float(v) for k, v in d["correlations"].items()},
         vote_k=int(d["vote_k"]), vote_mode=d["vote_mode"],

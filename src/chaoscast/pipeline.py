@@ -195,8 +195,7 @@ def stage_embed(cfg: PipelineConfig, library, ground: Panel,
             f"lags {emb.lag_min}..{emb.lag_max} give {len(catalog) * n_lags} delay "
             f"coordinates, fewer than embedding.dim {emb.dim}")
     maps = sample_delay_maps(catalog, emb.n_maps, emb.dim, emb.lag_min, emb.lag_max,
-                             seed=int(derive_rng(cfg.seed, "maps").integers(2**32)),
-                             lead=emb.lead)
+                             seed=int(derive_rng(cfg.seed, "maps").integers(2**32)))
     log.info("embed: %d delay maps of dimension %d over %d coordinates",
              len(maps), emb.dim, len(catalog))
     if out is not None:
@@ -264,8 +263,7 @@ def stage_select(cfg: PipelineConfig, groups, ground: Panel,
         ranked = rank_models(groups[label], preds[:, :, :n_rank], obs[:, :n_rank],
                              factor, positive_part=positive_part)
         keys = form_keys(label, ranked, preds[:, :, n_rank:], obs[:, n_rank:], n_select,
-                         stations, factor, x_grid=tuple(sel.x_grid),
-                         lead=cfg.embedding.lead, vote_k=sel.vote_k,
+                         stations, factor, x_grid=tuple(sel.x_grid), vote_k=sel.vote_k,
                          vote_mode=sel.vote_mode, positive_part=positive_part)
         keys_by_attractor[label] = keys
         log.info("select: attractor %s -> %d keys (best select r=%.3f, "

@@ -13,11 +13,14 @@ from chaoscast.panel import Panel
 
 
 def test_delay_map_rejects_leaky_lags():
+    with pytest.raises(ValueError, match="lag 0 for \\(wet, s00\\)"):
+        DelayMap(coords=(("tmp", "s01", 1), ("wet", "s00", 0)))
     with pytest.raises(ValueError):
-        DelayMap(coords=(("wet", "s00", 3),), lead=3)
+        DelayMap(coords=(("wet", "s00", -2),))
     with pytest.raises(ValueError):
-        DelayMap(coords=(("wet", "s00", 4), ("wet", "s00", 4)), lead=3)
-    dm = DelayMap(coords=(("wet", "s00", 4), ("tmp", "s01", 11)), lead=3)
+        DelayMap(coords=(("wet", "s00", 4), ("wet", "s00", 4)))
+    assert DelayMap(coords=(("wet", "s00", 1),)).max_lag == 1
+    dm = DelayMap(coords=(("wet", "s00", 4), ("tmp", "s01", 11)))
     assert dm.dim == 2 and dm.max_lag == 11
 
 
@@ -36,8 +39,8 @@ def test_sample_impossible_dimension_errors():
 
 def test_sample_adversarial_lag_min_fails():
     with pytest.raises(ValueError):
-        sample_delay_maps([("wet", "s00"), ("wet", "s01")], n_maps=5, dim=2,
-                          lag_min=3, lag_max=11, seed=0, lead=3)
+        # every map of the one-site, lag 0..1 space holds lag 0
+        sample_delay_maps([("wet", "s00")], n_maps=5, dim=2, lag_min=0, lag_max=1, seed=0)
 
 
 def test_sample_thousand_maps_properties():
@@ -78,7 +81,7 @@ def _toy_panel(n=20):
 
 def test_design_single_coordinate_is_lagged_series():
     panel = _toy_panel()
-    dm = DelayMap(coords=(("wet", "a", 4),), lead=3)
+    dm = DelayMap(coords=(("wet", "a", 4),))
     X, y, seasons = build_design_matrix(panel, dm, ("wet", "a"), (4, 12))
     series = panel.series("wet", "a")
     assert np.array_equal(X[:, 0], series[0:8])
@@ -88,7 +91,7 @@ def test_design_single_coordinate_is_lagged_series():
 
 def test_design_constant_panel_is_constant():
     panel = Panel({("wet", "a"): np.full(15, 2.0)})
-    dm = DelayMap(coords=(("wet", "a", 4), ("wet", "a", 5)), lead=3)
+    dm = DelayMap(coords=(("wet", "a", 4), ("wet", "a", 5)))
     X, y, _ = build_design_matrix(panel, dm, ("wet", "a"), (5, 15))
     assert np.all(X == 2.0) and np.all(y == 2.0)
 
@@ -100,7 +103,7 @@ def test_design_matches_hand_built_matrix():
         ("tmp", "a"): -np.arange(10.0),
     }
     panel = Panel(values)
-    dm = DelayMap(coords=(("tmp", "a", 4), ("wet", "a", 5), ("wet", "b", 6)), lead=3)
+    dm = DelayMap(coords=(("tmp", "a", 4), ("wet", "a", 5), ("wet", "b", 6)))
     X, y, seasons = build_design_matrix(panel, dm, ("wet", "a"), (6, 10))
     # coords are stored in the given order; rows for t = 6..9
     want = np.array([[-(t - 4), (t - 5), (t - 6) ** 2] for t in range(6, 10)], dtype=float)
@@ -112,7 +115,7 @@ def test_design_matches_hand_built_matrix():
 def test_design_drops_missing_rows_and_reports():
     panel = _toy_panel()
     panel.series("wet", "a")[2] = np.nan
-    dm = DelayMap(coords=(("wet", "a", 4),), lead=3)
+    dm = DelayMap(coords=(("wet", "a", 4),))
     X, y, seasons = build_design_matrix(panel, dm, ("wet", "a"), (4, 12))
     assert 6 not in seasons  # predictor at 6 - 4 = 2 is missing
     assert len(seasons) == 7
@@ -121,19 +124,21 @@ def test_design_drops_missing_rows_and_reports():
 
 def test_design_insufficient_history_errors():
     panel = _toy_panel()
-    dm = DelayMap(coords=(("wet", "a", 8),), lead=3)
+    dm = DelayMap(coords=(("wet", "a", 8),))
     with pytest.raises(ValueError):
         build_design_matrix(panel, dm, ("wet", "a"), (0, 5))
 
 
 def test_design_is_causal_by_construction():
     # encode the season index as the value: every predictor entry must
-    # sit at least lead + 1 seasons before its response
+    # sit at least the map's smallest lag before its response
     n = 30
     panel = Panel({("wet", "a"): np.arange(float(n)), ("tmp", "a"): np.arange(float(n))})
-    dm = DelayMap(coords=(("wet", "a", 4), ("tmp", "a", 7)), lead=3)
+    dm = DelayMap(coords=(("wet", "a", 4), ("tmp", "a", 7)))
     X, y, _ = build_design_matrix(panel, dm, ("wet", "a"), (7, n))
-    assert np.all(X <= y[:, None] - dm.lead - 1)
+    min_lag = min(lag for _, _, lag in dm.coords)
+    assert np.all(X <= y[:, None] - min_lag)
+    assert np.any(X == y[:, None] - min_lag)
 
 
 def test_split_windows_defaults_and_custom():

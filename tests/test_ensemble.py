@@ -390,9 +390,9 @@ def test_fit_form_retain_round_trip(tmp_path):
     attractor, ground = _fixture_panels()
     stations = (Station("tgt", "wet", "tgt"),)
     maps = [
-        DelayMap(coords=(("wet", "a", 4), ("tmp", "a", 5)), lead=3),
-        DelayMap(coords=(("wet", "a", 5), ("tmp", "a", 4)), lead=3),
-        DelayMap(coords=(("tmp", "a", 6),), lead=3),
+        DelayMap(coords=(("wet", "a", 4), ("tmp", "a", 5))),
+        DelayMap(coords=(("wet", "a", 5), ("tmp", "a", 4))),
+        DelayMap(coords=(("tmp", "a", 6),)),
     ]
     groups = fit_model_groups("F8", maps, attractor, stations)
     # seasons 11..72 predicted once: rank 11..40, select 40..56, retain 56..72
@@ -431,13 +431,13 @@ def test_fit_form_retain_round_trip(tmp_path):
         assert np.array_equal(a.predict(ground, (56, 72)), b.predict(ground, (56, 72)))
 
 
-(_MEMBER,) = table_groups("A", [(0, DelayMap(coords=(("wet", "a", 4),), lead=3), {})])
+(_MEMBER,) = table_groups("A", [(0, DelayMap(coords=(("wet", "a", 4),)), {})])
 
 
 def _key(attractor, top_percent, combiner, select, retain):
     """A key that carries its window correlations and nothing to predict."""
     return PredictorKey(attractor_id=attractor, top_percent=top_percent,
-                        combiner=combiner, lead=3, stations=(), members=(_MEMBER,),
+                        combiner=combiner, stations=(), members=(_MEMBER,),
                         shrink_factor=1.0,
                         correlations={"select": select, "retain": retain})
 
@@ -539,13 +539,13 @@ def test_ensemble_forecast_provenance_required():
 
 
 def test_key_validation():
-    (group,) = table_groups("A", [(0, DelayMap(coords=(("wet", "a", 4),), lead=3), {})])
+    (group,) = table_groups("A", [(0, DelayMap(coords=(("wet", "a", 4),)), {})])
     with pytest.raises(ValueError):
-        PredictorKey(attractor_id="A", top_percent=25, combiner="mean", lead=3,
+        PredictorKey(attractor_id="A", top_percent=25, combiner="mean",
                      stations=(), members=(group,), shrink_factor=1.0)
     with pytest.raises(ValueError):
-        PredictorKey(attractor_id="A", top_percent=10, combiner="blend", lead=3,
+        PredictorKey(attractor_id="A", top_percent=10, combiner="blend",
                      stations=(), members=(group,), shrink_factor=1.0)
     with pytest.raises(ValueError):
-        PredictorKey(attractor_id="A", top_percent=10, combiner="mean", lead=3,
+        PredictorKey(attractor_id="A", top_percent=10, combiner="mean",
                      stations=(), members=(), shrink_factor=1.0)

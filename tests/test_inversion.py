@@ -14,7 +14,7 @@ from chaoscast.subset import SubsetModel
 from test_ensemble import table_groups
 
 
-LAG = 4  # the smallest lag a lead-3 delay map may use
+LAG = 4  # the smallest lag of a third-season-ahead delay map
 
 
 def planted_keys(panel, series_list):
@@ -30,8 +30,8 @@ def planted_keys(panel, series_list):
         fit = SubsetModel(columns=(0,), coefficients=np.array([1.0]), intercept=0.0,
                           rss=0.0, cp=0.0, n_rows=series.size)
         (member,) = table_groups(
-            "A", [(i, DelayMap(coords=(("planted", str(i), LAG),), lead=3), {"a": fit})])
-        keys.append(PredictorKey(attractor_id="A", top_percent=100, combiner="mean", lead=3,
+            "A", [(i, DelayMap(coords=(("planted", str(i), LAG),)), {"a": fit})])
+        keys.append(PredictorKey(attractor_id="A", top_percent=100, combiner="mean",
                                  stations=(Station("a", "wet", "a"),), members=(member,),
                                  shrink_factor=1.0))
     return keys

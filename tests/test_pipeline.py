@@ -189,10 +189,10 @@ def test_forecast_rejects_a_retained_keys_file_of_another_version(golden_run, tm
     shutil.copytree(run_all_out, out)
     assert cli.main(["forecast", "-c", config, "-o", str(out)]) == 0
     path = out / "retained_keys.json"
-    path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 1}))
+    path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 2}))
     capsys.readouterr()
     assert cli.main(["forecast", "-c", config, "-o", str(out)]) == 1
-    assert f"{path}: key file format version 1; rerun select" in capsys.readouterr().err
+    assert f"{path}: key file format version 2; rerun select" in capsys.readouterr().err
 
 
 def test_invert_rejects_a_key_naming_a_member_the_file_lacks(golden_run, tmp_path, capsys):
@@ -222,7 +222,7 @@ def test_key_files_hold_each_member_group_once(tmp_path, name):
                 for k in result.keys_by_attractor[label]]
     for file, keys in (("keys.json", all_keys), ("retained_keys.json", result.retained)):
         stored = json.loads((out / file).read_text())
-        assert stored["format_version"] == 2
+        assert stored["format_version"] == 3
         # each (attractor, map_index) group once, in map_index order, as models.json holds it
         for label, groups in stored["groups"].items():
             indices = [g["map_index"] for g in groups]
@@ -320,6 +320,8 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
     ("embedding", {"lag_max": 250}),
     ("embedding", {"lag_max": 500}),
     ("embedding", {"lag_max": 195}),
+    ("embedding", {"lead": 1}),
+    ("embedding", {"lag_min": 0}),
     ("schedule", {"lengths": [28, 8, 8, 1]}),
     ("inversion", {"enabled": True, "q": 0}),
     ("inversion", {"enabled": True, "q": 1.5}),
@@ -357,6 +359,7 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
         "forcings-duplicate", "forcings-empty", "steps_per_season-0", "forcings-overflow",
         "steady_window-1", "n_seasons-below-two-windows", "index-site-outside-ring",
         "fresh-forcing-overflow", "lag_max-250", "lag_max-500", "lag_max-195",
+        "lead-retired", "lag_min-0",
         "predict-window-1", "q-0", "q-1.5", "fraction_of_max-0", "target_window-reversed",
         "trailing_seasons-0", "x_grid-repeated", "n_fitted_means-negative",
         "bandwidth-negative", "temp_smooth-0", "temp_smooth-negative",
@@ -474,6 +477,8 @@ GUARD_CONFIGS = {
     "temp-smooth-1": ({**GOLDEN_CONFIG,
                        "surrogate": {**GOLDEN_CONFIG["surrogate"], "temp_smooth": 1}},
                       0, ""),
+    "lag-min-1": ({**GOLDEN_CONFIG, "embedding": {**GOLDEN_CONFIG["embedding"], "lag_min": 1}},
+                  0, ""),
 }
 
 
@@ -707,8 +712,8 @@ def test_failed_write_keeps_the_older_complete_file(tmp_path):
     # the config and key savers write through the same writer
     cfg = PipelineConfig.from_dict(GOLDEN_CONFIG)
     save_config(cfg, tmp_path / "config.json")
-    (member,) = table_groups("F8", [(0, DelayMap(coords=(("wet", "s00", 4),), lead=3), {})])
-    key = PredictorKey(attractor_id="F8", top_percent=100, combiner="mean", lead=3,
+    (member,) = table_groups("F8", [(0, DelayMap(coords=(("wet", "s00", 4),)), {})])
+    key = PredictorKey(attractor_id="F8", top_percent=100, combiner="mean",
                        stations=(), members=(member,), shrink_factor=1.0)
     save_keys([key], tmp_path / "keys.json", {"seed": 7})
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -736,8 +741,11 @@ def test_failed_write_keeps_the_older_complete_file(tmp_path):
     ({"seed": 7, "shrinkage": {"positive_part": 1}},
      "shrinkage.positive_part must be true or false, not 1"),
     ({"seed": 7, "ground": {"mode": 2}}, "ground.mode must be a string, not 2"),
+    ({"seed": 7, "embedding": {"lead": 1}}, "unexpected keyword argument 'lead'"),
+    ({"seed": 7, "embedding": {"lag_min": 0}}, "embedding.lag_min 0 must be >= 1"),
 ], ids=["seed", "n_maps", "vote_k-bool", "x_grid", "target_window", "temp_smooth",
-        "unknown-key", "retention_threshold", "forcings", "positive_part", "mode"])
+        "unknown-key", "retention_threshold", "forcings", "positive_part", "mode",
+        "lead-retired", "lag_min-0"])
 def test_config_error_names_the_setting(payload, named):
     with pytest.raises(ConfigError, match=re.escape(named)):
         PipelineConfig.from_dict(payload)
