@@ -226,13 +226,18 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         d = {k: v for k, v in d.items() if k not in IGNORED_KEYS}
-        if unknown := sorted(set(d) - {f.name for f in fields(cls)}):
+        # each section field's default factory is its config class
+        sections = {f.name: f.default_factory for f in fields(cls)
+                    if f.name not in ("seed", "stations")}
+        unknown = sorted(set(d) - {f.name for f in fields(cls)}) + [
+            f"{name}.{key}" for name, section in sections.items()
+            if isinstance(given := d.get(name), dict)
+            for key in sorted(set(given) - {f.name for f in fields(section)})]
+        if unknown:
             raise ConfigError(f"unknown config key: {', '.join(map(repr, unknown))}")
         try:
-            # each section field's default factory is its config class
             return cls(seed=d["seed"], stations=d.get("stations", {}),
-                       **{f.name: f.default_factory(**d.get(f.name, {})) for f in fields(cls)
-                          if f.name not in ("seed", "stations")})
+                       **{name: section(**d.get(name, {})) for name, section in sections.items()})
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc}") from exc
         except TypeError as exc:

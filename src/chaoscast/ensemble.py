@@ -15,9 +15,14 @@ and retain windows, retention keeps at most one key per cut (a key or its
 other-combiner sibling) whose retain r is strictly above a threshold, and
 the survivors' per-season median is the forecast. An attractor's groups,
 and its keys, are scored in one ``metrics.pooled_correlations`` call per
-window. ``models.json`` and key files are written from the table arrays;
-a key file holds each member group once, and its keys name their members
-by ``map_index``.
+window.
+
+``models.json`` and key files store each attractor's groups as one table
+(``table_to_dict``): its station ids, ``map_index`` values and maps, and
+the seven ``ModelTable`` arrays of those rows, padded as in memory and
+written with ``.tolist()``. A key file holds each member group once, and
+its keys name their members by ``map_index``. Both files carry
+``KEY_FORMAT_VERSION``, and a loader rejects any other.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,7 +42,7 @@ from .panel import Panel
 from .shrinkage import stein_adjust
 from .subset import ModelTable, SubsetModel, same_rows, select_stacks
 
-KEY_FORMAT_VERSION = 3
+KEY_FORMAT_VERSION = 4  # of models.json and key files, which store the same tables
 ALLOWED_TOP_PERCENT = (10, 30, 100)
 COMBINERS = ("mean", "vote")
 VOTE_MODES = ("majority", "two_cluster_average")
@@ -110,17 +115,6 @@ class ModelGroup:
         return predict_groups([self], panel, stations, seasons)[0]
 
 
-def _by_table(groups: list[ModelGroup]) -> list[tuple[GroupTable, np.ndarray, np.ndarray]]:
-    """Each distinct table of the groups, first seen first, with its groups'
-    positions in the list and rows in the table."""
-    tables: dict[int, tuple[GroupTable, list[int], list[int]]] = {}
-    for i, g in enumerate(groups):
-        _, at, rows = tables.setdefault(id(g.table), (g.table, [], []))
-        at.append(i)
-        rows.append(g.row)
-    return [(table, np.array(at), np.array(rows)) for table, at, rows in tables.values()]
-
-
 def fit_model_groups(attractor_id: str, maps, panel: Panel, stations,
                      max_size: int | None = None) -> list[ModelGroup]:
     """Fit the Cp-selected subset model per station for every delay map.
@@ -157,37 +151,39 @@ def fit_model_groups(attractor_id: str, maps, panel: Panel, stations,
 def predict_groups(groups, panel: Panel, stations, seasons: tuple[int, int]) -> np.ndarray:
     """(groups, stations, seasons) predictions; NaN where history is missing.
 
-    Groups are predicted from their table's arrays, one table at a time.
-    Groups of one dimension share a ``lagged_designs`` read. Groups with
-    the same usable rows make one product per model size, bucketed on the
-    table's size array, over all their (group, station) models of that
-    size and over those rows only: a C-ordered (models, size, rows) gather
-    seen as (models, rows, size), times the (models, size, 1) coefficients.
-    Each slice then has the layout of a lone ``X[usable][:, columns]``, so
-    each value equals ``SubsetModel.predict`` bit for bit; a C-ordered
-    (models, rows, size) operand or extra rows change the BLAS call and
-    the last bits.
+    The groups must view one table (ValueError otherwise), and are
+    predicted from its arrays. Groups of one dimension share a
+    ``lagged_designs`` read. Groups with the same usable rows make one
+    product per model size, bucketed on the table's size array, over all
+    their (group, station) models of that size and over those rows only: a
+    C-ordered (models, size, rows) gather seen as (models, rows, size),
+    times the (models, size, 1) coefficients. Each slice then has the
+    layout of a lone ``X[usable][:, columns]``, so each value equals
+    ``SubsetModel.predict`` bit for bit; a C-ordered (models, rows, size)
+    operand or extra rows change the BLAS call and the last bits.
     """
     groups, stations = list(groups), tuple(stations)
     out = np.full((len(groups), len(stations), seasons[1] - seasons[0]), np.nan)
-    for table, at, rows in _by_table(groups):
-        m = table.models
-        targets = np.array([table.stations.index(st.station_id) for st in stations], dtype=int)
-        sizes = m.sizes[:, targets]
-        for dim in same_rows(np.array([[table.maps[r].dim] for r in rows])):
-            X = lagged_designs([table.maps[r] for r in rows[dim]], panel, seasons)
-            usable = np.isfinite(X).all(axis=2)
-            for same in same_rows(usable):
-                where, r = at[dim][same], rows[dim][same]
-                t = np.flatnonzero(usable[same[0]])
-                XT = X[np.ix_(same, t)].transpose(0, 2, 1)  # (groups, dim, rows)
-                for k in np.unique(sizes[r]):
-                    g, s = np.nonzero(sizes[r] == k)
-                    cols = m.columns[r[g], targets[s], :k]
-                    coef = m.coefficients[r[g], targets[s], :k][:, :, None]
-                    icpt = m.intercept[r[g], targets[s]][:, None]
-                    Xs = XT[g[:, None], cols].transpose(0, 2, 1)
-                    out[where[g, None], s[:, None], t] = icpt + (Xs @ coef)[:, :, 0]
+    if not groups:
+        return out
+    table = _one_table(groups)
+    m, rows = table.models, np.array([g.row for g in groups])
+    targets = np.array([table.stations.index(st.station_id) for st in stations], dtype=int)
+    sizes = m.sizes[:, targets]
+    for dim in same_rows(np.array([[table.maps[r].dim] for r in rows])):
+        X = lagged_designs([table.maps[r] for r in rows[dim]], panel, seasons)
+        usable = np.isfinite(X).all(axis=2)
+        for same in same_rows(usable):
+            where = np.array(dim)[same]
+            r, t = rows[where], np.flatnonzero(usable[same[0]])
+            XT = X[np.ix_(same, t)].transpose(0, 2, 1)  # (groups, dim, rows)
+            for k in np.unique(sizes[r]):
+                g, s = np.nonzero(sizes[r] == k)
+                cols = m.columns[r[g], targets[s], :k]
+                coef = m.coefficients[r[g], targets[s], :k][:, :, None]
+                icpt = m.intercept[r[g], targets[s]][:, None]
+                Xs = XT[g[:, None], cols].transpose(0, 2, 1)
+                out[where[g, None], s[:, None], t] = icpt + (Xs @ coef)[:, :, 0]
     return out
 
 
@@ -504,65 +500,48 @@ def map_from_dict(d: dict) -> DelayMap:
     return DelayMap(coords=tuple((str(v), str(s), int(lag)) for v, s, lag in d["coords"]))
 
 
-def groups_to_dicts(groups) -> list[dict]:
-    """The groups as ``models.json`` and key files store them, in order,
-    written from their tables' arrays with ``.tolist()``."""
+def _one_table(groups: list[ModelGroup]) -> GroupTable:
+    """The one table every group views; ValueError if they view several."""
+    if len({id(g.table) for g in groups}) > 1:
+        raise ValueError("the groups must be views of one model table")
+    return groups[0].table
+
+
+def table_to_dict(groups) -> dict:
+    """The groups of one table, in order, as ``models.json`` and key files store
+    them: their station ids, ``map_index`` values and maps, and the seven
+    ``ModelTable`` arrays of their rows, padded to their largest map dimension."""
     groups = list(groups)
-    out: list = [None] * len(groups)
-    for table, at, rows in _by_table(groups):
-        m = table.models
-        sizes, columns, coefficients = (a[rows].tolist()
-                                        for a in (m.sizes, m.columns, m.coefficients))
-        intercept, rss, cp, n_rows = (a[rows].tolist() for a in (m.intercept, m.rss, m.cp,
-                                                                   m.n_rows))
-        for j, (i, row) in enumerate(zip(at.tolist(), rows.tolist())):
-            dropped = np.flatnonzero(m.dropped[row]).tolist()
-            out[i] = {"map_index": table.map_index[row], "map": map_to_dict(table.maps[row]),
-                      "fits": {sid: {"columns": columns[j][s][:sizes[j][s]],
-                                     "coefficients": coefficients[j][s][:sizes[j][s]],
-                                     "intercept": intercept[j][s], "rss": rss[j][s],
-                                     "cp": cp[j][s], "n_rows": n_rows[j], "dropped": dropped}
-                               for s, sid in enumerate(table.stations)}}
-    return out
+    table = _one_table(groups)
+    rows, m = [g.row for g in groups], table.models
+    p = max((table.maps[r].dim for r in rows), default=1)
+    arrays = (m.columns[rows, :, :p], m.coefficients[rows, :, :p], m.intercept[rows],
+              m.rss[rows], m.cp[rows], m.n_rows[rows], m.dropped[rows, :p])
+    return {"stations": list(table.stations), "map_index": [table.map_index[r] for r in rows],
+            "maps": [map_to_dict(table.maps[r]) for r in rows],
+            **{f.name: a.tolist() for f, a in zip(fields(ModelTable), arrays)}}
 
 
-def groups_from_dicts(items: list[dict], attractor_id: str) -> list[ModelGroup]:
-    """The stored groups of one attractor as views of one new table.
-
-    Every group must hold models for the first group's stations, which
-    agree on its row count and dropped columns: the table stores both
-    once per map. PanelFormatError names a group that does not. The
-    table's checks then reject, at once, a model with no column, with a
-    non-finite coefficient, intercept or Cp, or with an RSS below -1e-9.
-    """
-    maps = tuple(map_from_dict(d["map"]) for d in items)
-    stations = tuple(items[0]["fits"]) if items else ()
-    for d in items:
-        where = f"attractor {attractor_id}, map_index {d['map_index']}"
-        if set(d["fits"]) != set(stations):
-            raise PanelFormatError(f"{where}: models for stations {sorted(d['fits'])}, "
-                                   f"not {sorted(stations)}")
-        if len({(f["n_rows"], tuple(f["dropped"])) for f in d["fits"].values()}) > 1:
-            raise PanelFormatError(f"{where}: its stations' models differ in n_rows or dropped")
-    fits = [[d["fits"][sid] for sid in stations] for d in items]
-    flat = [f for row in fits for f in row]
-    shape = (len(items), len(stations))
-    width = max((dmap.dim for dmap in maps), default=1)
-    used = np.arange(width) < np.array([len(f["columns"]) for f in flat],
-                                       dtype=int).reshape(*shape, 1)
-    columns, coefficients = np.full((*shape, width), -1), np.zeros((*shape, width))
-    columns[used] = [c for f in flat for c in f["columns"]]
-    coefficients[used] = [c for f in flat for c in f["coefficients"]]
-    dropped = np.zeros((len(items), width), dtype=bool)
-    for g, row in enumerate(fits):
-        dropped[g, row[0]["dropped"] if row else []] = True
-    models = ModelTable(columns, coefficients,
-                        *(np.array([f[name] for f in flat], dtype=float).reshape(shape)
-                          for name in ("intercept", "rss", "cp")),
-                        np.array([row[0]["n_rows"] if row else 0 for row in fits], dtype=int),
-                        dropped)
-    return GroupTable(attractor_id, maps, tuple(int(d["map_index"]) for d in items),
-                      stations, models).groups()
+def table_from_dict(d: dict, attractor_id: str) -> GroupTable:
+    """The stored table of one attractor; PanelFormatError names it if an array
+    is ragged or not shaped by its maps and stations. The table's own checks
+    then reject a model it cannot hold (see ``ModelTable``)."""
+    maps = tuple(map_from_dict(m) for m in d["maps"])
+    G, S, p = len(maps), len(d["stations"]), max((m.dim for m in maps), default=1)
+    arrays = []
+    for name, dtype, shape in zip(("map_index", *(f.name for f in fields(ModelTable))),
+                                  (int, int, float, float, float, float, int, bool),
+                                  ((G,), (G, S, p), (G, S, p), (G, S), (G, S), (G, S), (G,),
+                                   (G, p))):
+        try:
+            a = np.array(d[name], dtype=dtype)
+        except (TypeError, ValueError):
+            a = None
+        if a is None or a.shape != shape:
+            raise PanelFormatError(f"attractor {attractor_id}: {name} is not a {shape} array")
+        arrays.append(a)
+    return GroupTable(attractor_id, maps, tuple(arrays[0].tolist()), tuple(d["stations"]),
+                      ModelTable(*arrays[1:]))
 
 
 def key_to_dict(key: PredictorKey) -> dict:
@@ -593,22 +572,23 @@ def key_from_dict(d: dict, groups: dict[int, ModelGroup]) -> PredictorKey:
 
 def save_keys(keys: list[PredictorKey], path, header: dict | None = None) -> None:
     """Write the keys atomically, with the header fields at the top level; each
-    member group is stored once, under its attractor in ``map_index`` order."""
+    attractor's member groups are stored once, as one table in ``map_index``
+    order. A key's members must view its attractor's one table (ValueError)."""
     members = {(k.attractor_id, g.map_index): g for k in keys for g in k.members}
-    order = sorted(members)
-    groups: dict[str, list[dict]] = {}
-    for (aid, _), d in zip(order, groups_to_dicts(members[i] for i in order)):
-        groups.setdefault(aid, []).append(d)
+    groups: dict[str, list[ModelGroup]] = {}
+    for aid, i in sorted(members):
+        groups.setdefault(aid, []).append(members[aid, i])
     write_json(path, {**(header or {}), "format_version": KEY_FORMAT_VERSION,
-                      "groups": groups, "keys": [key_to_dict(k) for k in keys]})
+                      "groups": {aid: table_to_dict(gs) for aid, gs in groups.items()},
+                      "keys": [key_to_dict(k) for k in keys]})
 
 
 def load_keys(path) -> list[PredictorKey]:
     payload = read_json(path)
     if (version := payload.get("format_version")) != KEY_FORMAT_VERSION:
         raise PanelFormatError(f"{path}: key file format version {version}; rerun select")
-    groups = {aid: {g.map_index: g for g in groups_from_dicts(items, aid)}
-              for aid, items in payload["groups"].items()}
+    groups = {aid: {g.map_index: g for g in table_from_dict(d, aid).groups()}
+              for aid, d in payload["groups"].items()}
     for d in payload["keys"]:
         if missing := sorted(set(d["members"]) - set(groups.get(d["attractor_id"], {}))):
             raise PanelFormatError(f"{path}: key {d['key_id']} names member map_index "

@@ -20,10 +20,10 @@ from .artifacts import read_json, write_json, write_text
 from .config import PipelineConfig, save_config
 from .dynamics import AttractorEstimate, TuningParameter, build_attractor_library
 from .embedding import DelayMap, sample_delay_maps
-from .ensemble import (EnsembleForecast, ModelGroup, PredictorKey, Station,
-                       fit_model_groups, form_keys, groups_from_dicts, groups_to_dicts,
-                       map_from_dict, map_to_dict, median_combine, observation_matrix,
-                       predict_groups, rank_models, retain_predictors, save_keys)
+from .ensemble import (KEY_FORMAT_VERSION, EnsembleForecast, ModelGroup, PredictorKey,
+                       Station, fit_model_groups, form_keys, map_from_dict, map_to_dict,
+                       median_combine, observation_matrix, predict_groups, rank_models,
+                       retain_predictors, save_keys, table_from_dict, table_to_dict)
 from .errors import ConfigError, PanelFormatError
 from .ground import (StandardizationFactors, fresh_ground_row, make_ground_panel,
                      standardize_anomalies)
@@ -231,17 +231,17 @@ def stage_fit(cfg: PipelineConfig, library, maps, out: Path | None = None):
                  est.label, len(fitted), len(stations))
     if out is not None:
         write_json(out / "models.json", {
-            **_header(cfg),
+            **_header(cfg), "format_version": KEY_FORMAT_VERSION,
             "stations": [[st.station_id, st.variable, st.site] for st in stations],
-            "groups": {label: groups_to_dicts(fitted)
-                       for label, fitted in sorted(groups.items())}})
+            "groups": {label: table_to_dict(fitted) for label, fitted in sorted(groups.items())}})
     return groups
 
 
 def load_groups(out: Path) -> dict[str, list[ModelGroup]]:
-    payload = read_json(out / "models.json")
-    return {label: groups_from_dicts(items, label)
-            for label, items in payload["groups"].items()}
+    payload = read_json(path := out / "models.json")
+    if (version := payload.get("format_version")) != KEY_FORMAT_VERSION:
+        raise PanelFormatError(f"{path}: model file format version {version}; rerun fit")
+    return {label: table_from_dict(d, label).groups() for label, d in payload["groups"].items()}
 
 
 # --- select --------------------------------------------------------------

@@ -99,10 +99,13 @@ class ModelTable:
     ``columns[g, s]`` and their coefficients at the front of
     ``coefficients[g, s]``; the rest is padding, -1 and 0, so its size is
     the count of columns >= 0. The models of a design share its row count
-    and the mask of the dependent columns it screened out. Construction
-    checks every model at once, rejecting a model with no column, a
-    non-finite coefficient, intercept or Cp, or an RSS below -1e-9, and
-    clamps RSS at 0.
+    and the mask of the dependent columns it screened out. ``models.json``
+    and key files store these seven arrays as they are, each attractor's
+    rows as one table. Construction checks every model at once, rejecting
+    a model with no column, with columns that are not an increasing
+    prefix in [0, p) padded with -1 only at the tail, with a non-finite
+    coefficient, intercept or Cp, or with an RSS below -1e-9, and clamps
+    RSS at 0.
     """
 
     columns: np.ndarray  # (G, S, p) column indices, padded with -1
@@ -114,8 +117,13 @@ class ModelTable:
     dropped: np.ndarray  # (G, p) mask of dependent/constant columns excluded up front
 
     def __post_init__(self):
-        if not (self.columns[..., :1] >= 0).all():
+        c = self.columns
+        if not (c[..., :1] >= 0).all():
             raise ValueError("a subset model needs at least one column")
+        if not ((c >= -1) & (c < c.shape[-1])).all():
+            raise ValueError(f"columns must lie in [0, {c.shape[-1]}), padded with -1")
+        if not ((c[..., 1:] == -1) | ((c[..., :-1] >= 0) & (c[..., 1:] > c[..., :-1]))).all():
+            raise ValueError("columns must increase, padded with -1 only at the tail")
         if not (np.isfinite(self.rss) & (self.rss >= -1e-9)).all():
             raise ValueError("rss must be finite and non-negative")
         if not (np.isfinite(self.coefficients).all() and np.isfinite(self.intercept).all()):

@@ -10,6 +10,7 @@ from chaoscast.embedding import DelayMap
 from chaoscast.ensemble import (
     VOTE_MODES,
     EnsembleForecast,
+    GroupTable,
     PredictorKey,
     RankedModel,
     Station,
@@ -17,34 +18,40 @@ from chaoscast.ensemble import (
     combine_vote,
     fit_model_groups,
     form_keys,
-    groups_from_dicts,
-    groups_to_dicts,
     key_from_dict,
     key_to_dict,
     load_keys,
-    map_to_dict,
     median_combine,
     observation_matrix,
     predict_groups,
     rank_models,
     retain_predictors,
     save_keys,
+    table_to_dict,
     take_top_percent,
 )
 from chaoscast.panel import Panel
+from chaoscast.subset import ModelTable, SubsetModel
 from test_metrics import reference_pooled_correlation
 
 
 def table_groups(attractor_id, rows):
     """Views of one model table holding (map_index, dmap, {station id: SubsetModel})
-    rows, built by the loader from each model's stored fields."""
-    return groups_from_dicts([
-        {"map_index": i, "map": map_to_dict(dmap),
-         "fits": {sid: {"columns": list(m.columns), "coefficients": m.coefficients.tolist(),
-                        "intercept": m.intercept, "rss": m.rss, "cp": m.cp,
-                        "n_rows": m.n_rows, "dropped": list(m.dropped)}
-                  for sid, m in fits.items()}}
-        for i, dmap, fits in rows], attractor_id)
+    rows; the models of a row share its row count and dropped columns."""
+    stations = tuple(rows[0][2]) if rows else ()
+    G, S, p = len(rows), len(stations), max((dmap.dim for _, dmap, _ in rows), default=1)
+    columns, coefficients = np.full((G, S, p), -1), np.zeros((G, S, p))
+    intercept, rss, cp = np.zeros((3, G, S))
+    n_rows, dropped = np.zeros(G, dtype=int), np.zeros((G, p), dtype=bool)
+    for g, (_, _, fits) in enumerate(rows):
+        for s, m in enumerate(fits[sid] for sid in stations):
+            columns[g, s, :m.size], coefficients[g, s, :m.size] = m.columns, m.coefficients
+            intercept[g, s], rss[g, s], cp[g, s] = m.intercept, m.rss, m.cp
+            n_rows[g], dropped[g, list(m.dropped)] = m.n_rows, True
+    return GroupTable(attractor_id, tuple(dmap for _, dmap, _ in rows),
+                      tuple(i for i, _, _ in rows), stations,
+                      ModelTable(columns, coefficients, intercept, rss, cp, n_rows,
+                                 dropped)).groups()
 
 
 def unit_corr_series(obs, rho, rng):
@@ -427,7 +434,7 @@ def test_fit_form_retain_round_trip(tmp_path):
     assert len(loaded) == len(retained)
     for a, b in zip(retained, loaded):
         assert key_to_dict(a) == key_to_dict(b)
-        assert groups_to_dicts(a.members) == groups_to_dicts(b.members)
+        assert table_to_dict(a.members) == table_to_dict(b.members)
         assert np.array_equal(a.predict(ground, (56, 72)), b.predict(ground, (56, 72)))
 
 
@@ -536,6 +543,24 @@ def test_ensemble_forecast_provenance_required():
                      contributing_keys=(), combiner_by_key={},
                      calibration_slope=0.0, calibration_intercept=0.0,
                      no_forecast=True)
+
+
+def test_predict_and_save_take_the_groups_of_one_table(tmp_path):
+    fit = SubsetModel(columns=(0,), coefficients=np.array([1.0]), intercept=0.0, rss=0.0,
+                      cp=0.0, n_rows=16)
+    dmap = DelayMap(coords=(("wet", "a", 4),))
+    (a,), (b,) = (table_groups("A", [(i, dmap, {"a": fit})]) for i in (0, 1))
+    panel = Panel({("wet", "a"): np.arange(20.0)})
+    stations = (Station("a", "wet", "a"),)
+    assert np.array_equal(predict_groups([a], panel, stations, (4, 20)),
+                          np.arange(16.0)[None, None])
+    with pytest.raises(ValueError, match="views of one model table"):
+        predict_groups([a, b], panel, stations, (4, 20))
+    keys = [PredictorKey(attractor_id="A", top_percent=100, combiner="mean",
+                         stations=stations, members=(g,), shrink_factor=1.0) for g in (a, b)]
+    with pytest.raises(ValueError, match="views of one model table"):
+        save_keys(keys, tmp_path / "keys.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_key_validation():

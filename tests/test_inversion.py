@@ -24,17 +24,16 @@ def planted_keys(panel, series_list):
     the panel series ("planted", i), which holds series i LAG seasons
     early, so its prediction is the planted series itself, exactly.
     """
-    keys = []
     for i, series in enumerate(series_list):
         panel.add("planted", str(i), np.concatenate([series, np.full(LAG, np.nan)]))
-        fit = SubsetModel(columns=(0,), coefficients=np.array([1.0]), intercept=0.0,
-                          rss=0.0, cp=0.0, n_rows=series.size)
-        (member,) = table_groups(
-            "A", [(i, DelayMap(coords=(("planted", str(i), LAG),)), {"a": fit})])
-        keys.append(PredictorKey(attractor_id="A", top_percent=100, combiner="mean",
-                                 stations=(Station("a", "wet", "a"),), members=(member,),
-                                 shrink_factor=1.0))
-    return keys
+    members = table_groups("A", [
+        (i, DelayMap(coords=(("planted", str(i), LAG),)),
+         {"a": SubsetModel(columns=(0,), coefficients=np.array([1.0]), intercept=0.0,
+                           rss=0.0, cp=0.0, n_rows=series.size)})
+        for i, series in enumerate(series_list)])
+    return [PredictorKey(attractor_id="A", top_percent=100, combiner="mean",
+                         stations=(Station("a", "wet", "a"),), members=(member,),
+                         shrink_factor=1.0) for member in members]
 
 
 def planted_series(obs, rho, rng):

@@ -189,10 +189,21 @@ def test_forecast_rejects_a_retained_keys_file_of_another_version(golden_run, tm
     shutil.copytree(run_all_out, out)
     assert cli.main(["forecast", "-c", config, "-o", str(out)]) == 0
     path = out / "retained_keys.json"
-    path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 2}))
+    path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 3}))
     capsys.readouterr()
     assert cli.main(["forecast", "-c", config, "-o", str(out)]) == 1
-    assert f"{path}: key file format version 2; rerun select" in capsys.readouterr().err
+    assert f"{path}: key file format version 3; rerun select" in capsys.readouterr().err
+
+
+def test_select_rejects_a_models_file_of_another_version(golden_run, tmp_path, capsys):
+    config, run_all_out = golden_run
+    out = tmp_path / "out"
+    shutil.copytree(run_all_out, out)
+    path = out / "models.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 3}))
+    capsys.readouterr()
+    assert cli.main(["select", "-c", config, "-o", str(out)]) == 1
+    assert f"{path}: model file format version 3; rerun fit" in capsys.readouterr().err
 
 
 def test_invert_rejects_a_key_naming_a_member_the_file_lacks(golden_run, tmp_path, capsys):
@@ -203,8 +214,11 @@ def test_invert_rejects_a_key_naming_a_member_the_file_lacks(golden_run, tmp_pat
     payload = json.loads(path.read_text())
     key = payload["keys"][0]
     lost = key["members"][0]
-    groups = payload["groups"][key["attractor_id"]]
-    groups[:] = [g for g in groups if g["map_index"] != lost]
+    table = payload["groups"][key["attractor_id"]]
+    rows = [j for j, i in enumerate(table["map_index"]) if i != lost]
+    for name, values in table.items():
+        if name != "stations":  # every other entry holds one item per group
+            table[name] = [values[j] for j in rows]
     path.write_text(json.dumps(payload))
     capsys.readouterr()
     assert cli.main(["invert", "-c", config, "-o", str(out)]) == 1
@@ -217,21 +231,24 @@ def test_key_files_hold_each_member_group_once(tmp_path, name):
     payload = GOLDEN_CONFIG if name == "golden" else RETAINING_CONFIGS[name]
     out = tmp_path / "out"
     result = pl.run_pipeline(PipelineConfig.from_dict(payload), out)
-    models = json.loads((out / "models.json").read_text())["groups"]
+    models = json.loads((out / "models.json").read_text())
+    assert models["format_version"] == 4
     all_keys = [k for label in sorted(result.keys_by_attractor)
                 for k in result.keys_by_attractor[label]]
     for file, keys in (("keys.json", all_keys), ("retained_keys.json", result.retained)):
         stored = json.loads((out / file).read_text())
-        assert stored["format_version"] == 3
-        # each (attractor, map_index) group once, in map_index order, as models.json holds it
-        for label, groups in stored["groups"].items():
-            indices = [g["map_index"] for g in groups]
-            by_index = {g["map_index"]: g for g in models[label]}
+        assert stored["format_version"] == 4
+        # each (attractor, map_index) group once, in map_index order, as one table
+        # holding the rows of models.json's table
+        for label, table in stored["groups"].items():
+            indices, fitted = table["map_index"], models["groups"][label]
             assert indices == sorted(set(indices))
-            assert groups == [by_index[i] for i in indices]
-        assert {(label, g["map_index"]) for label, groups in stored["groups"].items()
-                for g in groups} == {(k.attractor_id, g.map_index)
-                                     for k in keys for g in k.members}
+            rows = [fitted["map_index"].index(i) for i in indices]
+            assert table == {name: values if name == "stations" else [values[j] for j in rows]
+                             for name, values in fitted.items()}
+        assert {(label, i) for label, table in stored["groups"].items()
+                for i in table["map_index"]} == {(k.attractor_id, g.map_index)
+                                                 for k in keys for g in k.members}
         # a key names its members by map_index, in member order
         assert [d["members"] for d in stored["keys"]] == [
             [g.map_index for g in k.members] for k in keys]
@@ -632,40 +649,38 @@ def test_loaders_rebuild_the_fitted_tables_bit_for_bit(golden_run):
                 assert a.tobytes() == b.tobytes(), field.name
 
 
-def _set(**fields):
-    """A change to one station's stored model."""
-    return lambda fits: fits["st01"].update(fields)
-
-
-def _last_coefficient_nan(fits):
-    fits["st01"]["coefficients"][-1] = float("nan")
+def _set(name, value):
+    """A change to the stored model of map_index 3 and station st01."""
+    def change(table):
+        table[name][3][table["stations"].index("st01")] = value
+    return change
 
 
 @pytest.mark.parametrize("change, error, message", [
-    (_set(columns=[], coefficients=[]), ValueError, "at least one column"),
-    (_last_coefficient_nan, ValueError, "coefficients must be finite"),
-    (_set(intercept=float("inf")), ValueError, "coefficients must be finite"),
-    (_set(cp=float("nan")), ValueError, "cp must be finite"),
-    (_set(rss=-1e-8), ValueError, "rss must be finite and non-negative"),
-    (_set(rss=float("inf")), ValueError, "rss must be finite and non-negative"),
-    (lambda fits: fits.pop("st02"), PanelFormatError,
-     r"attractor F8, map_index 3: models for stations \['st00', 'st01', 'st03'\], not"),
-    (lambda fits: fits.update(st99=fits["st01"]), PanelFormatError,
-     r"attractor F8, map_index 3: models for stations .*'st99'"),
-    (lambda fits: fits["st01"].update(n_rows=fits["st01"]["n_rows"] - 1), PanelFormatError,
-     "attractor F8, map_index 3: its stations' models differ in n_rows or dropped"),
-    (lambda fits: fits["st02"]["dropped"].append(0), PanelFormatError,
-     "attractor F8, map_index 3: its stations' models differ in n_rows or dropped"),
-], ids=["no-column", "coefficient", "intercept", "cp", "negative-rss", "rss", "missing-station",
-        "extra-station", "n-rows", "dropped"])
+    (_set("columns", [-1] * 8), ValueError, "at least one column"),
+    (_set("coefficients", [float("nan")] + [0.0] * 7), ValueError,
+     "coefficients must be finite"),
+    (_set("intercept", float("inf")), ValueError, "coefficients must be finite"),
+    (_set("cp", float("nan")), ValueError, "cp must be finite"),
+    (_set("rss", -1e-8), ValueError, "rss must be finite and non-negative"),
+    (_set("rss", float("inf")), ValueError, "rss must be finite and non-negative"),
+    (_set("columns", [0, 1]), PanelFormatError,
+     re.escape("attractor F8: columns is not a (20, 4, 8) array")),
+    (_set("columns", [0, -1, 2] + [-1] * 5), ValueError,
+     "columns must increase, padded with -1 only at the tail"),
+    (_set("columns", [8] + [-1] * 7), ValueError, re.escape("columns must lie in [0, 8)")),
+], ids=["no-column", "coefficient", "intercept", "cp", "negative-rss", "rss", "ragged",
+        "inner-padding", "column-range"])
 def test_loaders_reject_what_a_subset_model_rejects(golden_run, tmp_path, change, error,
                                                     message):
+    # a table stores a map's stations, row count and dropped columns once, so
+    # stations that disagree on them cannot be written
     _, out = golden_run
     for name in ("models.json", "keys.json"):
         payload = json.loads((out / name).read_text())
-        group = payload["groups"]["F8"][3]
-        assert group["map_index"] == 3
-        change(group["fits"])
+        table = payload["groups"]["F8"]
+        assert table["map_index"][3] == 3
+        change(table)
         (tmp_path / name).write_text(json.dumps(payload))
     with pytest.raises(error, match=message):
         pl.load_groups(tmp_path)
@@ -741,11 +756,12 @@ def test_failed_write_keeps_the_older_complete_file(tmp_path):
     ({"seed": 7, "shrinkage": {"positive_part": 1}},
      "shrinkage.positive_part must be true or false, not 1"),
     ({"seed": 7, "ground": {"mode": 2}}, "ground.mode must be a string, not 2"),
-    ({"seed": 7, "embedding": {"lead": 1}}, "unexpected keyword argument 'lead'"),
+    ({"seed": 7, "embedding": {"lead": 1}}, "unknown config key: 'embedding.lead'"),
+    ({"seed": 7, "selection": {"vote_kk": 3}}, "unknown config key: 'selection.vote_kk'"),
     ({"seed": 7, "embedding": {"lag_min": 0}}, "embedding.lag_min 0 must be >= 1"),
 ], ids=["seed", "n_maps", "vote_k-bool", "x_grid", "target_window", "temp_smooth",
         "unknown-key", "retention_threshold", "forcings", "positive_part", "mode",
-        "lead-retired", "lag_min-0"])
+        "lead-retired", "unknown-section-key", "lag_min-0"])
 def test_config_error_names_the_setting(payload, named):
     with pytest.raises(ConfigError, match=re.escape(named)):
         PipelineConfig.from_dict(payload)
