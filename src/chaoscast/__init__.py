@@ -14,7 +14,7 @@ from .dynamics import (AttractorEstimate, SurrogateConfig, TuningParameter,
 from .embedding import (DelayMap, WindowSchedule, build_design_matrix,
                         sample_delay_maps, split_windows)
 from .ensemble import (EnsembleForecast, ModelGroup, PredictorKey, Station,
-                       combine_members, combine_vote, form_keys, median_combine,
+                       combine_members, form_keys, median_combine,
                        rank_models, retain_predictors, take_top_percent)
 from .ground import load_panel, make_ground_panel, standardize_anomalies
 from .inversion import (InversionResult, estimate_parameter, invert_parameter,
@@ -26,6 +26,6 @@ from .panel import Panel
 from .pipeline import PipelineResult, emit_plot_data, run_pipeline
 from .shrinkage import (ShrinkageReport, apply_bias_correction,
                         bootstrap_shrinkage, calibrate, stein_adjust)
-from .subset import SubsetModel, best_subsets, mallows_cp, select_model
+from .subset import SubsetModel, mallows_cp, select_model
 
 __version__ = "0.1.0"

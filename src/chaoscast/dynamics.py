@@ -64,18 +64,20 @@ class AttractorEstimate:
     def label(self) -> str:
         return self.parameter.label
 
+    def raw_series(self, key: Coord) -> np.ndarray:
+        """Panel series ``key`` de-standardized, ``vals * sd + mean``; a series
+        without a stored scale is returned as a copy."""
+        mean, sd = self.scale.get(key, (0.0, 1.0))
+        return self.panel.values[key] * sd + mean
+
     def trailing_mean(self, variable: str = WET, n_seasons: int = 100) -> float:
         """Mean of the raw (de-standardized) observable over the trailing seasons.
 
         Cross-site mean of the last ``n_seasons`` steady seasons, the
         run's realized steady-state level on the parameter axis.
         """
-        vals = []
-        for (var, site), series in self.panel.values.items():
-            if var != variable:
-                continue
-            mean, sd = self.scale.get((var, site), (0.0, 1.0))
-            vals.append(series[-n_seasons:] * sd + mean)
+        vals = [self.raw_series(key)[-n_seasons:] for key in self.panel.values
+                if key[0] == variable]
         if not vals:
             raise ValueError(f"no series for variable {variable!r}")
         return float(np.mean(vals))
@@ -180,6 +182,7 @@ def integrate_grid(x0, forcings, dt: float, n_steps: int) -> np.ndarray:
     return states
 
 
+# kept for perfbench/traced.py, which times it as dynamics.rk4_step_us
 def integrate_lorenz96(F, K, dt, n_steps, x0=None, seed=None) -> np.ndarray:
     """Integrate one Lorenz-96 ring: the one-row case of :func:`integrate_grid`.
 

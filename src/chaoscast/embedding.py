@@ -102,6 +102,7 @@ def lagged_designs(maps, panel: Panel, seasons: tuple[int, int]) -> np.ndarray:
     return series[which[:, None, :], np.arange(start, stop)[:, None] + lags[:, None, :]]
 
 
+# kept for perfbench/traced.py, which reads each search's design with it
 def build_design_matrix(panel: Panel, dmap: DelayMap, target: Coord,
                         seasons: tuple[int, int]):
     """Design matrix, response, and usable response-season list.

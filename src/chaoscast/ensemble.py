@@ -99,7 +99,7 @@ class ModelGroup:
     def dmap(self) -> DelayMap:
         return self.table.maps[self.row]
 
-    @property
+    @property  # kept for perfbench/traced.py, which reads subset.mean_model_size from it
     def fits(self) -> dict[str, SubsetModel]:
         """Each station's model as a SubsetModel, built on every call."""
         return {sid: self.table.models.model(self.row, s)
@@ -109,6 +109,7 @@ class ModelGroup:
     def total_size(self) -> int:
         return int((self.table.models.columns[self.row] >= 0).sum())
 
+    # kept for perfbench/traced.py, which stacks member predictions for its vote timing
     def predict(self, panel: Panel, stations: tuple[Station, ...],
                 seasons: tuple[int, int]) -> np.ndarray:
         """(stations, seasons) predictions; NaN where history is missing."""
@@ -269,38 +270,17 @@ def _cut_bounds(ordered: np.ndarray, k: int) -> np.ndarray:
     return bounds
 
 
-def combine_vote(values, k: int = 2, mode: str = "majority") -> float:
-    """Majority-cluster combination of one season's finite model predictions:
-    ``combine_members``' vote on one cell. Values are split into min(k, n) groups
-    by the exact sorted-cut partition minimizing within-cluster sum of squares.
-    ``majority`` returns the mean of the most populous cluster (population ties go
-    to the cluster whose mean is nearer the overall mean, then to the lower mean);
-    ``two_cluster_average`` averages the members of the two most populous clusters.
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size < 1:
-        raise ValueError("need at least one prediction")
-    if not np.isfinite(values).all():
-        raise ValueError(f"vote values must be finite, not {values[~np.isfinite(values)][0]}")
-    return float(combine_members(values[:, None, None], "vote", k, mode)[0, 0])
-
-
-def select_majority_cluster(clusters, overall: float) -> np.ndarray:
-    """Most populous cluster; ties resolved toward the overall mean, then low.
-
-    The distance comparison carries an epsilon: with two equal-size
-    clusters the overall mean sits exactly midway, so "nearer the mean"
-    is a structural tie that must fall through to the lower-mean rule
-    rather than be decided by rounding noise.
-    """
-    top_size = max(c.size for c in clusters)
-    finalists = [c for c in clusters if c.size == top_size]
-    means = [float(c.mean()) for c in finalists]
-    dists = [abs(m - overall) for m in means]
-    scale = 1.0 + abs(overall) + max(abs(m) for m in means)
-    nearest = [(m, c) for m, d, c in zip(means, dists, finalists)
-               if d <= min(dists) + 1e-9 * scale]
-    return min(nearest, key=lambda mc: mc[0])[1]
+def _run_means(ordered: np.ndarray, rows: np.ndarray, runs) -> np.ndarray:
+    """Per item i, the mean of row ``rows[i]`` of ``ordered`` over its runs joined in
+    order; ``runs`` is a list of (starts, lengths) arrays over the items. Items of equal
+    lengths share one gather of contiguous rows, each summed as a lone cell is."""
+    code = np.ravel_multi_index([n for _, n in runs], [ordered.shape[1] + 1] * len(runs))
+    order = np.argsort(code, kind="stable")
+    out = np.empty(len(rows))
+    for at in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
+        take = np.hstack([a[at, None] + np.arange(n[at[0]]) for a, n in runs])
+        out[at] = ordered[rows[at, None], take].mean(axis=1)
+    return out
 
 
 def combine_members(member_preds: np.ndarray, combiner: str,
@@ -312,9 +292,13 @@ def combine_members(member_preds: np.ndarray, combiner: str,
     copy, so a NaN-free cell sums in the order of a lone 1-D cell; with
     NaN members and 8 or more members the last bit may differ from it.
     The vote checks its settings first, then splits all cells of n finite
-    members at once, as one sorted (cells, n) array of their values in
-    member order. Each mean is the ``.mean()`` of a contiguous row, a gathered
-    copy or a slice, so it sums as a lone cell does: a vote has a lone cell's bits.
+    members at once into min(k, n) sorted runs (``_cut_bounds``), read on
+    one array path per mode, with a lone cell's bits. ``two_cluster_average``
+    averages the two largest clusters, ranked by (-size, index). ``majority``
+    takes the largest cluster's mean; of tied ones, the nearest the overall
+    mean within 1e-9 * (1 + |overall| + largest tied |mean|), then the lower:
+    with two equal-size clusters the overall mean sits exactly midway, a tie
+    that must fall to the lower mean, not to rounding noise.
     """
     if combiner not in COMBINERS:
         raise ValueError(f"combiner must be one of {COMBINERS}")
@@ -341,20 +325,21 @@ def combine_members(member_preds: np.ndarray, combiner: str,
         ordered = np.sort(values, axis=1)
         bounds = _cut_bounds(ordered, min(vote_k, n))
         sizes = np.diff(bounds, axis=1)
-        i, top = np.arange(len(rows)), sizes.argmax(axis=1)
-        first, largest = bounds[i, top], sizes[i, top]
-        lone = (sizes == largest[:, None]).sum(axis=1) == 1
-        if vote_mode == "majority":  # a lone largest cluster's mean, gathered by its size
-            for size in np.unique(largest[lone]):
-                at = i[lone & (largest == size)]
-                out[rows[at]] = ordered[at[:, None], first[at, None] + np.arange(size)].mean(axis=1)
-        for c in i[~lone] if vote_mode == "majority" else i:
-            clusters = [ordered[c, a:b] for a, b in itertools.pairwise(bounds[c].tolist())]
-            if vote_mode == "two_cluster_average":
-                ranked = sorted(clusters, key=lambda cl: (-cl.size, float(cl.mean())))
-                out[rows[c]] = np.concatenate(ranked[:2]).mean()
-            else:
-                out[rows[c]] = select_majority_cluster(clusters, float(values[c].mean())).mean()
+        if vote_mode == "two_cluster_average":
+            i, a = np.arange(len(rows)), sizes.argmax(axis=1)
+            b = np.where(np.arange(sizes.shape[1]) == a[:, None], -1, sizes).argmax(axis=1)
+            out[rows] = _run_means(ordered, i, [(bounds[i, a], sizes[i, a]),
+                                                (bounds[i, b], sizes[i, b])])
+            continue
+        top = sizes == sizes.max(axis=1, keepdims=True)  # every largest cluster
+        c, j = np.nonzero(top)
+        means = np.zeros(sizes.shape)
+        means[c, j] = _run_means(ordered, c, [(bounds[c, j], sizes[c, j])])
+        overall = values.mean(axis=1)[:, None]
+        dist = np.where(top, np.abs(means - overall), np.inf)
+        scale = 1.0 + np.abs(overall) + np.abs(means).max(axis=1, keepdims=True)
+        nearest = top & (dist <= dist.min(axis=1, keepdims=True) + 1e-9 * scale)
+        out[rows] = np.where(nearest, means, np.inf).min(axis=1)
     return out.reshape(s, t)
 
 
@@ -524,8 +509,10 @@ def table_to_dict(groups) -> dict:
 
 def table_from_dict(d: dict, attractor_id: str) -> GroupTable:
     """The stored table of one attractor; PanelFormatError names it if an array
-    is ragged or not shaped by its maps and stations. The table's own checks
-    then reject a model it cannot hold (see ``ModelTable``)."""
+    is ragged or not shaped by its maps and stations, if an integer array holds
+    a non-integral value, or if the dropped mask holds other than 0/1 or
+    true/false. The table's own checks then reject a model it cannot hold
+    (see ``ModelTable``)."""
     maps = tuple(map_from_dict(m) for m in d["maps"])
     G, S, p = len(maps), len(d["stations"]), max((m.dim for m in maps), default=1)
     arrays = []
@@ -534,12 +521,17 @@ def table_from_dict(d: dict, attractor_id: str) -> GroupTable:
                                   ((G,), (G, S, p), (G, S, p), (G, S), (G, S), (G, S), (G,),
                                    (G, p))):
         try:
-            a = np.array(d[name], dtype=dtype)
+            a = np.array(d[name], dtype=float)
         except (TypeError, ValueError):
             a = None
         if a is None or a.shape != shape:
             raise PanelFormatError(f"attractor {attractor_id}: {name} is not a {shape} array")
-        arrays.append(a)
+        bad = (a[~np.isin(a, (0.0, 1.0))] if dtype is bool
+               else a[~(np.isfinite(a) & (a == np.round(a)))] if dtype is int else ())
+        if len(bad):
+            raise PanelFormatError(f"attractor {attractor_id}: {name} holds {bad[0]}, not "
+                                   + ("0/1 or true/false" if dtype is bool else "an integer"))
+        arrays.append(a.astype(dtype, copy=False))
     return GroupTable(attractor_id, maps, tuple(arrays[0].tolist()), tuple(d["stations"]),
                       ModelTable(*arrays[1:]))
 

@@ -133,14 +133,6 @@ def standardize_anomalies(panel: Panel,
     return Panel(out, seasons_per_year=spy), factors
 
 
-def _destandardized_member(member: AttractorEstimate) -> Panel:
-    raw = {}
-    for key, vals in member.panel.values.items():
-        mean, sd = member.scale[key]
-        raw[key] = vals * sd + mean
-    return Panel(raw)
-
-
 def fresh_ground_row(cfg: PipelineConfig) -> tuple[TuningParameter, int]:
     """The (parameter, seed) row of the fresh ground run at ``ground.forcing``."""
     forcing = float(cfg.ground.forcing)
@@ -173,7 +165,8 @@ def make_ground_panel(cfg: PipelineConfig, library: list[AttractorEstimate]) -> 
         label = cfg.ground.member or library[0].label
         members = {a.label: a for a in library}
         member = members[label]
-        base = _destandardized_member(member).window(0, n_seasons)
+        raw = Panel({key: member.raw_series(key) for key in member.panel.values})
+        base = raw.window(0, n_seasons)
         meta = {"mode": "member", "member": label,
                 "true_forcing": member.parameter.value}
     else:

@@ -16,13 +16,13 @@ its array layout, each map's slice of a batched Gram product or solve is
 the BLAS or LAPACK call a lone map makes, so its models do not depend on
 the maps it is batched with. The per-size winner has the minimum solved
 residual sum of squares; exact ties go to the first subset in
-``itertools.combinations`` order. The per-size winners are compared on
-Mallows' Cp, ties going to fewer columns, and each winner is written
-straight into a ``ModelTable``, one array per field over (design,
-target), one model size at a time. ``ensemble.predict_groups`` predicts
-from those arrays with one product per model size whose slices are the
-calls a lone ``SubsetModel.predict`` makes, so a prediction does not
-depend on the models it is batched with either.
+``itertools.combinations`` order. One writer, ``_select``, which both
+``select_stacks`` and ``select_stack`` call, compares them on Mallows' Cp,
+ties going to fewer columns, and writes each minimum-Cp winner straight
+into a ``ModelTable``, one array per field, one size at a time.
+``ensemble.predict_groups`` predicts from those arrays with one product
+per model size whose slices are the calls a lone ``SubsetModel.predict``
+makes, so a prediction does not depend on the models it is batched with.
 
 Measured on 2 vCPUs with 1 BLAS thread, on 188-row designs with 4
 targets:
@@ -69,6 +69,7 @@ PIVOT_TOL = 1e-5  # smallest relative pivot of a screened design; see the module
 SCREEN_MIN_SUBSETS = 1000  # G * (2**m - 1) below which a sub-batch solves every subset
 
 
+# kept for perfbench/traced.py, which reads model sizes through ModelGroup.fits
 @dataclass
 class SubsetModel:
     """A fitted least-squares model on a column subset of one delay map: the
@@ -137,6 +138,7 @@ class ModelTable:
         """(G, S) model sizes."""
         return (self.columns >= 0).sum(axis=-1)
 
+    # kept for ModelGroup.fits and select_model, which perfbench/traced.py reads
     def model(self, g: int, s: int) -> SubsetModel:
         """Model (g, s) as a SubsetModel."""
         k = int((self.columns[g, s] >= 0).sum())
@@ -336,23 +338,17 @@ def _search(XkT: np.ndarray, Yc: np.ndarray, tss: np.ndarray, max_size: int | No
 
 def _blank(G: int, S: int, p: int) -> list[np.ndarray]:
     """The fields of a (G, S) ModelTable padded to p columns, with no model
-    written: the arrays ``_enumerate``'s writer fills."""
+    written: the arrays ``_select`` fills."""
     return [np.full((G, S, p), -1), np.zeros((G, S, p)), np.empty((G, S)), np.empty((G, S)),
             np.empty((G, S)), np.empty(G, dtype=int), np.zeros((G, p), dtype=bool)]
 
 
-def _enumerate(X: np.ndarray, Y: np.ndarray, max_size: int | None):
-    """Minimum-RSS subset per size of each design's independent columns, per column of Y.
-
-    X is a (G, n, p) stack of designs and Y the (n, targets) block they
-    share. Returns the number of sizes searched on the first design and
-    ``write(size, fields, rows)``, which writes every size-``size``
-    winner, or every minimum-Cp winner (ties to fewer columns) when
-    ``size`` is None, into ``_blank`` fields, design g at row ``rows[g]``.
-    The winners of one size are written at once, each intercept by one
-    batched ``(N, 1, k) @ (N, k, 1)`` product, whose slices are the dot
-    products of a lone model.
-    """
+def _select(X: np.ndarray, Y: np.ndarray, max_size: int | None, fields: list[np.ndarray],
+            rows: np.ndarray) -> None:
+    """Search a validated (G, n, p) stack of designs that share the (n, targets)
+    block Y, and write each design's minimum-Cp models into ``_blank`` fields at
+    row ``rows[g]``. One size's winners are written at once, each intercept by
+    one batched ``(N, 1, k) @ (N, k, 1)`` product: a lone model's dot products."""
     G, n, p = X.shape
     if p > MAX_COLUMNS:
         raise ValueError(f"exhaustive subset search is capped at {MAX_COLUMNS} "
@@ -367,51 +363,23 @@ def _enumerate(X: np.ndarray, Y: np.ndarray, max_size: int | None):
     if not keep.any(axis=1).all():
         raise ValueError("no independent columns to search")
     tss = np.einsum("it,it->t", Yc, Yc)
-    batches = same_rows(keep)
-    found = []  # per sub-batch: its designs, kept columns, per-size winners and Cp
-    for members in batches:
-        columns = np.flatnonzero(keep[members[0]])
-        XkT = (XcT if len(batches) == 1 and columns.size == p
-               else np.ascontiguousarray(XcT[np.ix_(members, columns)]))
-        found.append((np.array(members), columns, *_search(XkT, Yc, tss, max_size)))
-    targets = Y.shape[1]
-
-    def write(size: int | None, fields: list[np.ndarray], rows: np.ndarray) -> None:
-        columns, coefficients, intercept, rss, cp, n_rows, dropped = fields
-        for members, kept, winners, cps in found:
-            picked = cps.argmin(axis=1) if size is None else np.full((len(members), targets),
-                                                                      size - 1)
-            for k in (np.unique(picked) + 1).tolist():
-                positions, betas, rsss = winners[k - 1]
-                i, t = np.nonzero(picked == k - 1)
-                at, cols, beta = rows[members[i]], kept[positions[i, t]], betas[i, t]
-                columns[at, t, :k], coefficients[at, t, :k] = cols, beta
-                intercept[at, t] = y_mean[t] - (x_mean[members[i][:, None], cols][:, None]
-                                                @ beta[:, :, None])[:, 0, 0]
-                rss[at, t], cp[at, t] = rsss[i, t], cps[i, k - 1, t]
-        n_rows[rows] = n
-        dropped[rows, :p] = ~keep
-
-    return found[0][3].shape[1], write
-
-
-def best_subsets(X, y, max_size: int | None = None) -> dict[int, SubsetModel]:
-    """Exact minimum-RSS subset per size 1..max_size by enumeration.
-
-    Dependent and constant columns are screened out first and reported
-    in ``dropped``. Every subset of the remaining columns is scored; an
-    exact RSS tie within a size goes to the lexicographically first
-    column tuple. Designs of more than MAX_COLUMNS columns raise
-    ValueError.
-    """
-    X, Y = _validate_xy(X, np.ravel(y))
-    sizes, write = _enumerate(X, Y, max_size)
-    models = {}
-    for k in range(1, sizes + 1):
-        fields = _blank(len(X), 1, X.shape[2])
-        write(k, fields, np.arange(len(X)))
-        models[k] = ModelTable(*fields).model(0, 0)
-    return models
+    columns, coefficients, intercept, rss, cp, n_rows, dropped = fields
+    for members in same_rows(keep):
+        kept = np.flatnonzero(keep[members[0]])
+        XkT = (XcT if len(members) == G and kept.size == p
+               else np.ascontiguousarray(XcT[np.ix_(members, kept)]))
+        winners, cps = _search(XkT, Yc, tss, max_size)
+        members, picked = np.array(members), cps.argmin(axis=1)
+        for k in (np.unique(picked) + 1).tolist():
+            positions, betas, rsss = winners[k - 1]
+            i, t = np.nonzero(picked == k - 1)
+            at, cols, beta = rows[members[i]], kept[positions[i, t]], betas[i, t]
+            columns[at, t, :k], coefficients[at, t, :k] = cols, beta
+            intercept[at, t] = y_mean[t] - (x_mean[members[i][:, None], cols][:, None]
+                                            @ beta[:, :, None])[:, 0, 0]
+            rss[at, t], cp[at, t] = rsss[i, t], cps[i, k - 1, t]
+    n_rows[rows] = n
+    dropped[rows, :p] = ~keep
 
 
 def select_stacks(stacks, shape: tuple[int, int, int],
@@ -426,7 +394,7 @@ def select_stacks(stacks, shape: tuple[int, int, int],
     """
     fields = _blank(*shape)
     for X, Y, rows in stacks:
-        _enumerate(*_validate_xy(X, Y), max_size)[1](None, fields, np.asarray(rows))
+        _select(*_validate_xy(X, Y), max_size, fields, np.asarray(rows))
     return ModelTable(*fields)
 
 
@@ -439,10 +407,12 @@ def select_stack(X, Y, max_size: int | None = None) -> ModelTable:
     selection is deterministic.
     """
     X, Y = _validate_xy(X, Y)
-    return select_stacks([(X, Y, np.arange(len(X)))], (len(X), Y.shape[1], X.shape[2]),
-                         max_size)
+    fields = _blank(len(X), Y.shape[1], X.shape[2])
+    _select(X, Y, max_size, fields, np.arange(len(X)))
+    return ModelTable(*fields)
 
 
+# kept for perfbench/traced.py, which times it as subset.search_ms
 def select_model(X, y, max_size: int | None = None) -> SubsetModel:
     """Minimum-Cp subset among per-size winners for one target; see select_stack."""
     return select_stack(X, np.ravel(y), max_size).model(0, 0)

@@ -75,3 +75,33 @@ def test_every_name_the_benchmark_takes_from_the_package_resolves():
                     and node.value.id in modules and not hasattr(modules[node.value.id], node.attr)]
     assert missing == []
     assert callable(ModelGroup.predict) and callable(PredictorKey.predict)
+
+
+def _public_functions(tree):
+    """(qualified name, node) of a module's public top-level functions and methods."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def test_every_public_function_is_used_outside_its_definition():
+    # a public function or method that only __init__.py re-exports, and that no
+    # module of the package and no benchmark module reads, is dead API
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"}
+    readers = [*trees.values(), *(ast.parse(path.read_text())
+                                  for path in sorted(PERFBENCH.glob("*.py")))]
+    refs = {}  # name -> ids of the nodes that read it, by name, attribute or import
+    for tree in readers:
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else node.attr
+                    if isinstance(node, ast.Attribute) else node.name
+                    if isinstance(node, ast.alias) else None)
+            refs.setdefault(name, set()).add(id(node))
+    unused = [f"{module}: {qualified}" for module, tree in trees.items()
+              for qualified, fn in _public_functions(tree)
+              if not refs.get(fn.name, set()) - {id(node) for node in ast.walk(fn)}]
+    assert unused == []

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import dataclasses
+import functools
 import re
 import shutil
 import tempfile
@@ -430,18 +431,18 @@ def test_stage_fit_makes_one_solve_per_chunk_and_subset_size(golden_run, monkeyp
     by_bucket = Counter((m.max_lag, m.dim) for m in maps)
     assert len(by_bucket) > 1
     calls, searches = [], []
-    solve, enumerate_stack = np.linalg.solve, subset._enumerate
+    solve, select = np.linalg.solve, subset._select
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    def searched(X, Y, max_size):
+    def searched(X, Y, *args):
         searches.append((len(X), Y.shape[1]))
-        return enumerate_stack(X, Y, max_size)
+        return select(X, Y, *args)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    monkeypatch.setattr(subset, "_enumerate", searched)
+    monkeypatch.setattr(subset, "_select", searched)
     for fit_chunk in (ensemble.FIT_CHUNK, 3):
         monkeypatch.setattr(ensemble, "FIT_CHUNK", fit_chunk)
         chunks = sum(-(-count // fit_chunk) for count in by_bucket.values())
@@ -656,6 +657,13 @@ def _set(name, value):
     return change
 
 
+def _put(name, value, *index):
+    """A change to the stored array ``name`` at ``index``."""
+    def change(table):
+        functools.reduce(list.__getitem__, index[:-1], table[name])[index[-1]] = value
+    return change
+
+
 @pytest.mark.parametrize("change, error, message", [
     (_set("columns", [-1] * 8), ValueError, "at least one column"),
     (_set("coefficients", [float("nan")] + [0.0] * 7), ValueError,
@@ -669,8 +677,19 @@ def _set(name, value):
     (_set("columns", [0, -1, 2] + [-1] * 5), ValueError,
      "columns must increase, padded with -1 only at the tail"),
     (_set("columns", [8] + [-1] * 7), ValueError, re.escape("columns must lie in [0, 8)")),
+    (_set("columns", [0, 2.5] + [-1] * 6), PanelFormatError,
+     "attractor F8: columns holds 2.5, not an integer"),
+    (_put("map_index", 3.5, 3), PanelFormatError,
+     "attractor F8: map_index holds 3.5, not an integer"),
+    (_put("n_rows", 170.25, 3), PanelFormatError,
+     "attractor F8: n_rows holds 170.25, not an integer"),
+    (_put("dropped", 0.25, 3, 0), PanelFormatError,
+     "attractor F8: dropped holds 0.25, not 0/1 or true/false"),
+    (_put("dropped", 2, 3, 0), PanelFormatError,
+     "attractor F8: dropped holds 2.0, not 0/1 or true/false"),
 ], ids=["no-column", "coefficient", "intercept", "cp", "negative-rss", "rss", "ragged",
-        "inner-padding", "column-range"])
+        "inner-padding", "column-range", "fractional-column", "fractional-map-index",
+        "fractional-n-rows", "fractional-dropped", "dropped-two"])
 def test_loaders_reject_what_a_subset_model_rejects(golden_run, tmp_path, change, error,
                                                     message):
     # a table stores a map's stations, row count and dropped columns once, so

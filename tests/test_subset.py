@@ -11,8 +11,8 @@ from chaoscast.embedding import (DelayMap, build_design_matrix, lagged_designs,
 from chaoscast.ensemble import Station, fit_model_groups, predict_groups
 from chaoscast.errors import ConfigError
 from chaoscast.subset import (MAX_COLUMNS, PIVOT_TOL, RANK_TOL, RESIDUAL_TOL, SCREEN_MIN_SUBSETS,
-                              SCREEN_TOL, SubsetModel, _independent_columns, best_subsets,
-                              mallows_cp, same_rows, select_model, select_stack)
+                              SCREEN_TOL, SubsetModel, _independent_columns, mallows_cp,
+                              same_rows, select_model, select_stack)
 from test_ensemble import table_groups
 
 
@@ -30,6 +30,23 @@ def exhaustive_best(X, y, max_size):
             if k not in best or rss < best[k][0]:
                 best[k] = (rss, subset)
     return best
+
+
+def best_subsets(X, y, max_size=None):
+    """Each size's minimum-RSS model of a full-rank (n, p) design, as {size: SubsetModel}:
+    the per-size winners of ``subset._search`` on the centred design."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    x_mean, yc = X.mean(axis=0), (y - y.mean())[:, None]
+    XkT = np.ascontiguousarray((X - x_mean).T)[None]
+    assert _independent_columns(XkT).all(), "the search helper takes full-rank designs"
+    winners, cp = subset._search(XkT, yc, np.sum(yc * yc, axis=0), max_size)
+    models = {}
+    for k, (positions, beta, rss) in enumerate(winners, start=1):
+        cols, coefficients = positions[0, 0], beta[0, 0]
+        models[k] = SubsetModel(columns=tuple(cols.tolist()), coefficients=coefficients,
+                                intercept=float(y.mean() - x_mean[cols] @ coefficients),
+                                rss=float(rss[0, 0]), cp=float(cp[0, k - 1, 0]), n_rows=len(y))
+    return models
 
 
 def ols(X, y):
@@ -78,10 +95,11 @@ def test_ols_drops_dependent_columns_with_report():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(25)
     X = np.column_stack([x, 2.0 * x, rng.standard_normal(25)])
-    fit = ols(X, x + 1.0)
+    fit = select_stack(X, x + 1.0).model(0, 0)
     assert fit.dropped == (1,)
-    assert fit.columns == (0, 2)
+    assert fit.columns[0] == 0 and 1 not in fit.columns
     assert fit.rss == pytest.approx(0.0, abs=1e-18)
+    assert ols(X[:, [0, 2]], x + 1.0).rss == pytest.approx(0.0, abs=1e-18)
 
 
 def test_ols_constant_response_and_validation():
@@ -90,10 +108,10 @@ def test_ols_constant_response_and_validation():
     fit = ols(X, np.full(10, 3.0))
     assert np.allclose(fit.coefficients, 0.0, atol=1e-12)
     assert fit.intercept == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        ols(np.empty((0, 2)), np.empty(0))
-    with pytest.raises(ValueError):
-        ols(X[:2], np.ones(2))  # rows < columns + 1
+    with pytest.raises(ValueError, match="zero rows"):
+        select_stack(np.empty((0, 2)), np.empty(0))
+    with pytest.raises(ValueError, match="more rows than columns"):
+        select_stack(X[:2], np.ones(2))  # rows < columns + 1
 
 
 def test_ols_residuals_orthogonal_to_columns():
@@ -149,9 +167,9 @@ def test_best_subsets_excludes_dependent_columns():
     x = rng.standard_normal(40)
     X = np.column_stack([x, rng.standard_normal(40), x * 1.0])
     y = x + 0.1 * rng.standard_normal(40)
-    per_size = best_subsets(X, y, max_size=2)
-    assert per_size[1].dropped == (2,)
-    assert 2 not in per_size[1].columns
+    table = select_stack(X, y, max_size=2)
+    assert table.model(0, 0).dropped == (2,)
+    assert 2 not in table.model(0, 0).columns
 
 
 def test_select_model_single_column():
@@ -204,17 +222,18 @@ def test_prediction_scales_affinely_with_zero_intercept():
 def test_best_subsets_validation():
     rng = np.random.default_rng(12)
     with pytest.raises(ValueError):
-        best_subsets(rng.standard_normal((5, 6)), rng.standard_normal(5))
+        select_stack(rng.standard_normal((5, 6)), rng.standard_normal(5))
     with pytest.raises(ValueError):
-        best_subsets(rng.standard_normal((40, 31)), rng.standard_normal(40))
+        select_stack(rng.standard_normal((40, 31)), rng.standard_normal(40))
 
 
 def test_best_subsets_rejects_more_than_the_column_cap():
     rng = np.random.default_rng(13)
     X = rng.standard_normal((40, MAX_COLUMNS + 1))
     with pytest.raises(ValueError, match="capped"):
-        best_subsets(X, rng.standard_normal(40))
-    assert len(best_subsets(X[:, :MAX_COLUMNS], rng.standard_normal(40))) == MAX_COLUMNS
+        select_stack(X, rng.standard_normal(40))
+    assert select_stack(X[:, :MAX_COLUMNS], rng.standard_normal(40)).columns.shape[-1] == \
+        MAX_COLUMNS
 
 
 def test_exact_rss_ties_go_to_the_first_subset():
@@ -577,7 +596,7 @@ def test_a_near_duplicate_column_is_dropped_where_its_gram_was_singular(n, eps):
         assert table.dropped[:, 4].all() and table.dropped.sum() == len(X)
         for x, got in zip(X, table_models(table)):
             _assert_same_bits(got, reference_select_models(x, Y))
-        assert best_subsets(X[0], Y[:, 0])[1].dropped == (4,)
+        assert select_stack(X[0], Y[:, 0]).model(0, 0).dropped == (4,)
 
 
 def test_dependent_columns_below_the_crossover_equal_the_reference_bit_for_bit():
