@@ -509,10 +509,10 @@ def table_to_dict(groups) -> dict:
 
 def table_from_dict(d: dict, attractor_id: str) -> GroupTable:
     """The stored table of one attractor; PanelFormatError names it if an array
-    is ragged or not shaped by its maps and stations, if an integer array holds
-    a non-integral value, or if the dropped mask holds other than 0/1 or
-    true/false. The table's own checks then reject a model it cannot hold
-    (see ``ModelTable``)."""
+    is ragged or not shaped by its maps and stations, if an entry is not a
+    number (such as a string or null), if an integer array holds a non-integral
+    value, or if the dropped mask holds other than 0/1 or true/false. The
+    table's own checks then reject a model it cannot hold (see ``ModelTable``)."""
     maps = tuple(map_from_dict(m) for m in d["maps"])
     G, S, p = len(maps), len(d["stations"]), max((m.dim for m in maps), default=1)
     arrays = []
@@ -521,11 +521,18 @@ def table_from_dict(d: dict, attractor_id: str) -> GroupTable:
                                   ((G,), (G, S, p), (G, S, p), (G, S), (G, S), (G, S), (G,),
                                    (G, p))):
         try:
-            a = np.array(d[name], dtype=float)
-        except (TypeError, ValueError):
+            a = np.array(d[name])
+        except ValueError:  # ragged
             a = None
         if a is None or a.shape != shape:
             raise PanelFormatError(f"attractor {attractor_id}: {name} is not a {shape} array")
+        # a float conversion would take a string such as "2" and turn null into nan
+        bad = [] if a.dtype.kind in "biuf" else [
+            v for v in np.array(d[name], dtype=object).ravel() if not isinstance(v, (int, float))]
+        if bad:
+            raise PanelFormatError(f"attractor {attractor_id}: {name} holds {bad[0]!r}, "
+                                   "not a number")
+        a = a.astype(float, copy=False)
         bad = (a[~np.isin(a, (0.0, 1.0))] if dtype is bool
                else a[~(np.isfinite(a) & (a == np.round(a)))] if dtype is int else ())
         if len(bad):

@@ -1,8 +1,12 @@
 """Pipeline orchestration and artifact emission.
 
-Stages run in a fixed order (library -> ground -> shrinkage -> embed ->
-fit -> select -> forecast -> score [-> invert]), each writing a
-self-describing artifact carrying the config hash and master seed.
+Stages run in a fixed order (library -> ground -> embed -> fit -> select
+-> forecast -> score [-> invert]), each writing a self-describing
+artifact carrying the config hash and master seed. The shrinkage
+bootstrap depends only on the config and only select reads it, so it
+runs on a worker thread beside ground, embed and fit; its log line and
+``shrinkage.json`` come after fit, just before select, and a run that
+fails in ground, embed or fit writes no ``shrinkage.json``.
 Every random draw derives from the master seed, so rerunning an
 identical config reproduces every artifact byte for byte. An empty
 retention is a successful run with an explicit no-forecast marker.
@@ -10,7 +14,9 @@ retention is a successful run with an explicit no-forecast marker.
 
 from __future__ import annotations
 
+import functools
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -32,7 +38,7 @@ from .metrics import (SkillReport, adjusted_dof, box_ljung, correlation_pvalue, 
                       pooled_correlations, running_skill, tercile_boundaries)
 from .panel import Panel, panel_from_text, panel_to_text
 from .seeding import derive_rng
-from .shrinkage import ShrinkageReport, bootstrap_shrinkage, calibrate
+from .shrinkage import ShrinkageReport, bootstrap_shrinkage, calibrate, draw_buffer_shape
 
 log = logging.getLogger("chaoscast")
 
@@ -168,18 +174,29 @@ def load_ground(out: Path):
 # --- shrinkage -----------------------------------------------------------
 
 def stage_shrinkage(cfg: PipelineConfig, out: Path | None = None) -> ShrinkageReport:
-    n_stations = len(cfg.resolved_stations())
-    report = bootstrap_shrinkage(
-        n_stations=n_stations, n_points=cfg.shrinkage.n_points,
-        target_r=cfg.shrinkage.target_r, n_reps=cfg.shrinkage.n_reps,
-        seed=int(derive_rng(cfg.seed, "shrinkage").integers(2**32)))
+    report = _bootstrap(cfg)()
+    _record_shrinkage(cfg, report, out)
+    return report
+
+
+def _bootstrap(cfg: PipelineConfig):
+    """The config's bootstrap as a call with no arguments. Its draw buffer is
+    allocated here, in the caller's thread, and freed when the call is freed."""
+    n_stations, sh = len(cfg.resolved_stations()), cfg.shrinkage
+    return functools.partial(
+        bootstrap_shrinkage, n_stations=n_stations, n_points=sh.n_points,
+        target_r=sh.target_r, n_reps=sh.n_reps,
+        seed=int(derive_rng(cfg.seed, "shrinkage").integers(2**32)),
+        draws=np.empty(draw_buffer_shape(n_stations, sh.n_points, sh.n_reps)))
+
+
+def _record_shrinkage(cfg: PipelineConfig, report: ShrinkageReport, out: Path | None) -> None:
     log.info("shrinkage: factor=%.4f over %d replicates",
              report.shrinkage_factor, report.n_replicates)
     if out is not None:
         payload = asdict(report)
         payload["bootstrap_seed"] = payload.pop("seed")
         write_json(out / "shrinkage.json", {**payload, **_header(cfg)})
-    return report
 
 
 # --- embed ---------------------------------------------------------------
@@ -485,10 +502,16 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> PipelineResult:
         out.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out / "config.json")
     library = stage_library(cfg, out)
-    ground, factors, meta = stage_ground(cfg, library, out)
-    shrink = stage_shrinkage(cfg, out)
-    maps = stage_embed(cfg, library, ground, out)
-    groups = stage_fit(cfg, library, maps, out)
+    # the bootstrap spends most of its time filling draws with the GIL released;
+    # started after the library, its draw buffer is never resident at once with
+    # the library's integration state, and the block exit joins it on every path
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        bootstrap = pool.submit(_bootstrap(cfg))
+        ground, factors, meta = stage_ground(cfg, library, out)
+        maps = stage_embed(cfg, library, ground, out)
+        groups = stage_fit(cfg, library, maps, out)
+        shrink = bootstrap.result()
+    _record_shrinkage(cfg, shrink, out)
     keys_by_attractor, retained = stage_select(cfg, groups, ground, shrink, out)
     forecast = stage_forecast(cfg, retained, ground, out)
     skill, running, boundaries = stage_score(cfg, forecast, ground, out)

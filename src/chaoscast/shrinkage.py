@@ -19,7 +19,12 @@ from .seeding import derive_rng
 
 N_HOLDOUT = 4  # predicted points per station, treated as pseudo-seasons
 MIN_REPS = 100  # fewest bootstrap replicates behind a measured factor
-REP_SLICE = 256  # bootstrap replicates per slice of the statistics' temporaries
+# bootstrap replicates per slice of the Y noise and the statistics' temporaries.
+# These are the only arrays the bootstrap allocates on the thread that runs it,
+# and a worker thread's own malloc arena keeps them resident: at 256 the
+# pipeline's peak RSS on the forcing-grid benchmark rose 2-5 MB over the serial
+# bootstrap, at 64 it did not rise
+REP_SLICE = 64
 CALIBRATION_DIRECTIONS = ("obs_on_pred", "pred_on_obs")
 
 
@@ -47,9 +52,20 @@ class ShrinkageReport:
             raise ValueError("shrinkage_factor must equal sd_predicted/sd_observed")
 
 
+def draw_buffer_shape(n_stations: int, n_points: int, n_reps: int) -> tuple[int, ...]:
+    """The (2, block, stations, points) shape of the bootstrap's draw buffer.
+
+    A block is the most replicates drawn at once: about 2e7 values per
+    draw array, at most 20,000 replicates, and at least one. The block
+    size fixes the order of the draws, so it fixes every bit of the report.
+    """
+    block = max(1, min(20_000, int(2e7 // (n_stations * n_points))))
+    return (2, min(block, n_reps), n_stations, n_points)
+
+
 def bootstrap_shrinkage(n_stations: int, n_points: int = 100,
                         target_r: float = 1.0 / 3.0, n_reps: int = 2000,
-                        seed: int = 0) -> ShrinkageReport:
+                        seed: int = 0, draws: np.ndarray | None = None) -> ShrinkageReport:
     """Measure prediction shrinkage on a matched Gaussian toy system.
 
     Per replicate and station: a latent standard-normal signal X1 of
@@ -60,6 +76,16 @@ def bootstrap_shrinkage(n_stations: int, n_points: int = 100,
     predicted, and those four indices are averaged across stations as
     pseudo-seasons. The factor is the replicate-averaged sd of predicted
     seasonal means over the sd of observed ones.
+
+    Replicates run in blocks (see :func:`draw_buffer_shape`). Per block the
+    draws come in a fixed order: all of X1, then all of the X2 noise, then
+    the Y noise, one ``REP_SLICE`` of replicates at a time. X1 fills
+    ``draws[0]`` and the X2 noise ``draws[1]``, which becomes X2 in place;
+    each slice of Y noise is added into X1's own rows, which then hold Y.
+    ``draws`` is an uninitialised float64 buffer of exactly that shape, so
+    a caller can allocate it in another thread than the one that runs the
+    bootstrap; by default it is allocated here. ValueError if it has
+    another shape or dtype.
     """
     if n_reps < MIN_REPS:
         raise ValueError(f"n_reps must be >= {MIN_REPS}")
@@ -69,31 +95,35 @@ def bootstrap_shrinkage(n_stations: int, n_points: int = 100,
         raise ValueError(f"n_points must exceed {N_HOLDOUT + 2}")
     if not 0.0 < target_r < 1.0:
         raise ValueError("target_r must lie in (0, 1)")
-    noise_var = 1.0 / target_r - 1.0
+    shape = draw_buffer_shape(n_stations, n_points, n_reps)
+    if draws is None:
+        draws = np.empty(shape)
+    elif draws.shape != shape or draws.dtype != np.float64:
+        raise ValueError(f"draws must be a float64 array of shape {shape}, "
+                         f"not {draws.dtype} {draws.shape}")
+    noise_sd = np.sqrt(1.0 / target_r - 1.0)
     rng = derive_rng(seed, "bootstrap-shrinkage")
     n_fit = n_points - N_HOLDOUT
 
     sd_obs_sum = sd_pred_sum = corr_sum = slope_sum = 0.0
     done = 0
-    block = max(1, min(20_000, int(2e7 // (n_stations * n_points)) or 1))
     while done < n_reps:
-        b = min(block, n_reps - done)
-        shape = (b, n_stations, n_points)
-        # draws in a fixed order: all of x1, then the x2 noise, then the y noise
-        x1 = rng.standard_normal(shape)
-        x2 = rng.standard_normal(shape)
-        x2 *= np.sqrt(noise_var)
-        x2 += x1
-        y = rng.standard_normal(shape)
-        y *= np.sqrt(noise_var)
-        y += x1
-        del x1
+        b = min(shape[1], n_reps - done)
+        y, x2 = draws[0, :b], draws[1, :b]  # y holds x1 until its noise is added
+        rng.standard_normal(out=y)
+        rng.standard_normal(out=x2)
+        x2 *= noise_sd
+        x2 += y
         # per-replicate statistics in slices, each summed once over the block
         sd_pred, sd_obs = np.empty(b), np.empty(b)
         slope = np.empty((b, n_stations))
         corr = np.empty(b * n_stations)
         for lo in range(0, b, REP_SLICE):
             hi = min(lo + REP_SLICE, b)
+            noise = rng.standard_normal((hi - lo, n_stations, n_points))
+            noise *= noise_sd
+            y[lo:hi] += noise
+            del noise
             xs, ys = x2[lo:hi], y[lo:hi]
             xf, yf = xs[..., :n_fit], ys[..., :n_fit]
             xm = xf.mean(axis=2, keepdims=True)

@@ -5,6 +5,7 @@ import functools
 import re
 import shutil
 import tempfile
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -171,6 +172,30 @@ def test_run_all_is_complete_and_byte_reproducible(run_all, tmp_path):
         assert trees[0] == trees[1]
         assert json.loads(trees[0]["shrinkage.json"])["bootstrap_seed"] >= 0
         assert json.loads(trees[0]["ground.meta.json"])["provenance"]["mode"] == mode
+
+
+def test_run_pipeline_bootstrap_beside_fit_equals_the_serial_stage():
+    cfg = PipelineConfig.from_dict(GOLDEN_CONFIG)
+    assert dataclasses.asdict(pl.run_pipeline(cfg).shrinkage) == \
+        dataclasses.asdict(pl.stage_shrinkage(cfg))
+
+
+def test_a_failed_fit_joins_the_bootstrap_and_writes_no_shrinkage(tmp_path, monkeypatch):
+    error = RuntimeError("fit failed")
+    started = []
+
+    def failing_fit(*args, **kwargs):
+        started.append(threading.active_count())
+        raise error
+
+    monkeypatch.setattr(pl, "stage_fit", failing_fit)
+    before = threading.enumerate()
+    with pytest.raises(RuntimeError) as raised:
+        pl.run_pipeline(PipelineConfig.from_dict(GOLDEN_CONFIG), tmp_path)
+    assert raised.value is error
+    assert started == [len(before) + 1]  # the bootstrap's worker ran beside fit
+    assert threading.enumerate() == before
+    assert (tmp_path / "maps.json").exists() and not (tmp_path / "shrinkage.json").exists()
 
 
 def test_staged_verbs_write_the_same_bytes_as_run_all(golden_run, tmp_path):
@@ -687,9 +712,15 @@ def _put(name, value, *index):
      "attractor F8: dropped holds 0.25, not 0/1 or true/false"),
     (_put("dropped", 2, 3, 0), PanelFormatError,
      "attractor F8: dropped holds 2.0, not 0/1 or true/false"),
+    (_set("columns", [0, "2"] + [-1] * 6), PanelFormatError,
+     "attractor F8: columns holds '2', not a number"),
+    (_put("n_rows", "188", 3), PanelFormatError,
+     "attractor F8: n_rows holds '188', not a number"),
+    (_set("cp", None), PanelFormatError, "attractor F8: cp holds None, not a number"),
 ], ids=["no-column", "coefficient", "intercept", "cp", "negative-rss", "rss", "ragged",
         "inner-padding", "column-range", "fractional-column", "fractional-map-index",
-        "fractional-n-rows", "fractional-dropped", "dropped-two"])
+        "fractional-n-rows", "fractional-dropped", "dropped-two", "string-column",
+        "string-n-rows", "null-cp"])
 def test_loaders_reject_what_a_subset_model_rejects(golden_run, tmp_path, change, error,
                                                     message):
     # a table stores a map's stations, row count and dropped columns once, so

@@ -12,6 +12,7 @@ from chaoscast.shrinkage import (
     apply_bias_correction,
     bootstrap_shrinkage,
     calibrate,
+    draw_buffer_shape,
     stein_adjust,
 )
 
@@ -105,14 +106,31 @@ def test_bootstrap_is_bit_identical_to_the_whole_block_loop(kwargs):
         asdict(reference_bootstrap_shrinkage(seed=11, **kwargs))
 
 
-def test_bootstrap_transient_memory_stays_below_24_mib():
+def test_bootstrap_takes_a_caller_buffer_of_its_one_shape():
+    shape = draw_buffer_shape(7, 37, 333)
+    assert shape == (2, 333, 7, 37)
+    assert draw_buffer_shape(4, 100, 30_000) == (2, 20_000, 4, 100)
+    assert draw_buffer_shape(20_000, 20_000, 100)[1] == 1
+    # the buffer's old contents are never read
+    assert asdict(bootstrap_shrinkage(7, 37, n_reps=333, seed=11,
+                                      draws=np.full(shape, np.nan))) == \
+        asdict(bootstrap_shrinkage(7, 37, n_reps=333, seed=11))
+    # another block size would draw another stream
+    for wrong in (np.empty((2, 332, 7, 37)), np.empty((2, 334, 7, 37)),
+                  np.empty((333, 7, 37)), np.empty(shape, dtype=np.float32)):
+        with pytest.raises(ValueError, match="draws must be a float64 array"):
+            bootstrap_shrinkage(7, 37, n_reps=333, seed=11, draws=wrong)
+
+
+def test_bootstrap_transient_memory_stays_below_14_mib():
+    # two (2000, 4, 100) draw arrays take 12.2 MiB of it
     tracemalloc.start()
     try:
         bootstrap_shrinkage(4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 14 * 2**20
 
 
 def test_bootstrap_population_correlation_and_slope():
