@@ -187,6 +187,11 @@ class PipelineConfig:
             raise ConfigError(
                 f"surrogate.min_steady_seasons ({self.surrogate.min_steady_seasons}) "
                 f"must cover the schedule end ({windows.end})")
+        if self.surrogate.min_steady_seasons > self.surrogate.n_seasons:
+            raise ConfigError(
+                f"surrogate.min_steady_seasons ({self.surrogate.min_steady_seasons}) "
+                f"exceeds surrogate.n_seasons ({self.surrogate.n_seasons}), which bounds "
+                "a run's steady seasons")
         for sid, target in self.stations.items():
             if len(target) != 2:
                 raise ConfigError(f"station {sid} target must be [variable, site]")
@@ -204,6 +209,10 @@ class PipelineConfig:
             raise ConfigError("inversion.fraction_of_max must lie in (0, 1]")
         if (tw := inv.target_window) and not (len(tw) == 2 and 0 <= tw[0] < tw[1]):
             raise ConfigError("inversion.target_window must be [start, end], 0 <= start < end")
+        if tw and self.ground.mode != "file" and tw[1] > windows.end:
+            # a file's panel may run past the schedule; a synthetic one ends with it
+            raise ConfigError(f"inversion.target_window ends at season {tw[1]}, past the "
+                              f"{windows.end}-season {self.ground.mode} ground panel")
         if inv.trailing_seasons < 1:
             raise ConfigError("inversion.trailing_seasons must be >= 1")
         for name in ("bandwidth", "n_fitted_means"):

@@ -70,16 +70,15 @@ class AttractorEstimate:
         mean, sd = self.scale.get(key, (0.0, 1.0))
         return self.panel.values[key] * sd + mean
 
-    def trailing_mean(self, variable: str = WET, n_seasons: int = 100) -> float:
-        """Mean of the raw (de-standardized) observable over the trailing seasons.
-
-        Cross-site mean of the last ``n_seasons`` steady seasons, the
-        run's realized steady-state level on the parameter axis.
+    def trailing_mean(self, n_seasons: int = 100) -> float:
+        """Mean of the raw (de-standardized) ``WET`` observable over the trailing
+        seasons: the cross-site mean of the last ``n_seasons`` steady seasons,
+        the run's realized steady-state level on the parameter axis.
         """
         vals = [self.raw_series(key)[-n_seasons:] for key in self.panel.values
-                if key[0] == variable]
+                if key[0] == WET]
         if not vals:
-            raise ValueError(f"no series for variable {variable!r}")
+            raise ValueError(f"no series for variable {WET!r}")
         return float(np.mean(vals))
 
 
@@ -311,6 +310,9 @@ class SurrogateConfig:
         if self.steady_window < 2 or self.n_seasons < 2 * self.steady_window:
             raise ValueError("steady_window must be >= 2 and n_seasons must cover "
                              "two steady windows")
+        if not self.slope_tol > 0:
+            raise ValueError(f"slope_tol {self.slope_tol} must be > 0: a standardized "
+                             "slope is never negative, so no window would be steady")
         ring = {site_id(i) for i in range(self.K)}
         for name, regions in sorted(self.indices.items()):
             sets = [set(region) for region in regions]
@@ -334,8 +336,7 @@ def check_grid(parameters: list[TuningParameter]) -> None:
 
 
 def steady_run(parameters: list[TuningParameter], seeds: list[int],
-               surrogate: SurrogateConfig,
-               names: list[str] | None = None) -> list[tuple[Panel, int]]:
+               surrogate: SurrogateConfig, names: list[str]) -> list[tuple[Panel, int]]:
     """Integrate one run per grid row at its fixed forcing and keep its steady seasons.
 
     All rows are integrated together as one ``(P, K)`` batch. Row p starts
@@ -343,15 +344,13 @@ def steady_run(parameters: list[TuningParameter], seeds: list[int],
     to seasonal means with the configured two-region indices appended,
     and is cut where the cross-site mean of every variable is first
     steady. Returns each row's raw steady panel and the season it starts
-    at. Errors name a row by ``names[p]`` (``parameter <label>`` by
-    default). Divergence comes first: the row that diverges at the
-    earliest step, the first in batch order at that step, whatever its
-    name. Then the first row in batch order that never settles.
+    at. Errors name a row by ``names[p]``. Divergence comes first: the row
+    that diverges at the earliest step, the first in batch order at that
+    step, whatever its name. Then the first row in batch order that never
+    settles.
     """
     sur = surrogate
     sur.check()
-    if names is None:
-        names = [f"parameter {p.label}" for p in parameters]
     x0 = np.stack([start_state(p.value, sur.K, None, seed, PERTURBATION)
                    for p, seed in zip(parameters, seeds, strict=True)])
     try:

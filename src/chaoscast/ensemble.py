@@ -8,12 +8,13 @@ map. ``predict_groups`` predicts from those arrays, one product per model
 size, on designs read by ``embedding.lagged_designs``; every prediction
 goes through it and equals a lone one bit for bit. Each attractor's
 groups are predicted once; the rank, select and retain windows are
-column slices of that stack. Groups are ranked by the pooled correlation
-of their shrunken predictions, the top X percent are combined by mean or
-by the most populous 1-D cluster (vote) into keys scored on the select
-and retain windows, retention keeps at most one key per cut (a key or its
-other-combiner sibling) whose retain r is strictly above a threshold, and
-the survivors' per-season median is the forecast. An attractor's groups,
+column slices of that stack. Ranking orders the stack's rows by the pooled
+correlation of their shrunken predictions, the first X percent of that
+order are combined by mean or by the most populous 1-D cluster (vote)
+into keys scored on the select and retain windows, retention keeps at
+most one key per cut (a key or its other-combiner sibling) whose retain r
+is strictly above a threshold, and the survivors' per-season median is
+the forecast. An attractor's groups,
 and its keys, are scored in one ``metrics.pooled_correlations`` call per
 window.
 
@@ -105,10 +106,6 @@ class ModelGroup:
         return {sid: self.table.models.model(self.row, s)
                 for s, sid in enumerate(self.table.stations)}
 
-    @property
-    def total_size(self) -> int:
-        return int((self.table.models.columns[self.row] >= 0).sum())
-
     # kept for perfbench/traced.py, which stacks member predictions for its vote timing
     def predict(self, panel: Panel, stations: tuple[Station, ...],
                 seasons: tuple[int, int]) -> np.ndarray:
@@ -194,38 +191,29 @@ def observation_matrix(panel: Panel, stations: tuple[Station, ...],
                       for st in stations])
 
 
-@dataclass
-class RankedModel:
-    group: ModelGroup
-    correlation: float
-    index: int  # the group's row in the prediction stack
-    degenerate: bool = False
-
-
 def rank_models(groups, preds: np.ndarray, obs: np.ndarray, shrink_factor: float,
-                positive_part: bool = False) -> list[RankedModel]:
-    """Order model groups by pooled correlation of shrunken predictions.
+                positive_part: bool = False) -> np.ndarray:
+    """Rows of the groups, best first, by pooled correlation of shrunken predictions.
 
     ``preds`` is the (groups, stations, seasons) stack on the rank window,
-    shrunk and correlated in one call each. Zero-variance predictions rank
-    with correlation 0 and a degenerate flag; ties break toward smaller
-    models, then input order.
+    shrunk and correlated in one call each, and the result indexes its rows.
+    Zero-variance predictions rank with correlation 0 (``pooled_correlations``
+    flags them degenerate); ties go to the smaller model, its sizes summed
+    over stations from the table's ``sizes``, then to the earlier row.
     """
-    r, degenerate, _ = pooled_correlations(
-        stein_adjust(preds, shrink_factor, positive_part=positive_part), obs)
-    ranked = [RankedModel(group, float(r[idx]), idx, bool(degenerate[idx]))
-              for idx, group in enumerate(groups)]
-    return sorted(ranked, key=lambda rm: (-rm.correlation, rm.group.total_size, rm.index))
+    r = pooled_correlations(stein_adjust(preds, shrink_factor, positive_part=positive_part),
+                            obs)[0]
+    size = _one_table(groups).models.sizes[[g.row for g in groups]].sum(axis=1)
+    return np.lexsort((np.arange(len(r)), size, -r))
 
 
-def take_top_percent(ranked: list[RankedModel], top_percent: int) -> list[RankedModel]:
-    """The ceil(X% of count) most correlated models, from the top."""
+def take_top_percent(order: np.ndarray, top_percent: int) -> np.ndarray:
+    """The first ceil(X% of count) rows of a best-first order."""
     if top_percent not in ALLOWED_TOP_PERCENT:
         raise ValueError(f"top_percent must be one of {ALLOWED_TOP_PERCENT}")
-    if not ranked:
+    if not len(order):
         raise ValueError("no ranked models to draw from")
-    count = math.ceil(len(ranked) * top_percent / 100.0)
-    return ranked[:count]
+    return order[:math.ceil(len(order) * top_percent / 100.0)]
 
 
 def _cut_bounds(ordered: np.ndarray, k: int) -> np.ndarray:
@@ -389,25 +377,25 @@ class PredictorKey:
         return self.combine(predict_groups(self.members, panel, self.stations, seasons))
 
 
-def form_keys(attractor_id: str, ranked: list[RankedModel], preds: np.ndarray,
+def form_keys(attractor_id: str, groups, order: np.ndarray, preds: np.ndarray,
               obs: np.ndarray, n_select: int, stations: tuple[Station, ...],
               shrink_factor: float, x_grid=(10, 30, 100), vote_k: int = 2,
               vote_mode: str = "majority", positive_part: bool = False) -> list[PredictorKey]:
     """One key per (top-percent, combiner), scored on the select and retain windows.
 
-    ``preds`` is the (groups, stations, seasons) stack ``RankedModel.index``
-    points into and ``obs`` its observations: ``n_select`` select seasons,
-    then the retain seasons. The combined keys are stacked and scored in
-    one ``pooled_correlations`` call per window.
+    ``order`` is the groups' best-first rows (``rank_models``), ``preds`` their
+    (groups, stations, seasons) stack and ``obs`` its observations:
+    ``n_select`` select seasons, then the retain seasons. The combined keys
+    are stacked and scored in one ``pooled_correlations`` call per window.
     """
     keys, combined = [], []
     for x in x_grid:
-        top = take_top_percent(ranked, x)
-        stack = preds[[rm.index for rm in top]]
+        top = take_top_percent(order, x)
+        stack = preds[top]
         for comb in COMBINERS:
             keys.append(PredictorKey(
                 attractor_id=attractor_id, top_percent=x, combiner=comb,
-                stations=stations, members=tuple(rm.group for rm in top),
+                stations=stations, members=tuple(groups[i] for i in top),
                 shrink_factor=shrink_factor, vote_k=vote_k, vote_mode=vote_mode,
                 positive_part=positive_part))
             combined.append(keys[-1].combine(stack))

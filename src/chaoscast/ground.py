@@ -5,8 +5,7 @@ coordinate system; file input maps weather-station rows onto configured
 sites, and synthetic ground copies a library member or runs the
 surrogate afresh, with observation noise at a chosen signal-to-noise
 ratio. The fresh run is integrated as the last row of the library's
-batch (see :func:`fresh_ground_row`), and only alone when the library
-given does not carry it.
+batch (see :func:`fresh_ground_row`), and the ground reads it from there.
 """
 
 from __future__ import annotations
@@ -16,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .dynamics import AttractorEstimate, TuningParameter, fresh_ground_name, steady_run
+from .dynamics import AttractorLibrary, TuningParameter
 from .errors import ConfigError, PanelFormatError
 from .panel import Coord, Panel
 from .seeding import derive_rng
 
 SEASON_NAMES = ("winter", "spring", "summer", "fall")
+SEASONS_PER_YEAR = len(SEASON_NAMES)  # a panel's season t is season-of-year t % 4
 
 
 def load_panel(path, station_sites: dict[str, tuple[str, str]]) -> Panel:
@@ -64,7 +64,7 @@ def load_panel(path, station_sites: dict[str, tuple[str, str]]) -> Panel:
         raise PanelFormatError(f"{path}: no data rows")
 
     year0 = min(r[2] for r in rows)
-    n_seasons = max((r[2] - year0) * 4 + r[3] for r in rows) + 1
+    n_seasons = max((r[2] - year0) * SEASONS_PER_YEAR + r[3] for r in rows) + 1
     series: dict[Coord, np.ndarray] = {}
     filled: dict[tuple[Coord, int], int] = {}
     for lineno, station, year, season, value in rows:
@@ -72,7 +72,7 @@ def load_panel(path, station_sites: dict[str, tuple[str, str]]) -> Panel:
             raise PanelFormatError(
                 f"{path}: station {station!r} has no configured site mapping")
         coord = station_sites[station]
-        t = (year - year0) * 4 + season
+        t = (year - year0) * SEASONS_PER_YEAR + season
         prev = filled.get((coord, t))
         if prev is not None:
             raise PanelFormatError(
@@ -88,7 +88,6 @@ class StandardizationFactors:
     """Per-series, per-season-of-year means and sds from a reference window."""
 
     reference_window: tuple[int, int]
-    seasons_per_year: int
     means: dict[Coord, np.ndarray]
     sds: dict[Coord, np.ndarray]
 
@@ -104,15 +103,14 @@ def standardize_anomalies(panel: Panel,
     lo, hi = reference_window
     if not 0 <= lo < hi <= panel.n_seasons:
         raise ConfigError(f"reference window [{lo}, {hi}) outside panel")
-    spy = panel.seasons_per_year
-    soy_all = np.arange(panel.n_seasons) % spy
+    soy_all = np.arange(panel.n_seasons) % SEASONS_PER_YEAR
     means: dict[Coord, np.ndarray] = {}
     sds: dict[Coord, np.ndarray] = {}
     out = {}
     for key, vals in panel.values.items():
-        m = np.empty(spy)
-        s = np.empty(spy)
-        for season in range(spy):
+        m = np.empty(SEASONS_PER_YEAR)
+        s = np.empty(SEASONS_PER_YEAR)
+        for season in range(SEASONS_PER_YEAR):
             ref = vals[lo:hi][soy_all[lo:hi] == season]
             ref = ref[np.isfinite(ref)]
             if ref.size < 3:
@@ -128,9 +126,7 @@ def standardize_anomalies(panel: Panel,
         means[key] = m
         sds[key] = s
         out[key] = (vals - m[soy_all]) / s[soy_all]
-    factors = StandardizationFactors(reference_window=(lo, hi), seasons_per_year=spy,
-                                     means=means, sds=sds)
-    return Panel(out, seasons_per_year=spy), factors
+    return Panel(out), StandardizationFactors(reference_window=(lo, hi), means=means, sds=sds)
 
 
 def fresh_ground_row(cfg: PipelineConfig) -> tuple[TuningParameter, int]:
@@ -140,15 +136,14 @@ def fresh_ground_row(cfg: PipelineConfig) -> tuple[TuningParameter, int]:
     return TuningParameter(forcing, cfg.surrogate.label(forcing)), seed
 
 
-def make_ground_panel(cfg: PipelineConfig, library: list[AttractorEstimate]) -> tuple[Panel, dict]:
+def make_ground_panel(cfg: PipelineConfig, library: AttractorLibrary) -> tuple[Panel, dict]:
     """Raw (unstandardized) ground panel plus provenance metadata.
 
     Synthetic modes add per-series Gaussian observation noise with
     sd = series sd / snr; file mode parses the configured input. Fresh
     mode takes its raw steady run from ``library.fresh_ground``, where
-    ``build_attractor_library`` keeps the row it integrated in the
-    library's batch; given a plain list, it integrates that row alone,
-    with the same result.
+    ``build_attractor_library`` keeps the :func:`fresh_ground_row` it
+    integrated in the library's batch; it integrates nothing itself.
     """
     windows = cfg.schedule.windows()
     n_seasons = windows.end
@@ -171,10 +166,7 @@ def make_ground_panel(cfg: PipelineConfig, library: list[AttractorEstimate]) -> 
                 "true_forcing": member.parameter.value}
     else:
         param, seed = fresh_ground_row(cfg)
-        run = getattr(library, "fresh_ground", {}).get((param, seed))
-        if run is None:
-            (run,) = steady_run([param], [seed], cfg.surrogate, [fresh_ground_name(param)])
-        steady, _ = run
+        steady, _ = library.fresh_ground[param, seed]
         if steady.n_seasons < n_seasons:
             raise ConfigError(
                 f"fresh ground run has only {steady.n_seasons} steady seasons, "

@@ -74,25 +74,17 @@ def pooled_correlations(pred, obs):
     return tuple(x.reshape(lead)[()] for x in (r, degenerate, ok.sum(axis=1)))
 
 
-def correlation_pvalue(r: float, dof: int, sided: str = "one") -> float:
-    """Student-t tail probability for a zero-correlation null.
-
-    One-sided (upper tail) by default: small p means the correlation is
-    convincingly positive. ``sided="two"`` doubles the smaller tail.
-    """
+def correlation_pvalue(r: float, dof: int) -> float:
+    """One-sided (upper tail) Student-t probability for a zero-correlation
+    null: small p means the correlation is convincingly positive."""
     if dof < 1:
         raise ValueError("dof must be >= 1")
-    if sided not in ("one", "two"):
-        raise ValueError("sided must be 'one' or 'two'")
     if abs(r) > 1.0:
         raise ValueError("|r| must be <= 1")
     if abs(r) == 1.0:
         return 0.0
     t = r * np.sqrt(dof / (1.0 - r * r))
-    upper = float(special.stdtr(dof, -t))
-    if sided == "one":
-        return upper
-    return float(min(1.0, 2.0 * min(upper, 1.0 - upper)))
+    return float(special.stdtr(dof, -t))
 
 
 def adjusted_dof(n_pairs: int, n_fitted_means: int) -> int:

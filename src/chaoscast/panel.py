@@ -20,7 +20,6 @@ Coord = tuple[str, str]  # (variable_id, site_id)
 @dataclass
 class Panel:
     values: dict[Coord, np.ndarray] = field(default_factory=dict)
-    seasons_per_year: int = 4
 
     def __post_init__(self):
         clean = {}
@@ -57,16 +56,11 @@ class Panel:
             raise ValueError("series length does not match panel")
         self.values[(str(variable), str(site))] = series
 
-    def copy(self) -> "Panel":
-        return Panel({k: v.copy() for k, v in self.values.items()},
-                     seasons_per_year=self.seasons_per_year)
-
     def window(self, start: int, stop: int) -> "Panel":
         """Sub-panel over the half-open season interval [start, stop)."""
         if not (0 <= start <= stop <= self.n_seasons):
             raise ValueError(f"window [{start}, {stop}) outside panel")
-        return Panel({k: v[start:stop].copy() for k, v in self.values.items()},
-                     seasons_per_year=self.seasons_per_year)
+        return Panel({k: v[start:stop].copy() for k, v in self.values.items()})
 
 
 def panel_to_text(panel: Panel, header_comments: dict | None = None) -> str:

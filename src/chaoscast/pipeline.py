@@ -165,7 +165,6 @@ def load_ground(out: Path):
     lo, hi = meta["reference_window"]
     factors = StandardizationFactors(
         reference_window=(int(lo), int(hi)),
-        seasons_per_year=panel.seasons_per_year,
         means={tuple(k.split("|")): np.array(v) for k, v in meta["means"].items()},
         sds={tuple(k.split("|")): np.array(v) for k, v in meta["sds"].items()})
     return panel, factors, meta.get("provenance", {})
@@ -277,11 +276,12 @@ def stage_select(cfg: PipelineConfig, groups, ground: Panel,
     keys_by_attractor: dict[str, list[PredictorKey]] = {}
     for label in sorted(groups):
         preds = predict_groups(groups[label], ground, stations, span)
-        ranked = rank_models(groups[label], preds[:, :, :n_rank], obs[:, :n_rank],
-                             factor, positive_part=positive_part)
-        keys = form_keys(label, ranked, preds[:, :, n_rank:], obs[:, n_rank:], n_select,
-                         stations, factor, x_grid=tuple(sel.x_grid), vote_k=sel.vote_k,
-                         vote_mode=sel.vote_mode, positive_part=positive_part)
+        order = rank_models(groups[label], preds[:, :, :n_rank], obs[:, :n_rank],
+                            factor, positive_part=positive_part)
+        keys = form_keys(label, groups[label], order, preds[:, :, n_rank:], obs[:, n_rank:],
+                         n_select, stations, factor, x_grid=tuple(sel.x_grid),
+                         vote_k=sel.vote_k, vote_mode=sel.vote_mode,
+                         positive_part=positive_part)
         keys_by_attractor[label] = keys
         log.info("select: attractor %s -> %d keys (best select r=%.3f, "
                  "best retain r=%.3f vs threshold %.2f)", label, len(keys),

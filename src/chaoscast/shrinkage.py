@@ -39,8 +39,7 @@ class ShrinkageReport:
     n_stations: int
     n_points: int
     target_r: float
-    mean_sample_corr: float = np.nan
-    mean_fit_slope: float = np.nan
+    mean_fit_slope: float = np.nan  # estimates target_r (see bootstrap_shrinkage)
 
     def __post_init__(self):
         if not 0.0 < self.shrinkage_factor <= 1.0:
@@ -75,7 +74,9 @@ def bootstrap_shrinkage(n_stations: int, n_points: int = 100,
     regressed on X2 over all but the last four points, the last four are
     predicted, and those four indices are averaged across stations as
     pseudo-seasons. The factor is the replicate-averaged sd of predicted
-    seasonal means over the sd of observed ones.
+    seasonal means over the sd of observed ones. The slope of Y on X2 is
+    cov 1 over var(X2) = 1/target_r, so ``mean_fit_slope``, its replicate
+    and station mean, checks the toy system against ``target_r``.
 
     Replicates run in blocks (see :func:`draw_buffer_shape`). Per block the
     draws come in a fixed order: all of X1, then all of the X2 noise, then
@@ -105,7 +106,7 @@ def bootstrap_shrinkage(n_stations: int, n_points: int = 100,
     rng = derive_rng(seed, "bootstrap-shrinkage")
     n_fit = n_points - N_HOLDOUT
 
-    sd_obs_sum = sd_pred_sum = corr_sum = slope_sum = 0.0
+    sd_obs_sum = sd_pred_sum = slope_sum = 0.0
     done = 0
     while done < n_reps:
         b = min(shape[1], n_reps - done)
@@ -117,7 +118,6 @@ def bootstrap_shrinkage(n_stations: int, n_points: int = 100,
         # per-replicate statistics in slices, each summed once over the block
         sd_pred, sd_obs = np.empty(b), np.empty(b)
         slope = np.empty((b, n_stations))
-        corr = np.empty(b * n_stations)
         for lo in range(0, b, REP_SLICE):
             hi = min(lo + REP_SLICE, b)
             noise = rng.standard_normal((hi - lo, n_stations, n_points))
@@ -136,11 +136,8 @@ def bootstrap_shrinkage(n_stations: int, n_points: int = 100,
             # (replicates, N_HOLDOUT) means across stations
             sd_pred[lo:hi] = pred.mean(axis=1).std(axis=1, ddof=1)
             sd_obs[lo:hi] = ys[..., n_fit:].mean(axis=1).std(axis=1, ddof=1)
-            corr[lo * n_stations:hi * n_stations] = _rowwise_corr(
-                xs.reshape(-1, n_points), ys.reshape(-1, n_points))
         sd_pred_sum += float(np.sum(sd_pred))
         sd_obs_sum += float(np.sum(sd_obs))
-        corr_sum += float(np.sum(corr)) / n_stations
         slope_sum += float(np.sum(slope)) / n_stations
         done += b
 
@@ -152,17 +149,7 @@ def bootstrap_shrinkage(n_stations: int, n_points: int = 100,
         sd_observed=sd_obs, sd_predicted=sd_obs * factor,
         signal_noise_ratio=factor / (1.0 - factor) if factor < 1.0 else np.inf,
         seed=seed, n_stations=n_stations, n_points=n_points,
-        target_r=target_r,
-        mean_sample_corr=corr_sum / n_reps,
-        mean_fit_slope=slope_sum / n_reps)
-
-
-def _rowwise_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    da = a - a.mean(axis=1, keepdims=True)
-    db = b - b.mean(axis=1, keepdims=True)
-    num = np.sum(da * db, axis=1)
-    den = np.sqrt(np.sum(da * da, axis=1) * np.sum(db * db, axis=1))
-    return num / den
+        target_r=target_r, mean_fit_slope=slope_sum / n_reps)
 
 
 def apply_bias_correction(raw_means, factor: float):
@@ -209,7 +196,6 @@ def stein_adjust(pred: np.ndarray, shrink_factor: float,
 class CalibrationResult:
     slope: float
     intercept: float
-    degenerate: bool = False
 
     def apply(self, predictions):
         return self.slope * np.asarray(predictions, dtype=float) + self.intercept
@@ -237,7 +223,7 @@ def calibrate(predictions, observations,
     if direction not in CALIBRATION_DIRECTIONS:
         raise ValueError("unknown calibration direction")
     if vp <= 1e-24 or (direction == "pred_on_obs" and vo <= 1e-24):
-        return CalibrationResult(slope=0.0, intercept=float(o.mean()), degenerate=True)
+        return CalibrationResult(slope=0.0, intercept=float(o.mean()))
     cov = float(np.mean((p - p.mean()) * (o - o.mean())))
     if direction == "obs_on_pred":
         slope = cov / vp
@@ -245,7 +231,7 @@ def calibrate(predictions, observations,
     else:
         b = cov / vo  # pred = b * obs + a, inverted
         if abs(b) < 1e-24:
-            return CalibrationResult(slope=0.0, intercept=float(o.mean()), degenerate=True)
+            return CalibrationResult(slope=0.0, intercept=float(o.mean()))
         slope = 1.0 / b
         intercept = float(o.mean() - slope * p.mean())
     return CalibrationResult(slope=slope, intercept=intercept)

@@ -350,7 +350,7 @@ def test_fresh_ground_row_is_the_lone_run(forcing):
     grid = [TuningParameter(F, f"F{F:g}") for F in (6.0, 8.0, 10.0)]
     row = (TuningParameter(forcing, f"F{forcing:g}"), 5)
     library = build_attractor_library(grid, FAST_RUN, FAST_SEED, fresh_ground=row)
-    (panel, steady), = steady_run([row[0]], [row[1]], FAST_RUN)
+    (panel, steady), = steady_run([row[0]], [row[1]], FAST_RUN, ["fresh ground"])
     batched, batched_steady = library.fresh_ground[row]
     assert batched_steady == steady
     assert batched.values.keys() == panel.values.keys()
@@ -403,7 +403,7 @@ def test_trailing_mean_recovers_raw_scale():
     key = ("wet", "s00")
     mean, sd = est.scale[key]
     raw = est.panel.series(*key) * sd + mean
-    assert abs(est.trailing_mean("wet", n_seasons=20) -
+    assert abs(est.trailing_mean(n_seasons=20) -
                np.mean([est.panel.series("wet", f"s{i:02d}")[-20:] * est.scale[("wet", f"s{i:02d}")][1]
                         + est.scale[("wet", f"s{i:02d}")][0] for i in range(5)])) < 1e-9
     assert raw.std() > 0

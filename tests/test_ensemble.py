@@ -1,6 +1,5 @@
 import itertools
 import json
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from chaoscast.ensemble import (
     EnsembleForecast,
     GroupTable,
     PredictorKey,
-    RankedModel,
     Station,
     combine_members,
     fit_model_groups,
@@ -28,7 +26,9 @@ from chaoscast.ensemble import (
     table_to_dict,
     take_top_percent,
 )
+from chaoscast.metrics import pooled_correlations
 from chaoscast.panel import Panel
+from chaoscast.shrinkage import stein_adjust
 from chaoscast.subset import ModelTable, SubsetModel
 from test_metrics import reference_pooled_correlation
 
@@ -63,68 +63,62 @@ def unit_corr_series(obs, rho, rng):
     return rho * o + np.sqrt(1.0 - rho * rho) * w
 
 
-def stub_predictions(groups, panel, stations, seasons):
-    """The (groups, stations, seasons) stack of StubGroup predictions."""
-    return np.stack([g.predict(panel, stations, seasons) for g in groups])
-
-
-@dataclass
-class StubGroup:
-    series: np.ndarray  # full-length per-station predictions
-    size: int = 3
-
-    @property
-    def total_size(self):
-        return self.size
-
-    def predict(self, panel, stations, seasons):
-        return self.series[:, seasons[0]:seasons[1]]
+def sized_groups(sizes):
+    """Views of one table whose row g holds, per station s, a model of
+    ``sizes[g][s]`` columns; only the sizes of these models are read."""
+    sizes = np.atleast_2d(sizes)
+    dmap = DelayMap(coords=tuple(("wet", "a", lag) for lag in range(1, sizes.max() + 1)))
+    return table_groups("F8", [
+        (g, dmap, {f"st{s}": SubsetModel(tuple(range(k)), np.zeros(k), 0.0, 0.0, 0.0, 10)
+                   for s, k in enumerate(row)})
+        for g, row in enumerate(sizes.tolist())])
 
 
 def test_rank_models_orders_planted_correlations():
     rng = np.random.default_rng(0)
-    n = 40
-    obs = rng.standard_normal(n)
-    panel = Panel({("wet", "a"): obs})
-    stations = (Station("a", "wet", "a"),)
-    rhos = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0]
-    groups = [StubGroup(unit_corr_series(obs, r, rng)[None, :]) for r in rhos]
-    shuffled = [groups[i] for i in rng.permutation(len(groups))]
-    ranked = rank_models(shuffled, stub_predictions(shuffled, panel, stations, (0, n)),
-                         observation_matrix(panel, stations, (0, n)), shrink_factor=1.0)
-    got = [rm.correlation for rm in ranked]
-    assert np.allclose(got, sorted(rhos, reverse=True), atol=1e-9)
-    assert all(shuffled[rm.index] is rm.group for rm in ranked)
+    obs = rng.standard_normal((1, 40))
+    rhos = np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0])[rng.permutation(10)]
+    preds = np.stack([unit_corr_series(obs[0], r, rng)[None, :] for r in rhos])
+    order = rank_models(sized_groups([[3]] * 10), preds, obs, shrink_factor=1.0)
+    assert np.allclose(rhos[order], sorted(rhos, reverse=True), atol=1e-9)
+    assert sorted(order.tolist()) == list(range(10))
 
 
 def test_rank_models_perfect_and_flipped():
     rng = np.random.default_rng(1)
-    obs = rng.standard_normal(30)
-    panel = Panel({("wet", "a"): obs})
-    stations = (Station("a", "wet", "a"),)
-    perfect = StubGroup(obs[None, :].copy())
-    flipped = StubGroup(-obs[None, :])
-    flat = StubGroup(np.zeros((1, 30)))
-    groups = [flipped, flat, perfect]
-    ranked = rank_models(groups, stub_predictions(groups, panel, stations, (0, 30)),
-                         observation_matrix(panel, stations, (0, 30)), 1.0)
-    assert ranked[0].correlation == pytest.approx(1.0)
-    assert ranked[-1].correlation == pytest.approx(-1.0)
-    degenerate = [rm for rm in ranked if rm.degenerate]
-    assert len(degenerate) == 1 and degenerate[0].correlation == 0.0
+    obs = rng.standard_normal((1, 30))
+    flipped, flat, perfect = -obs, np.zeros((1, 30)), obs.copy()
+    order = rank_models(sized_groups([[3]] * 3), np.stack([flipped, flat, perfect]), obs, 1.0)
+    assert order.tolist() == [2, 1, 0]  # the flat row ranks at r 0
+
+
+def test_rank_models_breaks_exact_ties_by_size_then_row():
+    # duplicated rows and constant rows of different model sizes, summed over
+    # three stations, against the rule spelt out as a sort key
+    rng = np.random.default_rng(4)
+    obs = rng.standard_normal((3, 12))
+    base = rng.standard_normal((4, 3, 12))
+    preds = np.concatenate([base, base[[0, 0, 2, 1]], np.zeros((3, 3, 12)),
+                            np.full((2, 3, 12), 1.5), -base[[3]]])
+    sizes = rng.integers(1, 4, size=(len(preds), 3))
+    sizes[4] = sizes[0]  # one duplicate of the same size as its original
+    perm = rng.permutation(len(preds))
+    preds, sizes = preds[perm], sizes[perm]
+    r = pooled_correlations(stein_adjust(preds, 0.7), obs)[0]
+    assert len(preds) - len(set(r.tolist())) == 7  # rows whose r ties an earlier one
+    want = sorted(range(len(preds)), key=lambda g: (-r[g], sizes[g].sum(), g))
+    assert rank_models(sized_groups(sizes), preds, obs, 0.7).tolist() == want
 
 
 def test_take_top_percent_counts():
-    rng = np.random.default_rng(2)
-    ranked = [RankedModel(StubGroup(np.zeros((1, 4))), r, i)
-              for i, r in enumerate(rng.uniform(size=1000))]
-    assert len(take_top_percent(ranked, 10)) == 100
-    assert take_top_percent(ranked, 100) == ranked
-    assert len(take_top_percent(ranked[:7], 30)) == 3
+    order = np.random.default_rng(2).permutation(1000)
+    assert np.array_equal(take_top_percent(order, 10), order[:100])
+    assert np.array_equal(take_top_percent(order, 100), order)
+    assert np.array_equal(take_top_percent(order[:7], 30), order[:3])
     with pytest.raises(ValueError):
-        take_top_percent(ranked, 25)
+        take_top_percent(order, 25)
     with pytest.raises(ValueError):
-        take_top_percent([], 10)
+        take_top_percent(order[:0], 10)
 
 
 def combine_cell(values):
@@ -401,10 +395,10 @@ def test_fit_form_retain_round_trip(tmp_path):
     # seasons 11..72 predicted once: rank 11..40, select 40..56, retain 56..72
     preds = predict_groups(groups, ground, stations, (11, 72))
     obs = observation_matrix(ground, stations, (11, 72))
-    ranked = rank_models(groups, preds[:, :, :29], obs[:, :29], shrink_factor=1.0)
-    assert ranked[0].group.map_index == 0  # the informative map wins
+    order = rank_models(groups, preds[:, :, :29], obs[:, :29], shrink_factor=1.0)
+    assert groups[order[0]].map_index == 0  # the informative map wins
 
-    keys = form_keys("F8", ranked, preds[:, :, 29:], obs[:, 29:], 16, stations,
+    keys = form_keys("F8", groups, order, preds[:, :, 29:], obs[:, 29:], 16, stations,
                      shrink_factor=1.0)
     assert len(keys) == 6
     assert {k.key_id for k in keys} == {

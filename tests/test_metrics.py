@@ -185,12 +185,6 @@ def test_pvalue_monotone_in_r_and_dof():
     assert np.all(np.diff(ps_dof) < 0)
 
 
-def test_pvalue_two_sided():
-    one = correlation_pvalue(0.5, 20, sided="one")
-    two = correlation_pvalue(0.5, 20, sided="two")
-    assert two == pytest.approx(2.0 * one)
-
-
 def test_adjusted_dof():
     assert adjusted_dof(40, 5) == 33
     assert adjusted_dof(30, 0) == 28

@@ -19,7 +19,7 @@ from chaoscast.config import PipelineConfig, load_config, save_config
 from chaoscast.embedding import DelayMap
 from chaoscast.ensemble import PredictorKey, load_keys, observation_matrix, save_keys
 from chaoscast.errors import ConfigError, PanelFormatError
-from chaoscast.ground import SEASON_NAMES, make_ground_panel
+from chaoscast.ground import SEASON_NAMES, SEASONS_PER_YEAR
 from chaoscast.inversion import key_significance_counts
 from chaoscast.metrics import adjusted_dof, benjamini_hochberg, correlation_pvalue
 from test_ensemble import table_groups
@@ -136,7 +136,7 @@ def record_golden_digests(root: Path) -> None:
 
 def _raw_series(ground, factors, target):
     """A standardized ground series on its raw scale: the anomalies' inverse."""
-    soy = np.arange(ground.n_seasons) % factors.seasons_per_year
+    soy = np.arange(ground.n_seasons) % SEASONS_PER_YEAR
     return ground.series(*target) * factors.sds[target][soy] + factors.means[target][soy]
 
 
@@ -396,6 +396,9 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
     ("selection", {"allow_switching": "no"}),
     ("shrinkage", {"positive_part": 1}),
     ("inversion", {"enabled": "yes"}),
+    ("surrogate", {"slope_tol": 0.0}),
+    ("surrogate", {"min_steady_seasons": 300}),
+    ("inversion", {"enabled": True, "target_window": [40, 160]}),
 ], ids=["vote_k-0", "top_k-negative", "vote_mode-plurality", "x_grid-empty", "max_subset_size-0",
         "direction-sideways", "n_reps-50", "n_points-6", "target_r-1",
         "first_season-negative", "station-series-unknown", "stations-one", "K-3", "dt-negative",
@@ -410,7 +413,8 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
         "n_maps-float", "n_seasons-float", "temp_smooth-float", "dim-float", "lag_max-float",
         "vote_k-float", "vote_k-bool", "top_k-float", "x_grid-float",
         "target_window-float", "unknown-section", "retention_threshold-string",
-        "slope_tol-string", "allow_switching-string", "positive_part-int", "enabled-string"])
+        "slope_tol-string", "allow_switching-string", "positive_part-int", "enabled-string",
+        "slope_tol-0", "min_steady_seasons-past-the-run", "target_window-past-the-ground"])
 def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section, settings):
     if isinstance(settings, dict):
         settings = {**GOLDEN_CONFIG.get(section, {}), **settings}
@@ -423,11 +427,14 @@ def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section,
         assert not out.exists()
 
 
-def test_invert_rejects_a_target_window_past_the_ground_panel(tmp_path, capsys):
-    # the golden ground panel ends with the schedule, at season 49; a file-mode
-    # ground can be longer, so validate() cannot know the panel's length
+def test_invert_rejects_a_target_window_past_the_ground_panel(golden_run, tmp_path, capsys):
+    # a file-mode ground can be longer than the schedule, so validate() cannot
+    # know the panel's length; this file holds the golden run's 49-season ground
+    ground_file = tmp_path / "ground.csv"
+    _write_ground_file(ground_file, golden_run[1])
     config = _write_config(tmp_path / "config.json", {
-        **GOLDEN_CONFIG, "inversion": {"enabled": True, "target_window": [40, 100]}})
+        **GOLDEN_CONFIG, "ground": {"mode": "file", "path": str(ground_file)},
+        "inversion": {"enabled": True, "target_window": [40, 100]}})
     out = tmp_path / "out"
     assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 1
     assert "past the 49-season ground panel" in capsys.readouterr().err
@@ -592,13 +599,6 @@ def test_fresh_ground_rides_in_the_library_batch(tmp_path, monkeypatch):
     calls.clear()
     assert cli.main(["generate-library", "-c", config, "-o", str(tmp_path / "out")]) == 0
     assert calls == [4]
-    # a plain list has no batched row: the ground run is integrated alone, the same
-    calls.clear()
-    alone, _ = make_ground_panel(cfg, list(result.library))
-    assert calls == [1]
-    batched, _ = make_ground_panel(cfg, result.library)
-    assert alone.values.keys() == batched.values.keys()
-    assert all(np.array_equal(alone.values[k], batched.values[k]) for k in alone.values)
 
 
 def test_run_all_names_a_diverged_fresh_ground_run(tmp_path, capsys):

@@ -311,7 +311,7 @@ def test_fit_model_group_matches_per_station_and_brute_force(short_attractor):
 def test_fit_model_group_station_with_missing_target_seasons(short_attractor):
     # attractor panels are complete; load_library names a file that is not
     panel, stations, maps = short_attractor
-    gappy = panel.copy()
+    gappy = panel.window(0, panel.n_seasons)
     gappy.series(*stations[1].target)[90] = np.nan
     with pytest.raises(ValueError, match="must be finite"):
         fit_model_groups("F8", maps[:1], gappy, stations)
@@ -420,7 +420,7 @@ def table_models(table):
 
 def _screened_panel(panel):
     """The panel plus a constant and a duplicate series."""
-    out = panel.copy()
+    out = panel.window(0, panel.n_seasons)
     out.add("wet", "const", np.full(panel.n_seasons, 0.25))
     out.add("wet", "dup", panel.series("wet", "s01").copy())
     return out
