@@ -12,13 +12,13 @@ hold, rides in the same call as one more row: its cost is per-step
 Python overhead, not rows, so the extra row is almost free. The library
 keeps that row's raw steady run, never an attractor of it.
 
-The kernel steps a flat ``(P*K,)`` state through buffers allocated once
-per call, one gather per RK stage and about 30 small ufunc calls per
-step, and looks for divergence only after the loop. Its one output is
-the ``(P, n_steps + 1, K)`` state array: at the default 6-forcing,
-400-season grid about 14 MB, about 16 MB with the fresh ground row.
-A run is one row of it, a ``(n_steps + 1, K)`` array that
-:func:`seasonal_aggregate` turns into its seasonal panel.
+The kernel stores each step site-major and gathers it once per step into a
+vector padded with ghost sites, so every RK stage reads contiguous slices:
+29 small ufunc calls per step into buffers allocated once per call. Its one
+output is the state array, seen as ``(P, n_steps + 1, K)``: at the default
+6-forcing, 400-season grid about 14 MB, about 16 MB with the fresh ground
+row. A run is one row of that view, a strided ``(n_steps + 1, K)`` array
+that :func:`seasonal_aggregate` turns into its seasonal panel.
 """
 
 from __future__ import annotations
@@ -112,22 +112,27 @@ def integrate_grid(x0, forcings, dt: float, n_steps: int) -> np.ndarray:
     Row p of the ``(P, K)`` initial state ``x0`` runs at forcing
     ``forcings[p]``, one finite value per row. Fixed-step classic
     4th-order Runge-Kutta on the whole batch. Returns the
-    ``(P, n_steps + 1, K)`` states, initial state included; ``x0`` is
-    not modified.
+    ``(P, n_steps + 1, K)`` states, initial state included, as a view of
+    one site-major ``(n_steps + 1, K*P)`` array: element (site s, row p)
+    of a step sits at ``s*P + p``. ``x0`` is not modified.
 
-    The state is kept flat, ``(P*K,)`` in row order, and a step writes
-    only into buffers allocated before the loop: each RK stage gathers
-    x_{i+1}, x_{i-2} and x_{i-1} of every row with one ``take`` through a
-    precomputed ``(3, P*K)`` index array, and the constants 0.5 dt, dt,
-    dt/6 and 2 are full-length arrays, as are the forcings.
+    A step copies the stored state with one ``take`` into a vector of
+    ``K + 12`` sites, 8 ghost sites before the ring and 4 after it (ghost
+    site s holds ring site s mod K). A stage reads 2 sites to the left
+    and 1 to the right, so the four stages work on sites ``[-6, K+3)``,
+    ``[-4, K+2)``, ``[-2, K+1)`` and ``[0, K)``; every operand is a
+    contiguous slice made before the loop, and the last ``add`` writes
+    the new state into the output: 29 ufunc calls per step. The constants
+    0.5 dt, dt, dt/6 and 2 are full-length arrays, as are the forcings.
 
-    Bit-identity rule: each row must equal a single-ring run bit for bit,
-    so every element goes through the same IEEE operations in the same
-    order as ``k2 = rhs(x + (0.5*dt) * k1)`` ... and
+    Bit-identity rule: each row must equal a single-ring run bit for bit, so
+    every element goes through the same IEEE operations in the same order as
+    ``k2 = rhs(x + (0.5*dt) * k1)`` ... and
     ``x + (dt/6) * (((k1 + 2*k2) + 2*k3) + k4)``, with
-    ``rhs = ((x_{i+1} - x_{i-2}) * x_{i-1} - x) + F``. A gather is an
-    exact copy, operands may swap (IEEE + and * commute), and a constant
-    array gives the bits of its scalar; no regrouping or fused update.
+    ``rhs = ((x_{i+1} - x_{i-2}) * x_{i-1} - x) + F``. A ghost site repeats
+    its ring twin's operations on the same inputs, a gather is an exact copy,
+    operands may swap (IEEE + and * commute), and a constant array gives the
+    bits of its scalar; no regrouping or fused update.
 
     No check runs inside the loop. A non-finite element stays non-finite,
     so a finite final state means no step blew up; otherwise the stored
@@ -147,49 +152,59 @@ def integrate_grid(x0, forcings, dt: float, n_steps: int) -> np.ndarray:
     if not np.all(np.isfinite(F)):
         raise ValueError("forcings must be finite")
 
-    n = P * K
-    x, F = x.flatten(), np.repeat(F, K)  # x is a C-ordered copy
-    ring = (np.arange(K) + np.array([[1], [-2], [-1]])) % K
-    near = (ring[:, None, :] + np.arange(0, n, K)[:, None]).reshape(3, n)
-    half, full, sixth, two = (np.full(n, c) for c in (0.5 * dt, dt, dt / 6.0, 2.0))
-    g, k, y = np.empty((3, n)), np.empty((4, n)), np.empty(n)
-    a, b2, b = g  # x_{i+1}, x_{i-2}, x_{i-1} of every row after each gather
-    (k1, k2, k3, k4), k23 = k, k[1:3]
-    stages = list(zip(k, (half, half, full, None)))
+    states = np.empty((n_steps + 1, K * P))
+    states[0].reshape(K, P)[...] = x.T
+    G = 8  # ghost sites before the ring; 4 after it
+    pad = ((np.arange(-G, K + 4) % K)[:, None] * P + np.arange(P)).ravel()
+    F = np.tile(F, K + 12)
+    half, full, sixth, two = (np.full(F.size, c) for c in (0.5 * dt, dt, dt / 6.0, 2.0))
+    x, y, k = np.empty(F.size), np.empty(F.size), np.empty((4, F.size))
+
+    def at(v, lo, hi):  # sites [lo, hi) of padded site-major vectors
+        return v[..., (lo + G) * P:(hi + G) * P]
+
+    spans = [(2 * j - 6, K + 3 - j) for j in range(4)]  # stage j's sites
+    (e1, w1, v1, c1), (e2, w2, v2, c2), (e3, w3, v3, c3), (e4, w4, v4, c4) = (
+        [at(src, lo + d, hi + d) for d in (1, -2, -1, 0)]  # x_{i+1}, x_{i-2}, x_{i-1}, x_i
+        for src, (lo, hi) in zip((x, y, y, y), spans))
+    k1, k2, k3, k4 = (at(kj, *span) for kj, span in zip(k, spans))
+    f1, f2, f3, f4 = (at(F, *span) for span in spans)
+    h1, h2, h3 = (at(h, *span) for h, span in zip((half, half, full), spans))
+    (x1, x2, x3), (y1, y2, y3) = ([at(v, *span) for span in spans[:3]] for v in (x, y))
+    (r1, r2, r3), k23, xr, yr, sixth, two = (  # on the ring
+        at(v, 0, K) for v in (k[:3], k[1:3], x, y, sixth, two))
     sub, mul, add = np.subtract, np.multiply, np.add  # 3rd argument: output (out= parses slower)
 
-    states = np.empty((P, n_steps + 1, K))
-    steps, rows = states.transpose(1, 0, 2), x.reshape(P, K)  # views; rows tracks x
-    steps[0] = rows
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_steps + 1):
-            src = x
-            for kj, h in stages:
-                src.take(near, out=g, mode="clip")  # np.take or mode="raise" would copy
-                mul(sub(a, b2, kj), b, kj)
-                add(sub(kj, src, kj), F, kj)
-                if h is not None:
-                    src = add(x, mul(h, kj, y), y)
+        for now, nxt in zip(states, states[1:]):
+            now.take(pad, out=x, mode="clip")  # np.take or mode="raise" would copy
+            add(sub(mul(sub(e1, w1, k1), v1, k1), c1, k1), f1, k1)
+            add(x1, mul(h1, k1, y1), y1)
+            add(sub(mul(sub(e2, w2, k2), v2, k2), c2, k2), f2, k2)
+            add(x2, mul(h2, k2, y2), y2)
+            add(sub(mul(sub(e3, w3, k3), v3, k3), c3, k3), f3, k3)
+            add(x3, mul(h3, k3, y3), y3)
+            add(sub(mul(sub(e4, w4, k4), v4, k4), c4, k4), f4, k4)
             mul(k23, two, k23)
-            add(add(add(k1, k2, y), k3, y), k4, y)
-            add(x, mul(sixth, y, y), x)
-            steps[i] = rows
-    if not np.all(np.isfinite(x)):
-        bad = ~np.isfinite(states).all(axis=2)
+            add(add(add(r1, r2, yr), r3, yr), k4, yr)
+            add(xr, mul(sixth, yr, yr), nxt)
+    rows = states.reshape(n_steps + 1, K, P).transpose(2, 0, 1)
+    if not np.all(np.isfinite(states[-1])):
+        bad = ~np.isfinite(rows).all(axis=2)
         step = int(np.argmax(bad.any(axis=0)))
         raise IntegrationDivergedError(step, int(np.argmax(bad[:, step])))
-    return states
+    return rows
 
 
 # kept for perfbench/traced.py, which times it as dynamics.rk4_step_us
 def integrate_lorenz96(F, K, dt, n_steps, x0=None, seed=None) -> np.ndarray:
     """Integrate one Lorenz-96 ring: the one-row case of :func:`integrate_grid`.
 
-    Returns the ``(n_steps + 1, K)`` states, initial state included.
-    Deterministic given (x0, F, dt, n_steps); ``seed`` only draws a
-    Gaussian kick of sd ``PERTURBATION`` off the initial condition (used
-    to start runs off the x = F fixed point). Raises
-    IntegrationDivergedError naming the step if the state blows up.
+    Returns the ``(n_steps + 1, K)`` states, initial state included, a view
+    of :func:`integrate_grid`'s state array. Deterministic given (x0, F, dt,
+    n_steps); ``seed`` only draws a Gaussian kick of sd ``PERTURBATION`` off
+    the initial condition (used to start runs off the x = F fixed point).
+    Raises IntegrationDivergedError naming the step if the state blows up.
     """
     x = start_state(F, K, x0, seed, PERTURBATION)
     return integrate_grid(x[None], [F], dt, n_steps)[0]
@@ -213,7 +228,9 @@ def seasonal_aggregate(states: np.ndarray, season_length: int, temp_smooth: int)
     """Seasonal means of one run's ``(steps, K)`` states, trailing partial season dropped.
 
     Every site's raw state (``wet``), then every site's trailing mean over
-    ``temp_smooth`` steps (``tmp``), shorter at the run's start.
+    ``temp_smooth`` steps (``tmp``), shorter at the run's start. A strided
+    ``states``, such as a row of :func:`integrate_grid`'s output, gives
+    the bits of the same run stored contiguously.
     """
     if season_length < 1:
         raise ValueError("season_length must be >= 1")
@@ -398,16 +415,17 @@ def _standardized_attractor(param: TuningParameter, steady_panel: Panel, steady:
             f"parameter {param.label}: only {steady_panel.n_seasons} steady seasons, "
             f"need {surrogate.min_steady_seasons}; lengthen the run")
 
-    scale = {}
-    for key, vals in steady_panel.values.items():
-        mean, sd = float(np.mean(vals)), float(np.std(vals))
-        if sd <= CONSTANT_SD * max(1.0, abs(mean)):
-            raise ConfigError(
-                f"parameter {param.label}: series {key} is constant on the steady run "
-                f"(sd {sd:.3g}); the ring settles on a fixed point, which has no "
-                "attractor to fit; drop this forcing from surrogate.forcings")
-        steady_panel.values[key] = (vals - mean) / sd
-        scale[key] = (mean, sd)
+    keys, stack = list(steady_panel.values), np.stack(list(steady_panel.values.values()))
+    mean, sd = stack.mean(axis=1), stack.std(axis=1)
+    constant = sd <= CONSTANT_SD * np.maximum(1.0, np.abs(mean))
+    if constant.any():
+        first = int(np.argmax(constant))
+        raise ConfigError(
+            f"parameter {param.label}: series {keys[first]} is constant on the steady run "
+            f"(sd {sd[first]:.3g}); the ring settles on a fixed point, which has no "
+            "attractor to fit; drop this forcing from surrogate.forcings")
+    steady_panel.values = dict(zip(keys, (stack - mean[:, None]) / sd[:, None]))
+    scale = dict(zip(keys, zip(mean.tolist(), sd.tolist())))
     return AttractorEstimate(parameter=param, panel=steady_panel,
                              steady_start=steady, seed=seed, scale=scale)
 

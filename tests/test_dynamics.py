@@ -1,8 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chaoscast import dynamics
 from chaoscast.dynamics import (
     PERTURBATION,
     SurrogateConfig,
@@ -16,7 +18,7 @@ from chaoscast.dynamics import (
     steady_run,
     synth_index,
 )
-from chaoscast.errors import IntegrationDivergedError, StationarityNotReachedError
+from chaoscast.errors import ConfigError, IntegrationDivergedError, StationarityNotReachedError
 from chaoscast.panel import Panel
 
 
@@ -126,6 +128,11 @@ def _kicked_grid(forcings, seeds, K):
 @pytest.mark.parametrize("K, forcings, seeds, n_steps, order", [
     pytest.param(4, [5.0, 8.0, 10.0], [1, 2], 400, "C", id="4"),  # sites i+2 and i-2 coincide
     pytest.param(5, [5.0, 8.0, 10.0], [1, 2], 400, "C", id="5"),
+    # the ghost sites wrap around the ring (7), or span it exactly: the 8
+    # before it (8), or all 12 (12)
+    pytest.param(7, [5.0, 8.0, 10.0], [1, 2], 400, "C", id="7"),
+    pytest.param(8, [5.0, 8.0, 10.0], [1, 2], 400, "C", id="8"),
+    pytest.param(12, [5.0, 8.0, 10.0], [1, 2], 400, "C", id="12"),
     pytest.param(36, [5.0, 8.0, 10.0], [1, 2], 400, "C", id="36"),
     pytest.param(36, [8.0], [1], 400, "C", id="1-row"),
     pytest.param(36, [5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0], [1], 400, "C", id="7-rows"),
@@ -143,6 +150,19 @@ def test_grid_rows_are_bit_identical_to_the_single_ring_reference(K, forcings, s
     assert np.array_equal(x0, before)
     for row, F in enumerate(forcings):
         assert states[row].tobytes() == _reference_rk4(x0[row], F, 0.05, n_steps).tobytes()
+
+
+def test_grid_holds_no_second_copy_of_its_states():
+    # 5 rows x 8,001 steps x 36 sites: the state array is 11.5 MB, and the
+    # padded step buffers and operand views are a few kB
+    x0, forcings = _kicked_grid([5.0, 6.0, 7.0, 8.0, 9.0], [1], 36)
+    tracemalloc.start()
+    try:
+        states = integrate_grid(x0, forcings, 0.05, 8000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < states.nbytes + 2**20
 
 
 def test_grid_divergence_reports_the_earliest_step_and_its_first_row():
@@ -236,6 +256,22 @@ def test_seasonal_aggregate_keys_are_every_wet_site_then_every_tmp_site():
     panel = seasonal_aggregate(np.zeros((20, 12)), 5, 3)
     sites = [f"s{i:02d}" for i in range(12)]
     assert list(panel.values) == [("wet", s) for s in sites] + [("tmp", s) for s in sites]
+
+
+def test_seasonal_aggregate_reads_a_strided_run_as_its_contiguous_copy():
+    # integrate_grid's rows are column views of one site-major array, each
+    # site read at a stride of K*P elements
+    K, P, p = 6, 3, 1
+    run = np.random.default_rng(8).standard_normal((2001, K))
+    site_major = np.zeros((2001, K, P))
+    site_major[:, :, p] = run
+    view = site_major[:, :, p]
+    assert not view.flags.c_contiguous
+    for season_length, temp_smooth in [(20, 5), (7, 1), (1, 3)]:
+        want = seasonal_aggregate(run, season_length, temp_smooth).values
+        got = seasonal_aggregate(view, season_length, temp_smooth).values
+        assert list(got) == list(want)
+        assert all(got[key].tobytes() == want[key].tobytes() for key in want)
 
 
 def test_synth_index_trivial_cases():
@@ -343,6 +379,29 @@ def test_library_error_names_the_parameter_once(forcings, change, error, label):
     assert all(p.label == label or p.label not in message for p in params)
     if error is IntegrationDivergedError:
         assert isinstance(err.value.step, int) and str(err.value.step) in message
+
+
+@pytest.mark.parametrize("forcings, label, sd", [
+    ([8.0, 0.3], "F0.3", "0"),
+    ([8.0, 0.5], "F0.5", "1.27e-12"),
+    ([0.5, 0.3, 8.0], "F0.5", "1.27e-12"),  # the first fixed point in batch order
+], ids=["F0.3", "F0.5", "two-fixed-points"])
+def test_library_names_a_fixed_point_forcing_and_its_first_constant_series(forcings, label, sd):
+    # at F 0.3 and 0.5 the ring settles on x = F within the run; at 0.8 and 0.9
+    # it still drifts at the end, and the library raises StationarityNotReachedError
+    params = [TuningParameter(F, f"F{F:g}") for F in forcings]
+    with pytest.raises(ConfigError) as err:
+        build_attractor_library(params, FAST_RUN, FAST_SEED)
+    assert str(err.value).startswith(f"parameter {label}: series ('wet', 's00') is constant "
+                                     f"on the steady run (sd {sd}); ")
+
+
+def test_standardization_names_the_first_constant_series_in_key_order():
+    varying = np.random.default_rng(1).standard_normal(40)
+    panel = Panel({("wet", "s00"): varying, ("wet", "s01"): -varying,
+                   ("tmp", "s00"): np.full(40, 2.0), ("idx", "a"): np.zeros(40)})
+    with pytest.raises(ConfigError, match=r"^parameter F1: series \('tmp', 's00'\) is constant"):
+        dynamics._standardized_attractor(TuningParameter(1.0, "F1"), panel, 0, FAST_RUN, 1)
 
 
 @pytest.mark.parametrize("forcing", [7.0, 8.0, 11.0], ids=["inside", "on-a-grid-row", "outside"])

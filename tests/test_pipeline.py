@@ -519,7 +519,8 @@ GUARD_CONFIGS = {
                              "surrogate": {**GOLDEN_CONFIG["surrogate"],
                                            "forcings": [0.5, 8.0, 10.0]},
                              "ground": {"mode": "member", "member": "F8"}},
-                            1, "parameter F0.5"),
+                            1, "parameter F0.5: series ('wet', 's00') is constant on the "
+                               "steady run"),
     "space-below-dim": ({**GOLDEN_CONFIG, "surrogate": {**GOLDEN_CONFIG["surrogate"], "K": 4},
                          "embedding": {**GOLDEN_CONFIG["embedding"], "dim": 12,
                                        "lag_min": 4, "lag_max": 4}},
