@@ -92,15 +92,10 @@ def check_integration(K: int, dt: float, n_steps: int) -> None:
         raise ValueError("n_steps must be non-negative")
 
 
-def start_state(F, K, x0, seed, perturbation) -> np.ndarray:
-    """Initial ring state: ``x0`` (x = F when None), kicked by a
-    ``seed``-drawn Gaussian perturbation when a seed is given."""
-    if x0 is None:
-        x = np.full(K, float(F))
-    else:
-        x = np.asarray(x0, dtype=float)
-        if x.shape != (K,):
-            raise ValueError(f"x0 must have shape ({K},)")
+def start_state(F, K, seed, perturbation) -> np.ndarray:
+    """Initial ring state: x = F, kicked by a ``seed``-drawn Gaussian
+    perturbation when a seed is given."""
+    x = np.full(K, float(F))
     if seed is not None:
         x = x + perturbation * derive_rng(seed, "x0").standard_normal(K)
     return x
@@ -197,16 +192,16 @@ def integrate_grid(x0, forcings, dt: float, n_steps: int) -> np.ndarray:
 
 
 # kept for perfbench/traced.py, which times it as dynamics.rk4_step_us
-def integrate_lorenz96(F, K, dt, n_steps, x0=None, seed=None) -> np.ndarray:
-    """Integrate one Lorenz-96 ring: the one-row case of :func:`integrate_grid`.
+def integrate_lorenz96(F, K, dt, n_steps, seed=None) -> np.ndarray:
+    """Integrate one Lorenz-96 ring from x = F: the one-row case of :func:`integrate_grid`.
 
     Returns the ``(n_steps + 1, K)`` states, initial state included, a view
-    of :func:`integrate_grid`'s state array. Deterministic given (x0, F, dt,
-    n_steps); ``seed`` only draws a Gaussian kick of sd ``PERTURBATION`` off
-    the initial condition (used to start runs off the x = F fixed point).
-    Raises IntegrationDivergedError naming the step if the state blows up.
+    of :func:`integrate_grid`'s state array. Deterministic given (F, K, dt,
+    n_steps, seed); ``seed`` draws a Gaussian kick of sd ``PERTURBATION`` off
+    the x = F fixed point. Raises IntegrationDivergedError naming the step if
+    the state blows up.
     """
-    x = start_state(F, K, x0, seed, PERTURBATION)
+    x = start_state(F, K, seed, PERTURBATION)
     return integrate_grid(x[None], [F], dt, n_steps)[0]
 
 
@@ -274,14 +269,13 @@ def _standardized_slope(y: np.ndarray) -> float:
 
 
 def detect_steady_state(series, window: int, slope_tol: float) -> int:
-    """Earliest season s where every monitored series has |slope| < slope_tol
-    over [s, s + window), with slopes measured in that window's sd units.
+    """Earliest season s where every series of the list ``series`` has
+    |slope| < slope_tol over [s, s + window), with slopes measured in that
+    window's sd units.
 
     Raises StationarityNotReachedError when no window qualifies; the
     caller must lengthen the run.
     """
-    if isinstance(series, np.ndarray) and series.ndim == 1:
-        series = [series]
     series = [np.asarray(s, dtype=float) for s in series]
     if not series:
         raise ValueError("no series to monitor")
@@ -368,7 +362,7 @@ def steady_run(parameters: list[TuningParameter], seeds: list[int],
     """
     sur = surrogate
     sur.check()
-    x0 = np.stack([start_state(p.value, sur.K, None, seed, PERTURBATION)
+    x0 = np.stack([start_state(p.value, sur.K, seed, PERTURBATION)
                    for p, seed in zip(parameters, seeds, strict=True)])
     try:
         states = integrate_grid(x0, [p.value for p in parameters], sur.dt,

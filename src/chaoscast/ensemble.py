@@ -19,19 +19,22 @@ and its keys, are scored in one ``metrics.pooled_correlations`` call per
 window.
 
 ``models.json`` and key files store each attractor's groups as one table
-(``table_to_dict``): its station ids, ``map_index`` values and maps, and
-the seven ``ModelTable`` arrays of those rows, padded as in memory and
-written with ``.tolist()``. A key file holds each member group once, and
-its keys name their members by ``map_index``. Both files carry
-``KEY_FORMAT_VERSION``, and a loader rejects any other.
+(``table_to_dict``): its station ids and maps as JSON, and ``map_index``
+with the seven ``ModelTable`` arrays of those rows, padded as in memory,
+as one base64 string of ``np.save`` bytes, so each array keeps its dtype
+and shape. A key file holds each member group once, and its keys name
+their members by ``map_index``. Both files carry ``KEY_FORMAT_VERSION``,
+and a loader rejects any other.
 """
 
 from __future__ import annotations
 
+import base64
+import io
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from .panel import Panel
 from .shrinkage import stein_adjust
 from .subset import ModelTable, SubsetModel, same_rows, select_stacks
 
-KEY_FORMAT_VERSION = 4  # of models.json and key files, which store the same tables
+KEY_FORMAT_VERSION = 5  # of models.json and key files, which store the same tables as .npy bytes
 ALLOWED_TOP_PERCENT = (10, 30, 100)
 COMBINERS = ("mean", "vote")
 VOTE_MODES = ("majority", "two_cluster_average")
@@ -480,55 +483,55 @@ def _one_table(groups: list[ModelGroup]) -> GroupTable:
     return groups[0].table
 
 
+# a stored table's arrays in blob order: name, dtype and axes over G maps, S
+# stations and p, the largest map dimension
+_STORED = (("map_index", np.int64, "G"), ("columns", np.int64, "GSp"),
+           ("coefficients", np.float64, "GSp"), ("intercept", np.float64, "GS"),
+           ("rss", np.float64, "GS"), ("cp", np.float64, "GS"), ("n_rows", np.int64, "G"),
+           ("dropped", np.bool_, "Gp"))
+
+
 def table_to_dict(groups) -> dict:
     """The groups of one table, in order, as ``models.json`` and key files store
-    them: their station ids, ``map_index`` values and maps, and the seven
-    ``ModelTable`` arrays of their rows, padded to their largest map dimension."""
+    them: station ids, maps, and base64 text of the ``_STORED`` arrays of their
+    rows, padded to their largest map dimension, written back to back by ``np.save``."""
     groups = list(groups)
-    table = _one_table(groups)
-    rows, m = [g.row for g in groups], table.models
+    table, rows, blob = _one_table(groups), [g.row for g in groups], io.BytesIO()
     p = max((table.maps[r].dim for r in rows), default=1)
-    arrays = (m.columns[rows, :, :p], m.coefficients[rows, :, :p], m.intercept[rows],
-              m.rss[rows], m.cp[rows], m.n_rows[rows], m.dropped[rows, :p])
-    return {"stations": list(table.stations), "map_index": [table.map_index[r] for r in rows],
-            "maps": [map_to_dict(table.maps[r]) for r in rows],
-            **{f.name: a.tolist() for f, a in zip(fields(ModelTable), arrays)}}
+    source = {"map_index": np.asarray(table.map_index), **vars(table.models)}
+    for name, dtype, axes in _STORED:
+        a = source[name][rows]
+        np.save(blob, (a[..., :p] if axes[-1] == "p" else a).astype(dtype, copy=False),
+                allow_pickle=False)
+    return {"stations": list(table.stations), "maps": [map_to_dict(table.maps[r]) for r in rows],
+            "arrays": base64.b64encode(blob.getvalue()).decode("ascii")}
 
 
 def table_from_dict(d: dict, attractor_id: str) -> GroupTable:
-    """The stored table of one attractor; PanelFormatError names it if an array
-    is ragged or not shaped by its maps and stations, if an entry is not a
-    number (such as a string or null), if an integer array holds a non-integral
-    value, or if the dropped mask holds other than 0/1 or true/false. The
-    table's own checks then reject a model it cannot hold (see ``ModelTable``)."""
+    """The stored table of one attractor. PanelFormatError names it and the array
+    if the text is not base64, an array is not ``.npy`` data of its ``_STORED`` dtype
+    and shape (pickled data is never read), or bytes follow the last array; then
+    ``ModelTable`` rejects a model it cannot hold."""
     maps = tuple(map_from_dict(m) for m in d["maps"])
-    G, S, p = len(maps), len(d["stations"]), max((m.dim for m in maps), default=1)
-    arrays = []
-    for name, dtype, shape in zip(("map_index", *(f.name for f in fields(ModelTable))),
-                                  (int, int, float, float, float, float, int, bool),
-                                  ((G,), (G, S, p), (G, S, p), (G, S), (G, S), (G, S), (G,),
-                                   (G, p))):
-        try:
-            a = np.array(d[name])
-        except ValueError:  # ragged
+    size = {"G": len(maps), "S": len(d["stations"]), "p": max((m.dim for m in maps), default=1)}
+    try:
+        blob = io.BytesIO(base64.b64decode(d["arrays"], validate=True))
+    except (TypeError, ValueError):  # not a string, or not base64 (binascii.Error)
+        raise PanelFormatError(f"attractor {attractor_id}: arrays is not base64 text") from None
+    arrays = {}
+    for name, dtype, axes in _STORED:
+        shape = tuple(size[axis] for axis in axes)
+        try:  # np.load's .npy reader: ValueError if truncated, not .npy, or pickled
+            a = arrays[name] = np.lib.format.read_array(blob, allow_pickle=False)
+        except ValueError:
             a = None
-        if a is None or a.shape != shape:
-            raise PanelFormatError(f"attractor {attractor_id}: {name} is not a {shape} array")
-        # a float conversion would take a string such as "2" and turn null into nan
-        bad = [] if a.dtype.kind in "biuf" else [
-            v for v in np.array(d[name], dtype=object).ravel() if not isinstance(v, (int, float))]
-        if bad:
-            raise PanelFormatError(f"attractor {attractor_id}: {name} holds {bad[0]!r}, "
-                                   "not a number")
-        a = a.astype(float, copy=False)
-        bad = (a[~np.isin(a, (0.0, 1.0))] if dtype is bool
-               else a[~(np.isfinite(a) & (a == np.round(a)))] if dtype is int else ())
-        if len(bad):
-            raise PanelFormatError(f"attractor {attractor_id}: {name} holds {bad[0]}, not "
-                                   + ("0/1 or true/false" if dtype is bool else "an integer"))
-        arrays.append(a.astype(dtype, copy=False))
-    return GroupTable(attractor_id, maps, tuple(arrays[0].tolist()), tuple(d["stations"]),
-                      ModelTable(*arrays[1:]))
+        if a is None or a.dtype != dtype or a.shape != shape:
+            raise PanelFormatError(f"attractor {attractor_id}: {name} is not a stored "
+                                   f"{shape} {np.dtype(dtype)} array")
+    if blob.read(1):
+        raise PanelFormatError(f"attractor {attractor_id}: bytes follow the last array, {name}")
+    return GroupTable(attractor_id, maps, tuple(arrays.pop("map_index").tolist()),
+                      tuple(d["stations"]), ModelTable(**arrays))
 
 
 def key_to_dict(key: PredictorKey) -> dict:

@@ -66,6 +66,19 @@ def _header(cfg: PipelineConfig) -> dict:
     return {"config_hash": cfg.config_hash(), "seed": cfg.seed}
 
 
+def _header_line(cfg: PipelineConfig) -> str:
+    return "# " + " ".join(f"{k}={v}" for k, v in _header(cfg).items())
+
+
+def _by_key(by_coord: dict, value) -> dict:
+    """A (variable, site)-keyed mapping as JSON stores it, by sorted "variable|site" keys."""
+    return {"|".join(coord): value(x) for coord, x in sorted(by_coord.items())}
+
+
+def _by_coord(by_key: dict, value) -> dict:
+    return {tuple(k.split("|")): value(x) for k, x in by_key.items()}
+
+
 def _stations(cfg: PipelineConfig) -> tuple[Station, ...]:
     return tuple(Station(sid, var, site)
                  for sid, (var, site) in cfg.resolved_stations().items())
@@ -86,8 +99,8 @@ def stage_library(cfg: PipelineConfig, out: Path | None = None) -> list[Attracto
         adir.mkdir(parents=True, exist_ok=True)
         for est in library:
             text = panel_to_text(est.panel, header_comments={
-                "config_hash": cfg.config_hash(), "seed": cfg.seed,
-                "parameter": est.parameter.value, "steady_start": est.steady_start})
+                **_header(cfg), "parameter": est.parameter.value,
+                "steady_start": est.steady_start})
             write_text(adir / f"{est.label}.csv", text)
             write_json(adir / f"{est.label}.meta.json", {
                 **_header(cfg),
@@ -96,8 +109,7 @@ def stage_library(cfg: PipelineConfig, out: Path | None = None) -> list[Attracto
                 "steady_start": est.steady_start,
                 "n_seasons": est.panel.n_seasons,
                 "attractor_seed": est.seed,
-                "scale": {f"{v}|{s}": [m, sd] for (v, s), (m, sd) in
-                          sorted(est.scale.items())},
+                "scale": _by_key(est.scale, list),
             })
     return library
 
@@ -112,8 +124,7 @@ def load_library(out: Path) -> list[AttractorEstimate]:
         meta = read_json(meta_path)
         path = adir / f"{meta['label']}.csv"
         panel, _ = panel_from_text(path.read_text())
-        scale = {tuple(k.split("|")): (float(m), float(sd))
-                 for k, (m, sd) in meta["scale"].items()}
+        scale = _by_coord(meta["scale"], lambda m_sd: tuple(map(float, m_sd)))
         for key in sorted(scale):
             if key not in panel.values or not np.isfinite(panel.values[key]).all():
                 raise PanelFormatError(f"{path}: series {key} misses a season or holds a "
@@ -142,16 +153,13 @@ def stage_ground(cfg: PipelineConfig, library, out: Path | None = None):
              len(ground.values), meta.get("mode"))
     if out is not None:
         text = panel_to_text(ground, header_comments={
-            "config_hash": cfg.config_hash(), "seed": cfg.seed,
-            "reference_window": f"{reference[0]}:{reference[1]}"})
+            **_header(cfg), "reference_window": f"{reference[0]}:{reference[1]}"})
         write_text(out / "ground.csv", text)
         write_json(out / "ground.meta.json", {
             **_header(cfg), "provenance": meta,
             "reference_window": list(reference),
-            "means": {f"{v}|{s}": list(map(float, arr))
-                      for (v, s), arr in sorted(factors.means.items())},
-            "sds": {f"{v}|{s}": list(map(float, arr))
-                    for (v, s), arr in sorted(factors.sds.items())},
+            "means": _by_key(factors.means, np.ndarray.tolist),
+            "sds": _by_key(factors.sds, np.ndarray.tolist),
         })
     return ground, factors, meta
 
@@ -165,8 +173,7 @@ def load_ground(out: Path):
     lo, hi = meta["reference_window"]
     factors = StandardizationFactors(
         reference_window=(int(lo), int(hi)),
-        means={tuple(k.split("|")): np.array(v) for k, v in meta["means"].items()},
-        sds={tuple(k.split("|")): np.array(v) for k, v in meta["sds"].items()})
+        means=_by_coord(meta["means"], np.array), sds=_by_coord(meta["sds"], np.array))
     return panel, factors, meta.get("provenance", {})
 
 
@@ -369,8 +376,7 @@ def stage_score(cfg: PipelineConfig, forecast: EnsembleForecast, ground: Panel,
         if out is not None:
             write_text(
                 out / "skill.csv",
-                f"# config_hash={cfg.config_hash()} seed={cfg.seed}\n"
-                "# no_forecast=true\n"
+                f"{_header_line(cfg)}\n# no_forecast=true\n"
                 "region,pearson_r,p_value,dof,heidke,n_pairs,box_ljung_q,box_ljung_p\n")
         return None, None, None
 
@@ -403,11 +409,11 @@ def stage_score(cfg: PipelineConfig, forecast: EnsembleForecast, ground: Panel,
     log.info("score: r=%.3f (dof=%d, p=%.3g), Heidke=%.1f over %d pairs",
              r, dof, p, hss, n_pairs)
     if out is not None:
-        lines = [f"# config_hash={cfg.config_hash()} seed={cfg.seed}",
+        lines = [_header_line(cfg),
                  "region,pearson_r,p_value,dof,heidke,n_pairs,box_ljung_q,box_ljung_p",
                  f"all-stations,{r!r},{p!r},{dof},{hss!r},{n_pairs},{bl_q!r},{bl_p!r}"]
         write_text(out / "skill.csv", "\n".join(lines) + "\n")
-        rlines = [f"# config_hash={cfg.config_hash()} seed={cfg.seed}",
+        rlines = [_header_line(cfg),
                   "start_season,pearson_r,heidke"]
         for start, rr, hh in running:
             rlines.append(f"{start + predict[0]},{rr!r},{hh!r}")
@@ -451,7 +457,7 @@ def emit_plot_data(cfg: PipelineConfig, out: Path) -> list[Path]:
     plots = out / "plots"
     plots.mkdir(parents=True, exist_ok=True)
     written = []
-    head = f"# config_hash={cfg.config_hash()} seed={cfg.seed}"
+    head = _header_line(cfg)
 
     fpath = out / "forecast.json"
     if fpath.exists():

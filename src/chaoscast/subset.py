@@ -101,12 +101,12 @@ class ModelTable:
     ``coefficients[g, s]``; the rest is padding, -1 and 0, so its size is
     the count of columns >= 0. The models of a design share its row count
     and the mask of the dependent columns it screened out. ``models.json``
-    and key files store these seven arrays as they are, each attractor's
-    rows as one table. Construction checks every model at once, rejecting
-    a model with no column, with columns that are not an increasing
-    prefix in [0, p) padded with -1 only at the tail, with a non-finite
-    coefficient, intercept or Cp, or with an RSS below -1e-9, and clamps
-    RSS at 0.
+    and key files store these seven arrays as typed ``.npy`` bytes, each
+    attractor's rows as one table (``ensemble.table_to_dict``). Construction
+    checks every model at once, rejecting a model with no column, with
+    columns that are not an increasing prefix in [0, p) padded with -1 only
+    at the tail, with a non-finite coefficient, intercept or Cp, or with an
+    RSS below -1e-9, and clamps RSS at 0.
     """
 
     columns: np.ndarray  # (G, S, p) column indices, padded with -1

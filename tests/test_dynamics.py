@@ -28,7 +28,7 @@ def _energy(states):
 
 
 def test_zero_forcing_zero_state_stays_zero():
-    states = integrate_lorenz96(0.0, 6, 0.05, 200, x0=np.zeros(6))
+    states = integrate_grid(np.zeros((1, 6)), [0.0], 0.05, 200)[0]
     assert states.shape == (201, 6)
     assert np.all(states == 0.0)
 
@@ -36,20 +36,20 @@ def test_zero_forcing_zero_state_stays_zero():
 def test_constant_solution_is_fixed_point():
     # x == F makes the advection vanish and -x + F cancel exactly
     F = 7.5
-    states = integrate_lorenz96(F, 8, 0.05, 10_000, x0=np.full(8, F))
+    states = integrate_grid(np.full((1, 8), F), [F], 0.05, 10_000)[0]
     assert np.allclose(states, F, atol=1e-12)
 
 
 def test_energy_decays_monotonically_at_zero_forcing():
     rng = np.random.default_rng(3)
-    E = _energy(integrate_lorenz96(0.0, 8, 0.01, 400, x0=rng.standard_normal(8)))
+    E = _energy(integrate_grid(rng.standard_normal((1, 8)), [0.0], 0.01, 400)[0])
     assert np.all(np.diff(E) <= 1e-12)
 
 
 def test_energy_decay_matches_analytic_law():
     # advection conserves energy, the -x term gives dE/dt = -2E exactly
     rng = np.random.default_rng(4)
-    E = _energy(integrate_lorenz96(0.0, 8, 0.01, 500, x0=3.0 * rng.standard_normal(8)))
+    E = _energy(integrate_grid(3.0 * rng.standard_normal((1, 8)), [0.0], 0.01, 500)[0])
     t = np.arange(E.size) * 0.01
     assert np.all(np.abs(E / (E[0] * np.exp(-2.0 * t)) - 1.0) < 0.01)
 
@@ -61,7 +61,7 @@ def test_step_halving_shrinks_error_sixteenfold():
     T, dt = 0.5, 0.02
 
     def final_state(step):
-        return integrate_lorenz96(8.0, 8, step, int(round(T / step)), x0=x0)[-1]
+        return integrate_grid(x0[None], [8.0], step, int(round(T / step)))[0, -1]
 
     ref = final_state(dt / 8)
     e1 = np.linalg.norm(final_state(dt) - ref)
@@ -81,8 +81,8 @@ def test_integration_input_validation():
         integrate_lorenz96(8.0, 3, 0.05, 10)
     with pytest.raises(ValueError):
         integrate_lorenz96(8.0, 8, -0.05, 10)
-    with pytest.raises(ValueError):
-        integrate_lorenz96(8.0, 8, 0.05, 10, x0=np.array([np.inf] * 8))
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        integrate_grid(np.full((1, 8), np.inf), [8.0], 0.05, 10)
     x0 = np.full((2, 8), 8.0)
     with pytest.raises(ValueError, match="one value per row"):
         integrate_grid(x0, [8.0], 0.05, 10)
@@ -121,7 +121,7 @@ def _reference_rk4(x, F, dt, n_steps):
 def _kicked_grid(forcings, seeds, K):
     """Every (forcing, seed) row of a grid, started as integrate_lorenz96 starts it."""
     rows = [(F, seed) for F in forcings for seed in seeds]
-    x0 = np.stack([start_state(F, K, None, seed, PERTURBATION) for F, seed in rows])
+    x0 = np.stack([start_state(F, K, seed, PERTURBATION) for F, seed in rows])
     return x0, [F for F, _ in rows]
 
 
@@ -167,7 +167,7 @@ def test_grid_holds_no_second_copy_of_its_states():
 
 def test_grid_divergence_reports_the_earliest_step_and_its_first_row():
     forcings = [8.0, 30.0, 100.0, 100.0, 200.0]
-    x0 = np.stack([start_state(F, 36, None, 3, PERTURBATION) for F in forcings])
+    x0 = np.stack([start_state(F, 36, 3, PERTURBATION) for F in forcings])
     alone = []
     for F in forcings[1:]:
         with pytest.raises(IntegrationDivergedError) as err:
@@ -185,7 +185,7 @@ def test_grid_divergence_after_many_finite_steps_matches_the_lone_run():
     # dt = 2.8 is past RK4's stability limit for the -x term, so a kicked ring
     # at F = 0 grows slowly and blows up late; the unkicked ring stays at 0.
     dt, kicks = 2.8, [(None, 0.0), (3, 1e-3), (1, 1e-6)]
-    x0 = np.stack([start_state(0.0, 36, None, seed, kick) for seed, kick in kicks])
+    x0 = np.stack([start_state(0.0, 36, seed, kick) for seed, kick in kicks])
     with pytest.raises(IntegrationDivergedError) as err:
         integrate_lorenz96(0.0, 36, dt, 300, seed=3)
     lone = err.value.step
@@ -305,13 +305,13 @@ def test_synth_index_validation():
 
 
 def test_detect_steady_state_constant_series():
-    assert detect_steady_state(np.ones(100), window=20, slope_tol=0.01) == 0
+    assert detect_steady_state([np.ones(100)], window=20, slope_tol=0.01) == 0
 
 
 def test_detect_steady_state_pure_trend_never_settles():
     # exact line: slope in own-sd units is sqrt(12/(w^2-1)), above tol for w=40
     with pytest.raises(StationarityNotReachedError):
-        detect_steady_state(0.001 * np.arange(200.0), window=40, slope_tol=0.01)
+        detect_steady_state([0.001 * np.arange(200.0)], window=40, slope_tol=0.01)
 
 
 def test_detect_steady_state_decay_plus_noise():
@@ -330,13 +330,13 @@ def test_detect_steady_state_decay_plus_noise():
     s_star = next(s for s in range(n - w + 1) if noiseless_std_slope(s) < tol)
     rng = np.random.default_rng(7)
     series = decay + sigma * rng.standard_normal(n)
-    detected = detect_steady_state(series, window=w, slope_tol=tol)
+    detected = detect_steady_state([series], window=w, slope_tol=tol)
     assert abs(detected - s_star) <= w
 
 
 def test_detect_steady_state_needs_two_windows():
     with pytest.raises(ValueError):
-        detect_steady_state(np.ones(30), window=20, slope_tol=0.01)
+        detect_steady_state([np.ones(30)], window=20, slope_tol=0.01)
 
 
 FAST_RUN = SurrogateConfig(K=5, dt=0.05, steps_per_season=10, n_seasons=160,

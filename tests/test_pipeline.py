@@ -1,7 +1,8 @@
+import base64
 import hashlib
+import io
 import json
 import dataclasses
-import functools
 import re
 import shutil
 import tempfile
@@ -118,18 +119,26 @@ def test_run_all_writes_the_recorded_golden_bytes(run_all, name):
         pytest.skip(f"{DIGESTS.name} holds digests for numpy {recorded['build']['numpy']} "
                     f"with {recorded['build']['blas']}; this is numpy {build['numpy']} "
                     f"with {build['blas']}")
-    got, want = _digests(run_all(name)[1]), recorded["runs"][name]
-    differ = sorted(p for p in got.keys() | want.keys() if got.get(p) != want.get(p))
+    differ = _differ(_digests(run_all(name)[1]), recorded["runs"][name])
     assert not differ, f"{name}: these artifacts differ from {DIGESTS.name}: {differ}"
 
 
+def _differ(got, want):
+    """The paths whose digests differ, or that only one side holds."""
+    return sorted(p for p in got.keys() | want.keys() if got.get(p) != want.get(p))
+
+
 def record_golden_digests(root: Path) -> None:
-    """Rewrite golden_digests.json from one run-all per DIGEST_CONFIGS entry."""
+    """Rewrite golden_digests.json from one run-all per DIGEST_CONFIGS entry,
+    first printing each (config, path) whose digest changed."""
+    recorded = json.loads(DIGESTS.read_text())["runs"] if DIGESTS.exists() else {}
     runs = {}
     for name, payload in sorted(DIGEST_CONFIGS.items()):
         config = _write_config(root / f"{name}.json", payload)
         assert cli.main(["run-all", "-c", config, "-o", str(root / name)]) == 0
         runs[name] = _digests(root / name)
+        for path in _differ(runs[name], recorded.get(name, {})):
+            print(f"changed: {name} {path}")
     DIGESTS.write_text(json.dumps({"build": _build(), "runs": runs}, indent=1,
                                   sort_keys=True) + "\n")
 
@@ -241,10 +250,9 @@ def test_invert_rejects_a_key_naming_a_member_the_file_lacks(golden_run, tmp_pat
     key = payload["keys"][0]
     lost = key["members"][0]
     table = payload["groups"][key["attractor_id"]]
-    rows = [j for j, i in enumerate(table["map_index"]) if i != lost]
-    for name, values in table.items():
-        if name != "stations":  # every other entry holds one item per group
-            table[name] = [values[j] for j in rows]
+    kept = _recoded(table)["map_index"] != lost
+    _recoded(table, lambda arrays: {name: a[kept] for name, a in arrays.items()})
+    table["maps"] = [m for m, keep in zip(table["maps"], kept) if keep]
     path.write_text(json.dumps(payload))
     capsys.readouterr()
     assert cli.main(["invert", "-c", config, "-o", str(out)]) == 1
@@ -258,23 +266,25 @@ def test_key_files_hold_each_member_group_once(tmp_path, name):
     out = tmp_path / "out"
     result = pl.run_pipeline(PipelineConfig.from_dict(payload), out)
     models = json.loads((out / "models.json").read_text())
-    assert models["format_version"] == 4
+    assert models["format_version"] == 5
     all_keys = [k for label in sorted(result.keys_by_attractor)
                 for k in result.keys_by_attractor[label]]
     for file, keys in (("keys.json", all_keys), ("retained_keys.json", result.retained)):
         stored = json.loads((out / file).read_text())
-        assert stored["format_version"] == 4
+        assert stored["format_version"] == 5
         # each (attractor, map_index) group once, in map_index order, as one table
         # holding the rows of models.json's table
+        indices = {label: _recoded(table)["map_index"].tolist()
+                   for label, table in stored["groups"].items()}
         for label, table in stored["groups"].items():
-            indices, fitted = table["map_index"], models["groups"][label]
-            assert indices == sorted(set(indices))
-            rows = [fitted["map_index"].index(i) for i in indices]
-            assert table == {name: values if name == "stations" else [values[j] for j in rows]
-                             for name, values in fitted.items()}
-        assert {(label, i) for label, table in stored["groups"].items()
-                for i in table["map_index"]} == {(k.attractor_id, g.map_index)
-                                                 for k in keys for g in k.members}
+            fitted = models["groups"][label]
+            assert indices[label] == sorted(set(indices[label]))
+            rows = [_recoded(fitted)["map_index"].tolist().index(i) for i in indices[label]]
+            expected = {**fitted, "maps": [fitted["maps"][j] for j in rows]}
+            _recoded(expected, lambda arrays: {name: a[rows] for name, a in arrays.items()})
+            assert table == expected
+        assert {(label, i) for label, held in indices.items() for i in held} == {
+            (k.attractor_id, g.map_index) for k in keys for g in k.members}
         # a key names its members by map_index, in member order
         assert [d["members"] for d in stored["keys"]] == [
             [g.map_index for g in k.members] for k in keys]
@@ -657,8 +667,9 @@ def _tables(groups):
     return tables
 
 
-def test_loaders_rebuild_the_fitted_tables_bit_for_bit(golden_run):
-    config, out = golden_run
+@pytest.mark.parametrize("name", sorted(DIGEST_CONFIGS))
+def test_loaders_rebuild_the_fitted_tables_bit_for_bit(run_all, name):
+    config, out = run_all(name)
     cfg = load_config(config)
     fitted = pl.stage_fit(cfg, pl.load_library(out), pl.load_maps(out))
     stored = {label: _tables(groups)[label] for label, groups in pl.load_groups(out).items()}
@@ -676,18 +687,47 @@ def test_loaders_rebuild_the_fitted_tables_bit_for_bit(golden_run):
                 assert a.tobytes() == b.tobytes(), field.name
 
 
-def _set(name, value):
-    """A change to the stored model of map_index 3 and station st01."""
+# a stored table's arrays, in blob order
+STORED_ARRAYS = ("map_index", *(f.name for f in dataclasses.fields(subset.ModelTable)))
+
+
+def _recoded(table, change=lambda arrays: arrays) -> dict:
+    """A stored table's arrays by name, decoded; the table then stores ``change``
+    of them, written back to back by ``np.save`` and base64-encoded."""
+    blob = io.BytesIO(base64.b64decode(table["arrays"], validate=True))
+    arrays = change({name: np.load(blob) for name in STORED_ARRAYS})
+    blob = io.BytesIO()
+    for a in arrays.values():
+        np.save(blob, a)
+    table["arrays"] = base64.b64encode(blob.getvalue()).decode("ascii")
+    return arrays
+
+
+def _put(name, value, *index, dtype=None):
+    """A change storing ``value`` at ``index`` of the array ``name``, cast to
+    ``dtype`` first when one is given."""
+    def edit(arrays):
+        a = arrays[name].astype(dtype or arrays[name].dtype)
+        a[index] = value
+        return {**arrays, name: a}
+    return lambda table: _recoded(table, edit)
+
+
+def _set(name, value, dtype=None):
+    """A change to the stored model of map_index 3 and station st01 (row 3, column 1)."""
+    return _put(name, value, 3, 1, dtype=dtype)
+
+
+def _blob(edit):
+    """A change to the bytes the stored table's base64 text decodes to."""
     def change(table):
-        table[name][3][table["stations"].index("st01")] = value
+        table["arrays"] = base64.b64encode(edit(base64.b64decode(table["arrays"]))).decode()
     return change
 
 
-def _put(name, value, *index):
-    """A change to the stored array ``name`` at ``index``."""
-    def change(table):
-        functools.reduce(list.__getitem__, index[:-1], table[name])[index[-1]] = value
-    return change
+def _not_a(name, shape, dtype):
+    """The loader's message for F8's stored array ``name`` that is not ``shape`` ``dtype``."""
+    return re.escape(f"attractor F8: {name} is not a stored {shape} {dtype} array")
 
 
 @pytest.mark.parametrize("change, error, message", [
@@ -698,30 +738,39 @@ def _put(name, value, *index):
     (_set("cp", float("nan")), ValueError, "cp must be finite"),
     (_set("rss", -1e-8), ValueError, "rss must be finite and non-negative"),
     (_set("rss", float("inf")), ValueError, "rss must be finite and non-negative"),
-    (_set("columns", [0, 1]), PanelFormatError,
-     re.escape("attractor F8: columns is not a (20, 4, 8) array")),
     (_set("columns", [0, -1, 2] + [-1] * 5), ValueError,
      "columns must increase, padded with -1 only at the tail"),
     (_set("columns", [8] + [-1] * 7), ValueError, re.escape("columns must lie in [0, 8)")),
-    (_set("columns", [0, 2.5] + [-1] * 6), PanelFormatError,
-     "attractor F8: columns holds 2.5, not an integer"),
-    (_put("map_index", 3.5, 3), PanelFormatError,
-     "attractor F8: map_index holds 3.5, not an integer"),
-    (_put("n_rows", 170.25, 3), PanelFormatError,
-     "attractor F8: n_rows holds 170.25, not an integer"),
-    (_put("dropped", 0.25, 3, 0), PanelFormatError,
-     "attractor F8: dropped holds 0.25, not 0/1 or true/false"),
-    (_put("dropped", 2, 3, 0), PanelFormatError,
-     "attractor F8: dropped holds 2.0, not 0/1 or true/false"),
-    (_set("columns", [0, "2"] + [-1] * 6), PanelFormatError,
-     "attractor F8: columns holds '2', not a number"),
-    (_put("n_rows", "188", 3), PanelFormatError,
-     "attractor F8: n_rows holds '188', not a number"),
-    (_set("cp", None), PanelFormatError, "attractor F8: cp holds None, not a number"),
-], ids=["no-column", "coefficient", "intercept", "cp", "negative-rss", "rss", "ragged",
-        "inner-padding", "column-range", "fractional-column", "fractional-map-index",
-        "fractional-n-rows", "fractional-dropped", "dropped-two", "string-column",
-        "string-n-rows", "null-cp"])
+    # the same kinds of bad entry as typed arrays: another dtype or shape
+    (lambda table: _recoded(table, lambda arrays: {**arrays,
+                                                   "columns": arrays["columns"][:, :, :2]}),
+     PanelFormatError, _not_a("columns", (20, 4, 8), "int64")),
+    (_set("columns", [0, 2.5] + [-1] * 6, dtype=float), PanelFormatError,
+     _not_a("columns", (20, 4, 8), "int64")),
+    (_put("map_index", 3.5, 3, dtype=float), PanelFormatError,
+     _not_a("map_index", (20,), "int64")),
+    (_put("n_rows", 170.25, 3, dtype=float), PanelFormatError,
+     _not_a("n_rows", (20,), "int64")),
+    (_put("dropped", 0.25, 3, 0, dtype=float), PanelFormatError,
+     _not_a("dropped", (20, 8), "bool")),
+    (_put("dropped", 2, 3, 0, dtype=int), PanelFormatError,
+     _not_a("dropped", (20, 8), "bool")),
+    (_set("columns", ["0", "2"] + ["-1"] * 6, dtype=str), PanelFormatError,
+     _not_a("columns", (20, 4, 8), "int64")),
+    (_put("n_rows", "188", 3, dtype=str), PanelFormatError,
+     _not_a("n_rows", (20,), "int64")),
+    # an object array is stored as a pickle, which the loader never reads
+    (_set("cp", None, dtype=object), PanelFormatError, _not_a("cp", (20, 4), "float64")),
+    (_blob(lambda data: data[:-8]), PanelFormatError, _not_a("dropped", (20, 8), "bool")),
+    (_blob(lambda data: data + b"\0"), PanelFormatError,
+     "attractor F8: bytes follow the last array, dropped"),
+    (lambda table: table.update(arrays="*" + table["arrays"][1:]), PanelFormatError,
+     "attractor F8: arrays is not base64 text"),
+], ids=["no-column", "coefficient", "intercept", "cp", "negative-rss", "rss",
+        "inner-padding", "column-range", "wrong-shape", "fractional-column",
+        "fractional-map-index", "fractional-n-rows", "fractional-dropped", "dropped-two",
+        "string-column", "string-n-rows", "null-cp", "truncated", "trailing-bytes",
+        "not-base64"])
 def test_loaders_reject_what_a_subset_model_rejects(golden_run, tmp_path, change, error,
                                                     message):
     # a table stores a map's stations, row count and dropped columns once, so
@@ -730,7 +779,7 @@ def test_loaders_reject_what_a_subset_model_rejects(golden_run, tmp_path, change
     for name in ("models.json", "keys.json"):
         payload = json.loads((out / name).read_text())
         table = payload["groups"]["F8"]
-        assert table["map_index"][3] == 3
+        assert _recoded(table)["map_index"][3] == 3 and table["stations"][1] == "st01"
         change(table)
         (tmp_path / name).write_text(json.dumps(payload))
     with pytest.raises(error, match=message):
