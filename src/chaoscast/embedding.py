@@ -82,10 +82,11 @@ def sample_delay_maps(catalog: list[Coord], n_maps: int, dim: int,
 def lagged_designs(maps, panel: Panel, seasons: tuple[int, int]) -> np.ndarray:
     """Predictor rows of maps of one dimension for each response season in [start, stop).
 
-    Returns the (maps, stop - start, dim) stack from one indexed read of
-    the panel: row t of map g holds panel[var, site][t - lag] per
-    coordinate, NaN where the lag reaches before season 0 or the panel
-    has no value.
+    Returns the C-ordered (maps, stop - start, dim) stack: row t of map g
+    holds panel[var, site][t - lag] per coordinate, NaN where the lag
+    reaches before season 0 or the panel has no value. Each (coordinate,
+    lag) column is one contiguous window of its NaN-padded series, read
+    through a sliding-window view, not gathered element by element.
     """
     start, stop = seasons
     if not 0 <= start < stop <= panel.n_seasons:
@@ -97,9 +98,10 @@ def lagged_designs(maps, panel: Panel, seasons: tuple[int, int]) -> np.ndarray:
     pad = max(0, max(dmap.max_lag for dmap in maps) - start)
     series = np.full((len(coords), pad + stop), np.nan)
     series[:, pad:] = [panel.series(*c)[:stop] for c in coords]
-    which, lags = np.array([[(row_of[v, s], pad - lag) for v, s, lag in dmap.coords]
-                            for dmap in maps]).transpose(2, 0, 1)
-    return series[which[:, None, :], np.arange(start, stop)[:, None] + lags[:, None, :]]
+    which, offsets = np.array([[(row_of[v, s], pad + start - lag) for v, s, lag in dmap.coords]
+                               for dmap in maps]).transpose(2, 0, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(series, stop - start, axis=1)
+    return np.ascontiguousarray(windows[which, offsets].transpose(0, 2, 1))
 
 
 # kept for perfbench/traced.py, which reads each search's design with it

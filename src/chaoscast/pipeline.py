@@ -4,9 +4,10 @@ Stages run in a fixed order (library -> ground -> embed -> fit -> select
 -> forecast -> score [-> invert]), each writing a self-describing
 artifact carrying the config hash and master seed. The shrinkage
 bootstrap depends only on the config and only select reads it, so it
-runs on a worker thread beside ground, embed and fit; its log line and
-``shrinkage.json`` come after fit, just before select, and a run that
-fails in ground, embed or fit writes no ``shrinkage.json``.
+runs on a worker thread beside ground, embed, fit and, while it still
+runs, select's predictions; its log line and ``shrinkage.json`` come
+just before select ranks, and a run that fails before then writes no
+``shrinkage.json``.
 Every random draw derives from the master seed, so rerunning an
 identical config reproduces every artifact byte for byte. An empty
 retention is a successful run with an explicit no-forecast marker.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -180,25 +182,35 @@ def load_ground(out: Path):
 # --- shrinkage -----------------------------------------------------------
 
 def stage_shrinkage(cfg: PipelineConfig, out: Path | None = None) -> ShrinkageReport:
-    report = _bootstrap(cfg)()
-    _record_shrinkage(cfg, report, out)
+    report, seconds = _bootstrap(cfg)()
+    _record_shrinkage(cfg, report, out, seconds, waited=seconds)
     return report
 
 
 def _bootstrap(cfg: PipelineConfig):
-    """The config's bootstrap as a call with no arguments. Its draw buffer is
-    allocated here, in the caller's thread, and freed when the call is freed."""
+    """The config's bootstrap as a call with no arguments that returns its report
+    and its own seconds. Its draw buffer is allocated here, in the caller's
+    thread, and freed when the call is freed."""
     n_stations, sh = len(cfg.resolved_stations()), cfg.shrinkage
-    return functools.partial(
+    run = functools.partial(
         bootstrap_shrinkage, n_stations=n_stations, n_points=sh.n_points,
         target_r=sh.target_r, n_reps=sh.n_reps,
         seed=int(derive_rng(cfg.seed, "shrinkage").integers(2**32)),
         draws=np.empty(draw_buffer_shape(n_stations, sh.n_points, sh.n_reps)))
 
+    def timed():
+        start = time.perf_counter()
+        return run(), time.perf_counter() - start
+    return timed
 
-def _record_shrinkage(cfg: PipelineConfig, report: ShrinkageReport, out: Path | None) -> None:
-    log.info("shrinkage: factor=%.4f over %d replicates",
-             report.shrinkage_factor, report.n_replicates)
+
+def _record_shrinkage(cfg: PipelineConfig, report: ShrinkageReport, out: Path | None,
+                      seconds: float, waited: float) -> None:
+    """Log the report, with the bootstrap's own seconds and the seconds the main
+    thread spent waiting for it, and write ``shrinkage.json``."""
+    log.info("shrinkage: factor=%.4f over %d replicates (bootstrap %.3f s, "
+             "main thread waited %.3f s)", report.shrinkage_factor, report.n_replicates,
+             seconds, waited)
     if out is not None:
         payload = asdict(report)
         payload["bootstrap_seed"] = payload.pop("seed")
@@ -269,20 +281,38 @@ def load_groups(out: Path) -> dict[str, list[ModelGroup]]:
 
 # --- select --------------------------------------------------------------
 
+def _select_span(cfg: PipelineConfig) -> tuple[int, int]:
+    """The contiguous rank, select and retain windows that select predicts over."""
+    windows = cfg.schedule.windows()
+    return (windows.rank[0], windows.retain[1])
+
+
+def _select_prediction(cfg: PipelineConfig, groups, ground: Panel) -> np.ndarray:
+    """One attractor's (groups, stations, seasons) prediction over the select
+    span, one per group: the stack ``stage_select`` ranks and scores. It does
+    not depend on the shrinkage factor."""
+    return predict_groups(groups, ground, _stations(cfg), _select_span(cfg))
+
+
 def stage_select(cfg: PipelineConfig, groups, ground: Panel,
-                 shrinkage: ShrinkageReport, out: Path | None = None):
+                 shrinkage: ShrinkageReport, out: Path | None = None,
+                 predictions: dict[str, np.ndarray] | None = None):
+    """Rank, select and retain keys. ``predictions`` holds the stacks of
+    ``_select_prediction`` already formed, by attractor; the others are
+    formed here."""
     windows = cfg.schedule.windows()
     stations = _stations(cfg)
     sel = cfg.selection
     factor, positive_part = shrinkage.shrinkage_factor, cfg.shrinkage.positive_part
-    # one prediction per group over the contiguous rank, select and retain windows
-    span = (windows.rank[0], windows.retain[1])
+    predictions = predictions or {}
     n_rank = windows.rank[1] - windows.rank[0]
     n_select = windows.select[1] - windows.select[0]
-    obs = observation_matrix(ground, stations, span)
+    obs = observation_matrix(ground, stations, _select_span(cfg))
     keys_by_attractor: dict[str, list[PredictorKey]] = {}
     for label in sorted(groups):
-        preds = predict_groups(groups[label], ground, stations, span)
+        preds = predictions.get(label)
+        if preds is None:
+            preds = _select_prediction(cfg, groups[label], ground)
         order = rank_models(groups[label], preds[:, :, :n_rank], obs[:, :n_rank],
                             factor, positive_part=positive_part)
         keys = form_keys(label, groups[label], order, preds[:, :, n_rank:], obs[:, n_rank:],
@@ -508,17 +538,32 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> PipelineResult:
         out.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out / "config.json")
     library = stage_library(cfg, out)
-    # the bootstrap spends most of its time filling draws with the GIL released;
-    # started after the library, its draw buffer is never resident at once with
-    # the library's integration state, and the block exit joins it on every path
+    # The bootstrap runs on a worker beside ground, embed, fit and, while it
+    # still runs, select's predictions, which need no shrinkage factor. Both
+    # threads spend most of their time in numpy calls that release the GIL, so
+    # the window's length is set by how often they hand it back and forth: each
+    # numpy call is one handoff, and the bootstrap makes few, on whole blocks.
+    # A prediction formed after the bootstrap is done gains nothing here and
+    # would only be held through select (at the default config, 1.4 MB per
+    # attractor). Started after the library, the draw buffer is never resident
+    # at once with the library's integration state, and the block exit joins
+    # the worker on every path.
     with ThreadPoolExecutor(max_workers=1) as pool:
         bootstrap = pool.submit(_bootstrap(cfg))
         ground, factors, meta = stage_ground(cfg, library, out)
         maps = stage_embed(cfg, library, ground, out)
         groups = stage_fit(cfg, library, maps, out)
-        shrink = bootstrap.result()
-    _record_shrinkage(cfg, shrink, out)
-    keys_by_attractor, retained = stage_select(cfg, groups, ground, shrink, out)
+        predictions = {}
+        for label in sorted(groups):
+            if bootstrap.done():
+                break
+            predictions[label] = _select_prediction(cfg, groups[label], ground)
+        start = time.perf_counter()
+        shrink, seconds = bootstrap.result()
+        waited = time.perf_counter() - start
+    _record_shrinkage(cfg, shrink, out, seconds, waited)
+    keys_by_attractor, retained = stage_select(cfg, groups, ground, shrink, out,
+                                               predictions)
     forecast = stage_forecast(cfg, retained, ground, out)
     skill, running, boundaries = stage_score(cfg, forecast, ground, out)
     inversion = None

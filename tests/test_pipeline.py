@@ -1,4 +1,5 @@
 import base64
+import concurrent.futures
 import hashlib
 import io
 import json
@@ -189,22 +190,117 @@ def test_run_pipeline_bootstrap_beside_fit_equals_the_serial_stage():
         dataclasses.asdict(pl.stage_shrinkage(cfg))
 
 
-def test_a_failed_fit_joins_the_bootstrap_and_writes_no_shrinkage(tmp_path, monkeypatch):
-    error = RuntimeError("fit failed")
-    started = []
+def _hold_bootstrap(monkeypatch, release: threading.Event):
+    """Make run_pipeline's bootstrap wait, up to 60 s, until ``release`` is set."""
+    make = pl._bootstrap
 
-    def failing_fit(*args, **kwargs):
+    def held(cfg):
+        run = make(cfg)
+
+        def call():
+            release.wait(60)
+            return run()
+        return call
+
+    monkeypatch.setattr(pl, "_bootstrap", held)
+
+
+def test_a_failed_fit_joins_the_bootstrap_and_writes_no_shrinkage(tmp_path, monkeypatch):
+    _assert_a_failure_joins_the_bootstrap(tmp_path, monkeypatch, "stage_fit")
+
+
+def test_a_failed_prediction_joins_the_bootstrap_and_writes_no_shrinkage(tmp_path,
+                                                                         monkeypatch):
+    _assert_a_failure_joins_the_bootstrap(tmp_path, monkeypatch, "predict_groups")
+
+
+def _assert_a_failure_joins_the_bootstrap(tmp_path, monkeypatch, failing):
+    """``failing`` raises inside run_pipeline's bootstrap window; the worker is
+    joined, the error re-raised, and no shrinkage.json written."""
+    error = RuntimeError(f"{failing} failed")
+    started = []
+    release = threading.Event()
+
+    def fail(*args, **kwargs):
         started.append(threading.active_count())
+        release.set()
         raise error
 
-    monkeypatch.setattr(pl, "stage_fit", failing_fit)
+    _hold_bootstrap(monkeypatch, release)  # a prediction fails while it runs
+    monkeypatch.setattr(pl, failing, fail)
     before = threading.enumerate()
     with pytest.raises(RuntimeError) as raised:
         pl.run_pipeline(PipelineConfig.from_dict(GOLDEN_CONFIG), tmp_path)
     assert raised.value is error
-    assert started == [len(before) + 1]  # the bootstrap's worker ran beside fit
+    assert started == [len(before) + 1]  # the bootstrap's worker ran beside the failure
     assert threading.enumerate() == before
     assert (tmp_path / "maps.json").exists() and not (tmp_path / "shrinkage.json").exists()
+    assert (tmp_path / "models.json").exists() == (failing == "predict_groups")
+
+
+class _SerialExecutor:
+    """A ThreadPoolExecutor stand-in whose submit runs the call at once."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn):
+        future = concurrent.futures.Future()
+        future.set_result(fn())
+        return future
+
+
+@pytest.mark.parametrize("bootstrap", ["running", "done"])
+def test_select_predicts_inside_the_window_only_while_the_bootstrap_runs(monkeypatch,
+                                                                         bootstrap):
+    cfg = PipelineConfig.from_dict(GOLDEN_CONFIG)
+    expected = pl.run_pipeline(cfg).keys_by_attractor
+    recorded, after_record = [], []
+    record, predict = pl._record_shrinkage, ensemble.predict_groups
+    release = threading.Event()
+
+    def counted(*args, **kwargs):
+        after_record.append(bool(recorded))
+        if len(after_record) == len(cfg.surrogate.forcings):
+            release.set()
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(pl, "_record_shrinkage", lambda *a: recorded.append(record(*a)))
+    monkeypatch.setattr(pl, "predict_groups", counted)
+    if bootstrap == "running":
+        _hold_bootstrap(monkeypatch, release)
+    else:
+        monkeypatch.setattr(pl, "ThreadPoolExecutor", _SerialExecutor)
+    keys_by_attractor = pl.run_pipeline(cfg).keys_by_attractor
+    # every attractor's stack is formed before the join while the bootstrap
+    # runs, and after it, one at a time in select, once it is done
+    assert after_record == [bootstrap == "done"] * len(cfg.surrogate.forcings)
+    assert [[(k.top_percent, k.combiner, k.correlations) for k in keys_by_attractor[a]]
+            for a in sorted(expected)] == \
+        [[(k.top_percent, k.combiner, k.correlations) for k in expected[a]]
+         for a in sorted(expected)]
+
+
+def test_the_shrinkage_line_reports_the_bootstraps_seconds_and_the_wait(caplog):
+    cfg = PipelineConfig.from_dict(GOLDEN_CONFIG)
+    pattern = (r"shrinkage: factor=[0-9.]+ over 2000 replicates "
+               r"\(bootstrap ([0-9.]+) s, main thread waited ([0-9.]+) s\)")
+    for run in (pl.run_pipeline, pl.stage_shrinkage):
+        caplog.clear()
+        with caplog.at_level("INFO", logger="chaoscast"):
+            run(cfg)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("shrinkage")]
+        assert len(lines) == 1
+        seconds, waited = map(float, re.fullmatch(pattern, lines[0]).groups())
+        assert seconds > 0.0
+        # serially the main thread waits for all of it; beside the fit, for at most all
+        assert waited == seconds if run is pl.stage_shrinkage else waited <= seconds
 
 
 def test_staged_verbs_write_the_same_bytes_as_run_all(golden_run, tmp_path):
@@ -322,6 +418,14 @@ def _count_predict_groups(monkeypatch, *modules):
 
 
 def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
+    _assert_each_model_group_is_predicted_once(golden_run, monkeypatch, "stage_select")
+
+
+def test_run_pipeline_predicts_each_model_group_once(golden_run, monkeypatch):
+    _assert_each_model_group_is_predicted_once(golden_run, monkeypatch, "run_pipeline")
+
+
+def _assert_each_model_group_is_predicted_once(golden_run, monkeypatch, caller):
     config, out = golden_run
     cfg = load_config(config)
     groups = pl.load_groups(out)
@@ -335,7 +439,12 @@ def test_stage_select_predicts_each_model_group_once(golden_run, monkeypatch):
         return correlate(pred, obs)
 
     monkeypatch.setattr(ensemble, "pooled_correlations", counted)
-    keys_by_attractor, _ = pl.stage_select(cfg, groups, ground, pl.stage_shrinkage(cfg))
+    if caller == "stage_select":
+        keys_by_attractor, _ = pl.stage_select(cfg, groups, ground, pl.stage_shrinkage(cfg))
+    else:  # the golden run retains no key, so select makes every prediction of the run
+        run = pl.run_pipeline(cfg)
+        assert not run.retained and run.inversion is None
+        keys_by_attractor = run.keys_by_attractor
     # one batched call per attractor, holding each of its groups once
     assert calls == [Counter((g.attractor_id, g.map_index) for g in groups[label])
                      for label in sorted(groups)]

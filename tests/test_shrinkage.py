@@ -122,6 +122,19 @@ def test_bootstrap_transient_memory_stays_below_14_mib():
     assert peak < 14 * 2**20
 
 
+def test_bootstrap_forms_its_statistics_in_place_in_a_caller_buffer():
+    # the Y-noise slice (200 KiB at 4 stations) and per-replicate vectors; one
+    # statistic formed on a whole-block temporary would take 5.9 MiB
+    draws = np.empty(draw_buffer_shape(4, 100, 2000))
+    tracemalloc.start()
+    try:
+        bootstrap_shrinkage(4, draws=draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_bootstrap_population_slope():
     # slope(Y~X2) = cov/var(X2) = 1/(1+2), the target corr(Y, X2)
     rep = bootstrap_shrinkage(n_stations=5, n_reps=10_000, seed=3)

@@ -486,6 +486,74 @@ def test_batched_screen_keeps_the_columns_of_the_per_design_screen():
         assert list(np.flatnonzero(mask)) == kept
 
 
+def _count_independent_columns(monkeypatch):
+    """Record the stack size of each _independent_columns call that _select makes."""
+    calls = []
+
+    def counted(XcT):
+        calls.append(len(XcT))
+        return _independent_columns(XcT)
+
+    monkeypatch.setattr(subset, "_independent_columns", counted)
+    return calls
+
+
+def test_a_certified_design_is_one_the_orthogonalization_keeps_whole():
+    # case: (certified, every column kept by the per-design screen)
+    expected = {"spread": (True, True), "constant": (False, False),
+                "combination": (False, False), "near-parallel": (False, True),
+                "tiny-norm": (False, True), "zero": (False, False)}
+    rng = np.random.default_rng(16)
+    designs, cases = [], list(expected) * 8
+    for case in cases:
+        X = rng.standard_normal((30, 6))
+        if case == "spread":  # column norms up to four orders of magnitude apart
+            X *= 10.0 ** rng.uniform(-2, 2, 6)
+        if case == "constant":
+            X[:, 2] = 3.0
+        if case == "combination":
+            X[:, 4] = X[:, 1] - 2.0 * X[:, 3]
+        if case == "near-parallel":  # a residual 1e-6 of the column's norm
+            X[:, 5] = X[:, 0] * (1.0 + 1e-6 * rng.standard_normal(30))
+        if case == "tiny-norm":  # a column norm 1e-8 of the largest
+            X[:, 1] *= 1e-8 / np.linalg.norm(X[:, 1]) * np.linalg.norm(X, axis=0).max()
+        if case == "zero":
+            X[:] = 0.0
+        designs.append(X - X.mean(axis=0))
+    XcT = np.ascontiguousarray(np.stack(designs).transpose(0, 2, 1))
+    certified = subset._certified_independent(XcT @ XcT.transpose(0, 2, 1))
+    assert list(certified) == [expected[case][0] for case in cases]
+    for Xc, case in zip(designs, cases):
+        assert (len(reference_independent_columns(Xc)[0]) == 6) == expected[case][1]
+
+
+def test_well_conditioned_designs_skip_the_orthogonalization(monkeypatch):
+    rng = np.random.default_rng(17)
+    X, Y = _screen_stack("random", 8, rng)
+    assert (_relative_pivots(X, Y) >= PIVOT_TOL).all()
+    calls = _count_independent_columns(monkeypatch)
+    table = select_stack(X, Y)
+    assert calls == [] and not table.dropped.any()
+    for x, got in zip(X, table_models(table)):
+        _assert_same_bits(got, reference_select_models(x, Y))
+
+
+@pytest.mark.parametrize("eps", [3e-8, 3e-7])  # below and above RESIDUAL_TOL
+def test_only_a_near_dependent_design_takes_the_orthogonalization(monkeypatch, eps):
+    rng = np.random.default_rng(18)
+    X, Y = rng.standard_normal((10, 60, 6)), rng.standard_normal((60, 3))
+    X[3, :, 4] = X[3, :, 1] * (1.0 + eps * rng.standard_normal(60))
+    calls = _count_independent_columns(monkeypatch)
+    table = select_stack(X, Y)
+    assert calls == [1]
+    kept = [reference_independent_columns(x - x.mean(axis=0))[0] for x in X]
+    assert kept[3] == ([0, 1, 2, 3, 5] if eps < RESIDUAL_TOL else list(range(6)))
+    assert [list(np.flatnonzero(mask)) for mask in table.dropped] == \
+        [sorted(set(range(6)) - set(k)) for k in kept]
+    for x, got in zip(X, table_models(table)):
+        _assert_same_bits(got, reference_select_models(x, Y))
+
+
 @pytest.mark.parametrize("p", [1, 4])
 def test_select_stack_equals_lone_searches_and_leaves_its_input(p):
     rng = np.random.default_rng(15)
@@ -742,6 +810,7 @@ def test_lagged_designs_equals_the_per_map_read(short_attractor):
     for seasons in ((0, 30), (3, 60), (11, panel.n_seasons), (150, 181)):
         X = lagged_designs(maps, panel, seasons)
         assert X.shape == (len(maps), seasons[1] - seasons[0], 3)
+        assert X.flags.c_contiguous  # the layout predict_groups' bit contract reads
         for dmap, x in zip(maps, X):
             assert np.array_equal(x, lagged_rows(panel, dmap, seasons)[0], equal_nan=True)
     with pytest.raises(ValueError, match="outside panel"):
