@@ -23,7 +23,7 @@ from .metrics import (SkillReport, adjusted_dof, benjamini_hochberg, box_ljung,
                       correlation_pvalue, heidke_skill, pooled_correlations,
                       running_skill, tercile_boundaries)
 from .panel import Panel
-from .pipeline import PipelineResult, emit_plot_data, run_pipeline
+from .pipeline import PipelineResult, run_pipeline
 from .shrinkage import (ShrinkageReport, apply_bias_correction,
                         bootstrap_shrinkage, calibrate, stein_adjust)
 from .subset import SubsetModel, mallows_cp, select_model

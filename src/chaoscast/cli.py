@@ -4,7 +4,7 @@ Verbs mirror the pipeline stages and read/write artifacts under --out:
 
     chaoscast run-all -c config.json -o out/
     chaoscast generate-library | embed | fit | select | forecast |
-              score | invert | emit-plots
+              score | invert
 
 Exit codes: 0 success (a no-forecast outcome is a success), 1 validation
 or configuration error, 2 runtime error.
@@ -25,7 +25,7 @@ from . import pipeline as pl
 log = logging.getLogger("chaoscast")
 
 VERBS = ("generate-library", "embed", "fit", "select", "forecast",
-         "score", "invert", "run-all", "emit-plots")
+         "score", "invert", "run-all")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,11 +52,11 @@ def _dispatch(verb: str, cfg, out: Path) -> None:
         library = pl.stage_library(cfg, out)
         pl.stage_ground(cfg, library, out)
     elif verb == "embed":
-        library = pl.load_library(out)
+        library = pl.load_library(out, cfg)
         ground, _, _ = pl.load_ground(out)
         pl.stage_embed(cfg, library, ground, out)
     elif verb == "fit":
-        library = pl.load_library(out)
+        library = pl.load_library(out, cfg)
         maps = pl.load_maps(out)
         pl.stage_fit(cfg, library, maps, out)
     elif verb == "select":
@@ -74,14 +74,12 @@ def _dispatch(verb: str, cfg, out: Path) -> None:
         forecast = pl.stage_forecast(cfg, retained, ground, None)
         pl.stage_score(cfg, forecast, ground, out)
     elif verb == "invert":
-        library = pl.load_library(out)
+        library = pl.load_library(out, cfg)
         keys_by_attractor = {}
         for key in load_keys(out / "keys.json"):
             keys_by_attractor.setdefault(key.attractor_id, []).append(key)
-        ground, _, _ = pl.load_ground(out)
-        pl.stage_invert(cfg, library, keys_by_attractor, ground, out)
-    elif verb == "emit-plots":
-        pl.emit_plot_data(cfg, out)
+        ground, _, provenance = pl.load_ground(out)
+        pl.stage_invert(cfg, library, keys_by_attractor, ground, out, provenance)
 
 
 def main(argv=None) -> int:

@@ -76,20 +76,13 @@ def panel_to_text(panel: Panel, header_comments: dict | None = None) -> str:
     return buf.getvalue()
 
 
-def panel_from_text(text: str) -> tuple[Panel, dict]:
-    """Inverse of :func:`panel_to_text`. Returns (panel, header comments)."""
-    comments = {}
+def panel_from_text(text: str) -> Panel:
+    """Inverse of :func:`panel_to_text`; its ``#`` comment lines are skipped."""
     rows = []
     header_seen = False
     for line in text.splitlines():
         line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                comments[key.strip()] = val.strip()
+        if not line or line.startswith("#"):
             continue
         if not header_seen:
             if line != "variable_id,site_id,season_index,value":
@@ -104,4 +97,4 @@ def panel_from_text(text: str) -> tuple[Panel, dict]:
     series: dict[Coord, np.ndarray] = {}
     for var, site, t, val in rows:
         series.setdefault((var, site), np.full(n, np.nan))[t] = val
-    return Panel(series), comments
+    return Panel(series)

@@ -11,6 +11,11 @@ just before select ranks, and a run that fails before then writes no
 Every random draw derives from the master seed, so rerunning an
 identical config reproduces every artifact byte for byte. An empty
 retention is a successful run with an explicit no-forecast marker.
+Each plot file under ``plots/`` is written by the stage that computes its
+values (forecast, score, invert), from the values it holds; no stage reads
+back an artifact of the same run. A run into a reused directory removes the
+optional artifacts it does not write: the running skill of a no-forecast
+run and, with inversion off, the inversion files.
 """
 
 from __future__ import annotations
@@ -50,8 +55,6 @@ class PipelineResult:
     config: PipelineConfig
     library: list[AttractorEstimate]
     ground: Panel
-    factors: StandardizationFactors
-    ground_meta: dict
     shrinkage: ShrinkageReport
     maps: list[DelayMap]
     groups: dict[str, list[ModelGroup]]
@@ -59,9 +62,7 @@ class PipelineResult:
     retained: list[PredictorKey]
     forecast: EnsembleForecast
     skill: SkillReport | None
-    running: list | None
     inversion: InversionResult | None = None
-    boundaries: tuple[float, float] | None = None
 
 
 def _header(cfg: PipelineConfig) -> dict:
@@ -116,16 +117,19 @@ def stage_library(cfg: PipelineConfig, out: Path | None = None) -> list[Attracto
     return library
 
 
-def load_library(out: Path) -> list[AttractorEstimate]:
-    """The library that :func:`stage_library` wrote; every panel must be complete."""
+def load_library(out: Path, cfg: PipelineConfig) -> list[AttractorEstimate]:
+    """The attractors of the config's grid that :func:`stage_library` wrote;
+    every panel must be complete. Files of another grid in ``out`` are not read."""
     adir = out / "attractors"
-    if not adir.is_dir():
-        raise ConfigError(f"no attractor library under {out}; run generate-library")
     library = []
-    for meta_path in sorted(adir.glob("*.meta.json")):
+    for param in cfg.surrogate.parameters():
+        meta_path = adir / f"{param.label}.meta.json"
+        if not meta_path.exists():
+            raise ConfigError(f"no attractor {param.label} under {out}; "
+                              "run generate-library")
         meta = read_json(meta_path)
-        path = adir / f"{meta['label']}.csv"
-        panel, _ = panel_from_text(path.read_text())
+        path = adir / f"{param.label}.csv"
+        panel = panel_from_text(path.read_text())
         scale = _by_coord(meta["scale"], lambda m_sd: tuple(map(float, m_sd)))
         for key in sorted(scale):
             if key not in panel.values or not np.isfinite(panel.values[key]).all():
@@ -170,7 +174,7 @@ def load_ground(out: Path):
     path = out / "ground.csv"
     if not path.exists():
         raise ConfigError(f"no ground panel under {out}; run generate-library")
-    panel, _ = panel_from_text(path.read_text())
+    panel = panel_from_text(path.read_text())
     meta = read_json(out / "ground.meta.json")
     lo, hi = meta["reference_window"]
     factors = StandardizationFactors(
@@ -388,6 +392,11 @@ def stage_forecast(cfg: PipelineConfig, retained, ground: Panel,
             "calibration_slope": forecast.calibration_slope,
             "calibration_intercept": forecast.calibration_intercept,
         })
+        lines = [_header_line(cfg), "station,season,observed,predicted"]
+        lines += [f"{sid},{season},{_csv(o)},{_csv(p)}"
+                  for sid, o_row, p_row in zip(station_ids, obs, forecast.predictions)
+                  for season, o, p in zip(seasons, o_row, p_row)]
+        write_text(out / "plots" / "fig2_scatter.csv", "\n".join(lines) + "\n")
     return forecast
 
 
@@ -395,7 +404,15 @@ def _jf(v) -> float | None:
     return None if not np.isfinite(v) else float(v)
 
 
+def _csv(v) -> str:
+    """A plot-file cell: a finite number, or empty."""
+    return "" if v is None or not np.isfinite(v) else repr(float(v))
+
+
 # --- score ---------------------------------------------------------------
+
+_RUNNING_SKILL_FILES = ("running_skill.csv", "plots/s4_running_skill.csv")
+
 
 def stage_score(cfg: PipelineConfig, forecast: EnsembleForecast, ground: Panel,
                 out: Path | None = None):
@@ -408,6 +425,8 @@ def stage_score(cfg: PipelineConfig, forecast: EnsembleForecast, ground: Panel,
                 out / "skill.csv",
                 f"{_header_line(cfg)}\n# no_forecast=true\n"
                 "region,pearson_r,p_value,dof,heidke,n_pairs,box_ljung_q,box_ljung_p\n")
+            for path in _RUNNING_SKILL_FILES:
+                (out / path).unlink(missing_ok=True)
         return None, None, None
 
     obs = observation_matrix(ground, stations, predict)
@@ -447,14 +466,17 @@ def stage_score(cfg: PipelineConfig, forecast: EnsembleForecast, ground: Panel,
                   "start_season,pearson_r,heidke"]
         for start, rr, hh in running:
             rlines.append(f"{start + predict[0]},{rr!r},{hh!r}")
-        write_text(out / "running_skill.csv", "\n".join(rlines) + "\n")
+        for path in _RUNNING_SKILL_FILES:
+            write_text(out / path, "\n".join(rlines) + "\n")
     return report, running, boundaries
 
 
 # --- invert --------------------------------------------------------------
 
 def stage_invert(cfg: PipelineConfig, library, keys_by_attractor, ground: Panel,
-                 out: Path | None = None) -> InversionResult:
+                 out: Path | None = None, provenance: dict | None = None) -> InversionResult:
+    """The inversion; ``provenance``, the ground's, gives the plot file its true
+    forcing, left empty when it has none (a ground file)."""
     windows = cfg.schedule.windows()
     inv = cfg.inversion
     target = tuple(inv.target_window) if inv.target_window else windows.predict
@@ -475,58 +497,11 @@ def stage_invert(cfg: PipelineConfig, library, keys_by_attractor, ground: Panel,
     if out is not None:
         write_json(out / "inversion.json", {**asdict(result), **_header(cfg),
                                             "target_window": list(target)})
+        true = (provenance or {}).get("true_forcing")
+        write_text(out / "plots" / "fig3_inversion.csv", "\n".join([
+            _header_line(cfg), "true_parameter,estimated_parameter,observable_estimate",
+            f"{_csv(true)},{_csv(result.estimate)},{_csv(result.observable_estimate)}"]) + "\n")
     return result
-
-
-# --- plots ---------------------------------------------------------------
-
-def emit_plot_data(cfg: PipelineConfig, out: Path) -> list[Path]:
-    """Plot-ready delimited text for the scatter, running-skill, and
-    inversion figure analogs. No rendering."""
-    out = Path(out)
-    plots = out / "plots"
-    plots.mkdir(parents=True, exist_ok=True)
-    written = []
-    head = _header_line(cfg)
-
-    fpath = out / "forecast.json"
-    if fpath.exists():
-        payload = read_json(fpath)
-        lines = [head, "station,season,observed,predicted"]
-        for i, sid in enumerate(payload["stations"]):
-            for j, season in enumerate(payload["seasons"]):
-                obs = payload["observed"][i][j]
-                prd = payload["predictions"][i][j]
-                lines.append(f"{sid},{season},{_csv(obs)},{_csv(prd)}")
-        path = plots / "fig2_scatter.csv"
-        write_text(path, "\n".join(lines) + "\n")
-        written.append(path)
-
-    rpath = out / "running_skill.csv"
-    if rpath.exists():
-        path = plots / "s4_running_skill.csv"
-        write_text(path, rpath.read_text())
-        written.append(path)
-
-    ipath = out / "inversion.json"
-    if ipath.exists():
-        payload = read_json(ipath)
-        gmeta = read_json(out / "ground.meta.json") if (out / "ground.meta.json").exists() else {}
-        true_param = gmeta.get("provenance", {}).get("true_forcing", "")
-        lines = [head, "true_parameter,estimated_parameter,observable_estimate"]
-        lines.append(f"{_csv(true_param)},{_csv(payload['estimate'])},"
-                     f"{_csv(payload['observable_estimate'])}")
-        path = plots / "fig3_inversion.csv"
-        write_text(path, "\n".join(lines) + "\n")
-        written.append(path)
-    log.info("plots: wrote %d plot-data files", len(written))
-    return written
-
-
-def _csv(v) -> str:
-    if v is None or v == "":
-        return ""
-    return repr(float(v)) if isinstance(v, (int, float)) else str(v)
 
 
 # --- orchestration -------------------------------------------------------
@@ -550,7 +525,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> PipelineResult:
     # the worker on every path.
     with ThreadPoolExecutor(max_workers=1) as pool:
         bootstrap = pool.submit(_bootstrap(cfg))
-        ground, factors, meta = stage_ground(cfg, library, out)
+        ground, _, meta = stage_ground(cfg, library, out)
         maps = stage_embed(cfg, library, ground, out)
         groups = stage_fit(cfg, library, maps, out)
         predictions = {}
@@ -565,15 +540,14 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> PipelineResult:
     keys_by_attractor, retained = stage_select(cfg, groups, ground, shrink, out,
                                                predictions)
     forecast = stage_forecast(cfg, retained, ground, out)
-    skill, running, boundaries = stage_score(cfg, forecast, ground, out)
+    skill, _, _ = stage_score(cfg, forecast, ground, out)
     inversion = None
     if cfg.inversion.enabled:
-        inversion = stage_invert(cfg, library, keys_by_attractor, ground, out)
-    if out is not None:
-        emit_plot_data(cfg, out)
-    return PipelineResult(config=cfg, library=library, ground=ground,
-                          factors=factors, ground_meta=meta, shrinkage=shrink,
+        inversion = stage_invert(cfg, library, keys_by_attractor, ground, out, meta)
+    elif out is not None:
+        for path in ("inversion.json", "plots/fig3_inversion.csv"):
+            (out / path).unlink(missing_ok=True)
+    return PipelineResult(config=cfg, library=library, ground=ground, shrinkage=shrink,
                           maps=maps, groups=groups,
                           keys_by_attractor=keys_by_attractor, retained=retained,
-                          forecast=forecast, skill=skill, running=running,
-                          inversion=inversion, boundaries=boundaries)
+                          forecast=forecast, skill=skill, inversion=inversion)

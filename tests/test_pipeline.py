@@ -40,8 +40,7 @@ GOLDEN_ARTIFACTS = {
     "forecast.json", "skill.csv", "plots/fig2_scatter.csv",
 }
 
-STAGED_VERBS = ("generate-library", "embed", "fit", "select", "forecast", "score",
-                "emit-plots")
+STAGED_VERBS = ("generate-library", "embed", "fit", "select", "forecast", "score")
 
 # golden variants that retain keys, with both combiners of each cut in the top_k;
 # in "two-members-per-cut" the X010 vote of 2 members is its mean sibling
@@ -66,6 +65,13 @@ DIGEST_CONFIGS = {
     **RETAINING_CONFIGS,
 }
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+# the configs the run_all fixture runs: a retaining run with inversion writes
+# every optional artifact, each plot file among them
+RUN_CONFIGS = {**DIGEST_CONFIGS, "threshold-0.1-inversion": {
+    **RETAINING_CONFIGS["threshold-0.1"], "inversion": {"enabled": True}}}
+OPTIONAL_ARTIFACTS = {"running_skill.csv", "plots/s4_running_skill.csv",
+                      "inversion.json", "plots/fig3_inversion.csv"}
 
 
 def _tree(root):
@@ -94,13 +100,13 @@ def _write_config(path, payload):
 
 @pytest.fixture(scope="module")
 def run_all(tmp_path_factory):
-    """run-all once per module on a named DIGEST_CONFIGS entry: name -> (config, out)."""
+    """run-all once per module on a named RUN_CONFIGS entry: name -> (config, out)."""
     runs = {}
 
     def run(name):
         if name not in runs:
             root = tmp_path_factory.mktemp(name)
-            config = _write_config(root / "config.json", DIGEST_CONFIGS[name])
+            config = _write_config(root / "config.json", RUN_CONFIGS[name])
             assert cli.main(["run-all", "-c", config, "-o", str(root / "out")]) == 0
             runs[name] = config, root / "out"
         return runs[name]
@@ -303,14 +309,53 @@ def test_the_shrinkage_line_reports_the_bootstraps_seconds_and_the_wait(caplog):
         assert waited == seconds if run is pl.stage_shrinkage else waited <= seconds
 
 
-def test_staged_verbs_write_the_same_bytes_as_run_all(golden_run, tmp_path):
-    config, run_all_out = golden_run
+@pytest.mark.parametrize("name", ["golden", "threshold-0.1-inversion"])
+def test_staged_verbs_write_the_same_bytes_as_run_all(run_all, tmp_path, name):
+    # each plot file is written by the verb of its stage: fig2 by forecast,
+    # s4 by score, fig3 by invert
+    config, run_all_out = run_all(name)
     out = tmp_path / "staged"
-    for verb in STAGED_VERBS:
+    inverts = load_config(config).inversion.enabled
+    for verb in STAGED_VERBS + ("invert",) * inverts:
         assert cli.main([verb, "-c", config, "-o", str(out)]) == 0, verb
     expected = _tree(run_all_out)
     del expected["config.json"]  # written by run-all only
+    assert (OPTIONAL_ARTIFACTS <= set(expected)) == inverts
     assert _tree(out) == expected
+
+
+def test_run_all_into_a_reused_directory_leaves_no_earlier_optional_artifact(run_all,
+                                                                            tmp_path):
+    # the golden run has no forecast and no inversion: run after a run that had
+    # both, it removes the running skill and inversion files it does not write
+    config, golden_out = run_all("golden")
+    out = tmp_path / "out"
+    shutil.copytree(run_all("threshold-0.1-inversion")[1], out)
+    assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 0
+    assert _tree(out) == _tree(golden_out)
+
+
+def test_staged_verbs_read_only_the_attractors_of_the_configs_grid(golden_run, tmp_path,
+                                                                   capsys):
+    # the golden run's F10 files stay in the reused directory; a grid of F6 and
+    # F8 fits and selects on those two alone, as in a fresh directory
+    _, golden_out = golden_run
+    surrogate = GOLDEN_CONFIG["surrogate"]
+    config = _write_config(tmp_path / "config.json", {
+        **GOLDEN_CONFIG, "surrogate": {**surrogate, "forcings": [6.0, 8.0]}})
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    shutil.copytree(golden_out, reused)
+    for out in (reused, fresh):
+        for verb in ("generate-library", "embed", "fit", "select"):
+            assert cli.main([verb, "-c", config, "-o", str(out)]) == 0, verb
+    for name in ("models.json", "keys.json"):
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+    # an attractor of the grid that is not on disk is named, not skipped
+    config = _write_config(tmp_path / "config.json", {
+        **GOLDEN_CONFIG, "surrogate": {**surrogate, "forcings": [6.0, 8.0, 12.0]}})
+    capsys.readouterr()
+    assert cli.main(["fit", "-c", config, "-o", str(reused)]) == 1
+    assert "no attractor F12 under" in capsys.readouterr().err
 
 
 def test_forecast_rejects_a_retained_keys_file_of_another_version(golden_run, tmp_path,
@@ -578,7 +623,7 @@ def test_run_all_rejects_a_steady_panel_too_short_to_fit(tmp_path, capsys):
 def test_stage_fit_makes_one_solve_per_chunk_and_subset_size(golden_run, monkeypatch):
     config, out = golden_run
     cfg = load_config(config)
-    library, maps = pl.load_library(out), pl.load_maps(out)
+    library, maps = pl.load_library(out, cfg), pl.load_maps(out)
     by_bucket = Counter((m.max_lag, m.dim) for m in maps)
     assert len(by_bucket) > 1
     calls, searches = [], []
@@ -780,7 +825,7 @@ def _tables(groups):
 def test_loaders_rebuild_the_fitted_tables_bit_for_bit(run_all, name):
     config, out = run_all(name)
     cfg = load_config(config)
-    fitted = pl.stage_fit(cfg, pl.load_library(out), pl.load_maps(out))
+    fitted = pl.stage_fit(cfg, pl.load_library(out, cfg), pl.load_maps(out))
     stored = {label: _tables(groups)[label] for label, groups in pl.load_groups(out).items()}
     keyed = _tables(g for key in load_keys(out / "keys.json") for g in key.members)
     assert set(stored) == set(keyed) == set(fitted)
