@@ -19,12 +19,13 @@ from .dynamics import SurrogateConfig, check_grid
 from .embedding import WindowSchedule, split_windows
 from .ensemble import ALLOWED_TOP_PERCENT, VOTE_MODES
 from .errors import ConfigError
+from .ground import MIN_REFERENCE_VALUES, SEASONS_PER_YEAR
 from .metrics import adjusted_dof
 from .shrinkage import CALIBRATION_DIRECTIONS, MIN_REPS, N_HOLDOUT
 from .subset import MAX_COLUMNS
 
 CONFIG_VERSION = 1
-IGNORED_KEYS = ("config_version", "threads")  # the version tag and a retired setting
+IGNORED_KEYS = ("config_version",)  # the version tag to_dict writes
 
 
 @dataclass
@@ -139,6 +140,10 @@ class PipelineConfig:
             raise ConfigError("schedule.first_season must be >= 0")
         windows = self.schedule.windows()  # raises on overlap
         windows.calibration(self.calibration.window)
+        if windows.predict[0] < MIN_REFERENCE_VALUES * SEASONS_PER_YEAR:
+            raise ConfigError(f"schedule: the predict window starts at season {windows.predict[0]}"
+                              "; the ground is standardized on the seasons before it, which "
+                              f"need {MIN_REFERENCE_VALUES} of each season of the year")
         if self.calibration.window not in (8, 12):
             raise ConfigError("calibration.window must be 8 or 12")
         if self.calibration.direction not in CALIBRATION_DIRECTIONS:

@@ -387,19 +387,12 @@ def steady_run(parameters: list[TuningParameter], seeds: list[int],
     return runs
 
 
-def fresh_ground_name(param: TuningParameter) -> str:
-    """How errors name the fresh ground run."""
-    return f"fresh ground run at {param.label}"
-
-
 class AttractorLibrary(list):
-    """Attractor estimates sorted by parameter value, plus the raw steady runs
-    (panel, steady start) of fresh ground rows integrated in their batch,
-    keyed by each row's (parameter, seed). Those rows are not attractors."""
+    """Attractor estimates sorted by parameter value, plus ``fresh_ground``:
+    the raw steady run (panel, steady start) of the fresh ground row
+    integrated in their batch, or None. That row is not an attractor."""
 
-    def __init__(self, estimates=()):
-        super().__init__(estimates)
-        self.fresh_ground: dict[tuple[TuningParameter, int], tuple[Panel, int]] = {}
+    fresh_ground: tuple[Panel, int] | None = None
 
 
 def _standardized_attractor(param: TuningParameter, steady_panel: Panel, steady: int,
@@ -432,8 +425,8 @@ def build_attractor_library(parameters: list[TuningParameter], surrogate: Surrog
 
     The whole grid is one :func:`steady_run` call. ``fresh_ground``, a
     (parameter, seed) row, is integrated as the last row of that call;
-    its raw steady run is kept in ``fresh_ground`` of the result,
-    bit-identical to a lone run. Errors name the failing row: divergence
+    its raw steady run is the result's ``fresh_ground``, bit-identical to
+    a lone run. Errors name the failing row: divergence
     first, then a row that never settles, then a grid row with too few
     steady seasons or a constant series (a fixed point, a ConfigError),
     each the first in batch order.
@@ -446,11 +439,11 @@ def build_attractor_library(parameters: list[TuningParameter], surrogate: Surrog
     if fresh_ground is not None:
         rows.append(fresh_ground[0])
         run_seeds.append(fresh_ground[1])
-        names.append(fresh_ground_name(fresh_ground[0]))
+        names.append(f"fresh ground run at {fresh_ground[0].label}")
     runs = steady_run(rows, run_seeds, surrogate, names)
     library = AttractorLibrary()
     if fresh_ground is not None:
-        library.fresh_ground[fresh_ground] = runs.pop()
+        library.fresh_ground = runs.pop()
     library.extend(_standardized_attractor(param, panel, steady, surrogate, seed)
                    for param, (panel, steady) in zip(parameters, runs, strict=True))
     library.sort(key=lambda a: a.parameter.value)

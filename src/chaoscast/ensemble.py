@@ -165,8 +165,6 @@ def predict_groups(groups, panel: Panel, stations, seasons: tuple[int, int]) -> 
     """
     groups, stations = list(groups), tuple(stations)
     out = np.full((len(groups), len(stations), seasons[1] - seasons[0]), np.nan)
-    if not groups:
-        return out
     table = _one_table(groups)
     m, rows = table.models, np.array([g.row for g in groups])
     targets = np.array([table.stations.index(st.station_id) for st in stations], dtype=int)

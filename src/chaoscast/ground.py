@@ -11,10 +11,12 @@ batch (see :func:`fresh_ground_row`), and the ground reads it from there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import PipelineConfig
+if TYPE_CHECKING:  # config imports this module's season constants
+    from .config import PipelineConfig
 from .dynamics import AttractorLibrary, TuningParameter
 from .errors import ConfigError, PanelFormatError
 from .panel import Coord, Panel
@@ -22,6 +24,7 @@ from .seeding import derive_rng
 
 SEASON_NAMES = ("winter", "spring", "summer", "fall")
 SEASONS_PER_YEAR = len(SEASON_NAMES)  # a panel's season t is season-of-year t % 4
+MIN_REFERENCE_VALUES = 3  # per series and season of the year, to standardize
 
 
 def load_panel(path, station_sites: dict[str, tuple[str, str]]) -> Panel:
@@ -87,7 +90,6 @@ def load_panel(path, station_sites: dict[str, tuple[str, str]]) -> Panel:
 class StandardizationFactors:
     """Per-series, per-season-of-year means and sds from a reference window."""
 
-    reference_window: tuple[int, int]
     means: dict[Coord, np.ndarray]
     sds: dict[Coord, np.ndarray]
 
@@ -113,9 +115,9 @@ def standardize_anomalies(panel: Panel,
         for season in range(SEASONS_PER_YEAR):
             ref = vals[lo:hi][soy_all[lo:hi] == season]
             ref = ref[np.isfinite(ref)]
-            if ref.size < 3:
+            if ref.size < MIN_REFERENCE_VALUES:
                 raise ConfigError(
-                    f"series {key}: fewer than 3 reference values for "
+                    f"series {key}: fewer than {MIN_REFERENCE_VALUES} reference values for "
                     f"season-of-year {season}")
             m[season] = ref.mean()
             s[season] = ref.std()
@@ -126,7 +128,7 @@ def standardize_anomalies(panel: Panel,
         means[key] = m
         sds[key] = s
         out[key] = (vals - m[soy_all]) / s[soy_all]
-    return Panel(out), StandardizationFactors(reference_window=(lo, hi), means=means, sds=sds)
+    return Panel(out), StandardizationFactors(means=means, sds=sds)
 
 
 def fresh_ground_row(cfg: PipelineConfig) -> tuple[TuningParameter, int]:
@@ -141,9 +143,9 @@ def make_ground_panel(cfg: PipelineConfig, library: AttractorLibrary) -> tuple[P
 
     Synthetic modes add per-series Gaussian observation noise with
     sd = series sd / snr; file mode parses the configured input. Fresh
-    mode takes its raw steady run from ``library.fresh_ground``, where
-    ``build_attractor_library`` keeps the :func:`fresh_ground_row` it
-    integrated in the library's batch; it integrates nothing itself.
+    mode takes its raw steady run from ``library.fresh_ground``, the
+    :func:`fresh_ground_row` that ``build_attractor_library`` integrated
+    in the library's batch; it integrates nothing itself.
     """
     windows = cfg.schedule.windows()
     n_seasons = windows.end
@@ -165,14 +167,13 @@ def make_ground_panel(cfg: PipelineConfig, library: AttractorLibrary) -> tuple[P
         meta = {"mode": "member", "member": label,
                 "true_forcing": member.parameter.value}
     else:
-        param, seed = fresh_ground_row(cfg)
-        steady, _ = library.fresh_ground[param, seed]
+        steady, _ = library.fresh_ground
         if steady.n_seasons < n_seasons:
             raise ConfigError(
                 f"fresh ground run has only {steady.n_seasons} steady seasons, "
                 f"need {n_seasons}; lengthen surrogate.n_seasons")
         base = steady.window(0, n_seasons)
-        meta = {"mode": "fresh", "true_forcing": param.value}
+        meta = {"mode": "fresh", "true_forcing": float(cfg.ground.forcing)}
 
     rng = derive_rng(cfg.seed, "ground", "noise")
     noisy = {}

@@ -20,9 +20,8 @@ from .subset import same_rows
 
 @dataclass
 class SkillReport:
-    """Table-row summary of predictive skill for one region/window."""
+    """Table-row summary of predictive skill over all stations and the predict window."""
 
-    region: str
     pearson_r: float
     dof: int
     p_value: float

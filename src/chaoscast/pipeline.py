@@ -45,14 +45,14 @@ from .metrics import (SkillReport, adjusted_dof, box_ljung, correlation_pvalue, 
                       pooled_correlations, running_skill, tercile_boundaries)
 from .panel import Panel, panel_from_text, panel_to_text
 from .seeding import derive_rng
-from .shrinkage import ShrinkageReport, bootstrap_shrinkage, calibrate, draw_buffer_shape
+from .shrinkage import (MIN_CALIBRATION_PAIRS, ShrinkageReport, bootstrap_shrinkage, calibrate,
+                        draw_buffer_shape)
 
 log = logging.getLogger("chaoscast")
 
 
 @dataclass
 class PipelineResult:
-    config: PipelineConfig
     library: list[AttractorEstimate]
     ground: Panel
     shrinkage: ShrinkageReport
@@ -69,8 +69,20 @@ def _header(cfg: PipelineConfig) -> dict:
     return {"config_hash": cfg.config_hash(), "seed": cfg.seed}
 
 
-def _header_line(cfg: PipelineConfig) -> str:
-    return "# " + " ".join(f"{k}={v}" for k, v in _header(cfg).items())
+def _write_table(cfg: PipelineConfig, paths, columns, rows, comment: str | None = None):
+    """Write one text table to each of ``paths``: the header line, an optional
+    ``# comment`` line, the ``columns`` line and one line per row, a None cell empty."""
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in _header(cfg).items()),
+             *([f"# {comment}"] if comment else []), columns,
+             *(",".join("" if c is None else str(c) for c in row) for row in rows)]
+    text = "\n".join(lines) + "\n"
+    for path in paths:
+        write_text(path, text)
+
+
+def _finite(v) -> float | None:
+    """A finite number as a float, anything else as None (a JSON null, an empty cell)."""
+    return float(v) if v is not None and np.isfinite(v) else None
 
 
 def _by_key(by_coord: dict, value) -> dict:
@@ -100,6 +112,9 @@ def stage_library(cfg: PipelineConfig, out: Path | None = None) -> list[Attracto
     if out is not None:
         adir = out / "attractors"
         adir.mkdir(parents=True, exist_ok=True)
+        keep = {adir / f"{est.label}{ext}" for est in library for ext in (".csv", ".meta.json")}
+        for path in {*adir.glob("*.csv"), *adir.glob("*.meta.json")} - keep:
+            path.unlink()  # an attractor of another grid
         for est in library:
             text = panel_to_text(est.panel, header_comments={
                 **_header(cfg), "parameter": est.parameter.value,
@@ -176,10 +191,8 @@ def load_ground(out: Path):
         raise ConfigError(f"no ground panel under {out}; run generate-library")
     panel = panel_from_text(path.read_text())
     meta = read_json(out / "ground.meta.json")
-    lo, hi = meta["reference_window"]
-    factors = StandardizationFactors(
-        reference_window=(int(lo), int(hi)),
-        means=_by_coord(meta["means"], np.array), sds=_by_coord(meta["sds"], np.array))
+    factors = StandardizationFactors(means=_by_coord(meta["means"], np.array),
+                                     sds=_by_coord(meta["sds"], np.array))
     return panel, factors, meta.get("provenance", {})
 
 
@@ -261,13 +274,11 @@ def stage_fit(cfg: PipelineConfig, library, maps, out: Path | None = None):
                 f"attractor {est.label} has {est.panel.n_seasons} steady seasons; a fit "
                 f"at embedding.lag_max {emb.lag_max} and dim {emb.dim} needs at least "
                 f"{emb.lag_max + emb.dim + 2}")
-    groups: dict[str, list[ModelGroup]] = {}
-    for est in library:
-        fitted = fit_model_groups(est.label, maps, est.panel, stations,
-                                  max_size=emb.max_subset_size)
-        groups[est.label] = fitted
-        log.info("fit: attractor %s -> %d model groups (%d stations each)",
-                 est.label, len(fitted), len(stations))
+    groups = {est.label: fit_model_groups(est.label, maps, est.panel, stations,
+                                          max_size=emb.max_subset_size)
+              for est in library}
+    log.info("fit: %d model groups over %d attractors (%d stations each)",
+             sum(map(len, groups.values())), len(groups), len(stations))
     if out is not None:
         write_json(out / "models.json", {
             **_header(cfg), "format_version": KEY_FORMAT_VERSION,
@@ -324,15 +335,14 @@ def stage_select(cfg: PipelineConfig, groups, ground: Panel,
                          vote_k=sel.vote_k, vote_mode=sel.vote_mode,
                          positive_part=positive_part)
         keys_by_attractor[label] = keys
-        log.info("select: attractor %s -> %d keys (best select r=%.3f, "
-                 "best retain r=%.3f vs threshold %.2f)", label, len(keys),
-                 max(k.correlations["select"] for k in keys),
-                 max(k.correlations["retain"] for k in keys), sel.retention_threshold)
     all_keys = [k for keys in keys_by_attractor.values() for k in keys]
     retained = retain_predictors(all_keys, threshold=sel.retention_threshold,
                                  top_k=sel.top_k, allow_switching=sel.allow_switching)
-    log.info("select: %d distinct of %d keys retained (threshold %.2f)",
-             len(retained), len(all_keys), sel.retention_threshold)
+    best = ", ".join(f"{label} {max(k.correlations['select'] for k in keys):.3f}/"
+                     f"{max(k.correlations['retain'] for k in keys):.3f}"
+                     for label, keys in keys_by_attractor.items())
+    log.info("select: %d distinct of %d keys retained (threshold %.2f); best select/retain "
+             "r by attractor: %s", len(retained), len(all_keys), sel.retention_threshold, best)
     if out is not None:
         save_keys(all_keys, out / "keys.json", _header(cfg))
         save_keys(retained, out / "retained_keys.json",
@@ -364,6 +374,13 @@ def stage_forecast(cfg: PipelineConfig, retained, ground: Panel,
         median = median_combine(stack)
         n_calib = predict[0] - calib[0]
         obs_calib = observation_matrix(ground, stations, calib)
+        n_pairs = int((np.isfinite(median[:, :n_calib]) & np.isfinite(obs_calib)).sum())
+        if n_pairs < MIN_CALIBRATION_PAIRS:
+            raise ConfigError(
+                f"calibration.window: seasons {calib[0]}..{calib[1] - 1} hold {n_pairs} "
+                f"predicted seasons with an observation, fewer than {MIN_CALIBRATION_PAIRS}; "
+                "a map predicts only from its largest lag (embedding.lag_min/lag_max) on: "
+                "raise schedule.first_season or shorten the lags")
         fit = calibrate(median[:, :n_calib].ravel(), obs_calib.ravel(),
                         direction=cfg.calibration.direction)
         calibrated = fit.apply(median[:, n_calib:])
@@ -379,34 +396,16 @@ def stage_forecast(cfg: PipelineConfig, retained, ground: Panel,
                  len(retained), fit.slope)
     if out is not None:
         obs = observation_matrix(ground, stations, predict)
-        write_json(out / "forecast.json", {
-            **_header(cfg),
-            "no_forecast": forecast.no_forecast,
-            "stations": list(station_ids),
-            "seasons": list(seasons),
-            "predictions": [[_jf(v) for v in row] for row in forecast.predictions],
-            "raw_median": [[_jf(v) for v in row] for row in forecast.raw_median],
-            "observed": [[_jf(v) for v in row] for row in obs],
-            "contributing_keys": list(forecast.contributing_keys),
-            "combiner_by_key": forecast.combiner_by_key,
-            "calibration_slope": forecast.calibration_slope,
-            "calibration_intercept": forecast.calibration_intercept,
-        })
-        lines = [_header_line(cfg), "station,season,observed,predicted"]
-        lines += [f"{sid},{season},{_csv(o)},{_csv(p)}"
-                  for sid, o_row, p_row in zip(station_ids, obs, forecast.predictions)
-                  for season, o, p in zip(seasons, o_row, p_row)]
-        write_text(out / "plots" / "fig2_scatter.csv", "\n".join(lines) + "\n")
+        matrices = {"predictions": forecast.predictions, "raw_median": forecast.raw_median,
+                    "observed": obs}
+        write_json(out / "forecast.json", {  # every field of the forecast, and the observations
+            **_header(cfg), **vars(forecast),
+            **{name: [[_finite(v) for v in row] for row in m] for name, m in matrices.items()}})
+        _write_table(cfg, [out / "plots/fig2_scatter.csv"], "station,season,observed,predicted",
+                     ((sid, season, _finite(o), _finite(p))
+                      for sid, o_row, p_row in zip(station_ids, obs, forecast.predictions)
+                      for season, o, p in zip(seasons, o_row, p_row)))
     return forecast
-
-
-def _jf(v) -> float | None:
-    return None if not np.isfinite(v) else float(v)
-
-
-def _csv(v) -> str:
-    """A plot-file cell: a finite number, or empty."""
-    return "" if v is None or not np.isfinite(v) else repr(float(v))
 
 
 # --- score ---------------------------------------------------------------
@@ -419,12 +418,10 @@ def stage_score(cfg: PipelineConfig, forecast: EnsembleForecast, ground: Panel,
     windows = cfg.schedule.windows()
     stations = _stations(cfg)
     predict = windows.predict
+    columns = "region,pearson_r,p_value,dof,heidke,n_pairs,box_ljung_q,box_ljung_p"
     if forecast.no_forecast:
         if out is not None:
-            write_text(
-                out / "skill.csv",
-                f"{_header_line(cfg)}\n# no_forecast=true\n"
-                "region,pearson_r,p_value,dof,heidke,n_pairs,box_ljung_q,box_ljung_p\n")
+            _write_table(cfg, [out / "skill.csv"], columns, (), comment="no_forecast=true")
             for path in _RUNNING_SKILL_FILES:
                 (out / path).unlink(missing_ok=True)
         return None, None, None
@@ -437,37 +434,25 @@ def stage_score(cfg: PipelineConfig, forecast: EnsembleForecast, ground: Panel,
     dof = adjusted_dof(n_pairs, n_seasons)
     p = correlation_pvalue(r, dof)
 
-    reference = np.concatenate([
-        ground.series(*st.target)[0:predict[0]] for st in stations])
-    boundaries = tercile_boundaries(reference)
+    reference = observation_matrix(ground, stations, (0, predict[0]))
+    boundaries = tercile_boundaries(reference.ravel())
     finite = np.isfinite(pred) & np.isfinite(obs)
     hss = heidke_skill(pred[finite], obs[finite], boundaries)
+    # the station with the smallest Ljung-Box p over its finite reference seasons
+    bl_p, bl_q = min(box_ljung(series, n_lags=min(10, series.size // 5))[::-1]
+                     for series in (row[np.isfinite(row)] for row in reference))
 
-    bl_results = []
-    for st in stations:
-        series = ground.series(*st.target)[0:predict[0]]
-        series = series[np.isfinite(series)]
-        q, pv = box_ljung(series, n_lags=min(10, series.size // 5))
-        bl_results.append((pv, q, st.station_id))
-    bl_p, bl_q, _ = min(bl_results)
-
-    report = SkillReport(region="all-stations", pearson_r=r, dof=dof, p_value=p,
-                         heidke=hss, n_pairs=n_pairs, box_ljung_q=bl_q,
-                         box_ljung_p=bl_p)
+    report = SkillReport(pearson_r=r, dof=dof, p_value=p, heidke=hss, n_pairs=n_pairs,
+                         box_ljung_q=bl_q, box_ljung_p=bl_p)
     running = running_skill(pred, obs, boundaries, window=min(4, n_seasons))
     log.info("score: r=%.3f (dof=%d, p=%.3g), Heidke=%.1f over %d pairs",
              r, dof, p, hss, n_pairs)
     if out is not None:
-        lines = [_header_line(cfg),
-                 "region,pearson_r,p_value,dof,heidke,n_pairs,box_ljung_q,box_ljung_p",
-                 f"all-stations,{r!r},{p!r},{dof},{hss!r},{n_pairs},{bl_q!r},{bl_p!r}"]
-        write_text(out / "skill.csv", "\n".join(lines) + "\n")
-        rlines = [_header_line(cfg),
-                  "start_season,pearson_r,heidke"]
-        for start, rr, hh in running:
-            rlines.append(f"{start + predict[0]},{rr!r},{hh!r}")
-        for path in _RUNNING_SKILL_FILES:
-            write_text(out / path, "\n".join(rlines) + "\n")
+        _write_table(cfg, [out / "skill.csv"], columns,
+                     [("all-stations", r, p, dof, hss, n_pairs, bl_q, bl_p)])
+        _write_table(cfg, [out / path for path in _RUNNING_SKILL_FILES],
+                     "start_season,pearson_r,heidke",
+                     ((start + predict[0], rr, hh) for start, rr, hh in running))
     return report, running, boundaries
 
 
@@ -498,9 +483,9 @@ def stage_invert(cfg: PipelineConfig, library, keys_by_attractor, ground: Panel,
         write_json(out / "inversion.json", {**asdict(result), **_header(cfg),
                                             "target_window": list(target)})
         true = (provenance or {}).get("true_forcing")
-        write_text(out / "plots" / "fig3_inversion.csv", "\n".join([
-            _header_line(cfg), "true_parameter,estimated_parameter,observable_estimate",
-            f"{_csv(true)},{_csv(result.estimate)},{_csv(result.observable_estimate)}"]) + "\n")
+        _write_table(cfg, [out / "plots/fig3_inversion.csv"],
+                     "true_parameter,estimated_parameter,observable_estimate",
+                     [map(_finite, (true, result.estimate, result.observable_estimate))])
     return result
 
 
@@ -547,7 +532,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> PipelineResult:
     elif out is not None:
         for path in ("inversion.json", "plots/fig3_inversion.csv"):
             (out / path).unlink(missing_ok=True)
-    return PipelineResult(config=cfg, library=library, ground=ground, shrinkage=shrink,
+    return PipelineResult(library=library, ground=ground, shrinkage=shrink,
                           maps=maps, groups=groups,
                           keys_by_attractor=keys_by_attractor, retained=retained,
                           forecast=forecast, skill=skill, inversion=inversion)

@@ -26,6 +26,7 @@ MIN_REPS = 100  # fewest bootstrap replicates behind a measured factor
 # peak RSS rose 2 MB, and at 2000 18 MB, over 64
 REP_SLICE = 64
 CALIBRATION_DIRECTIONS = ("obs_on_pred", "pred_on_obs")
+MIN_CALIBRATION_PAIRS = 3  # finite (prediction, observation) pairs a calibration needs
 
 
 @dataclass
@@ -223,8 +224,8 @@ def calibrate(predictions, observations,
     if p.shape != o.shape:
         raise ValueError("predictions and observations must align")
     ok = np.isfinite(p) & np.isfinite(o)
-    if ok.sum() < 3:
-        raise ValueError("need at least 3 paired seasons to calibrate")
+    if ok.sum() < MIN_CALIBRATION_PAIRS:
+        raise ValueError(f"need at least {MIN_CALIBRATION_PAIRS} paired seasons to calibrate")
     p, o = p[ok], o[ok]
     vp = float(np.var(p))
     vo = float(np.var(o))

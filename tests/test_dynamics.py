@@ -410,13 +410,13 @@ def test_fresh_ground_row_is_the_lone_run(forcing):
     row = (TuningParameter(forcing, f"F{forcing:g}"), 5)
     library = build_attractor_library(grid, FAST_RUN, FAST_SEED, fresh_ground=row)
     (panel, steady), = steady_run([row[0]], [row[1]], FAST_RUN, ["fresh ground"])
-    batched, batched_steady = library.fresh_ground[row]
+    batched, batched_steady = library.fresh_ground
     assert batched_steady == steady
     assert batched.values.keys() == panel.values.keys()
     assert all(np.array_equal(batched.values[k], panel.values[k]) for k in panel.values)
     # the ground row is no attractor, and the attractors do not change
     alone = build_attractor_library(grid, FAST_RUN, FAST_SEED)
-    assert list(library.fresh_ground) == [row] and alone.fresh_ground == {}
+    assert alone.fresh_ground is None
     assert [a.label for a in library] == ["F6", "F8", "F10"]
     for a, b in zip(library, alone):
         assert (a.steady_start, a.seed, a.scale) == (b.steady_start, b.seed, b.scale)

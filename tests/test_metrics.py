@@ -366,7 +366,7 @@ def test_benjamini_hochberg_monotone_in_q():
 
 def test_skill_report_validation():
     with pytest.raises(ValueError):
-        SkillReport("r", 1.5, 10, 0.5, 0.0, 12)
+        SkillReport(1.5, 10, 0.5, 0.0, 12)
     with pytest.raises(ValueError):
-        SkillReport("r", 0.5, 0, 0.5, 0.0, 12)
-    SkillReport("r", 0.5, 10, 0.5, 10.0, 12)
+        SkillReport(0.5, 0, 0.5, 0.0, 12)
+    SkillReport(0.5, 10, 0.5, 10.0, 12)

@@ -335,6 +335,18 @@ def test_run_all_into_a_reused_directory_leaves_no_earlier_optional_artifact(run
     assert _tree(out) == _tree(golden_out)
 
 
+def test_run_all_on_a_smaller_grid_removes_the_earlier_grids_attractors(golden_run, tmp_path):
+    # the golden grid is 6, 8 and 10; a 6-and-8 run into its directory leaves
+    # the tree of a fresh 6-and-8 run, with no F10 stamped by the golden config
+    config = _write_config(tmp_path / "config.json", {
+        **GOLDEN_CONFIG, "surrogate": {**GOLDEN_CONFIG["surrogate"], "forcings": [6.0, 8.0]}})
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    shutil.copytree(golden_run[1], reused)
+    for out in (reused, fresh):
+        assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 0
+    assert _tree(reused) == _tree(fresh)
+
+
 def test_staged_verbs_read_only_the_attractors_of_the_configs_grid(golden_run, tmp_path,
                                                                    capsys):
     # the golden run's F10 files stay in the reused directory; a grid of F6 and
@@ -563,6 +575,21 @@ def _assert_each_model_group_is_predicted_once(golden_run, monkeypatch, caller):
     ("surrogate", {"slope_tol": 0.0}),
     ("surrogate", {"min_steady_seasons": 300}),
     ("inversion", {"enabled": True, "target_window": [40, 160]}),
+    ("schedule", {"lengths": [4, 2, 2, 2]}),
+    ("schedule", {"lengths": [28, 8, 8]}),
+    ("seed", None),
+    ("seed", ...),
+    ("embedding", {"lag_min": 6, "lag_max": 5}),
+    ("embedding", {"n_maps": 0}),
+    ("embedding", 5),
+    ("calibration", {"window": 10}),
+    ("selection", {"x_grid": [50]}),
+    ("ground", {"mode": "satellite"}),
+    ("ground", {"member": "F7"}),
+    ("ground", {"mode": "file"}),
+    ("ground", {"snr": 0}),
+    ("surrogate", {"min_steady_seasons": 40}),
+    ("stations", {"a": ["wet"], "b": ["wet", "s03"]}),
 ], ids=["vote_k-0", "top_k-negative", "vote_mode-plurality", "x_grid-empty", "max_subset_size-0",
         "direction-sideways", "n_reps-50", "n_points-6", "target_r-1",
         "first_season-negative", "station-series-unknown", "stations-one", "K-3", "dt-negative",
@@ -578,11 +605,17 @@ def _assert_each_model_group_is_predicted_once(golden_run, monkeypatch, caller):
         "vote_k-float", "vote_k-bool", "top_k-float", "x_grid-float",
         "target_window-float", "unknown-section", "retention_threshold-string",
         "slope_tol-string", "allow_switching-string", "positive_part-int", "enabled-string",
-        "slope_tol-0", "min_steady_seasons-past-the-run", "target_window-past-the-ground"])
+        "slope_tol-0", "min_steady_seasons-past-the-run", "target_window-past-the-ground",
+        "reference-window-below-three-years", "lengths-3", "seed-null", "seed-missing",
+        "lag_max-below-lag_min", "n_maps-0", "embedding-not-a-section", "calibration-window-10",
+        "x_grid-50", "mode-satellite", "member-outside-the-grid", "file-mode-without-path",
+        "snr-0", "min_steady_seasons-below-the-schedule", "station-target-without-site"])
 def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section, settings):
+    # settings ... leaves the section out
     if isinstance(settings, dict):
         settings = {**GOLDEN_CONFIG.get(section, {}), **settings}
-    payload = {**GOLDEN_CONFIG, section: settings}
+    payload = {key: value for key, value in {**GOLDEN_CONFIG, section: settings}.items()
+               if value is not ...}
     config = _write_config(tmp_path / "config.json", payload)
     out = tmp_path / "out"
     assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 1
@@ -694,6 +727,12 @@ GUARD_CONFIGS = {
                       0, ""),
     "lag-min-1": ({**GOLDEN_CONFIG, "embedding": {**GOLDEN_CONFIG["embedding"], "lag_min": 1}},
                   0, ""),
+    # every map's first predicted season, its largest lag, is after the calibration window
+    "calibration-before-any-prediction": (
+        {**GOLDEN_CONFIG, "surrogate": {"forcings": [6.0, 8.0], "n_seasons": 200},
+         "embedding": {"n_maps": 20, "lag_min": 14, "lag_max": 20},
+         "schedule": {"lengths": [6, 3, 3, 2]}, "selection": {"retention_threshold": -1.0}},
+        1, "calibration.window: seasons 4..11 hold 0 predicted seasons with an observation"),
 }
 
 
@@ -764,6 +803,20 @@ def test_fresh_ground_rides_in_the_library_batch(tmp_path, monkeypatch):
     calls.clear()
     assert cli.main(["generate-library", "-c", config, "-o", str(tmp_path / "out")]) == 0
     assert calls == [4]
+
+
+@pytest.mark.parametrize("ground", [{"mode": "member"}, {"mode": "fresh", "forcing": 7.0}],
+                         ids=["member", "fresh"])
+def test_run_all_carries_a_two_region_index_into_both_panels(tmp_path, ground):
+    config = _write_config(tmp_path / "config.json", {
+        **GOLDEN_CONFIG, "ground": ground,
+        "surrogate": {**GOLDEN_CONFIG["surrogate"],
+                      "indices": {"nino": [["s00", "s01", "s02"], ["s18", "s19", "s20"]]}}})
+    out = tmp_path / "out"
+    assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 0
+    library, (ground_panel, _, _) = pl.load_library(out, load_config(config)), pl.load_ground(out)
+    assert all(("idx", "nino") in a.panel.values for a in library)
+    assert ("idx", "nino") in ground_panel.values
 
 
 def test_run_all_names_a_diverged_fresh_ground_run(tmp_path, capsys):
@@ -1028,10 +1081,10 @@ def test_config_takes_an_integer_as_a_number():
     assert cfg.selection.retention_threshold == 1
 
 
-def test_config_ignores_the_retired_threads_key():
-    old = PipelineConfig.from_dict({**GOLDEN_CONFIG, "threads": 4})
-    assert "threads" not in old.to_dict()
-    assert old.config_hash() == PipelineConfig.from_dict(GOLDEN_CONFIG).config_hash()
+def test_config_rejects_the_retired_threads_key():
+    # a setting that does nothing is an unknown key, as embedding.lead is
+    with pytest.raises(ConfigError, match="unknown config key: 'threads'"):
+        PipelineConfig.from_dict({**GOLDEN_CONFIG, "threads": 4})
 
 
 if __name__ == "__main__":  # PYTHONPATH=src python tests/test_pipeline.py
