@@ -5,6 +5,10 @@ Defaults carry the published constants (1000 maps of dimension 8, lags
 retention threshold 0.5 over the top 10, FDR q = 0.01, calibration over
 8 seasons). The seed is mandatory; nothing falls back to wall-clock
 entropy.
+
+A bound on one setting is declared on its field (``_bounded``) and checked,
+after the field's type, by the one walk over every field (``_check_fields``);
+a rule that ties settings together lives in ``PipelineConfig.validate``.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .artifacts import write_json
@@ -27,24 +32,37 @@ from .subset import MAX_COLUMNS
 CONFIG_VERSION = 1
 IGNORED_KEYS = ("config_version",)  # the version tag to_dict writes
 
+# a bound's operator: whether a value meets the bound's limit
+BOUND_OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt,
+             "one of": lambda value, allowed: value in allowed}
+
+
+def _bounded(default, *bounds):
+    """A config field whose value, or each item of a list value, must meet every
+    ``(op, limit)`` of ``bounds``, op a key of ``BOUND_OPS``; None meets them all."""
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata={"bounds": bounds})
+    return field(default=default, metadata={"bounds": bounds})
+
 
 @dataclass
 class EmbeddingConfig:
-    n_maps: int = 1000
+    n_maps: int = _bounded(1000, (">=", 1))
     # coordinates per delay map, at most subset.MAX_COLUMNS (12): all
     # 2**dim - 1 subsets of a map's columns are screened, the near-best solved
-    dim: int = 8
+    dim: int = _bounded(8, (">=", 1), ("<=", MAX_COLUMNS))
     # the horizon: season t's newest predictor is season t - lag_min, so 4
-    # is the paper's third-season-ahead forecast
-    lag_min: int = 4
+    # is the paper's third-season-ahead forecast; a lag of 0 reads the
+    # response season itself
+    lag_min: int = _bounded(4, (">=", 1))
     lag_max: int = 11
-    max_subset_size: int | None = None
+    max_subset_size: int | None = _bounded(None, (">=", 1))
 
 
 @dataclass
 class ScheduleConfig:
-    first_season: int = 0
-    lengths: list[int] = field(default_factory=lambda: [28, 8, 8, 5])
+    first_season: int = _bounded(0, (">=", 0))
+    lengths: list[int] = _bounded([28, 8, 8, 5], (">=", 1))
 
     def windows(self) -> WindowSchedule:
         if len(self.lengths) != 4:
@@ -54,31 +72,31 @@ class ScheduleConfig:
 
 @dataclass
 class SelectionConfig:
-    x_grid: list[int] = field(default_factory=lambda: [10, 30, 100])
+    x_grid: list[int] = _bounded([10, 30, 100], ("one of", ALLOWED_TOP_PERCENT))
     retention_threshold: float = 0.5
-    top_k: int = 10
-    vote_k: int = 2
-    vote_mode: str = "majority"
+    top_k: int = _bounded(10, (">=", 1))
+    vote_k: int = _bounded(2, (">=", 1))
+    vote_mode: str = _bounded("majority", ("one of", VOTE_MODES))
     allow_switching: bool = True
 
 
 @dataclass
 class ShrinkageConfig:
-    n_points: int = 100
-    target_r: float = 1.0 / 3.0
-    n_reps: int = 2000
+    n_points: int = _bounded(100, (">", N_HOLDOUT + 2))
+    target_r: float = _bounded(1.0 / 3.0, (">", 0.0), ("<", 1.0))
+    n_reps: int = _bounded(2000, (">=", MIN_REPS))
     positive_part: bool = False  # clamp the deviation-shrink factor at zero
 
 
 @dataclass
 class CalibrationConfig:
-    window: int = 8  # seasons immediately before the predict window (8 or 12)
-    direction: str = "obs_on_pred"
+    window: int = _bounded(8, ("one of", (8, 12)))  # seasons just before the predict window
+    direction: str = _bounded("obs_on_pred", ("one of", CALIBRATION_DIRECTIONS))
 
 
 @dataclass
 class GroundConfig:
-    mode: str = "member"  # member | fresh | file
+    mode: str = _bounded("member", ("one of", ("member", "fresh", "file")))
     member: str | None = None  # attractor label for mode=member
     forcing: float | None = None  # fresh-run forcing for mode=fresh
     snr: float = 2.0  # signal sd over noise sd for synthetic ground
@@ -88,12 +106,12 @@ class GroundConfig:
 @dataclass
 class InversionConfig:
     enabled: bool = False
-    q: float = 0.01
-    bandwidth: float | None = None
-    fraction_of_max: float = 0.9
+    q: float = _bounded(0.01, (">", 0.0), ("<", 1.0))
+    bandwidth: float | None = _bounded(None, (">=", 0))
+    fraction_of_max: float = _bounded(0.9, (">", 0.0), ("<=", 1.0))
     target_window: list[int] | None = None  # defaults to the predict window
-    n_fitted_means: int | None = None
-    trailing_seasons: int = 100
+    n_fitted_means: int | None = _bounded(None, (">=", 0))
+    trailing_seasons: int = _bounded(100, (">=", 1))
 
 
 @dataclass
@@ -115,114 +133,77 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.seed is None:
             raise ConfigError("seed is mandatory")
-        _check_types(self)
-        emb = self.embedding
-        if emb.lag_min < 1:
-            raise ConfigError(f"embedding.lag_min {emb.lag_min} must be >= 1: a lag of 0 "
-                              "reads the response season itself")
+        _check_fields(self)
+        emb, sur = self.embedding, self.surrogate
         if emb.lag_max < emb.lag_min:
-            raise ConfigError("lag_max must be >= lag_min")
-        if emb.n_maps < 1 or emb.dim < 1:
-            raise ConfigError("n_maps and dim must be >= 1")
-        if emb.dim > MAX_COLUMNS:
-            raise ConfigError(f"dim {emb.dim} exceeds the exhaustive subset "
-                              f"search cap of {MAX_COLUMNS} columns")
-        if emb.lag_max + emb.dim + 2 > self.surrogate.n_seasons:
+            raise ConfigError(f"embedding.lag_max ({emb.lag_max}) must be >= "
+                              f"embedding.lag_min ({emb.lag_min})")
+        if emb.lag_max + emb.dim + 2 > sur.n_seasons:
             # a fit needs dim + 2 rows, and a map reaching lag_max leaves
             # n_seasons - lag_max of them even before the transient is cut
             raise ConfigError(
-                f"embedding.lag_max ({emb.lag_max}) + dim ({emb.dim}) + 2 exceeds "
-                f"surrogate.n_seasons ({self.surrogate.n_seasons}): a delay map's fit "
+                f"embedding.lag_max ({emb.lag_max}) + embedding.dim ({emb.dim}) + 2 exceeds "
+                f"surrogate.n_seasons ({sur.n_seasons}): a delay map's fit "
                 "would have too few rows")
-        if emb.max_subset_size is not None and emb.max_subset_size < 1:
-            raise ConfigError("embedding.max_subset_size must be >= 1 or null")
-        if self.schedule.first_season < 0:
-            raise ConfigError("schedule.first_season must be >= 0")
         windows = self.schedule.windows()  # raises on overlap
         windows.calibration(self.calibration.window)
         if windows.predict[0] < MIN_REFERENCE_VALUES * SEASONS_PER_YEAR:
-            raise ConfigError(f"schedule: the predict window starts at season {windows.predict[0]}"
-                              "; the ground is standardized on the seasons before it, which "
-                              f"need {MIN_REFERENCE_VALUES} of each season of the year")
-        if self.calibration.window not in (8, 12):
-            raise ConfigError("calibration.window must be 8 or 12")
-        if self.calibration.direction not in CALIBRATION_DIRECTIONS:
-            raise ConfigError(
-                f"calibration.direction must be one of {CALIBRATION_DIRECTIONS}")
-        sel = self.selection
-        if not sel.x_grid:
+            raise ConfigError(f"schedule.first_season and schedule.lengths start the predict "
+                              f"window at season {windows.predict[0]}; the ground is "
+                              "standardized on the seasons before it, which need "
+                              f"{MIN_REFERENCE_VALUES} of each season of the year")
+        x_grid = self.selection.x_grid
+        if not x_grid:
             raise ConfigError("selection.x_grid must not be empty")
-        for x in sel.x_grid:
-            if x not in ALLOWED_TOP_PERCENT:
-                raise ConfigError(f"x_grid entries must be among {ALLOWED_TOP_PERCENT}")
-        if len(set(sel.x_grid)) < len(sel.x_grid):
-            raise ConfigError("selection.x_grid entries must be distinct")
-        if sel.top_k < 1:
-            raise ConfigError("selection.top_k must be >= 1")
-        if sel.vote_k < 1:
-            raise ConfigError("selection.vote_k must be >= 1")
-        if sel.vote_mode not in VOTE_MODES:
-            raise ConfigError(f"selection.vote_mode must be one of {VOTE_MODES}")
-        if self.shrinkage.n_reps < MIN_REPS:
-            raise ConfigError(f"shrinkage.n_reps must be >= {MIN_REPS}")
-        if self.shrinkage.n_points <= N_HOLDOUT + 2:
-            raise ConfigError(f"shrinkage.n_points must exceed {N_HOLDOUT + 2}")
-        if not 0.0 < self.shrinkage.target_r < 1.0:
-            raise ConfigError("shrinkage.target_r must lie in (0, 1)")
+        if len(set(x_grid)) < len(x_grid):
+            raise ConfigError(f"selection.x_grid entries must be distinct, not {x_grid}")
         try:
-            self.surrogate.check()
-            check_grid(self.surrogate.parameters())
+            sur.check()
+            check_grid(sur.parameters())
         except ValueError as exc:
             raise ConfigError(f"surrogate: {exc}") from exc
-        if self.ground.mode not in ("member", "fresh", "file"):
-            raise ConfigError("ground.mode must be member, fresh, or file")
-        if self.ground.mode == "member":
-            labels = [self.surrogate.label(f) for f in self.surrogate.forcings]
-            member = self.ground.member or labels[0]
+        ground = self.ground
+        if ground.mode == "member":
+            labels = [sur.label(f) for f in sur.forcings]
+            member = ground.member or labels[0]
             if member not in labels:
                 raise ConfigError(f"ground.member {member!r} is not in the library")
-        if self.ground.mode == "fresh" and (self.ground.forcing is None
-                                            or not math.isfinite(self.ground.forcing)):
+        if ground.mode == "fresh" and (ground.forcing is None
+                                       or not math.isfinite(ground.forcing)):
             raise ConfigError("ground.mode=fresh requires a finite ground.forcing")
-        if self.ground.mode == "file" and not self.ground.path:
+        if ground.mode == "file" and not ground.path:
             raise ConfigError("ground.mode=file requires ground.path")
-        if self.ground.mode != "file" and self.ground.snr <= 0:
-            raise ConfigError("ground.snr must be positive")
-        if self.surrogate.min_steady_seasons < windows.end:
+        if ground.mode != "file" and ground.snr <= 0:
+            raise ConfigError(f"ground.snr must be > 0 for ground.mode={ground.mode}, "
+                              f"not {ground.snr!r}")
+        if sur.min_steady_seasons < windows.end:
             raise ConfigError(
-                f"surrogate.min_steady_seasons ({self.surrogate.min_steady_seasons}) "
+                f"surrogate.min_steady_seasons ({sur.min_steady_seasons}) "
                 f"must cover the schedule end ({windows.end})")
-        if self.surrogate.min_steady_seasons > self.surrogate.n_seasons:
+        if sur.min_steady_seasons > sur.n_seasons:
             raise ConfigError(
-                f"surrogate.min_steady_seasons ({self.surrogate.min_steady_seasons}) "
-                f"exceeds surrogate.n_seasons ({self.surrogate.n_seasons}), which bounds "
+                f"surrogate.min_steady_seasons ({sur.min_steady_seasons}) "
+                f"exceeds surrogate.n_seasons ({sur.n_seasons}), which bounds "
                 "a run's steady seasons")
         for sid, target in self.stations.items():
             if len(target) != 2:
-                raise ConfigError(f"station {sid} target must be [variable, site]")
+                raise ConfigError(f"stations.{sid} must be [variable, site], not {target!r}")
         n_predict = windows.predict[1] - windows.predict[0]
         if n_predict < 2:
-            raise ConfigError("the running skill needs a predict window of >= 2 seasons")
+            raise ConfigError(f"schedule.lengths: the predict window of {n_predict} season "
+                              "is too short; the running skill needs >= 2 seasons")
         try:  # the score pools stations x predict seasons against one mean per season
             adjusted_dof(len(self.resolved_stations()) * n_predict, n_predict)
         except ValueError as exc:
-            raise ConfigError(f"stations x predict seasons: {exc}; add a station") from exc
-        inv = self.inversion  # checked when disabled too: the invert verb ignores enabled
-        if not 0.0 < inv.q < 1.0:
-            raise ConfigError("inversion.q must lie in (0, 1)")
-        if not 0.0 < inv.fraction_of_max <= 1.0:
-            raise ConfigError("inversion.fraction_of_max must lie in (0, 1]")
-        if (tw := inv.target_window) and not (len(tw) == 2 and 0 <= tw[0] < tw[1]):
+            raise ConfigError(f"stations x schedule.lengths predict seasons: {exc}; "
+                              "add a station") from exc
+        # checked when disabled too: the invert verb ignores enabled
+        if (tw := self.inversion.target_window) and not (len(tw) == 2 and 0 <= tw[0] < tw[1]):
             raise ConfigError("inversion.target_window must be [start, end], 0 <= start < end")
-        if tw and self.ground.mode != "file" and tw[1] > windows.end:
+        if tw and ground.mode != "file" and tw[1] > windows.end:
             # a file's panel may run past the schedule; a synthetic one ends with it
             raise ConfigError(f"inversion.target_window ends at season {tw[1]}, past the "
-                              f"{windows.end}-season {self.ground.mode} ground panel")
-        if inv.trailing_seasons < 1:
-            raise ConfigError("inversion.trailing_seasons must be >= 1")
-        for name in ("bandwidth", "n_fitted_means"):
-            if (value := getattr(inv, name)) is not None and not value >= 0:
-                raise ConfigError(f"inversion.{name} must be null or >= 0")
+                              f"{windows.end}-season {ground.mode} ground panel")
 
     def resolved_stations(self) -> dict[str, tuple[str, str]]:
         """Station map, defaulting to four evenly spaced surrogate sites."""
@@ -272,15 +253,16 @@ FIELD_TYPES = {"int": (int, "an integer", "integers"),
                "str": (str, "a string", "strings")}
 
 
-def _check_types(cfg, prefix: str = "") -> None:
-    """Reject a value of the wrong type in every field of ``cfg`` and of its nested
-    config dataclasses that is annotated ``int``, ``float``, ``bool`` or ``str``,
-    or a ``list`` of one, either of them possibly ``| None``. An int is a number,
-    but a bool is only true or false."""
+def _check_fields(cfg, prefix: str = "") -> None:
+    """Reject a value of the wrong type, then one past a bound, in every field of
+    ``cfg`` and of its nested config dataclasses. The typed fields are those annotated
+    ``int``, ``float``, ``bool`` or ``str``, or a ``list`` of one, either of them
+    possibly ``| None``; an int is a number, but a bool is only true or false. The
+    bounds are the field's ``_bounded`` ones, met by each item of a list."""
     for f in fields(cfg):
         name, value = prefix + f.name, getattr(cfg, f.name)
         if is_dataclass(value):
-            _check_types(value, f"{name}.")
+            _check_fields(value, f"{name}.")
             continue
         kind = f.type.removesuffix(" | None")
         item = kind[5:-1] if kind.startswith("list[") else kind
@@ -291,6 +273,11 @@ def _check_types(cfg, prefix: str = "") -> None:
             raise ConfigError(f"{name} must be {one}, not {value!r}")
         if item != kind and not (isinstance(value, list) and all(_is_of(v, item) for v in value)):
             raise ConfigError(f"{name} must be a list of {many}, not {value!r}")
+        items, what = ([value], name) if item == kind else (value, f"{name} entries")
+        for op, limit in f.metadata.get("bounds", ()):
+            for v in items:
+                if not BOUND_OPS[op](v, limit):
+                    raise ConfigError(f"{what} must be {op} {limit}, not {v!r}")
 
 
 def _is_of(v, item: str) -> bool:

@@ -148,8 +148,8 @@ class WindowSchedule:
         """The ``length`` seasons immediately before the predict window."""
         start = self.predict[0] - length
         if start < self.rank[0]:
-            raise ConfigError(f"calibration window of {length} seasons reaches "
-                              "before the schedule start")
+            raise ConfigError(f"calibration.window ({length} seasons) reaches before "
+                              f"the schedule start (season {self.rank[0]})")
         return (start, self.predict[0])
 
 

@@ -5,7 +5,8 @@ scores, FDR tests of keys, forecast skill); also a one-sided t test on
 adjusted degrees of freedom, tercile Heidke skill, running 4-season skill
 curves, the Ljung-Box portmanteau test, and Benjamini-Hochberg FDR selection.
 Tail probabilities go through scipy's regularized incomplete beta /
-gamma evaluations (target accuracy well below 1e-12 relative).
+gamma evaluations (target accuracy well below 1e-12 relative). scipy is
+loaded on first use: a run that makes no forecast never needs it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .subset import same_rows
 
@@ -83,6 +83,7 @@ def correlation_pvalue(r: float, dof: int) -> float:
     if abs(r) == 1.0:
         return 0.0
     t = r * np.sqrt(dof / (1.0 - r * r))
+    from scipy import special  # on first use: the import costs more than a run's scoring
     return float(special.stdtr(dof, -t))
 
 
@@ -161,6 +162,7 @@ def box_ljung(series, n_lags: int) -> tuple[float, float]:
         rho = float(x[k:] @ x[:-k]) / denom
         q += rho * rho / (n - k)
     q *= n * (n + 2.0)
+    from scipy import special  # on first use, as in correlation_pvalue
     p = float(special.chdtrc(n_lags, q))
     return q, p
 

@@ -54,9 +54,7 @@ log = logging.getLogger("chaoscast")
 @dataclass
 class PipelineResult:
     library: list[AttractorEstimate]
-    ground: Panel
     shrinkage: ShrinkageReport
-    maps: list[DelayMap]
     groups: dict[str, list[ModelGroup]]
     keys_by_attractor: dict[str, list[PredictorKey]]
     retained: list[PredictorKey]
@@ -532,7 +530,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> PipelineResult:
     elif out is not None:
         for path in ("inversion.json", "plots/fig3_inversion.csv"):
             (out / path).unlink(missing_ok=True)
-    return PipelineResult(library=library, ground=ground, shrinkage=shrink,
-                          maps=maps, groups=groups,
+    return PipelineResult(library=library, shrinkage=shrink, groups=groups,
                           keys_by_attractor=keys_by_attractor, retained=retained,
                           forecast=forecast, skill=skill, inversion=inversion)

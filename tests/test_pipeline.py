@@ -4,8 +4,12 @@ import hashlib
 import io
 import json
 import dataclasses
+import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import threading
 from collections import Counter
@@ -188,6 +192,18 @@ def test_run_all_is_complete_and_byte_reproducible(run_all, tmp_path):
         assert trees[0] == trees[1]
         assert json.loads(trees[0]["shrinkage.json"])["bootstrap_seed"] >= 0
         assert json.loads(trees[0]["ground.meta.json"])["provenance"]["mode"] == mode
+
+
+def test_a_run_without_a_forecast_never_loads_scipy():
+    # metrics imports scipy.special on first use, and the golden run retains no key
+    code = ("import json, sys; import chaoscast; "
+            "cfg = chaoscast.PipelineConfig.from_dict(json.loads(sys.argv[1])); "
+            "assert chaoscast.run_pipeline(cfg).forecast.no_forecast; "
+            "print('scipy.special' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(GOLDEN_CONFIG)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_run_pipeline_bootstrap_beside_fit_equals_the_serial_stage():
@@ -1065,13 +1081,68 @@ def test_failed_write_keeps_the_older_complete_file(tmp_path):
     ({"seed": 7, "ground": {"mode": 2}}, "ground.mode must be a string, not 2"),
     ({"seed": 7, "embedding": {"lead": 1}}, "unknown config key: 'embedding.lead'"),
     ({"seed": 7, "selection": {"vote_kk": 3}}, "unknown config key: 'selection.vote_kk'"),
-    ({"seed": 7, "embedding": {"lag_min": 0}}, "embedding.lag_min 0 must be >= 1"),
+    ({"seed": 7, "embedding": {"lag_min": 0}}, "embedding.lag_min must be >= 1, not 0"),
+    ({"seed": 7, "embedding": {"lag_min": 4, "lag_max": 3}},
+     "embedding.lag_max (3) must be >= embedding.lag_min (4)"),
+    ({"seed": 7, "selection": {"x_grid": []}}, "selection.x_grid must not be empty"),
+    ({"seed": 7, "selection": {"x_grid": [10, 10]}},
+     "selection.x_grid entries must be distinct, not [10, 10]"),
+    ({"seed": 7, "stations": {"a": ["wet"], "b": ["wet", "s03"]}},
+     "stations.a must be [variable, site], not ['wet']"),
+    ({"seed": 7, "schedule": {"lengths": [28, 8, 8, 1]}}, "schedule.lengths: the predict window"),
+    ({"seed": 7, "stations": {"a": ["wet", "s00"]}}, "stations x schedule.lengths predict seasons"),
+    ({"seed": 7, "schedule": {"first_season": 0, "lengths": [4, 4, 3, 5]}},
+     "schedule.first_season and schedule.lengths start the predict window at season 11"),
+    ({"seed": 7, "ground": {"snr": 0}}, "ground.snr must be > 0 for ground.mode=member, not 0"),
 ], ids=["seed", "n_maps", "vote_k-bool", "x_grid", "target_window", "temp_smooth",
         "unknown-key", "retention_threshold", "forcings", "positive_part", "mode",
-        "lead-retired", "unknown-section-key", "lag_min-0"])
+        "lead-retired", "unknown-section-key", "lag_min-0", "lag_max-below-lag_min",
+        "x_grid-empty", "x_grid-repeated", "station-target-without-site", "predict-window-1",
+        "stations-one", "reference-window-below-three-years", "snr-0"])
 def test_config_error_names_the_setting(payload, named):
     with pytest.raises(ConfigError, match=re.escape(named)):
         PipelineConfig.from_dict(payload)
+
+
+# (section, setting, a value just past its bound, the bound, the bound's own value
+# if the bound admits it); a list setting's bound holds for each of its items
+@pytest.mark.parametrize("section, name, past, bound, limit", [
+    ("embedding", "n_maps", 0, ">= 1", 1),
+    ("embedding", "dim", 0, ">= 1", 1),
+    ("embedding", "dim", subset.MAX_COLUMNS + 1, f"<= {subset.MAX_COLUMNS}", subset.MAX_COLUMNS),
+    ("embedding", "lag_min", 0, ">= 1", 1),
+    ("embedding", "max_subset_size", 0, ">= 1", 1),
+    ("schedule", "first_season", -1, ">= 0", 0),
+    ("schedule", "lengths", [28, 0, 8, 5], ">= 1", [28, 1, 8, 5]),
+    ("calibration", "window", 10, "one of (8, 12)", None),
+    ("calibration", "direction", "sideways", "one of ('obs_on_pred', 'pred_on_obs')", None),
+    ("selection", "x_grid", [10, 50], "one of (10, 30, 100)", None),
+    ("selection", "top_k", 0, ">= 1", 1),
+    ("selection", "vote_k", 0, ">= 1", 1),
+    ("selection", "vote_mode", "plurality", "one of ('majority', 'two_cluster_average')", None),
+    ("shrinkage", "n_reps", 99, ">= 100", 100),
+    ("shrinkage", "n_points", 6, "> 6", None),
+    ("shrinkage", "target_r", 0.0, "> 0.0", None),
+    ("shrinkage", "target_r", 1.0, "< 1.0", None),
+    ("ground", "mode", "satellite", "one of ('member', 'fresh', 'file')", None),
+    ("inversion", "q", 0.0, "> 0.0", None),
+    ("inversion", "q", 1.0, "< 1.0", None),
+    ("inversion", "fraction_of_max", 0.0, "> 0.0", None),
+    ("inversion", "fraction_of_max", math.nextafter(1.0, 2.0), "<= 1.0", 1.0),
+    ("inversion", "trailing_seasons", 0, ">= 1", 1),
+    ("inversion", "bandwidth", math.nextafter(0.0, -1.0), ">= 0", 0.0),
+    ("inversion", "n_fitted_means", -1, ">= 0", 0),
+], ids=["n_maps", "dim-min", "dim-max", "lag_min", "max_subset_size", "first_season", "lengths",
+        "window", "direction", "x_grid", "top_k", "vote_k", "vote_mode", "n_reps", "n_points",
+        "target_r-min", "target_r-max", "mode", "q-min", "q-max", "fraction_of_max-min",
+        "fraction_of_max-max", "trailing_seasons", "bandwidth", "n_fitted_means"])
+def test_a_bounded_setting_is_rejected_past_its_bound(section, name, past, bound, limit):
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{name}") + ".* must be "
+                       + re.escape(f"{bound}, not ")):
+        PipelineConfig.from_dict({"seed": 7, section: {name: past}})
+    if limit is not None:  # an inclusive bound admits its own value
+        cfg = PipelineConfig.from_dict({"seed": 7, section: {name: limit}})
+        assert getattr(getattr(cfg, section), name) == limit
 
 
 def test_config_takes_an_integer_as_a_number():

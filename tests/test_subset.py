@@ -245,7 +245,7 @@ def test_exact_rss_ties_go_to_the_first_subset():
 
 
 def test_config_rejects_dim_above_the_column_cap():
-    with pytest.raises(ConfigError, match="cap"):
+    with pytest.raises(ConfigError, match=f"embedding.dim must be <= {MAX_COLUMNS}, "):
         PipelineConfig.from_dict({"seed": 1, "embedding": {"dim": MAX_COLUMNS + 1}})
     PipelineConfig.from_dict({"seed": 1, "embedding": {"dim": MAX_COLUMNS}})
 
