@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -202,16 +203,29 @@ def stage_shrinkage(cfg: PipelineConfig, out: Path | None = None) -> ShrinkageRe
     return report
 
 
+_DRAWS = threading.local()  # the bootstrap's draw buffer, one per calling thread
+
+
+def _draw_buffer(shape: tuple[int, ...]) -> np.ndarray:
+    """The calling thread's draw buffer, kept for its next runs: a 12 MB buffer
+    freed each run left malloc's heap a hole that a longer-lived block could split,
+    and the next one then grew the heap by its size, in some processes only."""
+    buffer = getattr(_DRAWS, "buffer", None)
+    if buffer is None or buffer.shape != shape:
+        buffer = _DRAWS.buffer = np.empty(shape)
+    return buffer
+
+
 def _bootstrap(cfg: PipelineConfig):
     """The config's bootstrap as a call with no arguments that returns its report
-    and its own seconds. Its draw buffer is allocated here, in the caller's
-    thread, and freed when the call is freed."""
+    and its own seconds. Its draw buffer is the caller's thread's (see
+    ``_draw_buffer``): the call must finish before that thread starts another run."""
     n_stations, sh = len(cfg.resolved_stations()), cfg.shrinkage
     run = functools.partial(
         bootstrap_shrinkage, n_stations=n_stations, n_points=sh.n_points,
         target_r=sh.target_r, n_reps=sh.n_reps,
         seed=int(derive_rng(cfg.seed, "shrinkage").integers(2**32)),
-        draws=np.empty(draw_buffer_shape(n_stations, sh.n_points, sh.n_reps)))
+        draws=_draw_buffer(draw_buffer_shape(n_stations, sh.n_points, sh.n_reps)))
 
     def timed():
         start = time.perf_counter()
@@ -503,9 +517,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> PipelineResult:
     # numpy call is one handoff, and the bootstrap makes few, on whole blocks.
     # A prediction formed after the bootstrap is done gains nothing here and
     # would only be held through select (at the default config, 1.4 MB per
-    # attractor). Started after the library, the draw buffer is never resident
-    # at once with the library's integration state, and the block exit joins
-    # the worker on every path.
+    # attractor). The block exit joins the worker on every path, so the
+    # thread's draw buffer is free for its next run.
     with ThreadPoolExecutor(max_workers=1) as pool:
         bootstrap = pool.submit(_bootstrap(cfg))
         ground, _, meta = stage_ground(cfg, library, out)

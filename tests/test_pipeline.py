@@ -212,6 +212,18 @@ def test_run_pipeline_bootstrap_beside_fit_equals_the_serial_stage():
         dataclasses.asdict(pl.stage_shrinkage(cfg))
 
 
+def test_each_thread_reuses_its_own_draw_buffer():
+    shape = (2, 3, 4, 5)
+    mine = pl._draw_buffer(shape)
+    assert pl._draw_buffer(shape) is mine
+    assert pl._draw_buffer((2, 3, 4, 6)).shape == (2, 3, 4, 6)
+    other = []
+    worker = threading.Thread(target=lambda: other.append(pl._draw_buffer((2, 3, 4, 6))))
+    worker.start()
+    worker.join()
+    assert other[0] is not pl._draw_buffer((2, 3, 4, 6))
+
+
 def _hold_bootstrap(monkeypatch, release: threading.Event):
     """Make run_pipeline's bootstrap wait, up to 60 s, until ``release`` is set."""
     make = pl._bootstrap
