@@ -22,8 +22,6 @@ from .ensemble import load_keys
 from .errors import ChaoscastError, ConfigError, PanelFormatError
 from . import pipeline as pl
 
-log = logging.getLogger("chaoscast")
-
 VERBS = ("generate-library", "embed", "fit", "select", "forecast",
          "score", "invert", "run-all")
 
@@ -45,9 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(verb: str, cfg, out: Path) -> None:
     if verb == "run-all":
-        result = pl.run_pipeline(cfg, out)
-        if result.forecast.no_forecast:
-            log.info("run-all finished with an explicit no-forecast outcome")
+        pl.run_pipeline(cfg, out)
     elif verb == "generate-library":
         library = pl.stage_library(cfg, out)
         pl.stage_ground(cfg, library, out)

@@ -34,14 +34,15 @@ IGNORED_KEYS = ("config_version",)  # the version tag to_dict writes
 
 # a bound's operator: whether a value meets the bound's limit
 BOUND_OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt,
-             "one of": lambda value, allowed: value in allowed}
+             "one of": lambda value, allowed: value in allowed,
+             "of length": lambda value, n: len(value) == n}
 
 
 def _bounded(default, *bounds):
-    """A config field whose value, or each item of a list value, must meet every
-    ``(op, limit)`` of ``bounds``, op a key of ``BOUND_OPS``; None meets them all."""
-    if isinstance(default, list):
-        return field(default_factory=lambda: list(default), metadata={"bounds": bounds})
+    """A config field whose value, each item of a list or each value of a map, must
+    meet every ``(op, limit)`` of ``bounds`` (op a key of ``BOUND_OPS``); None does."""
+    if isinstance(default, (list, dict)):
+        return field(default_factory=default.copy, metadata={"bounds": bounds})
     return field(default=default, metadata={"bounds": bounds})
 
 
@@ -125,7 +126,7 @@ class PipelineConfig:
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
     ground: GroundConfig = field(default_factory=GroundConfig)
     inversion: InversionConfig = field(default_factory=InversionConfig)
-    stations: dict[str, list[str]] = field(default_factory=dict)  # id -> [variable, site]
+    stations: dict[str, list[str]] = _bounded({}, ("of length", 2))  # id -> [variable, site]
 
     def __post_init__(self):
         self.validate()
@@ -185,9 +186,6 @@ class PipelineConfig:
                 f"surrogate.min_steady_seasons ({sur.min_steady_seasons}) "
                 f"exceeds surrogate.n_seasons ({sur.n_seasons}), which bounds "
                 "a run's steady seasons")
-        for sid, target in self.stations.items():
-            if len(target) != 2:
-                raise ConfigError(f"stations.{sid} must be [variable, site], not {target!r}")
         n_predict = windows.predict[1] - windows.predict[0]
         if n_predict < 2:
             raise ConfigError(f"schedule.lengths: the predict window of {n_predict} season "
@@ -246,7 +244,7 @@ class PipelineConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-# field type: (the Python types it admits, a message's name for one, for a list)
+# field type: (the Python types it admits, a message's name for one, for several)
 FIELD_TYPES = {"int": (int, "an integer", "integers"),
                "float": ((int, float), "a number", "numbers"),
                "bool": (bool, "true or false", "booleans"),
@@ -255,34 +253,46 @@ FIELD_TYPES = {"int": (int, "an integer", "integers"),
 
 def _check_fields(cfg, prefix: str = "") -> None:
     """Reject a value of the wrong type, then one past a bound, in every field of
-    ``cfg`` and of its nested config dataclasses. The typed fields are those annotated
-    ``int``, ``float``, ``bool`` or ``str``, or a ``list`` of one, either of them
-    possibly ``| None``; an int is a number, but a bool is only true or false. The
-    bounds are the field's ``_bounded`` ones, met by each item of a list."""
+    ``cfg`` and of its nested config dataclasses. A field's type is ``int``, ``float``,
+    ``bool`` or ``str``, or a ``list`` or ``str``-keyed ``dict`` of types, possibly
+    ``| None``; an int is a number, but a bool only true or false. Its ``_bounded``
+    bounds hold for its value, each list item or each map value (named by its key)."""
     for f in fields(cfg):
         name, value = prefix + f.name, getattr(cfg, f.name)
         if is_dataclass(value):
             _check_fields(value, f"{name}.")
             continue
         kind = f.type.removesuffix(" | None")
-        item = kind[5:-1] if kind.startswith("list[") else kind
-        if item not in FIELD_TYPES or (value is None and kind != f.type):
+        if value is None and kind != f.type:
             continue
-        _, one, many = FIELD_TYPES[item]
-        if item == kind and not _is_of(value, item):
-            raise ConfigError(f"{name} must be {one}, not {value!r}")
-        if item != kind and not (isinstance(value, list) and all(_is_of(v, item) for v in value)):
-            raise ConfigError(f"{name} must be a list of {many}, not {value!r}")
-        items, what = ([value], name) if item == kind else (value, f"{name} entries")
+        if not _is_of(value, kind):
+            raise ConfigError(f"{name} must be {_describe(kind)}, not {value!r}")
+        items = ([(f"{name}.{key}", v) for key, v in value.items()] if isinstance(value, dict)
+                 else [(f"{name} entries", v) for v in value] if isinstance(value, list)
+                 else [(name, value)])
         for op, limit in f.metadata.get("bounds", ()):
-            for v in items:
+            for what, v in items:
                 if not BOUND_OPS[op](v, limit):
                     raise ConfigError(f"{what} must be {op} {limit}, not {v!r}")
 
 
-def _is_of(v, item: str) -> bool:
-    """Whether ``v`` is of the field type ``item``; a bool is of no type but bool."""
-    return isinstance(v, FIELD_TYPES[item][0]) and isinstance(v, bool) == (item == "bool")
+def _is_of(v, kind: str) -> bool:
+    """Whether ``v`` is of the field type ``kind``; a bool is of no type but bool."""
+    if kind.startswith("list["):
+        return isinstance(v, list) and all(_is_of(x, kind[5:-1]) for x in v)
+    if kind.startswith("dict[str, "):
+        return isinstance(v, dict) and all(isinstance(key, str) and _is_of(x, kind[10:-1])
+                                           for key, x in v.items())
+    return isinstance(v, FIELD_TYPES[kind][0]) and isinstance(v, bool) == (kind == "bool")
+
+
+def _describe(kind: str, several: bool = False) -> str:
+    """A message's name for one value of the field type ``kind``, or for several."""
+    for opening, noun in (("list[", "list"), ("dict[str, ", "map")):
+        if kind.startswith(opening):
+            inner = _describe(kind[len(opening):-1], several=True)
+            return f"{noun}s of {inner}" if several else f"a {noun} of {inner}"
+    return FIELD_TYPES[kind][2 if several else 1]
 
 
 def load_config(path) -> PipelineConfig:

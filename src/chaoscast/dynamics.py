@@ -389,10 +389,10 @@ def steady_run(parameters: list[TuningParameter], seeds: list[int],
 
 class AttractorLibrary(list):
     """Attractor estimates sorted by parameter value, plus ``fresh_ground``:
-    the raw steady run (panel, steady start) of the fresh ground row
-    integrated in their batch, or None. That row is not an attractor."""
+    the raw steady panel of the fresh ground row integrated in their batch,
+    or None. That row is not an attractor."""
 
-    fresh_ground: tuple[Panel, int] | None = None
+    fresh_ground: Panel | None = None
 
 
 def _standardized_attractor(param: TuningParameter, steady_panel: Panel, steady: int,
@@ -425,8 +425,8 @@ def build_attractor_library(parameters: list[TuningParameter], surrogate: Surrog
 
     The whole grid is one :func:`steady_run` call. ``fresh_ground``, a
     (parameter, seed) row, is integrated as the last row of that call;
-    its raw steady run is the result's ``fresh_ground``, bit-identical to
-    a lone run. Errors name the failing row: divergence
+    its raw steady panel is the result's ``fresh_ground``, bit-identical to
+    a lone run's. Errors name the failing row: divergence
     first, then a row that never settles, then a grid row with too few
     steady seasons or a constant series (a fixed point, a ConfigError),
     each the first in batch order.
@@ -443,7 +443,7 @@ def build_attractor_library(parameters: list[TuningParameter], surrogate: Surrog
     runs = steady_run(rows, run_seeds, surrogate, names)
     library = AttractorLibrary()
     if fresh_ground is not None:
-        library.fresh_ground = runs.pop()
+        library.fresh_ground = runs.pop()[0]
     library.extend(_standardized_attractor(param, panel, steady, surrogate, seed)
                    for param, (panel, steady) in zip(parameters, runs, strict=True))
     library.sort(key=lambda a: a.parameter.value)

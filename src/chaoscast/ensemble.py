@@ -13,10 +13,11 @@ correlation of their shrunken predictions, the first X percent of that
 order are combined by mean or by the most populous 1-D cluster (vote)
 into keys scored on the select and retain windows, retention keeps at
 most one key per cut (a key or its other-combiner sibling) whose retain r
-is strictly above a threshold, and the survivors' per-season median is
-the forecast. An attractor's groups,
-and its keys, are scored in one ``metrics.pooled_correlations`` call per
-window.
+is strictly above a threshold, and the survivors' calibrated per-season
+median is the forecast; an ``EnsembleForecast`` names them by key id alone
+(``F8/X010/vote``, which ends in its combiner), and with none it is the
+no-forecast outcome. An attractor's groups, and its keys, are scored in one
+``metrics.pooled_correlations`` call per window.
 
 ``models.json`` and key files store each attractor's groups as one table
 (``table_to_dict``): its station ids and maps as JSON, and ``map_index``
@@ -454,14 +455,12 @@ class EnsembleForecast:
     predictions: np.ndarray  # (stations, seasons), calibrated anomalies
     raw_median: np.ndarray
     contributing_keys: tuple[str, ...]
-    combiner_by_key: dict[str, str]
     calibration_slope: float
     calibration_intercept: float
-    no_forecast: bool = False
 
-    def __post_init__(self):
-        if not self.no_forecast and not self.contributing_keys:
-            raise ValueError("forecast provenance must be non-empty")
+    @property
+    def no_forecast(self) -> bool:
+        return not self.contributing_keys
 
 
 # --- key serialization (self-describing, versioned) ---------------------

@@ -143,7 +143,7 @@ def make_ground_panel(cfg: PipelineConfig, library: AttractorLibrary) -> tuple[P
 
     Synthetic modes add per-series Gaussian observation noise with
     sd = series sd / snr; file mode parses the configured input. Fresh
-    mode takes its raw steady run from ``library.fresh_ground``, the
+    mode takes its raw steady panel from ``library.fresh_ground``, the
     :func:`fresh_ground_row` that ``build_attractor_library`` integrated
     in the library's batch; it integrates nothing itself.
     """
@@ -167,7 +167,7 @@ def make_ground_panel(cfg: PipelineConfig, library: AttractorLibrary) -> tuple[P
         meta = {"mode": "member", "member": label,
                 "true_forcing": member.parameter.value}
     else:
-        steady, _ = library.fresh_ground
+        steady = library.fresh_ground
         if steady.n_seasons < n_seasons:
             raise ConfigError(
                 f"fresh ground run has only {steady.n_seasons} steady seasons, "

@@ -12,10 +12,10 @@ Every random draw derives from the master seed, so rerunning an
 identical config reproduces every artifact byte for byte. An empty
 retention is a successful run with an explicit no-forecast marker.
 Each plot file under ``plots/`` is written by the stage that computes its
-values (forecast, score, invert), from the values it holds; no stage reads
-back an artifact of the same run. A run into a reused directory removes the
-optional artifacts it does not write: the running skill of a no-forecast
-run and, with inversion off, the inversion files.
+values (forecast, invert), from the values it holds; no stage reads back an
+artifact of the same run, and no two files hold the same bytes. A run into a
+reused directory removes the optional artifacts it does not write: the running
+skill of a no-forecast run and, with inversion off, the inversion files.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from .metrics import (SkillReport, adjusted_dof, box_ljung, correlation_pvalue, 
                       pooled_correlations, running_skill, tercile_boundaries)
 from .panel import Panel, panel_from_text, panel_to_text
 from .seeding import derive_rng
-from .shrinkage import (MIN_CALIBRATION_PAIRS, ShrinkageReport, bootstrap_shrinkage, calibrate,
-                        draw_buffer_shape)
+from .shrinkage import (MIN_CALIBRATION_PAIRS, CalibrationResult, ShrinkageReport,
+                        bootstrap_shrinkage, calibrate, draw_buffer_shape)
 
 log = logging.getLogger("chaoscast")
 
@@ -68,15 +68,13 @@ def _header(cfg: PipelineConfig) -> dict:
     return {"config_hash": cfg.config_hash(), "seed": cfg.seed}
 
 
-def _write_table(cfg: PipelineConfig, paths, columns, rows, comment: str | None = None):
-    """Write one text table to each of ``paths``: the header line, an optional
-    ``# comment`` line, the ``columns`` line and one line per row, a None cell empty."""
+def _write_table(cfg: PipelineConfig, path, columns, rows, comment: str | None = None):
+    """Write one text table to ``path``: the header line, an optional ``# comment``
+    line, the ``columns`` line and one line per row, a None cell empty."""
     lines = ["# " + " ".join(f"{k}={v}" for k, v in _header(cfg).items()),
              *([f"# {comment}"] if comment else []), columns,
              *(",".join("" if c is None else str(c) for c in row) for row in rows)]
-    text = "\n".join(lines) + "\n"
-    for path in paths:
-        write_text(path, text)
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _finite(v) -> float | None:
@@ -371,49 +369,42 @@ def stage_forecast(cfg: PipelineConfig, retained, ground: Panel,
     station_ids = tuple(st.station_id for st in stations)
     predict = windows.predict
     seasons = tuple(range(predict[0], predict[1]))
-    if not retained:
-        forecast = EnsembleForecast(
-            stations=station_ids, seasons=seasons,
-            predictions=np.full((len(stations), len(seasons)), np.nan),
-            raw_median=np.full((len(stations), len(seasons)), np.nan),
-            contributing_keys=(), combiner_by_key={},
-            calibration_slope=0.0, calibration_intercept=0.0, no_forecast=True)
-        log.info("forecast: no predictor retained; emitting no-forecast marker")
-    else:
+    median = np.full((len(stations), len(seasons)), np.nan)
+    fit = CalibrationResult(0.0, 0.0)
+    if retained:
         calib = windows.calibration(cfg.calibration.window)
-        span = (calib[0], predict[1])
-        stack = np.stack([k.predict(ground, span) for k in retained])
-        median = median_combine(stack)
+        combined = median_combine(np.stack([k.predict(ground, (calib[0], predict[1]))
+                                            for k in retained]))
         n_calib = predict[0] - calib[0]
         obs_calib = observation_matrix(ground, stations, calib)
-        n_pairs = int((np.isfinite(median[:, :n_calib]) & np.isfinite(obs_calib)).sum())
+        n_pairs = int((np.isfinite(combined[:, :n_calib]) & np.isfinite(obs_calib)).sum())
         if n_pairs < MIN_CALIBRATION_PAIRS:
             raise ConfigError(
                 f"calibration.window: seasons {calib[0]}..{calib[1] - 1} hold {n_pairs} "
                 f"predicted seasons with an observation, fewer than {MIN_CALIBRATION_PAIRS}; "
                 "a map predicts only from its largest lag (embedding.lag_min/lag_max) on: "
                 "raise schedule.first_season or shorten the lags")
-        fit = calibrate(median[:, :n_calib].ravel(), obs_calib.ravel(),
+        fit = calibrate(combined[:, :n_calib].ravel(), obs_calib.ravel(),
                         direction=cfg.calibration.direction)
-        calibrated = fit.apply(median[:, n_calib:])
-        forecast = EnsembleForecast(
-            stations=station_ids, seasons=seasons,
-            predictions=calibrated, raw_median=median[:, n_calib:],
-            contributing_keys=tuple(k.key_id for k in retained),
-            combiner_by_key={k.key_id: k.combiner for k in retained},
-            calibration_slope=fit.slope, calibration_intercept=fit.intercept,
-            no_forecast=False)
+        median = combined[:, n_calib:]
         log.info("forecast: %d stations x %d seasons from %d keys "
                  "(calibration slope %.3f)", len(stations), len(seasons),
                  len(retained), fit.slope)
+    else:
+        log.info("forecast: no predictor retained; emitting no-forecast marker")
+    forecast = EnsembleForecast(
+        stations=station_ids, seasons=seasons,
+        predictions=fit.apply(median), raw_median=median,
+        contributing_keys=tuple(k.key_id for k in retained),
+        calibration_slope=fit.slope, calibration_intercept=fit.intercept)
     if out is not None:
         obs = observation_matrix(ground, stations, predict)
         matrices = {"predictions": forecast.predictions, "raw_median": forecast.raw_median,
                     "observed": obs}
         write_json(out / "forecast.json", {  # every field of the forecast, and the observations
-            **_header(cfg), **vars(forecast),
+            **_header(cfg), **vars(forecast), "no_forecast": forecast.no_forecast,
             **{name: [[_finite(v) for v in row] for row in m] for name, m in matrices.items()}})
-        _write_table(cfg, [out / "plots/fig2_scatter.csv"], "station,season,observed,predicted",
+        _write_table(cfg, out / "plots/fig2_scatter.csv", "station,season,observed,predicted",
                      ((sid, season, _finite(o), _finite(p))
                       for sid, o_row, p_row in zip(station_ids, obs, forecast.predictions)
                       for season, o, p in zip(seasons, o_row, p_row)))
@@ -421,9 +412,6 @@ def stage_forecast(cfg: PipelineConfig, retained, ground: Panel,
 
 
 # --- score ---------------------------------------------------------------
-
-_RUNNING_SKILL_FILES = ("running_skill.csv", "plots/s4_running_skill.csv")
-
 
 def stage_score(cfg: PipelineConfig, forecast: EnsembleForecast, ground: Panel,
                 out: Path | None = None):
@@ -433,9 +421,8 @@ def stage_score(cfg: PipelineConfig, forecast: EnsembleForecast, ground: Panel,
     columns = "region,pearson_r,p_value,dof,heidke,n_pairs,box_ljung_q,box_ljung_p"
     if forecast.no_forecast:
         if out is not None:
-            _write_table(cfg, [out / "skill.csv"], columns, (), comment="no_forecast=true")
-            for path in _RUNNING_SKILL_FILES:
-                (out / path).unlink(missing_ok=True)
+            _write_table(cfg, out / "skill.csv", columns, (), comment="no_forecast=true")
+            (out / "running_skill.csv").unlink(missing_ok=True)
         return None, None, None
 
     obs = observation_matrix(ground, stations, predict)
@@ -460,10 +447,9 @@ def stage_score(cfg: PipelineConfig, forecast: EnsembleForecast, ground: Panel,
     log.info("score: r=%.3f (dof=%d, p=%.3g), Heidke=%.1f over %d pairs",
              r, dof, p, hss, n_pairs)
     if out is not None:
-        _write_table(cfg, [out / "skill.csv"], columns,
+        _write_table(cfg, out / "skill.csv", columns,
                      [("all-stations", r, p, dof, hss, n_pairs, bl_q, bl_p)])
-        _write_table(cfg, [out / path for path in _RUNNING_SKILL_FILES],
-                     "start_season,pearson_r,heidke",
+        _write_table(cfg, out / "running_skill.csv", "start_season,pearson_r,heidke",
                      ((start + predict[0], rr, hh) for start, rr, hh in running))
     return report, running, boundaries
 
@@ -495,7 +481,7 @@ def stage_invert(cfg: PipelineConfig, library, keys_by_attractor, ground: Panel,
         write_json(out / "inversion.json", {**asdict(result), **_header(cfg),
                                             "target_window": list(target)})
         true = (provenance or {}).get("true_forcing")
-        _write_table(cfg, [out / "plots/fig3_inversion.csv"],
+        _write_table(cfg, out / "plots/fig3_inversion.csv",
                      "true_parameter,estimated_parameter,observable_estimate",
                      [map(_finite, (true, result.estimate, result.observable_estimate))])
     return result

@@ -522,17 +522,15 @@ def test_combine_members_nan_cells():
                 assert out[i, j] == pytest.approx(finite.mean(), rel=1e-14, abs=1e-15)
 
 
-def test_ensemble_forecast_provenance_required():
-    with pytest.raises(ValueError):
-        EnsembleForecast(stations=("a",), seasons=(44,),
-                         predictions=np.zeros((1, 1)), raw_median=np.zeros((1, 1)),
-                         contributing_keys=(), combiner_by_key={},
-                         calibration_slope=1.0, calibration_intercept=0.0)
-    EnsembleForecast(stations=("a",), seasons=(44,),
-                     predictions=np.zeros((1, 1)), raw_median=np.zeros((1, 1)),
-                     contributing_keys=(), combiner_by_key={},
-                     calibration_slope=0.0, calibration_intercept=0.0,
-                     no_forecast=True)
+def test_ensemble_forecast_is_no_forecast_exactly_without_keys():
+    # the key ids are the one provenance record: no key, no forecast
+    def forecast(keys):
+        return EnsembleForecast(stations=("a",), seasons=(44,),
+                                predictions=np.zeros((1, 1)), raw_median=np.zeros((1, 1)),
+                                contributing_keys=keys, calibration_slope=0.0,
+                                calibration_intercept=0.0)
+    assert forecast(()).no_forecast
+    assert not forecast(("F8/X010/vote",)).no_forecast
 
 
 def test_predict_and_save_take_the_groups_of_one_table(tmp_path):

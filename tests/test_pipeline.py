@@ -74,8 +74,7 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 # every optional artifact, each plot file among them
 RUN_CONFIGS = {**DIGEST_CONFIGS, "threshold-0.1-inversion": {
     **RETAINING_CONFIGS["threshold-0.1"], "inversion": {"enabled": True}}}
-OPTIONAL_ARTIFACTS = {"running_skill.csv", "plots/s4_running_skill.csv",
-                      "inversion.json", "plots/fig3_inversion.csv"}
+OPTIONAL_ARTIFACTS = {"running_skill.csv", "inversion.json", "plots/fig3_inversion.csv"}
 
 
 def _tree(root):
@@ -192,6 +191,14 @@ def test_run_all_is_complete_and_byte_reproducible(run_all, tmp_path):
         assert trees[0] == trees[1]
         assert json.loads(trees[0]["shrinkage.json"])["bootstrap_seed"] >= 0
         assert json.loads(trees[0]["ground.meta.json"])["provenance"]["mode"] == mode
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CONFIGS))
+def test_a_run_tree_stores_each_content_once(run_all, name):
+    paths_by_content = {}
+    for path, data in _tree(run_all(name)[1]).items():
+        paths_by_content.setdefault(data, []).append(path)
+    assert [paths for paths in paths_by_content.values() if len(paths) > 1] == []
 
 
 def test_a_run_without_a_forecast_never_loads_scipy():
@@ -340,7 +347,7 @@ def test_the_shrinkage_line_reports_the_bootstraps_seconds_and_the_wait(caplog):
 @pytest.mark.parametrize("name", ["golden", "threshold-0.1-inversion"])
 def test_staged_verbs_write_the_same_bytes_as_run_all(run_all, tmp_path, name):
     # each plot file is written by the verb of its stage: fig2 by forecast,
-    # s4 by score, fig3 by invert
+    # fig3 by invert
     config, run_all_out = run_all(name)
     out = tmp_path / "staged"
     inverts = load_config(config).inversion.enabled
@@ -1100,7 +1107,7 @@ def test_failed_write_keeps_the_older_complete_file(tmp_path):
     ({"seed": 7, "selection": {"x_grid": [10, 10]}},
      "selection.x_grid entries must be distinct, not [10, 10]"),
     ({"seed": 7, "stations": {"a": ["wet"], "b": ["wet", "s03"]}},
-     "stations.a must be [variable, site], not ['wet']"),
+     "stations.a must be of length 2, not ['wet']"),
     ({"seed": 7, "schedule": {"lengths": [28, 8, 8, 1]}}, "schedule.lengths: the predict window"),
     ({"seed": 7, "stations": {"a": ["wet", "s00"]}}, "stations x schedule.lengths predict seasons"),
     ({"seed": 7, "schedule": {"first_season": 0, "lengths": [4, 4, 3, 5]}},
@@ -1114,6 +1121,24 @@ def test_failed_write_keeps_the_older_complete_file(tmp_path):
 def test_config_error_names_the_setting(payload, named):
     with pytest.raises(ConfigError, match=re.escape(named)):
         PipelineConfig.from_dict(payload)
+
+
+@pytest.mark.parametrize("settings, named", [
+    ({"stations": [1, 2]}, "stations must be a map of lists of strings, not [1, 2]"),
+    ({"stations": "x"}, "stations must be a map of lists of strings, not 'x'"),
+    ({"surrogate": {**GOLDEN_CONFIG["surrogate"], "indices": [1]}},
+     "surrogate.indices must be a map of lists of lists of strings, not [1]"),
+    ({"stations": {"a": "ws", "b": ["wet", "s03"]}},
+     "stations must be a map of lists of strings, not {'a': 'ws', "),
+    ({"stations": {"a": ["wet", 3], "b": ["wet", "s03"]}},
+     "stations must be a map of lists of strings, not {'a': ['wet', 3], "),
+], ids=["stations-list", "stations-string", "indices-list", "target-string", "target-int-site"])
+def test_run_all_rejects_a_malformed_map_setting(tmp_path, capsys, settings, named):
+    config = _write_config(tmp_path / "config.json", {**GOLDEN_CONFIG, **settings})
+    out = tmp_path / "out"
+    assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"chaoscast: {named}")
+    assert not out.exists()
 
 
 # (section, setting, a value just past its bound, the bound, the bound's own value

@@ -79,7 +79,6 @@ def reference_bootstrap_shrinkage(n_stations, n_points=100, target_r=1.0 / 3.0,
     factor = min(sd_pred_sum / n_reps / sd_obs, 1.0)
     return ShrinkageReport(
         shrinkage_factor=factor, n_replicates=n_reps, sd_observed=sd_obs,
-        sd_predicted=sd_obs * factor,
         signal_noise_ratio=factor / (1.0 - factor) if factor < 1.0 else np.inf,
         seed=seed, n_stations=n_stations, n_points=n_points, target_r=target_r,
         mean_fit_slope=slope_sum / n_reps)
@@ -150,7 +149,6 @@ def test_bootstrap_factor_agrees_with_larger_oracle():
 def test_bootstrap_report_invariants():
     rep = bootstrap_shrinkage(n_stations=3, n_reps=500, seed=7)
     assert 0.0 < rep.shrinkage_factor <= 1.0
-    assert rep.sd_predicted / rep.sd_observed == pytest.approx(rep.shrinkage_factor)
     assert rep.signal_noise_ratio == pytest.approx(
         rep.shrinkage_factor / (1.0 - rep.shrinkage_factor))
     with pytest.raises(ValueError):
