@@ -7,10 +7,10 @@ scores the forecasts, and inverts the procedure to estimate the tuning
 parameter from anomaly patterns.
 """
 
-from .config import PipelineConfig, load_config, save_config
-from .dynamics import (AttractorEstimate, SurrogateConfig, TuningParameter,
-                       build_attractor_library, detect_steady_state, integrate_grid,
-                       integrate_lorenz96, seasonal_aggregate, steady_run, synth_index)
+from .config import PipelineConfig, SurrogateConfig, load_config, save_config
+from .dynamics import (AttractorEstimate, build_attractor_library, detect_steady_state,
+                       integrate_grid, integrate_lorenz96, seasonal_aggregate, steady_run,
+                       synth_index)
 from .embedding import (DelayMap, WindowSchedule, build_design_matrix,
                         sample_delay_maps, split_windows)
 from .ensemble import (EnsembleForecast, ModelGroup, PredictorKey, Station,

@@ -6,8 +6,9 @@ Verbs mirror the pipeline stages and read/write artifacts under --out:
     chaoscast generate-library | embed | fit | select | forecast |
               score | invert
 
-Exit codes: 0 success (a no-forecast outcome is a success), 1 validation
-or configuration error, 2 runtime error.
+Exit codes: 0 success (a no-forecast outcome is a success); 1 a config error,
+a surrogate run that never settles among them, or a missing or rejected input
+file, named; 2 a runtime error: a diverged integration, or an unexpected one.
 """
 
 from __future__ import annotations

@@ -6,21 +6,22 @@ retention threshold 0.5 over the top 10, FDR q = 0.01, calibration over
 8 seasons). The seed is mandatory; nothing falls back to wall-clock
 entropy.
 
-A bound on one setting is declared on its field (``_bounded``) and checked,
-after the field's type, by the one walk over every field (``_check_fields``);
-a rule that ties settings together lives in ``PipelineConfig.validate``.
+A bound on one setting, in any section, is declared on its field (``_bounded``)
+and checked, after the field's type, by the one walk over every field
+(``_check_fields``); a rule that ties settings together, or a finiteness that no
+comparison states, lives in ``PipelineConfig.validate``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import operator
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .artifacts import write_json
-from .dynamics import SurrogateConfig, check_grid
+from .dynamics import IDX, TMP, WET, label, site_id
 from .embedding import WindowSchedule, split_windows
 from .ensemble import ALLOWED_TOP_PERCENT, VOTE_MODES
 from .errors import ConfigError
@@ -44,6 +45,24 @@ def _bounded(default, *bounds):
     if isinstance(default, (list, dict)):
         return field(default_factory=default.copy, metadata={"bounds": bounds})
     return field(default=default, metadata={"bounds": bounds})
+
+
+@dataclass
+class SurrogateConfig:
+    """Forcing grid plus the integration, aggregation and steady-state settings."""
+
+    forcings: list[float] = field(default_factory=lambda: [5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
+    K: int = _bounded(36, (">=", 4))  # Lorenz-96 coupling reads 2 sites left, 1 right
+    dt: float = _bounded(0.05, (">", 0.0))
+    steps_per_season: int = _bounded(20, (">=", 1))
+    n_seasons: int = 400
+    temp_smooth: int = _bounded(5, (">=", 1))
+    indices: dict[str, list[list[str]]] = field(default_factory=dict)
+    # a 2-season window's standardized slope is always 2, so it would never settle
+    steady_window: int = _bounded(40, (">=", 3))
+    # a standardized slope is never negative, so at 0 no window would be steady
+    slope_tol: float = _bounded(0.01, (">", 0.0))
+    min_steady_seasons: int = 60
 
 
 @dataclass
@@ -158,19 +177,40 @@ class PipelineConfig:
             raise ConfigError("selection.x_grid must not be empty")
         if len(set(x_grid)) < len(x_grid):
             raise ConfigError(f"selection.x_grid entries must be distinct, not {x_grid}")
-        try:
-            sur.check()
-            check_grid(sur.parameters())
-        except ValueError as exc:
-            raise ConfigError(f"surrogate: {exc}") from exc
+        if not all(map(_finite, [*sur.forcings, sur.dt])):
+            raise ConfigError(f"surrogate.forcings and dt must be finite, not {sur.forcings} "
+                              f"and {sur.dt}")
+        labels = [label(f) for f in sur.forcings]
+        if not labels or len(set(labels)) < len(labels):
+            raise ConfigError(f"surrogate.forcings {sur.forcings} must be non-empty with "
+                              f"distinct labels, not {labels}")
+        n_steps = sur.n_seasons * sur.steps_per_season
+        if sur.temp_smooth > n_steps:
+            raise ConfigError(f"surrogate.temp_smooth ({sur.temp_smooth}) exceeds the run's "
+                              f"surrogate.n_seasons x steps_per_season ({n_steps}) steps")
+        if sur.n_seasons < 2 * sur.steady_window:
+            raise ConfigError(f"surrogate.n_seasons ({sur.n_seasons}) must cover two "
+                              f"surrogate.steady_window ({sur.steady_window}) windows")
+        ring, last = {site_id(i) for i in range(sur.K)}, site_id(sur.K - 1)
+        for name, regions in sorted(sur.indices.items()):
+            sets = [set(region) for region in regions]
+            if (len(sets) != 2 or not all(sets) or sets[0] & sets[1]
+                    or not set.union(*sets) <= ring):
+                raise ConfigError(f"surrogate.indices.{name} needs two disjoint, non-empty "
+                                  f"regions of the sites s00..{last}")
+        series = {(v, site) for v in (WET, TMP) for site in ring} | {
+            (IDX, name) for name in sur.indices}
+        for sid, target in sorted(self.stations.items()):
+            if tuple(target) not in series:
+                raise ConfigError(f"stations.{sid} targets {target}, which is no library "
+                                  f"series: ({WET} or {TMP}, s00..{last}) or "
+                                  f"({IDX}, a surrogate.indices name)")
         ground = self.ground
         if ground.mode == "member":
-            labels = [sur.label(f) for f in sur.forcings]
             member = ground.member or labels[0]
             if member not in labels:
                 raise ConfigError(f"ground.member {member!r} is not in the library")
-        if ground.mode == "fresh" and (ground.forcing is None
-                                       or not math.isfinite(ground.forcing)):
+        if ground.mode == "fresh" and (ground.forcing is None or not _finite(ground.forcing)):
             raise ConfigError("ground.mode=fresh requires a finite ground.forcing")
         if ground.mode == "file" and not ground.path:
             raise ConfigError("ground.mode=file requires ground.path")
@@ -274,6 +314,11 @@ def _check_fields(cfg, prefix: str = "") -> None:
             for what, v in items:
                 if not BOUND_OPS[op](v, limit):
                     raise ConfigError(f"{what} must be {op} {limit}, not {v!r}")
+
+
+def _finite(x) -> bool:
+    """Whether the number ``x`` is a finite float: not NaN, inf or an int past the range."""
+    return abs(x) <= sys.float_info.max
 
 
 def _is_of(v, kind: str) -> bool:

@@ -1,16 +1,19 @@
 """Surrogate dynamics: stationary attractor estimates at fixed forcing.
 
 A Lorenz-96 ring plays the role of a climate model run at a constant
-tuning parameter. One batched RK4 kernel, :func:`integrate_grid`, steps
-a whole forcing grid as one ``(P, K)`` state, each row bit-identical to
-a single-ring run. One routine, :func:`steady_run`, integrates a grid
-past its transient, aggregates each row to seasonal means and truncates
-it at the detected steady state. The attractor library is one such call
-over the whole grid, standardized per row and tagged with its forcing
-value. A fresh synthetic ground run, at a forcing the library need not
-hold, rides in the same call as one more row: its cost is per-step
-Python overhead, not rows, so the extra row is almost free. The library
-keeps that row's raw steady run, never an attractor of it.
+tuning parameter, its forcing F. A grid is a list of forcings, such as the
+config's ``surrogate.forcings`` (which ``PipelineConfig.validate`` checks,
+with every other setting here), and :func:`label` (``F{F:g}``) names each
+one's attractor. One batched RK4 kernel, :func:`integrate_grid`, steps a
+whole grid as one ``(P, K)`` state, each row bit-identical to a single-ring
+run. One routine, :func:`steady_run`, integrates a grid past its transient,
+aggregates each row to seasonal means and truncates it at the detected
+steady state. The attractor library is one such call over the whole grid,
+standardized per row and tagged with its forcing. A fresh synthetic ground
+run, at a forcing the library need not hold, rides in the same call as one
+more row: its cost is per-step Python overhead, not rows, so the extra row
+is almost free. The library keeps that row's raw steady run, never an
+attractor of it.
 
 The kernel stores each step site-major and gathers it once per step into a
 vector padded with ghost sites, so every RK stage reads contiguous slices:
@@ -24,9 +27,12 @@ that :func:`seasonal_aggregate` turns into its seasonal panel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:  # config imports this module's labels and series names
+    from .config import SurrogateConfig
 from .errors import ConfigError, IntegrationDivergedError, StationarityNotReachedError
 from .panel import Coord, Panel
 from .seeding import derive_rng
@@ -38,23 +44,16 @@ PERTURBATION = 1e-3  # sd of the seed-drawn kick off the x = F fixed point
 CONSTANT_SD = 1e-9  # relative sd at or below which a steady series is constant
 
 
-@dataclass(frozen=True)
-class TuningParameter:
-    """A fixed external control of the dynamics (forcing F)."""
-
-    value: float
-    label: str
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError("tuning parameter value must be finite")
+def label(forcing: float) -> str:
+    """The name of the attractor at ``forcing``."""
+    return f"F{forcing:g}"
 
 
 @dataclass
 class AttractorEstimate:
-    """Steady-state seasonal panel of one fixed-parameter run."""
+    """Steady-state seasonal panel of one fixed-forcing run."""
 
-    parameter: TuningParameter
+    forcing: float
     panel: Panel  # steady seasons only, standardized per series
     steady_start: int  # season index of the original run where stationarity begins
     seed: int
@@ -62,7 +61,7 @@ class AttractorEstimate:
 
     @property
     def label(self) -> str:
-        return self.parameter.label
+        return label(self.forcing)
 
     def raw_series(self, key: Coord) -> np.ndarray:
         """Panel series ``key`` de-standardized, ``vals * sd + mean``; a series
@@ -80,16 +79,6 @@ class AttractorEstimate:
         if not vals:
             raise ValueError(f"no series for variable {WET!r}")
         return float(np.mean(vals))
-
-
-def check_integration(K: int, dt: float, n_steps: int) -> None:
-    """The integrator's rule for a ring size, step and run length."""
-    if K < 4:
-        raise ValueError("Lorenz-96 coupling needs at least 4 sites (K >= 4)")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be positive and finite")
-    if n_steps < 0:
-        raise ValueError("n_steps must be non-negative")
 
 
 def start_state(F, K, seed, perturbation) -> np.ndarray:
@@ -138,7 +127,12 @@ def integrate_grid(x0, forcings, dt: float, n_steps: int) -> np.ndarray:
     if x.ndim != 2:
         raise ValueError("x0 must be a (P, K) array, one ring state per row")
     P, K = x.shape
-    check_integration(K, dt, n_steps)
+    if K < 4:
+        raise ValueError("Lorenz-96 coupling needs at least 4 sites (K >= 4)")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive and finite")
+    if n_steps < 0:
+        raise ValueError("n_steps must be non-negative")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
     F = np.asarray(forcings, dtype=float)
@@ -291,62 +285,7 @@ def detect_steady_state(series, window: int, slope_tol: float) -> int:
         f"no {window}-season window with standardized slope below {slope_tol}")
 
 
-@dataclass
-class SurrogateConfig:
-    """Forcing grid plus the integration, aggregation and steady-state settings."""
-
-    forcings: list[float] = field(default_factory=lambda: [5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
-    K: int = 36
-    dt: float = 0.05
-    steps_per_season: int = 20
-    n_seasons: int = 400
-    temp_smooth: int = 5
-    indices: dict[str, list[list[str]]] = field(default_factory=dict)
-    steady_window: int = 40
-    slope_tol: float = 0.01
-    min_steady_seasons: int = 60
-
-    def label(self, forcing: float) -> str:
-        return f"F{forcing:g}"
-
-    def check(self) -> None:
-        """Raise ValueError for run settings :func:`steady_run` cannot integrate,
-        aggregate or scan for a steady window."""
-        n_steps = self.n_seasons * self.steps_per_season
-        check_integration(self.K, self.dt, n_steps)
-        if self.steps_per_season < 1:
-            raise ValueError("steps_per_season must be >= 1")
-        if not 1 <= self.temp_smooth <= n_steps:
-            raise ValueError(f"temp_smooth must lie in 1..{n_steps}, the run's steps")
-        if self.steady_window < 2 or self.n_seasons < 2 * self.steady_window:
-            raise ValueError("steady_window must be >= 2 and n_seasons must cover "
-                             "two steady windows")
-        if not self.slope_tol > 0:
-            raise ValueError(f"slope_tol {self.slope_tol} must be > 0: a standardized "
-                             "slope is never negative, so no window would be steady")
-        ring = {site_id(i) for i in range(self.K)}
-        for name, regions in sorted(self.indices.items()):
-            sets = [set(region) for region in regions]
-            if (len(sets) != 2 or not all(sets) or sets[0] & sets[1]
-                    or not set.union(*sets) <= ring):
-                raise ValueError(f"index {name} needs two disjoint, non-empty regions "
-                                 f"of the sites s00..{site_id(self.K - 1)}")
-
-    def parameters(self) -> list[TuningParameter]:
-        return [TuningParameter(float(f), self.label(f)) for f in self.forcings]
-
-
-def check_grid(parameters: list[TuningParameter]) -> None:
-    """The library's rule for a tuning-parameter grid."""
-    if not parameters:
-        raise ValueError("the grid needs at least one tuning parameter")
-    values = [p.value for p in parameters]
-    labels = [p.label for p in parameters]
-    if len(set(values)) != len(values) or len(set(labels)) != len(labels):
-        raise ValueError("tuning parameters must have distinct values and labels")
-
-
-def steady_run(parameters: list[TuningParameter], seeds: list[int],
+def steady_run(forcings: list[float], seeds: list[int],
                surrogate: SurrogateConfig, names: list[str]) -> list[tuple[Panel, int]]:
     """Integrate one run per grid row at its fixed forcing and keep its steady seasons.
 
@@ -361,12 +300,10 @@ def steady_run(parameters: list[TuningParameter], seeds: list[int],
     settles.
     """
     sur = surrogate
-    sur.check()
-    x0 = np.stack([start_state(p.value, sur.K, seed, PERTURBATION)
-                   for p, seed in zip(parameters, seeds, strict=True)])
+    x0 = np.stack([start_state(F, sur.K, seed, PERTURBATION)
+                   for F, seed in zip(forcings, seeds, strict=True)])
     try:
-        states = integrate_grid(x0, [p.value for p in parameters], sur.dt,
-                                sur.n_seasons * sur.steps_per_season)
+        states = integrate_grid(x0, forcings, sur.dt, sur.n_seasons * sur.steps_per_season)
     except IntegrationDivergedError as exc:
         raise IntegrationDivergedError(exc.step, exc.row, f"{names[exc.row]}: {exc}") from exc
 
@@ -382,25 +319,28 @@ def steady_run(parameters: list[TuningParameter], seeds: list[int],
         try:
             steady = detect_steady_state(monitored, sur.steady_window, sur.slope_tol)
         except StationarityNotReachedError as exc:
-            raise StationarityNotReachedError(f"{name}: {exc}") from exc
+            raise StationarityNotReachedError(
+                f"{name}: {exc}; lengthen the run (surrogate.n_seasons, steps_per_season "
+                "or dt) or change surrogate.steady_window or slope_tol") from exc
         runs.append((panel.window(steady, panel.n_seasons), steady))
     return runs
 
 
 class AttractorLibrary(list):
-    """Attractor estimates sorted by parameter value, plus ``fresh_ground``:
+    """Attractor estimates sorted by forcing, plus ``fresh_ground``:
     the raw steady panel of the fresh ground row integrated in their batch,
     or None. That row is not an attractor."""
 
     fresh_ground: Panel | None = None
 
 
-def _standardized_attractor(param: TuningParameter, steady_panel: Panel, steady: int,
+def _standardized_attractor(forcing: float, steady_panel: Panel, steady: int,
                             surrogate: SurrogateConfig, seed: int) -> AttractorEstimate:
     if steady_panel.n_seasons < surrogate.min_steady_seasons:
         raise StationarityNotReachedError(
-            f"parameter {param.label}: only {steady_panel.n_seasons} steady seasons, "
-            f"need {surrogate.min_steady_seasons}; lengthen the run")
+            f"parameter {label(forcing)}: only {steady_panel.n_seasons} steady seasons, "
+            f"need {surrogate.min_steady_seasons}; lengthen the run (surrogate.n_seasons, "
+            "steps_per_season or dt) or lower surrogate.min_steady_seasons")
 
     keys, stack = list(steady_panel.values), np.stack(list(steady_panel.values.values()))
     mean, sd = stack.mean(axis=1), stack.std(axis=1)
@@ -408,43 +348,41 @@ def _standardized_attractor(param: TuningParameter, steady_panel: Panel, steady:
     if constant.any():
         first = int(np.argmax(constant))
         raise ConfigError(
-            f"parameter {param.label}: series {keys[first]} is constant on the steady run "
+            f"parameter {label(forcing)}: series {keys[first]} is constant on the steady run "
             f"(sd {sd[first]:.3g}); the ring settles on a fixed point, which has no "
             "attractor to fit; drop this forcing from surrogate.forcings")
     steady_panel.values = dict(zip(keys, (stack - mean[:, None]) / sd[:, None]))
     scale = dict(zip(keys, zip(mean.tolist(), sd.tolist())))
-    return AttractorEstimate(parameter=param, panel=steady_panel,
+    return AttractorEstimate(forcing=forcing, panel=steady_panel,
                              steady_start=steady, seed=seed, scale=scale)
 
 
-def build_attractor_library(parameters: list[TuningParameter], surrogate: SurrogateConfig,
-                            seed: int,
-                            fresh_ground: tuple[TuningParameter, int] | None = None,
+def build_attractor_library(forcings: list[float], surrogate: SurrogateConfig, seed: int,
+                            fresh_ground: tuple[float, int] | None = None,
                             ) -> AttractorLibrary:
-    """One steady, standardized attractor estimate per parameter, sorted by value.
+    """One steady, standardized attractor estimate per forcing, sorted by forcing.
 
     The whole grid is one :func:`steady_run` call. ``fresh_ground``, a
-    (parameter, seed) row, is integrated as the last row of that call;
+    (forcing, seed) row, is integrated as the last row of that call;
     its raw steady panel is the result's ``fresh_ground``, bit-identical to
     a lone run's. Errors name the failing row: divergence
     first, then a row that never settles, then a grid row with too few
     steady seasons or a constant series (a fixed point, a ConfigError),
     each the first in batch order.
     """
-    check_grid(parameters)
-    run_seeds = [int(derive_rng(seed, "attractor", p.label).integers(2**32))
-                 for p in parameters]
-    rows = list(parameters)
-    names = [f"parameter {p.label}" for p in parameters]
+    forcings = [float(F) for F in forcings]
+    run_seeds = [int(derive_rng(seed, "attractor", label(F)).integers(2**32)) for F in forcings]
+    rows = list(forcings)
+    names = [f"parameter {label(F)}" for F in forcings]
     if fresh_ground is not None:
         rows.append(fresh_ground[0])
         run_seeds.append(fresh_ground[1])
-        names.append(f"fresh ground run at {fresh_ground[0].label}")
+        names.append(f"fresh ground run at {label(fresh_ground[0])}")
     runs = steady_run(rows, run_seeds, surrogate, names)
     library = AttractorLibrary()
     if fresh_ground is not None:
         library.fresh_ground = runs.pop()[0]
-    library.extend(_standardized_attractor(param, panel, steady, surrogate, seed)
-                   for param, (panel, steady) in zip(parameters, runs, strict=True))
-    library.sort(key=lambda a: a.parameter.value)
+    library.extend(_standardized_attractor(F, panel, steady, surrogate, seed)
+                   for F, (panel, steady) in zip(forcings, runs, strict=True))
+    library.sort(key=lambda a: a.forcing)
     return library

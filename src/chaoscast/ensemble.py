@@ -357,6 +357,12 @@ class PredictorKey:
             raise ValueError(f"top_percent must be one of {ALLOWED_TOP_PERCENT}")
         if self.combiner not in COMBINERS:
             raise ValueError(f"combiner must be one of {COMBINERS}")
+        if self.vote_k < 1:
+            raise ValueError(f"vote_k must be >= 1, not {self.vote_k}")
+        if self.vote_mode not in VOTE_MODES:
+            raise ValueError(f"vote_mode must be one of {VOTE_MODES}")
+        if not 0.0 < self.shrink_factor <= 1.0:
+            raise ValueError(f"shrink_factor must lie in (0, 1], not {self.shrink_factor}")
         if not self.members:
             raise ValueError("a key needs at least one member model")
         for r in self.correlations.values():
@@ -504,17 +510,18 @@ def table_to_dict(groups) -> dict:
             "arrays": base64.b64encode(blob.getvalue()).decode("ascii")}
 
 
-def table_from_dict(d: dict, attractor_id: str) -> GroupTable:
-    """The stored table of one attractor. PanelFormatError names it and the array
-    if the text is not base64, an array is not ``.npy`` data of its ``_STORED`` dtype
-    and shape (pickled data is never read), or bytes follow the last array; then
-    ``ModelTable`` rejects a model it cannot hold."""
+def table_from_dict(d: dict, attractor_id: str, path) -> GroupTable:
+    """The stored table of one attractor in the file ``path``. PanelFormatError names
+    both, and the array if the text is not base64, an array is not ``.npy`` data of
+    its ``_STORED`` dtype and shape (pickled data is never read), or bytes follow the
+    last array; or it gives the reason ``ModelTable`` rejects a model it cannot hold."""
+    where = f"{path}: attractor {attractor_id}"
     maps = tuple(map_from_dict(m) for m in d["maps"])
     size = {"G": len(maps), "S": len(d["stations"]), "p": max((m.dim for m in maps), default=1)}
     try:
         blob = io.BytesIO(base64.b64decode(d["arrays"], validate=True))
     except (TypeError, ValueError):  # not a string, or not base64 (binascii.Error)
-        raise PanelFormatError(f"attractor {attractor_id}: arrays is not base64 text") from None
+        raise PanelFormatError(f"{where}: arrays is not base64 text") from None
     arrays = {}
     for name, dtype, axes in _STORED:
         shape = tuple(size[axis] for axis in axes)
@@ -523,12 +530,16 @@ def table_from_dict(d: dict, attractor_id: str) -> GroupTable:
         except ValueError:
             a = None
         if a is None or a.dtype != dtype or a.shape != shape:
-            raise PanelFormatError(f"attractor {attractor_id}: {name} is not a stored "
+            raise PanelFormatError(f"{where}: {name} is not a stored "
                                    f"{shape} {np.dtype(dtype)} array")
     if blob.read(1):
-        raise PanelFormatError(f"attractor {attractor_id}: bytes follow the last array, {name}")
-    return GroupTable(attractor_id, maps, tuple(arrays.pop("map_index").tolist()),
-                      tuple(d["stations"]), ModelTable(**arrays))
+        raise PanelFormatError(f"{where}: bytes follow the last array, {name}")
+    map_index = tuple(arrays.pop("map_index").tolist())
+    try:
+        models = ModelTable(**arrays)
+    except ValueError as exc:
+        raise PanelFormatError(f"{where}: {exc}") from exc
+    return GroupTable(attractor_id, maps, map_index, tuple(d["stations"]), models)
 
 
 def key_to_dict(key: PredictorKey) -> dict:
@@ -574,10 +585,15 @@ def load_keys(path) -> list[PredictorKey]:
     payload = read_json(path)
     if (version := payload.get("format_version")) != KEY_FORMAT_VERSION:
         raise PanelFormatError(f"{path}: key file format version {version}; rerun select")
-    groups = {aid: {g.map_index: g for g in table_from_dict(d, aid).groups()}
+    groups = {aid: {g.map_index: g for g in table_from_dict(d, aid, path).groups()}
               for aid, d in payload["groups"].items()}
+    keys = []
     for d in payload["keys"]:
         if missing := sorted(set(d["members"]) - set(groups.get(d["attractor_id"], {}))):
             raise PanelFormatError(f"{path}: key {d['key_id']} names member map_index "
                                    f"{missing}, which the file's groups do not hold")
-    return [key_from_dict(d, groups[d["attractor_id"]]) for d in payload["keys"]]
+        try:
+            keys.append(key_from_dict(d, groups[d["attractor_id"]]))
+        except ValueError as exc:
+            raise PanelFormatError(f"{path}: key {d['key_id']}: {exc}") from exc
+    return keys

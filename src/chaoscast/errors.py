@@ -18,13 +18,14 @@ class IntegrationDivergedError(ChaoscastError):
         super().__init__(message or f"integration diverged at step {step}")
 
 
-class StationarityNotReachedError(ChaoscastError):
-    """No window of the monitored series satisfied the slope tolerance."""
-
-
 class ConfigError(ChaoscastError):
     """Invalid pipeline configuration or window schedule."""
 
 
+class StationarityNotReachedError(ConfigError):
+    """No steady window, or too few steady seasons: the config and seed fix that,
+    so it is a config error, naming the surrogate settings to change."""
+
+
 class PanelFormatError(ChaoscastError):
-    """Malformed input file: a ground or attractor panel, or a key file."""
+    """Malformed input file: a ground or attractor panel, or a key or model file."""

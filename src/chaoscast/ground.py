@@ -17,7 +17,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # config imports this module's season constants
     from .config import PipelineConfig
-from .dynamics import AttractorLibrary, TuningParameter
+from .dynamics import AttractorLibrary
 from .errors import ConfigError, PanelFormatError
 from .panel import Coord, Panel
 from .seeding import derive_rng
@@ -131,11 +131,10 @@ def standardize_anomalies(panel: Panel,
     return Panel(out), StandardizationFactors(means=means, sds=sds)
 
 
-def fresh_ground_row(cfg: PipelineConfig) -> tuple[TuningParameter, int]:
-    """The (parameter, seed) row of the fresh ground run at ``ground.forcing``."""
-    forcing = float(cfg.ground.forcing)
-    seed = int(derive_rng(cfg.seed, "ground", "fresh").integers(2**32))
-    return TuningParameter(forcing, cfg.surrogate.label(forcing)), seed
+def fresh_ground_row(cfg: PipelineConfig) -> tuple[float, int]:
+    """The (forcing, seed) row of the fresh ground run at ``ground.forcing``."""
+    return (float(cfg.ground.forcing),
+            int(derive_rng(cfg.seed, "ground", "fresh").integers(2**32)))
 
 
 def make_ground_panel(cfg: PipelineConfig, library: AttractorLibrary) -> tuple[Panel, dict]:
@@ -165,7 +164,7 @@ def make_ground_panel(cfg: PipelineConfig, library: AttractorLibrary) -> tuple[P
         raw = Panel({key: member.raw_series(key) for key in member.panel.values})
         base = raw.window(0, n_seasons)
         meta = {"mode": "member", "member": label,
-                "true_forcing": member.parameter.value}
+                "true_forcing": member.forcing}
     else:
         steady = library.fresh_ground
         if steady.n_seasons < n_seasons:

@@ -143,14 +143,14 @@ def invert_parameter(library, keys_by_attractor: dict[str, list], panel: Panel,
                      n_fitted_means: int | None = None,
                      trailing_seasons: int = 100) -> InversionResult:
     """Full inversion: significance counts -> smoothing -> selection."""
-    order = sorted(library, key=lambda a: a.parameter.value)
+    order = sorted(library, key=lambda a: a.forcing)
     ids = [a.label for a in order]
     missing = [i for i in ids if i not in keys_by_attractor]
     if missing:
         raise ValueError(f"attractors without keys: {missing}")
     counts = key_significance_counts(keys_by_attractor, panel, target_window,
                                      q=q, n_fitted_means=n_fitted_means)
-    params = [a.parameter.value for a in order]
+    params = [a.forcing for a in order]
     raw = [counts[i] for i in ids]
     smoothed = smooth_counts(raw, params, bandwidth=bandwidth)
     observables = [a.trailing_mean(n_seasons=trailing_seasons) for a in order]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .artifacts import read_json, write_json, write_text
 from .config import PipelineConfig, save_config
-from .dynamics import AttractorEstimate, TuningParameter, build_attractor_library
+from .dynamics import AttractorEstimate, build_attractor_library, label as attractor_label
 from .embedding import DelayMap, sample_delay_maps
 from .ensemble import (KEY_FORMAT_VERSION, EnsembleForecast, ModelGroup, PredictorKey,
                        Station, fit_model_groups, form_keys, map_from_dict, map_to_dict,
@@ -102,8 +102,7 @@ def stage_library(cfg: PipelineConfig, out: Path | None = None) -> list[Attracto
     """The attractor library; in fresh ground mode it also carries the fresh
     ground run, integrated in the same batch for :func:`stage_ground`."""
     fresh = fresh_ground_row(cfg) if cfg.ground.mode == "fresh" else None
-    library = build_attractor_library(cfg.surrogate.parameters(), cfg.surrogate, cfg.seed,
-                                      fresh)
+    library = build_attractor_library(cfg.surrogate.forcings, cfg.surrogate, cfg.seed, fresh)
     log.info("library: %d attractors, %d steady seasons each (min)",
              len(library), min(a.panel.n_seasons for a in library))
     if out is not None:
@@ -114,13 +113,13 @@ def stage_library(cfg: PipelineConfig, out: Path | None = None) -> list[Attracto
             path.unlink()  # an attractor of another grid
         for est in library:
             text = panel_to_text(est.panel, header_comments={
-                **_header(cfg), "parameter": est.parameter.value,
+                **_header(cfg), "parameter": est.forcing,
                 "steady_start": est.steady_start})
             write_text(adir / f"{est.label}.csv", text)
             write_json(adir / f"{est.label}.meta.json", {
                 **_header(cfg),
                 "label": est.label,
-                "parameter_value": est.parameter.value,
+                "parameter_value": est.forcing,
                 "steady_start": est.steady_start,
                 "n_seasons": est.panel.n_seasons,
                 "attractor_seed": est.seed,
@@ -134,13 +133,12 @@ def load_library(out: Path, cfg: PipelineConfig) -> list[AttractorEstimate]:
     every panel must be complete. Files of another grid in ``out`` are not read."""
     adir = out / "attractors"
     library = []
-    for param in cfg.surrogate.parameters():
-        meta_path = adir / f"{param.label}.meta.json"
+    for name in map(attractor_label, cfg.surrogate.forcings):
+        meta_path = adir / f"{name}.meta.json"
         if not meta_path.exists():
-            raise ConfigError(f"no attractor {param.label} under {out}; "
-                              "run generate-library")
+            raise ConfigError(f"no attractor {name} under {out}; run generate-library")
         meta = read_json(meta_path)
-        path = adir / f"{param.label}.csv"
+        path = adir / f"{name}.csv"
         panel = panel_from_text(path.read_text())
         scale = _by_coord(meta["scale"], lambda m_sd: tuple(map(float, m_sd)))
         for key in sorted(scale):
@@ -148,10 +146,10 @@ def load_library(out: Path, cfg: PipelineConfig) -> list[AttractorEstimate]:
                 raise PanelFormatError(f"{path}: series {key} misses a season or holds a "
                                        "non-finite value; an attractor panel must be complete")
         library.append(AttractorEstimate(
-            parameter=TuningParameter(float(meta["parameter_value"]), meta["label"]),
+            forcing=float(meta["parameter_value"]),
             panel=panel, steady_start=int(meta["steady_start"]),
             seed=int(meta["attractor_seed"]), scale=scale))
-    library.sort(key=lambda a: a.parameter.value)
+    library.sort(key=lambda a: a.forcing)
     return library
 
 
@@ -301,7 +299,8 @@ def load_groups(out: Path) -> dict[str, list[ModelGroup]]:
     payload = read_json(path := out / "models.json")
     if (version := payload.get("format_version")) != KEY_FORMAT_VERSION:
         raise PanelFormatError(f"{path}: model file format version {version}; rerun fit")
-    return {label: table_from_dict(d, label).groups() for label, d in payload["groups"].items()}
+    return {label: table_from_dict(d, label, path).groups()
+            for label, d in payload["groups"].items()}
 
 
 # --- select --------------------------------------------------------------

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from chaoscast import dynamics
+from chaoscast.config import SurrogateConfig
 from chaoscast.dynamics import (
     PERTURBATION,
-    SurrogateConfig,
-    TuningParameter,
     build_attractor_library,
     detect_steady_state,
     integrate_grid,
@@ -345,7 +344,7 @@ FAST_SEED = 9
 
 
 def test_library_single_parameter_composition():
-    lib = build_attractor_library([TuningParameter(8.0, "F8")], FAST_RUN, FAST_SEED)
+    lib = build_attractor_library([8.0], FAST_RUN, FAST_SEED)
     assert len(lib) == 1
     est = lib[0]
     assert est.steady_start + est.panel.n_seasons == FAST_RUN.n_seasons
@@ -356,29 +355,24 @@ def test_library_single_parameter_composition():
         assert abs(series.std() - 1.0) < 1e-9
 
 
-def test_library_rejects_duplicate_parameters():
-    params = [TuningParameter(8.0, "a"), TuningParameter(8.0, "b")]
-    with pytest.raises(ValueError):
-        build_attractor_library(params, FAST_RUN, FAST_SEED)
-    params = [TuningParameter(7.0, "a"), TuningParameter(8.0, "a")]
-    with pytest.raises(ValueError):
-        build_attractor_library(params, FAST_RUN, FAST_SEED)
-
-
 @pytest.mark.parametrize("forcings, change, error, label", [
     ([8.0], {"dt": 1.0}, IntegrationDivergedError, "F8"),
     ([8.0], {"min_steady_seasons": 161}, StationarityNotReachedError, "F8"),
     ([8.0, 30.0], {"K": 36}, IntegrationDivergedError, "F30"),
 ], ids=["diverged", "too-few-steady-seasons", "one-of-two-rows-diverged"])
 def test_library_error_names_the_parameter_once(forcings, change, error, label):
-    params = [TuningParameter(F, f"F{F:g}") for F in forcings]
     with pytest.raises(error) as err:
-        build_attractor_library(params, replace(FAST_RUN, **change), FAST_SEED)
+        build_attractor_library(forcings, replace(FAST_RUN, **change), FAST_SEED)
     message = str(err.value)
     assert message.startswith(f"parameter {label}: ") and message.count(label) == 1
-    assert all(p.label == label or p.label not in message for p in params)
+    assert all(dynamics.label(F) == label or dynamics.label(F) not in message
+               for F in forcings)
     if error is IntegrationDivergedError:
         assert isinstance(err.value.step, int) and str(err.value.step) in message
+    else:  # a config error that names the settings to change
+        assert isinstance(err.value, ConfigError) and message.endswith(
+            "; lengthen the run (surrogate.n_seasons, steps_per_season or dt) or lower "
+            "surrogate.min_steady_seasons")
 
 
 @pytest.mark.parametrize("forcings, label, sd", [
@@ -389,9 +383,8 @@ def test_library_error_names_the_parameter_once(forcings, change, error, label):
 def test_library_names_a_fixed_point_forcing_and_its_first_constant_series(forcings, label, sd):
     # at F 0.3 and 0.5 the ring settles on x = F within the run; at 0.8 and 0.9
     # it still drifts at the end, and the library raises StationarityNotReachedError
-    params = [TuningParameter(F, f"F{F:g}") for F in forcings]
     with pytest.raises(ConfigError) as err:
-        build_attractor_library(params, FAST_RUN, FAST_SEED)
+        build_attractor_library(forcings, FAST_RUN, FAST_SEED)
     assert str(err.value).startswith(f"parameter {label}: series ('wet', 's00') is constant "
                                      f"on the steady run (sd {sd}); ")
 
@@ -401,13 +394,13 @@ def test_standardization_names_the_first_constant_series_in_key_order():
     panel = Panel({("wet", "s00"): varying, ("wet", "s01"): -varying,
                    ("tmp", "s00"): np.full(40, 2.0), ("idx", "a"): np.zeros(40)})
     with pytest.raises(ConfigError, match=r"^parameter F1: series \('tmp', 's00'\) is constant"):
-        dynamics._standardized_attractor(TuningParameter(1.0, "F1"), panel, 0, FAST_RUN, 1)
+        dynamics._standardized_attractor(1.0, panel, 0, FAST_RUN, 1)
 
 
 @pytest.mark.parametrize("forcing", [7.0, 8.0, 11.0], ids=["inside", "on-a-grid-row", "outside"])
 def test_fresh_ground_row_is_the_lone_run(forcing):
-    grid = [TuningParameter(F, f"F{F:g}") for F in (6.0, 8.0, 10.0)]
-    row = (TuningParameter(forcing, f"F{forcing:g}"), 5)
+    grid = [6.0, 8.0, 10.0]
+    row = (forcing, 5)
     library = build_attractor_library(grid, FAST_RUN, FAST_SEED, fresh_ground=row)
     (panel, _), = steady_run([row[0]], [row[1]], FAST_RUN, ["fresh ground"])
     batched = library.fresh_ground
@@ -427,20 +420,18 @@ def test_fresh_ground_row_is_the_lone_run(forcing):
     (0.0, StationarityNotReachedError),  # decays for the whole run
 ], ids=["diverged", "never-settles"])
 def test_library_errors_name_the_fresh_ground_row(forcing, error):
-    row = (TuningParameter(forcing, f"F{forcing:g}"), 5)
     with pytest.raises(error) as err:
-        build_attractor_library([TuningParameter(8.0, "F8")], replace(FAST_RUN, K=36),
-                                FAST_SEED, fresh_ground=row)
+        build_attractor_library([8.0], replace(FAST_RUN, K=36),
+                                FAST_SEED, fresh_ground=(forcing, 5))
     message = str(err.value)
     assert message.startswith(f"fresh ground run at F{forcing:g}: ")
     assert "parameter" not in message and "F8" not in message
 
 
 def test_library_sorted_and_deterministic():
-    params = [TuningParameter(9.0, "high"), TuningParameter(5.0, "low")]
-    lib1 = build_attractor_library(params, FAST_RUN, FAST_SEED)
-    lib2 = build_attractor_library(params, FAST_RUN, FAST_SEED)
-    assert [a.parameter.value for a in lib1] == [5.0, 9.0]
+    lib1 = build_attractor_library([9.0, 5.0], FAST_RUN, FAST_SEED)
+    lib2 = build_attractor_library([9.0, 5.0], FAST_RUN, FAST_SEED)
+    assert [(a.forcing, a.label) for a in lib1] == [(5.0, "F5"), (9.0, "F9")]
     for a, b in zip(lib1, lib2):
         for key in a.panel.values:
             assert np.array_equal(a.panel.values[key], b.panel.values[key])
@@ -456,7 +447,7 @@ def test_steady_energy_monotone_in_forcing():
 
 
 def test_trailing_mean_recovers_raw_scale():
-    lib = build_attractor_library([TuningParameter(8.0, "F8")], FAST_RUN, FAST_SEED)
+    lib = build_attractor_library([8.0], FAST_RUN, FAST_SEED)
     est = lib[0]
     key = ("wet", "s00")
     mean, sd = est.scale[key]

@@ -564,13 +564,18 @@ def _assert_each_model_group_is_predicted_once(golden_run, monkeypatch, caller):
     ("surrogate", {"K": 3}),
     ("surrogate", {"dt": -0.05}),
     ("surrogate", {"forcings": [8.0, 8.0]}),
+    ("surrogate", {"forcings": [8.0, 8.0000001]}),
     ("surrogate", {"forcings": []}),
     ("surrogate", {"steps_per_season": 0}),
     ("surrogate", {"forcings": [8.0, 1e400]}),
+    ("surrogate", {"forcings": [8.0, 10**400]}),
+    ("surrogate", {"dt": 10**400}),
     ("surrogate", {"steady_window": 1}),
+    ("surrogate", {"steady_window": 2}),
     ("surrogate", {"n_seasons": 50}),
     ("surrogate", {"indices": {"a": [["s00"], ["s99"]]}}),
     ("ground", {"mode": "fresh", "forcing": 1e400}),
+    ("ground", {"mode": "fresh", "forcing": 10**400}),
     ("embedding", {"lag_max": 250}),
     ("embedding", {"lag_max": 500}),
     ("embedding", {"lag_max": 195}),
@@ -628,9 +633,11 @@ def _assert_each_model_group_is_predicted_once(golden_run, monkeypatch, caller):
 ], ids=["vote_k-0", "top_k-negative", "vote_mode-plurality", "x_grid-empty", "max_subset_size-0",
         "direction-sideways", "n_reps-50", "n_points-6", "target_r-1",
         "first_season-negative", "station-series-unknown", "stations-one", "K-3", "dt-negative",
-        "forcings-duplicate", "forcings-empty", "steps_per_season-0", "forcings-overflow",
-        "steady_window-1", "n_seasons-below-two-windows", "index-site-outside-ring",
-        "fresh-forcing-overflow", "lag_max-250", "lag_max-500", "lag_max-195",
+        "forcings-duplicate", "forcings-label-collision", "forcings-empty",
+        "steps_per_season-0", "forcings-overflow", "forcings-int-overflow", "dt-int-overflow",
+        "steady_window-1", "steady_window-2", "n_seasons-below-two-windows",
+        "index-site-outside-ring", "fresh-forcing-overflow", "fresh-forcing-int-overflow",
+        "lag_max-250", "lag_max-500", "lag_max-195",
         "lead-retired", "lag_min-0",
         "predict-window-1", "q-0", "q-1.5", "fraction_of_max-0", "target_window-reversed",
         "trailing_seasons-0", "x_grid-repeated", "n_fitted_means-negative",
@@ -654,9 +661,7 @@ def test_run_all_rejects_an_invalid_setting_as_a_config_error(tmp_path, section,
     config = _write_config(tmp_path / "config.json", payload)
     out = tmp_path / "out"
     assert cli.main(["run-all", "-c", config, "-o", str(out)]) == 1
-    assert not (out / "ground.csv").exists()
-    if section != "stations":  # station targets are checked against the ground panel
-        assert not out.exists()
+    assert not out.exists()
 
 
 def test_invert_rejects_a_target_window_past_the_ground_panel(golden_run, tmp_path, capsys):
@@ -744,8 +749,9 @@ def test_fit_rejects_an_attractor_file_with_a_missing_row(golden_run, tmp_path, 
     assert (out / "models.json").read_bytes() == (golden_out / "models.json").read_bytes()
 
 
-# configs that pass validate() and once ended in an unexpected error, or split
-# the fit's column screens end to end (the temperature series equal the wet ones)
+# configs that pass validate() and once ended in an unexpected error or exit 2,
+# or split the fit's column screens end to end (the temperature series equal the
+# wet ones)
 GUARD_CONFIGS = {
     "fixed-point-forcing": ({**GOLDEN_CONFIG,
                              "surrogate": {**GOLDEN_CONFIG["surrogate"],
@@ -762,6 +768,11 @@ GUARD_CONFIGS = {
                       0, ""),
     "lag-min-1": ({**GOLDEN_CONFIG, "embedding": {**GOLDEN_CONFIG["embedding"], "lag_min": 1}},
                   0, ""),
+    # a season of 0.05 model time units: the 200-season run never settles
+    "steps-per-season-1": ({**GOLDEN_CONFIG, "surrogate": {**GOLDEN_CONFIG["surrogate"],
+                                                           "steps_per_season": 1}},
+                           1, "; lengthen the run (surrogate.n_seasons, steps_per_season or "
+                              "dt) or change surrogate.steady_window or slope_tol"),
     # every map's first predicted season, its largest lag, is after the calibration window
     "calibration-before-any-prediction": (
         {**GOLDEN_CONFIG, "surrogate": {"forcings": [6.0, 8.0], "n_seasons": 200},
@@ -968,53 +979,43 @@ def _blob(edit):
 
 
 def _not_a(name, shape, dtype):
-    """The loader's message for F8's stored array ``name`` that is not ``shape`` ``dtype``."""
-    return re.escape(f"attractor F8: {name} is not a stored {shape} {dtype} array")
+    """The loader's message for a stored array ``name`` that is not ``shape`` ``dtype``."""
+    return re.escape(f"{name} is not a stored {shape} {dtype} array")
 
 
-@pytest.mark.parametrize("change, error, message", [
-    (_set("columns", [-1] * 8), ValueError, "at least one column"),
-    (_set("coefficients", [float("nan")] + [0.0] * 7), ValueError,
-     "coefficients must be finite"),
-    (_set("intercept", float("inf")), ValueError, "coefficients must be finite"),
-    (_set("cp", float("nan")), ValueError, "cp must be finite"),
-    (_set("rss", -1e-8), ValueError, "rss must be finite and non-negative"),
-    (_set("rss", float("inf")), ValueError, "rss must be finite and non-negative"),
-    (_set("columns", [0, -1, 2] + [-1] * 5), ValueError,
+# each message follows the file's path and "attractor F8: "
+@pytest.mark.parametrize("change, message", [
+    (_set("columns", [-1] * 8), "a subset model needs at least one column"),
+    (_set("coefficients", [float("nan")] + [0.0] * 7), "coefficients must be finite"),
+    (_set("intercept", float("inf")), "coefficients must be finite"),
+    (_set("cp", float("nan")), "cp must be finite"),
+    (_set("rss", -1e-8), "rss must be finite and non-negative"),
+    (_set("rss", float("inf")), "rss must be finite and non-negative"),
+    (_set("columns", [0, -1, 2] + [-1] * 5),
      "columns must increase, padded with -1 only at the tail"),
-    (_set("columns", [8] + [-1] * 7), ValueError, re.escape("columns must lie in [0, 8)")),
+    (_set("columns", [8] + [-1] * 7), re.escape("columns must lie in [0, 8)")),
     # the same kinds of bad entry as typed arrays: another dtype or shape
     (lambda table: _recoded(table, lambda arrays: {**arrays,
                                                    "columns": arrays["columns"][:, :, :2]}),
-     PanelFormatError, _not_a("columns", (20, 4, 8), "int64")),
-    (_set("columns", [0, 2.5] + [-1] * 6, dtype=float), PanelFormatError,
      _not_a("columns", (20, 4, 8), "int64")),
-    (_put("map_index", 3.5, 3, dtype=float), PanelFormatError,
-     _not_a("map_index", (20,), "int64")),
-    (_put("n_rows", 170.25, 3, dtype=float), PanelFormatError,
-     _not_a("n_rows", (20,), "int64")),
-    (_put("dropped", 0.25, 3, 0, dtype=float), PanelFormatError,
-     _not_a("dropped", (20, 8), "bool")),
-    (_put("dropped", 2, 3, 0, dtype=int), PanelFormatError,
-     _not_a("dropped", (20, 8), "bool")),
-    (_set("columns", ["0", "2"] + ["-1"] * 6, dtype=str), PanelFormatError,
-     _not_a("columns", (20, 4, 8), "int64")),
-    (_put("n_rows", "188", 3, dtype=str), PanelFormatError,
-     _not_a("n_rows", (20,), "int64")),
+    (_set("columns", [0, 2.5] + [-1] * 6, dtype=float), _not_a("columns", (20, 4, 8), "int64")),
+    (_put("map_index", 3.5, 3, dtype=float), _not_a("map_index", (20,), "int64")),
+    (_put("n_rows", 170.25, 3, dtype=float), _not_a("n_rows", (20,), "int64")),
+    (_put("dropped", 0.25, 3, 0, dtype=float), _not_a("dropped", (20, 8), "bool")),
+    (_put("dropped", 2, 3, 0, dtype=int), _not_a("dropped", (20, 8), "bool")),
+    (_set("columns", ["0", "2"] + ["-1"] * 6, dtype=str), _not_a("columns", (20, 4, 8), "int64")),
+    (_put("n_rows", "188", 3, dtype=str), _not_a("n_rows", (20,), "int64")),
     # an object array is stored as a pickle, which the loader never reads
-    (_set("cp", None, dtype=object), PanelFormatError, _not_a("cp", (20, 4), "float64")),
-    (_blob(lambda data: data[:-8]), PanelFormatError, _not_a("dropped", (20, 8), "bool")),
-    (_blob(lambda data: data + b"\0"), PanelFormatError,
-     "attractor F8: bytes follow the last array, dropped"),
-    (lambda table: table.update(arrays="*" + table["arrays"][1:]), PanelFormatError,
-     "attractor F8: arrays is not base64 text"),
+    (_set("cp", None, dtype=object), _not_a("cp", (20, 4), "float64")),
+    (_blob(lambda data: data[:-8]), _not_a("dropped", (20, 8), "bool")),
+    (_blob(lambda data: data + b"\0"), "bytes follow the last array, dropped"),
+    (lambda table: table.update(arrays="*" + table["arrays"][1:]), "arrays is not base64 text"),
 ], ids=["no-column", "coefficient", "intercept", "cp", "negative-rss", "rss",
         "inner-padding", "column-range", "wrong-shape", "fractional-column",
         "fractional-map-index", "fractional-n-rows", "fractional-dropped", "dropped-two",
         "string-column", "string-n-rows", "null-cp", "truncated", "trailing-bytes",
         "not-base64"])
-def test_loaders_reject_what_a_subset_model_rejects(golden_run, tmp_path, change, error,
-                                                    message):
+def test_loaders_reject_what_a_subset_model_rejects(golden_run, tmp_path, change, message):
     # a table stores a map's stations, row count and dropped columns once, so
     # stations that disagree on them cannot be written
     _, out = golden_run
@@ -1024,10 +1025,69 @@ def test_loaders_reject_what_a_subset_model_rejects(golden_run, tmp_path, change
         assert _recoded(table)["map_index"][3] == 3 and table["stations"][1] == "st01"
         change(table)
         (tmp_path / name).write_text(json.dumps(payload))
-    with pytest.raises(error, match=message):
+    def named(name):
+        return "^" + re.escape(f"{tmp_path / name}: attractor F8: ") + message
+    with pytest.raises(PanelFormatError, match=named("models.json")):
         pl.load_groups(tmp_path)
-    with pytest.raises(error, match=message):
+    with pytest.raises(PanelFormatError, match=named("keys.json")):
         load_keys(tmp_path / "keys.json")
+
+
+def _first_key(field, value):
+    """A change to the first key of a key file."""
+    return lambda payload: payload["keys"][0].update({field: value})
+
+
+def _first_table(change):
+    """A change to the first stored table of a key or model file."""
+    return lambda payload: change(next(iter(payload["groups"].values())))
+
+
+NAN_COEFFICIENT = _first_table(_put("coefficients", float("nan"), 0, 0, 0))
+NO_COLUMN = _first_table(_put("columns", -1, 0, 0))
+
+
+# each message follows the file's path; {key} is the first key's id, {attractor}
+# the attractor of the first table
+@pytest.mark.parametrize("name, verb, change, named", [
+    ("retained_keys.json", "forecast", _first_key("vote_mode", "plurality"),
+     "key {key}: vote_mode must be one of ('majority', 'two_cluster_average')"),
+    ("retained_keys.json", "forecast", _first_key("vote_k", 0),
+     "key {key}: vote_k must be >= 1, not 0"),
+    ("retained_keys.json", "forecast", _first_key("top_percent", 25),
+     "key {key}: top_percent must be one of (10, 30, 100)"),
+    ("retained_keys.json", "forecast", _first_key("combiner", "median"),
+     "key {key}: combiner must be one of ('mean', 'vote')"),
+    ("retained_keys.json", "forecast", _first_key("shrink_factor", -1),
+     "key {key}: shrink_factor must lie in (0, 1], not -1.0"),
+    ("retained_keys.json", "forecast", NAN_COEFFICIENT,
+     "attractor {attractor}: coefficients must be finite"),
+    ("retained_keys.json", "forecast", NO_COLUMN,
+     "attractor {attractor}: a subset model needs at least one column"),
+    ("keys.json", "invert", NAN_COEFFICIENT, "attractor {attractor}: coefficients must be finite"),
+    ("keys.json", "invert", NO_COLUMN,
+     "attractor {attractor}: a subset model needs at least one column"),
+    ("models.json", "select", NAN_COEFFICIENT,
+     "attractor {attractor}: coefficients must be finite"),
+    ("models.json", "select", NO_COLUMN,
+     "attractor {attractor}: a subset model needs at least one column"),
+], ids=["vote_mode", "vote_k-0", "top_percent-25", "combiner-median", "shrink_factor-negative",
+        "retained-coefficient", "retained-no-column", "keys-coefficient", "keys-no-column",
+        "models-coefficient", "models-no-column"])
+def test_staged_verbs_reject_a_file_a_loader_rejects(run_all, tmp_path, capsys, name, verb,
+                                                      change, named):
+    config, run_all_out = run_all("threshold-0.1")
+    out = tmp_path / "out"
+    shutil.copytree(run_all_out, out)
+    path = out / name
+    payload = json.loads(path.read_text())
+    named = named.format(key=payload.get("keys", [{}])[0].get("key_id"),
+                         attractor=next(iter(payload["groups"])))
+    change(payload)
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main([verb, "-c", config, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"chaoscast: {path}: {named}\n"
 
 
 def test_no_stage_builds_a_subset_model(monkeypatch):
@@ -1090,7 +1150,7 @@ def test_failed_write_keeps_the_older_complete_file(tmp_path):
      "selection.x_grid must be a list of integers"),
     ({"seed": 7, "inversion": {"target_window": [40, 44.5]}},
      "inversion.target_window must be a list of integers"),
-    ({"seed": 7, "surrogate": {"temp_smooth": 0}}, "surrogate: temp_smooth must lie in 1..8000"),
+    ({"seed": 7, "surrogate": {"temp_smooth": 0}}, "surrogate.temp_smooth must be >= 1, not 0"),
     ({"seed": 7, "selction": {"vote_k": 3}}, "unknown config key: 'selction'"),
     ({"seed": 7, "selection": {"retention_threshold": "0.5"}},
      "selection.retention_threshold must be a number, not '0.5'"),
@@ -1113,11 +1173,23 @@ def test_failed_write_keeps_the_older_complete_file(tmp_path):
     ({"seed": 7, "schedule": {"first_season": 0, "lengths": [4, 4, 3, 5]}},
      "schedule.first_season and schedule.lengths start the predict window at season 11"),
     ({"seed": 7, "ground": {"snr": 0}}, "ground.snr must be > 0 for ground.mode=member, not 0"),
+    ({"seed": 7, "surrogate": {"K": 20},
+      "stations": {"a": ["wet", "s00"], "b": ["wet", "s09"], "c": ["wet", "s18"],
+                   "d": ["wet", "s27"]}},
+     "stations.d targets ['wet', 's27'], which is no library series: (wet or tmp, s00..s19) "
+     "or (idx, a surrogate.indices name)"),
+    ({"seed": 7, "surrogate": {"temp_smooth": 8001}},
+     "surrogate.temp_smooth (8001) exceeds the run's surrogate.n_seasons x steps_per_season "
+     "(8000) steps"),
+    ({"seed": 7, "surrogate": {"forcings": [8.0, 8.0000001]}},
+     "surrogate.forcings [8.0, 8.0000001] must be non-empty with distinct labels, "
+     "not ['F8', 'F8']"),
 ], ids=["seed", "n_maps", "vote_k-bool", "x_grid", "target_window", "temp_smooth",
         "unknown-key", "retention_threshold", "forcings", "positive_part", "mode",
         "lead-retired", "unknown-section-key", "lag_min-0", "lag_max-below-lag_min",
         "x_grid-empty", "x_grid-repeated", "station-target-without-site", "predict-window-1",
-        "stations-one", "reference-window-below-three-years", "snr-0"])
+        "stations-one", "reference-window-below-three-years", "snr-0",
+        "station-series-outside-the-ring", "temp_smooth-past-the-run", "forcings-label-collision"])
 def test_config_error_names_the_setting(payload, named):
     with pytest.raises(ConfigError, match=re.escape(named)):
         PipelineConfig.from_dict(payload)
@@ -1169,10 +1241,17 @@ def test_run_all_rejects_a_malformed_map_setting(tmp_path, capsys, settings, nam
     ("inversion", "trailing_seasons", 0, ">= 1", 1),
     ("inversion", "bandwidth", math.nextafter(0.0, -1.0), ">= 0", 0.0),
     ("inversion", "n_fitted_means", -1, ">= 0", 0),
+    ("surrogate", "K", 3, ">= 4", 4),
+    ("surrogate", "dt", 0.0, "> 0.0", None),
+    ("surrogate", "steps_per_season", 0, ">= 1", 1),
+    ("surrogate", "temp_smooth", 0, ">= 1", 1),
+    ("surrogate", "steady_window", 2, ">= 3", 3),
+    ("surrogate", "slope_tol", 0.0, "> 0.0", None),
 ], ids=["n_maps", "dim-min", "dim-max", "lag_min", "max_subset_size", "first_season", "lengths",
         "window", "direction", "x_grid", "top_k", "vote_k", "vote_mode", "n_reps", "n_points",
         "target_r-min", "target_r-max", "mode", "q-min", "q-max", "fraction_of_max-min",
-        "fraction_of_max-max", "trailing_seasons", "bandwidth", "n_fitted_means"])
+        "fraction_of_max-max", "trailing_seasons", "bandwidth", "n_fitted_means", "K",
+        "dt", "steps_per_season", "temp_smooth", "steady_window", "slope_tol"])
 def test_a_bounded_setting_is_rejected_past_its_bound(section, name, past, bound, limit):
     with pytest.raises(ConfigError, match=re.escape(f"{section}.{name}") + ".* must be "
                        + re.escape(f"{bound}, not ")):

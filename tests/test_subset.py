@@ -275,7 +275,7 @@ def brute_force_cp(X, y):
 def short_attractor():
     cfg = PipelineConfig.from_dict({"seed": 7, "surrogate": {"forcings": [8.0],
                                                              "n_seasons": 200}})
-    (est,) = build_attractor_library(cfg.surrogate.parameters(), cfg.surrogate, cfg.seed)
+    (est,) = build_attractor_library(cfg.surrogate.forcings, cfg.surrogate, cfg.seed)
     stations = tuple(Station(sid, var, site)
                      for sid, (var, site) in cfg.resolved_stations().items())
     maps = sample_delay_maps(est.panel.catalog(), 3, 8, 4, 11, seed=11)
